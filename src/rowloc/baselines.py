@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import (
     PointCloud,
     PreprocessConfig,
+    finite_points,
     preprocess,
     rotation_from_euler,
 )
@@ -94,7 +95,10 @@ def _level_and_project(cloud_C: PointCloud, params: BaselineParams, raw: bool = 
     """
     frame = preprocess(cloud_C, params.pre_cfg)
     R = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
-    pts = params.pre_cfg.extrinsic.apply(cloud_C.points) if raw else frame.cloud_V.points
+    if raw:
+        pts = params.pre_cfg.extrinsic.apply(finite_points(cloud_C).points)
+    else:
+        pts = frame.cloud_V.points
     leveled = pts @ R.T
     leveled[:, 2] += frame.height
     non_ground = leveled[leveled[:, 2] > params.ground_z_max]

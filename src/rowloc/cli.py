@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__, cloudio, harness
 from .config import load_experiment_config
+from .geometry import Pose6D
 from .harness import ExperimentConfig
-from .mcl import localize_grid, localize_uniform
 from .synth import generate_scene
 from .template import GroundTruthPose, build_template, load_template, save_template
 
@@ -36,7 +36,11 @@ def _add_common(p: argparse.ArgumentParser, out_required=True):
     p.add_argument("--config", type=Path, help="key=value experiment config file")
     p.add_argument("--seed", type=int, help="master seed (overrides config)")
     p.add_argument("--out", type=Path, required=out_required, help="output directory")
-    p.add_argument("--method", help="localization method selector")
+    p.add_argument(
+        "--method",
+        choices=harness.TEMPLATE_METHODS + harness.BASELINE_METHODS,
+        help="localization method selector",
+    )
 
 
 def cmd_gen_scene(args):
@@ -64,23 +68,25 @@ def _render_run(cfg: ExperimentConfig):
     )
 
 
-def _load_generated(dataset_dir: Path):
-    clouds, truths = [], []
+def _load_generated(dataset_dir: Path) -> harness.Dataset:
+    """A gen-scene directory as a Dataset (straight row: {R} pose = local truth)."""
+    clouds, poses = [], []
     lines = (dataset_dir / "ground_truth.csv").read_text().splitlines()[1:]
     for line in lines:
-        parts = line.split(",")
-        i = int(parts[0])
-        clouds.append(cloudio.load_cloud_binary(dataset_dir / f"frame_{i:05d}.pc3d"))
-        truths.append((float(parts[2]), float(parts[3])))
-    return clouds, np.array(truths)
+        i, x, y, theta, alpha, beta, z = line.split(",")
+        clouds.append(cloudio.load_cloud_binary(dataset_dir / f"frame_{int(i):05d}.pc3d"))
+        poses.append(Pose6D(x=float(x), y=float(y), z=float(z),
+                            roll=float(alpha), pitch=float(beta), yaw=float(theta)))
+    truth = np.array([(p.y, p.yaw) for p in poses]).reshape(-1, 2)
+    return harness.Dataset(clouds, poses, truth)
 
 
 def cmd_build_template(args):
     cfg = _base_config(args)
-    clouds, truths = _load_generated(Path(args.dataset))
-    n = min(cfg.n_template_frames, len(clouds))
-    gt = [GroundTruthPose(y=float(y), theta=float(th)) for y, th in truths[:n]]
-    template = build_template(clouds[:n], gt, cfg.template_cfg, cfg.mcl_cfg.pre_cfg)
+    ds = _load_generated(Path(args.dataset))
+    n = min(cfg.n_template_frames, len(ds.clouds))
+    gt = [GroundTruthPose(y=float(y), theta=float(th)) for y, th in ds.local_truth[:n]]
+    template = build_template(ds.clouds[:n], gt, cfg.template_cfg, cfg.mcl_cfg.pre_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_template(template, out / "template.rstp")
@@ -91,14 +97,9 @@ def cmd_build_template(args):
 def cmd_localize(args):
     cfg = _base_config(args)
     template = load_template(args.template)
-    clouds, truths = _load_generated(Path(args.dataset))
-    results = []
-    for i, cloud in enumerate(clouds):
-        if cfg.method == "template-grid":
-            est = localize_grid(cloud, template, cfg.mcl_cfg)
-        else:
-            est = localize_uniform(cloud, template, cfg.mcl_cfg, harness.derive_seed(cfg.seed, 4, 0, i))
-        results.append(harness._estimate_to_result(est, i, truths[i], cfg.method))
+    ds = _load_generated(Path(args.dataset))
+    odometry = harness._dataset_odometry(ds, cfg)
+    results = harness.evaluate_frames(ds.clouds, ds.local_truth, template, cfg, odometry=odometry)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_results_csv(out / "frames.csv", results)

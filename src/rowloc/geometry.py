@@ -314,9 +314,21 @@ class PreprocessedFrame:
     height: float
 
 
+def finite_points(cloud: PointCloud) -> PointCloud:
+    """The cloud without rows holding a NaN or infinite coordinate.
+
+    Returns the cloud itself when every point is finite.
+    """
+    finite = np.isfinite(cloud.points)
+    if finite.all():  # the common case; a whole-array test is ~20x cheaper
+        return cloud
+    return PointCloud(cloud.points[finite.all(axis=1)], cloud.frame)
+
+
 def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) -> PreprocessedFrame:
-    """Downsample, transfer {C} -> {V}, and estimate (roll, pitch, height)."""
-    down = voxel_downsample(cloud_C, cfg.leaf_size)
+    """Drop non-finite points, downsample, transfer {C} -> {V}, and
+    estimate (roll, pitch, height)."""
+    down = voxel_downsample(finite_points(cloud_C), cfg.leaf_size)
     cloud_V = transform_cloud(cfg.extrinsic, down, frame="V")
     _, roll, pitch, height = ransac_ground_plane(
         cloud_V,

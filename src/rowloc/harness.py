@@ -60,7 +60,13 @@ from .synth import (
     truncate_row_end,
     vineyard_preset,
 )
-from .template import GroundTruthPose, Template, TemplateConfig, build_template
+from .template import (
+    TEMPLATE_HEADER,
+    GroundTruthPose,
+    Template,
+    TemplateConfig,
+    build_template,
+)
 
 TEMPLATE_METHODS = ("template-uniform", "template-pf", "template-grid")
 BASELINE_METHODS = ("baseline1", "baseline2", "baseline2-refined")
@@ -597,7 +603,7 @@ def run_voxel_sweep(cfg: ExperimentConfig, sizes=(0.02, 0.05, 0.1, 0.2, 0.5, 1.0
             "y": compute_metrics(ye),
             "theta": compute_metrics(te),
             "n_voxels": n_voxels,
-            "file_size": 136 + 4 * n_voxels,  # header + f32 payload
+            "file_size": TEMPLATE_HEADER.size + 4 * n_voxels,  # header + f32 payload
         }
     out_dir = _maybe_dir(out_dir)
     if out_dir:

@@ -291,17 +291,18 @@ def localize_pf(
     if scorer is None:
         return _empty_estimate(cfg), ParticleSet(poses, np.full(len(prev), 1.0 / len(prev)))
     logliks, n_scored = scorer.score(poses[:, 0], poses[:, 1])
-    if not np.any(n_scored):
-        return _empty_estimate(cfg), ParticleSet(poses, np.full(len(prev), 1.0 / len(prev)))
 
-    # weight collapse: every particle scored at the probability floor
-    # (shed points pay the no-info penalty, so subtract that baseline)
+    # Lost track: no particle sees a single point (the set has drifted off
+    # the row), or every particle scored at the probability floor (shed
+    # points pay the no-info penalty, so subtract that baseline).  Either
+    # way the weights carry no information; restart from the prior.
+    no_points = not np.any(n_scored)
     floor_ll = n_scored * scorer.log_floor + (scorer.n_points - n_scored) * scorer.log_no_info
-    if np.all(logliks <= floor_ll + 1e-9):
+    if no_points or np.all(logliks <= floor_ll + 1e-9):
         n = len(prev)
         reinit = init_particles(cfg, int(rng.integers(0, 2**32)), n)
-        est = _empty_estimate(cfg)
-        est = replace(est, flags=(FLAG_LOW_CONFIDENCE, FLAG_REINITIALIZED))
+        flags = (FLAG_EMPTY_MEASUREMENT,) if no_points else ()
+        est = replace(_empty_estimate(cfg), flags=flags + (FLAG_LOW_CONFIDENCE, FLAG_REINITIALIZED))
         return est, reinit
 
     est = _make_estimate(poses, logliks, n_scored, cfg)

@@ -11,6 +11,16 @@ pay the no-information probability instead of being dropped.  Without
 the constant penalty, proposals that rotate informative points out of
 the box would shed their negative log terms and beat the true pose on
 raw sum.
+
+Exactness contract: `PoseScorer.score` returns, bit for bit, what
+scoring each proposal on its own would return.  Runs of consecutive
+proposals with one heading (a theta-major grid) share that heading's
+rotation, x index and x/z masks; other proposals are scored in chunks.
+The float32 arithmetic per point and proposal is the same either way,
+and each row is summed alone, so neither the log-likelihoods nor the
+points-scored counts depend on how proposals are grouped.  The log of
+the template grid is computed once per (template, p_floor) and kept on
+the template, whose grid is read-only.
 """
 
 from __future__ import annotations
@@ -55,7 +65,8 @@ class PoseScorer:
     """Scores many (y, theta) proposals against one preprocessed frame.
 
     The roll/pitch/height leveling is applied to the cloud once; each
-    proposal then costs one planar rotation plus a grid gather.
+    proposal then costs one planar rotation plus a grid gather, and
+    consecutive proposals that share a heading share its rotation.
     """
 
     def __init__(
@@ -69,53 +80,59 @@ class PoseScorer:
         self.cutoff = cutoff
         self.p_floor = float(p_floor)
         self.log_floor = math.log(self.p_floor)
+        self.log_no_info = math.log(max(template.no_info_frequency, self.p_floor))
 
         R_level = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
         leveled = frame.cloud_V.points @ R_level.T
-        self._qx = leveled[:, 0].astype(np.float64)
-        self._qy = leveled[:, 1].astype(np.float64)
-        self._qz = leveled[:, 2] + frame.height  # z in {T}, pose-independent
-        self._qx32 = self._qx.astype(np.float32)
-        self._qy32 = self._qy.astype(np.float32)
+        self._qx32 = leveled[:, 0].astype(np.float32)
+        self._qy32 = leveled[:, 1].astype(np.float32)
+        qz = leveled[:, 2] + frame.height  # z in {T}, pose-independent
+        self.n_points = qz.shape[0]
 
         cfg = template.config
-        self._lo = cfg.template_range.min_corner
-        self._res = cfg.resolution
-        self._dims = np.array(cfg.dims, dtype=np.int64)
-        flat = np.ascontiguousarray(template.grid.reshape(-1), dtype=np.float64)
-        self._log_flat = np.log(np.maximum(flat, self.p_floor)).astype(np.float32)
-        self.log_no_info = math.log(max(template.no_info_frequency, self.p_floor))
-        self.n_points = self._qx.shape[0]
+        lo = cfg.template_range.min_corner
+        hi = cfg.template_range.max_corner
+        res = cfg.resolution
+        self._dims = cfg.dims
+        self._table = _log_table(template, self.p_floor, self.log_no_info)
 
         # grid-coordinate constants for the float32 hot path
-        self._inv_res = np.float32(1.0 / self._res)
+        self._lo_x = np.float32(lo[0])
+        self._lo_y = np.float32(lo[1])
+        self._inv_res = np.float32(1.0 / res)
         self._gx_hi = np.float32(self._dims[0])
         self._gy_hi = np.float32(self._dims[1])
         box = cutoff if cutoff is not None else cfg.template_range
         self._cx = (
-            np.float32((box.min_corner[0] - self._lo[0]) / self._res),
-            np.float32((box.max_corner[0] - self._lo[0]) / self._res),
+            np.float32((box.min_corner[0] - lo[0]) / res),
+            np.float32((box.max_corner[0] - lo[0]) / res),
         )
         self._cy = (
-            np.float32((box.min_corner[1] - self._lo[1]) / self._res),
-            np.float32((box.max_corner[1] - self._lo[1]) / self._res),
+            np.float32((box.min_corner[1] - lo[1]) / res),
+            np.float32((box.max_corner[1] - lo[1]) / res),
         )
 
         # z index and masks never depend on the proposal
-        self._iz = np.floor((self._qz - self._lo[2]) / self._res).astype(np.int64)
-        at_top = self._qz == cfg.template_range.max_corner[2]
-        self._iz[at_top] = self._dims[2] - 1
-        self._z_in_template = (self._qz >= self._lo[2]) & (
-            self._qz <= cfg.template_range.max_corner[2]
-        )
-        np.clip(self._iz, 0, self._dims[2] - 1, out=self._iz)
-        self._iz32 = self._iz.astype(np.int32)
+        iz = np.floor((qz - lo[2]) / res).astype(np.int64)
+        iz[qz == hi[2]] = self._dims[2] - 1
+        np.clip(iz, 0, self._dims[2] - 1, out=iz)
+        # +1: slot 0 of the log table holds the no-info log
+        self._iz32 = iz.astype(np.int32) + np.int32(1)
         if cutoff is not None:
-            self._z_in_cutoff = (self._qz >= cutoff.min_corner[2]) & (
-                self._qz <= cutoff.max_corner[2]
-            )
+            self._z_keep = (qz >= cutoff.min_corner[2]) & (qz <= cutoff.max_corner[2])
         else:
-            self._z_in_cutoff = np.ones_like(self._qz, dtype=bool)
+            self._z_keep = np.ones(self.n_points, dtype=bool)
+        self._z_valid = self._z_keep & (qz >= lo[2]) & (qz <= hi[2])
+        # A kept point is on the grid when the cutoff box lies inside it
+        # (compared in the same float32 grid coordinates the kernel uses),
+        # so the in-grid test can be skipped.
+        self._box_in_grid = bool(
+            self._cx[0] >= 0
+            and self._cx[1] <= self._gx_hi
+            and self._cy[0] >= 0
+            and self._cy[1] <= self._gy_hi
+            and np.array_equal(self._z_keep, self._z_valid)
+        )
 
     def score(self, ys: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log-likelihoods, points-scored) for parallel arrays of proposals."""
@@ -124,46 +141,103 @@ class PoseScorer:
         n = ys.shape[0]
         loglik = np.zeros(n)
         n_scored = np.zeros(n, dtype=np.int64)
-        if self._qx.shape[0] == 0:
+        if self.n_points == 0:
             return loglik, n_scored
-        for start in range(0, n, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, n))
-            ll, ns = self._score_chunk(ys[sl], thetas[sl])
-            loglik[sl] = ll
-            n_scored[sl] = ns
-        return loglik, n_scored
-
-    def _score_chunk(self, ys, thetas):
         cos_t = np.cos(thetas).astype(np.float32)[:, None]
         sin_t = np.sin(thetas).astype(np.float32)[:, None]
+        for sl, shared in _blocks(thetas):
+            # a shared heading is scored as one (1, 1) row for the block
+            hd = slice(sl.start, sl.start + 1) if shared else sl
+            loglik[sl], n_scored[sl] = self._score_block(cos_t[hd], sin_t[hd], ys[sl])
+        return loglik, n_scored
+
+    def _score_block(self, cos_t, sin_t, ys):
+        """Score ys against (m, 1) headings, or one (1, 1) heading for all.
+
+        Heading-only terms (rotated x, x index, x/z masks) are computed
+        per heading row and broadcast over the y offsets.
+        """
         # work directly in grid coordinates (voxels from the grid origin)
         fx = cos_t * self._qx32 - sin_t * self._qy32
-        fx -= np.float32(self._lo[0])
+        fx -= self._lo_x
         fx *= self._inv_res
         fy = sin_t * self._qx32 + cos_t * self._qy32
-        fy += ys.astype(np.float32)[:, None]
-        fy -= np.float32(self._lo[1])
+        fy = fy + ys.astype(np.float32)[:, None]
+        fy -= self._lo_y
         fy *= self._inv_res
 
-        keep = (fx >= self._cx[0]) & (fx <= self._cx[1])
-        keep &= (fy >= self._cy[0]) & (fy <= self._cy[1])
-        keep &= self._z_in_cutoff[None, :]
-        valid = (fx >= 0) & (fx <= self._gx_hi) & (fy >= 0) & (fy <= self._gy_hi)
-        valid &= self._z_in_template[None, :]
-        valid &= keep
+        keep_x = (fx >= self._cx[0]) & (fx <= self._cx[1])
+        keep_x &= self._z_keep
+        keep = (fy >= self._cy[0]) & (fy <= self._cy[1])
+        keep &= keep_x
+        if self._box_in_grid:
+            valid = keep
+        else:
+            valid_x = (fx >= 0) & (fx <= self._gx_hi)
+            valid_x &= self._z_valid
+            valid = (fy >= 0) & (fy <= self._gy_hi)
+            valid &= valid_x
+            valid &= keep
 
-        # truncation (not floor) is fine: negatives are masked and clipped
+        nx, ny, nz = self._dims
+        # truncation (not floor) is fine: invalid points are sent to slot 0
         ix = fx.astype(np.int32)
-        iy = fy.astype(np.int32)
-        np.clip(ix, 0, np.int32(self._dims[0] - 1), out=ix)
-        np.clip(iy, 0, np.int32(self._dims[1] - 1), out=iy)
-        lin = ix
-        lin *= np.int32(self._dims[1])
-        lin += iy
-        lin *= np.int32(self._dims[2])
-        lin += self._iz32[None, :]
-        logs = np.where(valid, self._log_flat[lin], np.float32(self.log_no_info))
-        return logs.sum(axis=1, dtype=np.float64), keep.sum(axis=1)
+        np.clip(ix, 0, np.int32(nx - 1), out=ix)
+        ix *= np.int32(ny * nz)
+        ix += self._iz32
+        lin = fy.astype(np.int32)
+        np.clip(lin, 0, np.int32(ny - 1), out=lin)
+        lin *= np.int32(nz)
+        lin += ix
+        lin *= valid  # off-grid and cut points read the no-info slot 0
+        logs = self._table.take(lin)
+        return logs.sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
+
+
+# runs of at least this many equal headings are scored as a shared-heading
+# block; shorter runs (duplicated PF particles) stay in the chunks, which
+# keeps the number of kernel calls per score() low
+_MIN_RUN = 8
+
+
+def _blocks(thetas: np.ndarray):
+    """(slice, shared-heading) blocks of at most _CHUNK consecutive proposals.
+
+    Runs of _MIN_RUN or more equal headings (a theta-major grid) share
+    one heading row; the proposals between them are chunked as they come.
+    """
+    n = thetas.shape[0]
+    edges = np.flatnonzero(thetas[1:] != thetas[:-1]) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges, [n]))
+    long = ends - starts >= _MIN_RUN
+    pos = 0
+    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
+        yield from _chunks(pos, start, False)
+        yield from _chunks(start, end, True)
+        pos = end
+    yield from _chunks(pos, n, False)
+
+
+def _chunks(start: int, end: int, shared: bool):
+    for lo in range(start, end, _CHUNK):
+        yield slice(lo, min(lo + _CHUNK, end)), shared
+
+
+def _log_table(template: Template, p_floor: float, log_no_info: float) -> np.ndarray:
+    """The no-info log, then the flat float32 log(max(grid, p_floor)).
+
+    Built once per (template, p_floor) and kept on the template, whose
+    grid is read-only, so every scorer of that template reuses it.
+    """
+    table = template._log_tables.get(p_floor)
+    if table is None:
+        flat = np.ascontiguousarray(template.grid.reshape(-1), dtype=np.float64)
+        logs = np.log(np.maximum(flat, p_floor)).astype(np.float32)
+        table = np.concatenate(([np.float32(log_no_info)], logs))
+        table.flags.writeable = False
+        template._log_tables[p_floor] = table
+    return table
 
 
 def measurement_log_likelihood(

@@ -8,7 +8,7 @@ outside the in-row region hold a fixed "no information" frequency.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,9 @@ from .geometry import (
 
 TEMPLATE_MAGIC = b"RSTP"
 TEMPLATE_VERSION = 1
+# fixed header: magic, version, resolution, template and row boxes (6 f64
+# each), no_info f64, n_frames u32, dims 3*u32; the f32 grid follows
+TEMPLATE_HEADER = struct.Struct("<4sId6d6ddI3I")
 
 DEFAULT_TEMPLATE_RANGE = Box3.from_ranges((0.0, 20.0), (-5.0, 5.0), (0.0, 4.0))
 
@@ -89,11 +92,19 @@ class Template:
     """Built occupancy-frequency grid (x-major, then y, then z)."""
 
     config: TemplateConfig
-    grid: np.ndarray  # (nx, ny, nz) float32
+    grid: np.ndarray  # (nx, ny, nz) float32, read-only
     n_frames: int
+    # per-p_floor log tables, filled by the sensor model (measurement.py)
+    _log_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.ascontiguousarray(self.grid, dtype=np.float32)
+        # The grid is read-only so tables derived from it cannot go stale:
+        # a writeable (or non-float32, non-contiguous) array is copied, a
+        # read-only one such as a loaded file's buffer is taken as is.
+        grid = np.asarray(self.grid)
+        if grid.flags.writeable or grid.dtype != np.float32 or not grid.flags.c_contiguous:
+            grid = np.array(grid, dtype=np.float32, order="C")
+            grid.flags.writeable = False
         if grid.shape != self.config.dims:
             raise ValueError(f"grid shape {grid.shape} != configured dims {self.config.dims}")
         object.__setattr__(self, "grid", grid)
@@ -163,7 +174,9 @@ def build_template(
 
     dims = cfg.dims
     counts = np.zeros(dims, dtype=np.float64)
-    probe = Template(replace(cfg, no_info_frequency=0.0), np.zeros(dims, dtype=np.float32), 0)
+    empty = np.zeros(dims, dtype=np.float32)
+    empty.flags.writeable = False  # no copy: the probe only supplies voxel geometry
+    probe = Template(replace(cfg, no_info_frequency=0.0), empty, 0)
     n = len(clouds_C)
     for cloud, truth in zip(clouds_C, truths):
         frame = preprocess(cloud, pre_cfg)
@@ -193,28 +206,28 @@ def build_template(
         no_info = float(np.clip(0.5 * geo, 1e-3, 0.5))
     freq = np.where(row_mask, freq, no_info)
     final_cfg = replace(cfg, no_info_frequency=no_info)
-    return Template(final_cfg, freq.astype(np.float32), n)
+    return Template(final_cfg, freq, n)
 
 
 def save_template(template: Template, path) -> None:
     cfg = template.config
     with open(path, "wb") as f:
-        f.write(TEMPLATE_MAGIC)
-        f.write(struct.pack("<I", TEMPLATE_VERSION))
-        f.write(struct.pack("<d", cfg.resolution))
-        for box in (cfg.template_range, cfg.row_range):
-            f.write(struct.pack("<6d", *box.min_corner, *box.max_corner))
-        f.write(struct.pack("<d", template.no_info_frequency))
-        f.write(struct.pack("<I", template.n_frames))
-        f.write(struct.pack("<3I", *template.grid.shape))
+        f.write(TEMPLATE_HEADER.pack(
+            TEMPLATE_MAGIC,
+            TEMPLATE_VERSION,
+            cfg.resolution,
+            *cfg.template_range.min_corner, *cfg.template_range.max_corner,
+            *cfg.row_range.min_corner, *cfg.row_range.max_corner,
+            template.no_info_frequency,
+            template.n_frames,
+            *template.grid.shape,
+        ))
         f.write(template.grid.astype("<f4").tobytes())
 
 
 def load_template(path) -> Template:
     raw = Path(path).read_bytes()
-    # fixed layout: magic, version, resolution, 2 boxes (6 f64 each),
-    # no_info f64, n_frames u32, dims 3*u32
-    fixed = struct.Struct("<4sId6d6ddI3I")
+    fixed = TEMPLATE_HEADER
     if len(raw) < fixed.size:
         raise TemplateFormatError(f"{path}: truncated header ({len(raw)} bytes)")
     fields = fixed.unpack_from(raw, 0)
@@ -242,4 +255,4 @@ def load_template(path) -> Template:
     if len(raw) != expected:
         raise TemplateFormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
     grid = np.frombuffer(raw, dtype="<f4", offset=fixed.size).reshape(dims)
-    return Template(cfg, grid.copy(), n_frames)
+    return Template(cfg, grid, n_frames)

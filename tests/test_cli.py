@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from rowloc import __version__
+from rowloc import __version__, cloudio, harness
 from rowloc.cli import main
+from rowloc.config import load_experiment_config
+from rowloc.synth import generate_scene
+from rowloc.template import load_template
 
 CFG_TEXT = """
 # small, fast experiment for end-to-end checks
@@ -120,3 +123,44 @@ def test_seed_flag_overrides_config(cfg_file, tmp_path):
         ["gen-scene", "--config", str(cfg_file), "--seed", "42", "--out", str(out_dir)]
     ) == 0
     assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 42
+
+
+@pytest.fixture(scope="module")
+def generated_run(cfg_file, tmp_path_factory):
+    """A gen-scene dataset and the template built from it."""
+    root = tmp_path_factory.mktemp("run")
+    assert main(["gen-scene", "--config", str(cfg_file), "--out", str(root / "data")]) == 0
+    assert main(["build-template", "--config", str(cfg_file), "--dataset", str(root / "data"),
+                 "--out", str(root / "tpl")]) == 0
+    return root / "data", root / "tpl" / "template.rstp"
+
+
+@pytest.mark.parametrize("method", ["template-pf", "baseline1"])
+def test_localize_runs_the_method_it_reports(cfg_file, generated_run, tmp_path, method):
+    data_dir, tpl_path = generated_run
+    out_dir = tmp_path / "loc"
+    assert main(["localize", "--config", str(cfg_file), "--dataset", str(data_dir),
+                 "--template", str(tpl_path), "--method", method, "--out", str(out_dir)]) == 0
+
+    # reference: the harness on the run rendered in memory, with the clouds
+    # as stored on disk (float32) and odometry from the true poses
+    cfg = load_experiment_config(cfg_file)
+    scene = generate_scene(cfg.scene, harness.derive_seed(cfg.seed, 10))
+    ds = harness.make_dataset(scene, cfg.trajectory, cfg.sensor, harness.derive_seed(cfg.seed, 11))
+    clouds = [cloudio.load_cloud_binary(data_dir / f"frame_{i:05d}.pc3d")
+              for i in range(len(ds.clouds))]
+    expected = harness.evaluate_frames(
+        clouds, ds.local_truth, load_template(tpl_path), cfg, method=method,
+        odometry=harness._dataset_odometry(ds, cfg),
+    )
+    harness.write_results_csv(tmp_path / "expected.csv", expected)
+    got = (out_dir / "frames.csv").read_text()
+    assert got == (tmp_path / "expected.csv").read_text()
+    assert all(line.endswith("," + method) for line in got.splitlines()[1:])
+
+
+def test_unknown_method_is_rejected(cfg_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-accuracy", "--config", str(cfg_file), "--method", "template-typo",
+              "--out", str(tmp_path)])
+    assert exc.value.code != 0

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rowloc.geometry import PointCloud, Pose6D, PreprocessConfig
+from rowloc.baselines import baseline1, baseline2, baseline2_refine_offset
 from rowloc.mcl import (
     FLAG_EMPTY_MEASUREMENT,
+    FLAG_REINITIALIZED,
     MclConfig,
     OdometryDelta,
     ParticleSet,
@@ -13,6 +15,7 @@ from rowloc.mcl import (
     UniformPrior,
     covariance_top_fraction,
     init_particles,
+    localize_grid,
     localize_pf,
     localize_uniform,
     resample,
@@ -222,3 +225,79 @@ def test_particle_filter_tracks_without_drift(wall_template_and_run):
     # after burn-in the filter stays locked to the truth
     assert np.mean(errs[10:]) <= 0.1
     assert errs[-1] <= 0.1
+
+
+def test_particle_filter_recovers_after_drifting_off_the_row(wall_template_and_run):
+    """A set locked onto a wrong heading drifts until no particle scores a
+    point; the filter must then restart from the prior and lock back on."""
+    template, poses, clouds = wall_template_and_run
+    cfg = MclConfig(pre_cfg=PRE, n_particles=1200)
+    sub_poses, sub_clouds = poses[80:130], clouds[80:130]
+    assumed = np.diag([0.01**2, 0.01**2, 0.005**2])
+    exact = simulate_odometry(sub_poses, np.zeros((3, 3)), seed=12)
+    odo = [OdometryDelta(u.u, assumed) for u in exact]
+    n = cfg.n_particles
+    particles = ParticleSet(np.column_stack([np.zeros(n), np.full(n, 1.2)]), np.full(n, 1.0 / n))
+    flags, y_err, theta_err = [], [], []
+    for i in range(50):
+        u = OdometryDelta(np.zeros(3), assumed) if i == 0 else odo[i - 1]
+        est, particles = localize_pf(sub_clouds[i], particles, u, template, cfg, seed=200 + i)
+        flags.append(est.flags)
+        y_err.append(abs(est.pose.y - sub_poses[i].y))
+        theta_err.append(abs(est.pose.theta - sub_poses[i].yaw))
+    reinit = [i for i, f in enumerate(flags) if FLAG_REINITIALIZED in f]
+    assert reinit, "the filter never restarted"
+    first = reinit[0]
+    assert FLAG_EMPTY_MEASUREMENT in flags[first]
+    # AC7's bound: after a short burn-in the filter is at least as accurate
+    # as the twin-line baseline on the same frames
+    later = range(first + 5, 50)
+    assert len(later) >= 10
+    b1 = [baseline1(sub_clouds[i], seed=300 + i) for i in later]
+    b1_y = np.mean([abs(b[0] - sub_poses[i].y) for b, i in zip(b1, later)])
+    b1_theta = np.mean([abs(b[1] - sub_poses[i].yaw) for b, i in zip(b1, later)])
+    assert all(FLAG_EMPTY_MEASUREMENT not in flags[i] for i in later)
+    assert np.mean([y_err[i] for i in later]) <= b1_y
+    assert np.mean([theta_err[i] for i in later]) <= b1_theta
+
+
+def _with_bad_rows(points, kind, rng):
+    """(points with non-finite rows inserted, mask of the finite rows)."""
+    if kind == "inf":
+        bad = np.array([[np.inf, 0.0, 1.0]])
+    else:  # NaN in one coordinate of 10% of the points
+        bad = points[rng.choice(len(points), len(points) // 10, replace=False)].copy()
+        bad[np.arange(len(bad)), rng.integers(0, 3, len(bad))] = np.nan
+    out = np.vstack([points, bad])
+    order = rng.permutation(len(out))
+    return out[order], order < len(points)
+
+
+@pytest.mark.parametrize("kind", ["inf", "nan10"])
+def test_non_finite_points_are_dropped_by_every_estimator(wall_template_and_run, kind):
+    """Every estimator returns what it returns on the cloud without the bad
+    rows: a finite estimate, never an exception."""
+    template, poses, clouds = wall_template_and_run
+    cfg = MclConfig(pre_cfg=PRE, n_particles=500)
+    rng = np.random.default_rng(21)
+    points, finite = _with_bad_rows(clouds[105].points, kind, rng)
+    dirty, clean = PointCloud(points), PointCloud(points[finite])
+    particles = init_particles(cfg, seed=3)
+    zero_u = OdometryDelta(np.zeros(3), np.diag([0.01**2, 0.01**2, 0.005**2]))
+
+    def run(cloud):
+        _, _, pair = baseline2(cloud, seed=5)
+        return {
+            "uniform": localize_uniform(cloud, template, cfg, seed=4).pose,
+            "grid": localize_grid(cloud, template, cfg).pose,
+            "pf": localize_pf(cloud, particles, zero_u, template, cfg, seed=6)[0].pose,
+            "baseline1": baseline1(cloud, seed=5),
+            "baseline2": baseline2(cloud, seed=5)[:2],
+            "baseline2-refined": baseline2_refine_offset(cloud, pair),
+        }
+
+    got, want = run(dirty), run(clean)
+    assert got == want
+    for est in got.values():
+        values = (est.y, est.theta) if isinstance(est, PoseProposal) else np.atleast_1d(est)
+        assert np.all(np.isfinite(values))
