@@ -32,6 +32,17 @@ def _base_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _sweep_config(args) -> ExperimentConfig:
+    """_base_config for the eval-* sweeps; exits with an error on a method
+    they cannot run."""
+    cfg = _base_config(args)
+    try:
+        harness.check_sweep_method(cfg.method)
+    except ValueError as e:
+        raise SystemExit(f"rowloc: error: {e}") from None
+    return cfg
+
+
 def _add_common(p: argparse.ArgumentParser, out_required=True):
     p.add_argument("--config", type=Path, help="key=value experiment config file")
     p.add_argument("--seed", type=int, help="master seed (overrides config)")
@@ -123,7 +134,7 @@ def cmd_eval_cross(args):
 
 
 def cmd_eval_gaps(args):
-    cfg = _base_config(args)
+    cfg = _sweep_config(args)
     n_values = tuple(int(v) for v in args.n_values.split(",")) if args.n_values else tuple(range(0, 41, 4))
     out = harness.run_gap_sweep(cfg, n_values=n_values, n_draws=args.draws, out_dir=args.out)
     for n, c in out["curves"].items():
@@ -131,7 +142,7 @@ def cmd_eval_gaps(args):
 
 
 def cmd_eval_rowend(args):
-    cfg = _base_config(args)
+    cfg = _sweep_config(args)
     d_values = tuple(float(v) for v in args.distances.split(","))
     out = harness.run_rowend_sweep(cfg, d_values=d_values, out_dir=args.out)
     for d, c in out["curves"].items():
@@ -139,7 +150,7 @@ def cmd_eval_rowend(args):
 
 
 def cmd_eval_curvature(args):
-    cfg = _base_config(args)
+    cfg = _sweep_config(args)
     radii = tuple(math.inf if v == "inf" else float(v) for v in args.radii.split(","))
     ranges = tuple(float(v) for v in args.ranges.split(","))
     out = harness.run_curvature_sweep(cfg, radii=radii, sensor_ranges=ranges, out_dir=args.out)
@@ -148,7 +159,7 @@ def cmd_eval_curvature(args):
 
 
 def cmd_eval_voxel(args):
-    cfg = _base_config(args)
+    cfg = _sweep_config(args)
     sizes = tuple(float(v) for v in args.sizes.split(","))
     out = harness.run_voxel_sweep(cfg, sizes=sizes, out_dir=args.out)
     for size, m in out.items():
@@ -156,7 +167,7 @@ def cmd_eval_voxel(args):
 
 
 def cmd_eval_template_size(args):
-    cfg = _base_config(args)
+    cfg = _sweep_config(args)
     counts = tuple(int(v) for v in args.counts.split(","))
     out = harness.run_template_size_sweep(cfg, counts=counts, out_dir=args.out)
     for count, m in out.items():

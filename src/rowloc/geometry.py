@@ -1,7 +1,7 @@
 """Coordinate frames, rigid transforms, and point-cloud preprocessing.
 
 Frames:
-    {C} camera frame (coincides with {V} unless an extrinsic is configured)
+    {C} camera frame; the sensor is the vehicle origin, so {C} coincides with {V}
     {V} vehicle/sensor frame
     {T} template frame: x along the row, origin on the centerline at the
         vehicle's along-row station, z = 0 on the ground
@@ -14,9 +14,11 @@ about x), shared by every module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import _hypotheses as hyp
 
 
 class DegenerateInputError(ValueError):
@@ -196,19 +198,39 @@ def cutoff_filter(cloud: PointCloud, box: Box3) -> PointCloud:
     return PointCloud(cloud.points[box.contains(cloud.points)], cloud.frame)
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an (N, k) integer array.
+
+    Returns (inverse, first): inverse[i] is the group of row i, with groups
+    in the lexicographic order np.unique(rows, axis=0) gives them, and
+    first[g] is the index of a row of group g.
+    """
+    order = np.lexsort(rows.T[::-1])  # stable, first column most significant
+    ordered = rows[order]
+    starts = np.ones(rows.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return inverse, order[starts]
+
+
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
-    """One centroid per occupied cell of a uniform grid anchored at the origin."""
+    """One centroid per occupied cell of a uniform grid anchored at the origin.
+
+    Centroids come in lexicographic cell order; each cell's points are
+    summed in input order.
+    """
     if leaf <= 0:
         raise ValueError(f"leaf size must be positive, got {leaf}")
     pts = cloud.points
     if pts.shape[0] == 0:
         return cloud
-    cells = np.floor(pts / leaf).astype(np.int64)
-    # group points by cell; unique is sorted, so output order is deterministic
-    _, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
-    sums = np.zeros((counts.shape[0], 3))
-    np.add.at(sums, inverse, pts)
-    return PointCloud(sums / counts[:, None], cloud.frame)
+    inverse, first = group_rows(np.floor(pts / leaf).astype(np.int64))
+    n_cells = first.shape[0]
+    sums = np.column_stack(
+        [np.bincount(inverse, weights=pts[:, c], minlength=n_cells) for c in range(3)]
+    )
+    return PointCloud(sums / np.bincount(inverse)[:, None], cloud.frame)
 
 
 def _plane_from_points(p0, p1, p2) -> Plane | None:
@@ -244,6 +266,50 @@ def plane_to_attitude(plane: Plane) -> tuple[float, float, float]:
     return roll, pitch, height
 
 
+def _plane_hypothesis(pts: np.ndarray, i: np.ndarray, min_nz: float, inlier_tol: float):
+    """(plane, inlier count) of the 3-point hypothesis pts[i], or None if it
+    is degenerate or tilted past min_nz: the per-hypothesis reference."""
+    plane = _plane_from_points(pts[i[0]], pts[i[1]], pts[i[2]])
+    if plane is None or abs(plane.normal[2]) < min_nz:
+        return None
+    return plane, int(np.count_nonzero(np.abs(plane.distance(pts)) <= inlier_tol))
+
+
+def _best_plane_hypothesis(
+    pts: np.ndarray, idx: np.ndarray, min_nz: float, inlier_tol: float
+) -> tuple[int, int]:
+    """(index, inlier count) of the first hypothesis in idx with the most
+    inliers, as a loop over _plane_hypothesis picks it; (-1, -1) if none is
+    admissible."""
+
+    def exact(k):
+        found = _plane_hypothesis(pts, idx[k], min_nz, inlier_tol)
+        return -1 if found is None else found[1]
+
+    if not np.isfinite(pts).all():  # no screen: decide each one as the loop did
+        return hyp.first_max(idx.shape[0], lambda a, b: hyp.unknown(b - a), exact)
+    margin = hyp.margin(pts)
+    eps = hyp.SCREEN_EPS
+    pts_h = hyp.homogeneous(pts)
+
+    def screen(a, b):
+        p = pts[idx[a:b]]  # (m, 3 points, 3)
+        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        n = u[:, [1, 2, 0]] * v[:, [2, 0, 1]] - u[:, [2, 0, 1]] * v[:, [1, 2, 0]]  # u x v
+        norm = np.sqrt(np.einsum("ij,ij->i", n, n))
+        n /= np.where(norm > 0.0, norm, 1.0)[:, None]
+        dist = np.column_stack([n, -np.einsum("ij,ij->i", n, p[:, 0])]) @ pts_h.T
+        lo, hi = hyp.count_bounds(dist, inlier_tol, margin)
+        nz = np.abs(n[:, 2])
+        unsure = ~np.isfinite(norm) | (norm <= 1e-12 + eps) | (np.abs(nz - min_nz) <= eps)
+        tilted = (nz < min_nz) & ~unsure
+        lo[tilted | unsure] = -1
+        hi[tilted] = -1
+        return lo, hi
+
+    return hyp.first_max(idx.shape[0], screen, exact)
+
+
 def ransac_ground_plane(
     cloud: PointCloud,
     iters: int = 200,
@@ -258,6 +324,13 @@ def ransac_ground_plane(
     found), then refits by least squares over its inliers.  Hypotheses
     tilted more than max_tilt radians from the sensor z-axis are
     rejected so dense canopy walls cannot masquerade as the ground.
+
+    Exactness: hypotheses are scored in blocks with array operations, and
+    those counts are only a screen.  A hypothesis with a point distance,
+    |n_z| or cross-product norm within 1e-9 of its threshold is re-decided
+    by the per-hypothesis code (`_plane_hypothesis`), and the winner is the
+    first index with the largest exact count.  The chosen plane, and so the
+    result, is bit-identical to a loop over the hypotheses one at a time.
     """
     pts = cloud.points
     n_pts = pts.shape[0]
@@ -266,23 +339,15 @@ def ransac_ground_plane(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_pts, size=(iters, 3))
     min_nz = math.cos(max_tilt)
-    best_count = -1
-    best_plane = None
-    for i0, i1, i2 in idx:
-        plane = _plane_from_points(pts[i0], pts[i1], pts[i2])
-        if plane is None or abs(plane.normal[2]) < min_nz:
-            continue
-        count = int(np.count_nonzero(np.abs(plane.distance(pts)) <= inlier_tol))
-        if count > best_count:
-            best_count = count
-            best_plane = plane
-    if best_plane is None:
+    best_k, best_count = _best_plane_hypothesis(pts, idx, min_nz, inlier_tol)
+    if best_k < 0:
         raise DegenerateInputError("no admissible (near-horizontal) plane hypothesis found")
     if best_count < min_inlier_ratio * n_pts:
         raise LowConfidenceFitError(
             f"best plane has {best_count}/{n_pts} inliers, "
             f"below floor {min_inlier_ratio:.2f}"
         )
+    best_plane, _ = _plane_hypothesis(pts, idx[best_k], min_nz, inlier_tol)
     inliers = pts[np.abs(best_plane.distance(pts)) <= inlier_tol]
     plane = _lsq_plane(inliers)
     if plane.normal[2] < 0:
@@ -300,8 +365,6 @@ class PreprocessConfig:
     ransac_inlier_tol: float = 0.05
     ransac_seed: int = 0
     min_inlier_ratio: float = 0.0
-    # camera-to-vehicle extrinsic; identity because {C} coincides with {V}
-    extrinsic: RigidTransform = field(default_factory=RigidTransform.identity)
 
 
 @dataclass(frozen=True)
@@ -326,10 +389,9 @@ def finite_points(cloud: PointCloud) -> PointCloud:
 
 
 def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) -> PreprocessedFrame:
-    """Drop non-finite points, downsample, transfer {C} -> {V}, and
-    estimate (roll, pitch, height)."""
-    down = voxel_downsample(finite_points(cloud_C), cfg.leaf_size)
-    cloud_V = transform_cloud(cfg.extrinsic, down, frame="V")
+    """Drop non-finite points, downsample, tag the cloud {V} (it coincides
+    with {C}), and estimate (roll, pitch, height)."""
+    cloud_V = voxel_downsample(finite_points(cloud_C), cfg.leaf_size).with_frame("V")
     _, roll, pitch, height = ransac_ground_plane(
         cloud_V,
         iters=cfg.ransac_iters,

@@ -71,6 +71,8 @@ from .template import (
 TEMPLATE_METHODS = ("template-uniform", "template-pf", "template-grid")
 BASELINE_METHODS = ("baseline1", "baseline2", "baseline2-refined")
 ALL_METHODS = TEMPLATE_METHODS[:2] + BASELINE_METHODS
+# the sweeps localize every frame on its own, with no filter or baseline
+SWEEP_METHODS = ("template-uniform", "template-grid")
 
 DEFAULT_ODOMETRY_SIGMA = np.diag([0.02**2, 0.02**2, 0.01**2])
 
@@ -438,6 +440,7 @@ def run_gap_sweep(
     out_dir=None,
 ) -> dict:
     """Random unit-tree removal: error and confidence curves vs gap count."""
+    check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 30))
     ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 31))
     template = template_from_dataset(ds, cfg)
@@ -464,6 +467,14 @@ def run_gap_sweep(
         _write_curves_csv(out_dir / "curves.csv", "n_removed", curves)
         write_manifest(out_dir, cfg, "run_gap_sweep", {"n_values": list(n_values), "n_draws": n_draws})
     return {"rows": rows, "curves": curves}
+
+
+def check_sweep_method(method: str) -> None:
+    """Raise ValueError unless the sweep runners can run `method`."""
+    if method not in SWEEP_METHODS:
+        raise ValueError(
+            f"sweeps support methods {', '.join(SWEEP_METHODS)}; got {method!r}"
+        )
 
 
 def _localize_single(cloud, template, cfg: ExperimentConfig, seed: int):
@@ -511,6 +522,7 @@ def run_rowend_sweep(
     cfg: ExperimentConfig, d_values=(20.0, 15.0, 10.0, 5.0, 3.0, 2.0, 1.0), out_dir=None
 ) -> dict:
     """Row-end truncation: accuracy and flag rate vs distance to the end."""
+    check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 40))
     ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 41))
     template = template_from_dataset(ds, cfg)
@@ -548,6 +560,7 @@ def run_curvature_sweep(
     out_dir=None,
 ) -> dict:
     """Straight-row template evaluated on rows of increasing curvature."""
+    check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 50))
     out = {}
     for rng_m in sensor_ranges:
@@ -584,6 +597,7 @@ def run_curvature_sweep(
 
 def run_voxel_sweep(cfg: ExperimentConfig, sizes=(0.02, 0.05, 0.1, 0.2, 0.5, 1.0), out_dir=None) -> dict:
     """Rebuild the template at each voxel size and re-evaluate."""
+    check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 60))
     ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 61))
     eval_ds = _eval_subset(ds, cfg)
@@ -619,6 +633,7 @@ def run_template_size_sweep(
     cfg: ExperimentConfig, counts=(1, 5, 10, 20, 100, 200, 300), out_dir=None
 ) -> dict:
     """Vary the number of template-building frames."""
+    check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 70))
     ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 71))
     eval_ds = _eval_subset(ds, cfg)

@@ -114,7 +114,6 @@ class MclConfig:
     max_covariance: np.ndarray = field(
         default_factory=lambda: np.diag([0.8**2, 0.6**2])
     )
-    use_weighted_mean: bool = False  # weighted-mean estimate instead of argmax
 
 
 def sample_uniform(prior: UniformPrior, n: int, seed: int) -> np.ndarray:
@@ -184,12 +183,7 @@ def covariance_top_fraction(
 def _make_estimate(poses, logliks, n_scored, cfg: MclConfig, extra_flags=()) -> PoseEstimate:
     flags = list(extra_flags)
     best_i = int(np.argmax(logliks))
-    if cfg.use_weighted_mean:
-        w = np.exp(logliks - logliks.max())
-        mean = (poses * w[:, None]).sum(axis=0) / w.sum()
-        best = PoseProposal(float(mean[0]), float(mean[1]))
-    else:
-        best = PoseProposal(float(poses[best_i, 0]), float(poses[best_i, 1]))
+    best = PoseProposal(float(poses[best_i, 0]), float(poses[best_i, 1]))
     cov = covariance_top_fraction(poses, logliks, best, cfg.top_fraction)
     std_y = math.sqrt(max(cov[0, 0], 0.0))
     std_theta = math.sqrt(max(cov[1, 1], 0.0))

@@ -18,6 +18,7 @@ from .geometry import (
     PointCloud,
     PreprocessConfig,
     cutoff_filter,
+    group_rows,
     make_pose_transform,
     preprocess,
     transform_cloud,
@@ -58,7 +59,6 @@ class TemplateConfig:
     template_range: Box3 = DEFAULT_TEMPLATE_RANGE
     row_range: Box3 | None = None
     no_info_frequency: float | None = None
-    per_point_counts: bool = False  # count every point instead of one per frame
 
     def __post_init__(self):
         if self.resolution <= 0:
@@ -162,10 +162,9 @@ def build_template(
 
     Per frame: preprocess, place the cloud in {T} using (roll, pitch,
     height) from the ground-plane fit and (y, theta) from ground truth,
-    cut to the in-row region, and mark occupied voxels (at most once per
-    frame unless per_point_counts is set).  The final grid is the count
-    divided by the number of frames, with the out-of-row region filled
-    with no_info_frequency.
+    cut to the in-row region, and mark each occupied voxel once per frame.
+    The final grid is the count divided by the number of frames, with the
+    out-of-row region filled with no_info_frequency.
     """
     if len(clouds_C) != len(truths):
         raise ValueError(f"{len(clouds_C)} clouds vs {len(truths)} truth poses")
@@ -190,8 +189,7 @@ def build_template(
             continue
         idx, inside = probe.voxel_indices(cloud_T.points)
         idx = idx[inside]
-        if not cfg.per_point_counts:
-            idx = np.unique(idx, axis=0)
+        idx = idx[group_rows(idx)[1]]  # each occupied voxel once
         np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1.0)
 
     freq = counts / float(n)

@@ -164,3 +164,13 @@ def test_unknown_method_is_rejected(cfg_file, tmp_path):
         main(["eval-accuracy", "--config", str(cfg_file), "--method", "template-typo",
               "--out", str(tmp_path)])
     assert exc.value.code != 0
+
+
+def test_sweep_rejects_a_method_it_cannot_run(cfg_file, tmp_path):
+    out_dir = tmp_path / "gaps"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-gaps", "--config", str(cfg_file), "--method", "template-pf",
+              "--out", str(out_dir)])
+    assert exc.value.code != 0
+    assert "template-uniform, template-grid" in str(exc.value.code)
+    assert not out_dir.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,17 @@ def test_run_template_size_sweep_smoke(cfg, tmp_path):
     for m in out.values():
         assert math.isfinite(m["y"].mae)
     assert (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("runner", [run_gap_sweep, run_rowend_sweep, run_curvature_sweep,
+                                    run_voxel_sweep, run_template_size_sweep])
+@pytest.mark.parametrize("method", ["baseline1", "template-pf"])
+def test_sweeps_reject_methods_they_cannot_run(cfg, tmp_path, runner, method):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with pytest.raises(ValueError, match="template-uniform, template-grid"):
+        runner(replace(cfg, method=method), out_dir=out_dir)
+    assert list(out_dir.iterdir()) == []
 
 
 def test_run_cross_template_matrix(cfg, tmp_path):
