@@ -47,11 +47,6 @@ def count_bounds(dist: np.ndarray, tol: float, margin: float) -> tuple[np.ndarra
     return _row_counts(a < tol - margin), _row_counts(a <= tol + margin)
 
 
-def unknown(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds that decide nothing: first_max then calls exact() on each."""
-    return np.full(m, -1, dtype=np.int64), np.full(m, np.iinfo(np.int64).max)
-
-
 def first_max(n_hyp: int, screen, exact) -> tuple[int, int]:
     """(index, count) of the first hypothesis with the largest count.
 

@@ -19,8 +19,7 @@ from . import __version__, cloudio, harness
 from .config import load_experiment_config
 from .geometry import Pose6D
 from .harness import ExperimentConfig
-from .synth import generate_scene
-from .template import GroundTruthPose, build_template, load_template, save_template
+from .template import load_template, save_template
 
 
 def _base_config(args) -> ExperimentConfig:
@@ -33,8 +32,8 @@ def _base_config(args) -> ExperimentConfig:
 
 
 def _sweep_config(args) -> ExperimentConfig:
-    """_base_config for the eval-* sweeps; exits with an error on a method
-    they cannot run."""
+    """_base_config for the eval-* sweeps and closed-loop; exits with an
+    error on a method they cannot run."""
     cfg = _base_config(args)
     try:
         harness.check_sweep_method(cfg.method)
@@ -43,20 +42,17 @@ def _sweep_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _add_common(p: argparse.ArgumentParser, out_required=True):
+def _add_common(p: argparse.ArgumentParser, method=False):
     p.add_argument("--config", type=Path, help="key=value experiment config file")
     p.add_argument("--seed", type=int, help="master seed (overrides config)")
-    p.add_argument("--out", type=Path, required=out_required, help="output directory")
-    p.add_argument(
-        "--method",
-        choices=harness.TEMPLATE_METHODS + harness.BASELINE_METHODS,
-        help="localization method selector",
-    )
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    if method:
+        p.add_argument("--method", choices=harness.METHODS, help="localization method selector")
 
 
 def cmd_gen_scene(args):
     cfg = _base_config(args)
-    ds = _render_run(cfg)
+    ds = harness.render_run(cfg, harness.ACCURACY_TAG)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "ground_truth.csv", "w") as f:
@@ -70,13 +66,6 @@ def cmd_gen_scene(args):
         cloudio.save_cloud_binary(cloud, out / f"frame_{i:05d}.pc3d")
     harness.write_manifest(out, cfg, "gen_scene", {"n_frames": len(ds.clouds)})
     print(f"wrote {len(ds.clouds)} frames to {out}")
-
-
-def _render_run(cfg: ExperimentConfig):
-    scene = generate_scene(cfg.scene, harness.derive_seed(cfg.seed, 10))
-    return harness.make_dataset(
-        scene, cfg.trajectory, cfg.sensor, harness.derive_seed(cfg.seed, 11)
-    )
 
 
 def _load_generated(dataset_dir: Path) -> harness.Dataset:
@@ -94,15 +83,12 @@ def _load_generated(dataset_dir: Path) -> harness.Dataset:
 
 def cmd_build_template(args):
     cfg = _base_config(args)
-    ds = _load_generated(Path(args.dataset))
-    n = min(cfg.n_template_frames, len(ds.clouds))
-    gt = [GroundTruthPose(y=float(y), theta=float(th)) for y, th in ds.local_truth[:n]]
-    template = build_template(ds.clouds[:n], gt, cfg.template_cfg, cfg.mcl_cfg.pre_cfg)
+    template = harness.template_from_dataset(_load_generated(Path(args.dataset)), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_template(template, out / "template.rstp")
-    harness.write_manifest(out, cfg, "build_template", {"n_frames": n})
-    print(f"built template from {n} frames -> {out / 'template.rstp'}")
+    harness.write_manifest(out, cfg, "build_template", {"n_frames": template.n_frames})
+    print(f"built template from {template.n_frames} frames -> {out / 'template.rstp'}")
 
 
 def cmd_localize(args):
@@ -183,7 +169,7 @@ def cmd_eval_compare(args):
 
 
 def cmd_closed_loop(args):
-    cfg = _base_config(args)
+    cfg = _sweep_config(args)
     out = harness.closed_loop_sim(cfg, y0=args.y0, out_dir=args.out)
     print(
         f"offset tracking MAE {out['offset_metrics'].mae:.3f} m, "
@@ -208,45 +194,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_template)
 
     p = sub.add_parser("localize", help="localize a generated run against a template")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--template", type=Path, required=True)
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("eval-accuracy", help="accuracy run with optional cutoff ablation")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--cutoff-ablation", action="store_true")
     p.set_defaults(func=cmd_eval_accuracy)
 
     p = sub.add_parser("eval-cross", help="cross-row template matrix")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--rows", type=int, default=3)
     p.set_defaults(func=cmd_eval_cross)
 
     p = sub.add_parser("eval-gaps", help="unit-tree gap robustness sweep")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--n-values", help="comma-separated removal counts")
     p.add_argument("--draws", type=int, default=100)
     p.set_defaults(func=cmd_eval_gaps)
 
     p = sub.add_parser("eval-rowend", help="row-end truncation sweep")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--distances", default="20,15,10,5,3,2,1")
     p.set_defaults(func=cmd_eval_rowend)
 
     p = sub.add_parser("eval-curvature", help="curved-row sweep")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--radii", default="135,200,300,500,inf")
     p.add_argument("--ranges", default="10,20")
     p.set_defaults(func=cmd_eval_curvature)
 
     p = sub.add_parser("eval-voxel", help="template voxel-size sweep")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--sizes", default="0.02,0.05,0.1,0.2,0.5,1.0")
     p.set_defaults(func=cmd_eval_voxel)
 
     p = sub.add_parser("eval-template-size", help="template data-size sweep")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--counts", default="1,5,10,20,100,200,300")
     p.set_defaults(func=cmd_eval_template_size)
 
@@ -255,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_compare)
 
     p = sub.add_parser("closed-loop", help="proportional line-following simulation")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--y0", type=float, default=0.3)
     p.set_defaults(func=cmd_closed_loop)
 

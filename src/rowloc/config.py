@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .geometry import Box3, PreprocessConfig
-from .harness import ControllerGains, ExperimentConfig
+from .harness import METHODS, ControllerGains, ExperimentConfig
 from .mcl import MclConfig, UniformPrior
 from .synth import OrchardSpec, SensorSpec, TrajectorySpec, apricot_preset, vineyard_preset
 from .template import TemplateConfig, default_row_range
@@ -133,6 +133,8 @@ def experiment_config_from_kv(kv: dict[str, str]) -> ExperimentConfig:
         v = pop(f"run.{name}")
         if v is not None:
             cfg = replace(cfg, **{name: conv(v)})
+    if cfg.method not in METHODS:
+        raise ConfigError(f"unknown run.method {cfg.method!r}; known methods: {', '.join(METHODS)}")
 
     if kv:
         raise ConfigError(f"unknown config keys: {sorted(kv)}")

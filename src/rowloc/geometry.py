@@ -280,14 +280,12 @@ def _best_plane_hypothesis(
 ) -> tuple[int, int]:
     """(index, inlier count) of the first hypothesis in idx with the most
     inliers, as a loop over _plane_hypothesis picks it; (-1, -1) if none is
-    admissible."""
+    admissible.  pts must be finite."""
 
     def exact(k):
         found = _plane_hypothesis(pts, idx[k], min_nz, inlier_tol)
         return -1 if found is None else found[1]
 
-    if not np.isfinite(pts).all():  # no screen: decide each one as the loop did
-        return hyp.first_max(idx.shape[0], lambda a, b: hyp.unknown(b - a), exact)
     margin = hyp.margin(pts)
     eps = hyp.SCREEN_EPS
     pts_h = hyp.homogeneous(pts)
@@ -323,7 +321,9 @@ def ransac_ground_plane(
     Keeps the 3-point hypothesis with the most inliers (ties: first
     found), then refits by least squares over its inliers.  Hypotheses
     tilted more than max_tilt radians from the sensor z-axis are
-    rejected so dense canopy walls cannot masquerade as the ground.
+    rejected so dense canopy walls cannot masquerade as the ground.  A
+    cloud with a non-finite point raises DegenerateInputError (`preprocess`
+    drops such points first).
 
     Exactness: hypotheses are scored in blocks with array operations, and
     those counts are only a screen.  A hypothesis with a point distance,
@@ -336,6 +336,8 @@ def ransac_ground_plane(
     n_pts = pts.shape[0]
     if n_pts < 3 or iters < 1:
         raise DegenerateInputError(f"need >= 3 points and >= 1 iteration, got {n_pts}")
+    if not np.isfinite(pts).all():
+        raise DegenerateInputError("cloud has a non-finite point")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_pts, size=(iters, 3))
     min_nz = math.cos(max_tilt)

@@ -1,6 +1,14 @@
 """Experiment runners: accuracy, robustness sweeps, baseline comparison,
 and the closed-loop line-following demo, all on synthetic scenes.
 
+Every frame is localized through one dispatcher, `_localize_frame`, which
+maps a stateless method (uniform sampling, grid search, the baselines)
+to its estimator.  `evaluate_frames` adds the particle filter, the one
+method that carries state from frame to frame.  The five robustness
+sweeps share one core, `_sweep`: each sweep supplies its values, the
+template and frames (cloud, truth, seed) of each value, and the tables
+it writes.  Every CSV file goes through one writer, `_write_csv`.
+
 Every runner is deterministic under a fixed master seed; per-frame and
 per-cell seeds are derived hierarchically with numpy's SeedSequence.
 Results are returned in memory and optionally written as CSV files plus
@@ -37,6 +45,7 @@ from .geometry import (
     transform_cloud,
 )
 from .mcl import (
+    FLAG_LOW_CONFIDENCE,
     MclConfig,
     OdometryDelta,
     init_particles,
@@ -70,6 +79,8 @@ from .template import (
 
 TEMPLATE_METHODS = ("template-uniform", "template-pf", "template-grid")
 BASELINE_METHODS = ("baseline1", "baseline2", "baseline2-refined")
+# every method evaluate_frames runs
+METHODS = TEMPLATE_METHODS + BASELINE_METHODS
 ALL_METHODS = TEMPLATE_METHODS[:2] + BASELINE_METHODS
 # the sweeps localize every frame on its own, with no filter or baseline
 SWEEP_METHODS = ("template-uniform", "template-grid")
@@ -193,19 +204,45 @@ def degrade_in_template_frame(ds: Dataset, i: int, fn) -> PointCloud:
     return transform_cloud(invert(T), cloud_T, frame="C")
 
 
-def _estimate_to_result(est, i, truth, method) -> FrameResult:
-    return FrameResult(
-        frame=i,
-        y_est=est.pose.y,
-        theta_est=est.pose.theta,
-        std_y=est.std_y,
-        std_theta=est.std_theta,
-        loglik=est.loglik,
-        flags=";".join(est.flags),
-        y_true=float(truth[0]),
-        theta_true=float(truth[1]),
-        method=method,
-    )
+def _from_estimate(est) -> tuple:
+    """The estimate fields of a FrameResult, from a PoseEstimate."""
+    return est.pose.y, est.pose.theta, est.std_y, est.std_theta, est.loglik, ";".join(est.flags)
+
+
+def _baseline2_refined(cloud, template, cfg, seed):
+    _, theta, pair = baseline2(cloud, cfg.baseline_params, seed)
+    return baseline2_refine_offset(cloud, pair, cfg.baseline_params), theta
+
+
+# stateless method -> (estimator (cloud, template, cfg, seed), seed tag of
+# evaluate_frames).  Template estimators return a PoseEstimate, baselines
+# (y, theta).  template-pf carries its particles from frame to frame, so
+# evaluate_frames runs it in a loop of its own.
+_ESTIMATORS = {
+    "template-uniform": (lambda c, tpl, cfg, seed: localize_uniform(c, tpl, cfg.mcl_cfg, seed), 4),
+    "template-grid": (lambda c, tpl, cfg, seed: localize_grid(c, tpl, cfg.mcl_cfg), 4),
+    "baseline1": (lambda c, tpl, cfg, seed: baseline1(c, cfg.baseline_params, seed), 5),
+    "baseline2": (lambda c, tpl, cfg, seed: baseline2(c, cfg.baseline_params, seed)[:2], 5),
+    "baseline2-refined": (_baseline2_refined, 5),
+}
+
+
+def _localize_frame(method, cloud, template, cfg, seed, frame, truth) -> FrameResult:
+    """One frame localized on its own by a stateless method, as a FrameResult.
+    A baseline fit that fails gives (0, 0), flagged with the reason."""
+    estimate, _ = _ESTIMATORS[method]
+    if method in TEMPLATE_METHODS:
+        fields = _from_estimate(estimate(cloud, template, cfg, seed))
+    else:
+        try:
+            y, theta = estimate(cloud, template, cfg, seed)
+            flags = ""
+        except SideMissingError:
+            y, theta, flags = 0.0, 0.0, "side-missing"
+        except (DegenerateInputError, LowConfidenceFitError):
+            y, theta, flags = 0.0, 0.0, "degenerate"
+        fields = (y, theta, math.nan, math.nan, math.nan, flags)
+    return FrameResult(frame, *fields, float(truth[0]), float(truth[1]), method)
 
 
 def evaluate_frames(
@@ -219,51 +256,30 @@ def evaluate_frames(
 ) -> list[FrameResult]:
     """Localize every frame with the chosen method."""
     method = method or cfg.method
-    results = []
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method in TEMPLATE_METHODS and template is None:
         raise ValueError(f"method {method} needs a template")
+    if method != "template-pf":
+        tag = _ESTIMATORS[method][1]
+        return [
+            _localize_frame(method, cloud, template, cfg, derive_seed(cfg.seed, tag, seed_tag, i),
+                            i, truth[i])
+            for i, cloud in enumerate(clouds)
+        ]
 
-    if method == "template-pf":
-        if odometry is None:
-            raise ValueError("template-pf needs odometry deltas")
-        particles = init_particles(cfg.mcl_cfg, derive_seed(cfg.seed, 2, seed_tag))
-        zero_u = OdometryDelta(np.zeros(3), cfg.odometry_sigma)
-        for i, cloud in enumerate(clouds):
-            u = zero_u if i == 0 else odometry[i - 1]
-            est, particles = localize_pf(
-                cloud, particles, u, template, cfg.mcl_cfg, derive_seed(cfg.seed, 3, seed_tag, i)
-            )
-            results.append(_estimate_to_result(est, i, truth[i], method))
-        return results
-
+    if odometry is None:
+        raise ValueError("template-pf needs odometry deltas")
+    particles = init_particles(cfg.mcl_cfg, derive_seed(cfg.seed, 2, seed_tag))
+    zero_u = OdometryDelta(np.zeros(3), cfg.odometry_sigma)
+    results = []
     for i, cloud in enumerate(clouds):
-        if method == "template-uniform":
-            est = localize_uniform(cloud, template, cfg.mcl_cfg, derive_seed(cfg.seed, 4, seed_tag, i))
-            results.append(_estimate_to_result(est, i, truth[i], method))
-        elif method == "template-grid":
-            est = localize_grid(cloud, template, cfg.mcl_cfg)
-            results.append(_estimate_to_result(est, i, truth[i], method))
-        elif method in BASELINE_METHODS:
-            seed = derive_seed(cfg.seed, 5, seed_tag, i)
-            try:
-                if method == "baseline1":
-                    y, th = baseline1(cloud, cfg.baseline_params, seed)
-                elif method == "baseline2":
-                    y, th, _ = baseline2(cloud, cfg.baseline_params, seed)
-                else:
-                    y, th, pair = baseline2(cloud, cfg.baseline_params, seed)
-                    y = baseline2_refine_offset(cloud, pair, cfg.baseline_params)
-                flags = ""
-            except SideMissingError:
-                y, th, flags = 0.0, 0.0, "side-missing"
-            except (DegenerateInputError, LowConfidenceFitError):
-                y, th, flags = 0.0, 0.0, "degenerate"
-            results.append(
-                FrameResult(i, y, th, math.nan, math.nan, math.nan, flags,
-                            float(truth[i][0]), float(truth[i][1]), method)
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        u = zero_u if i == 0 else odometry[i - 1]
+        est, particles = localize_pf(
+            cloud, particles, u, template, cfg.mcl_cfg, derive_seed(cfg.seed, 3, seed_tag, i)
+        )
+        results.append(FrameResult(i, *_from_estimate(est), float(truth[i][0]),
+                                   float(truth[i][1]), method))
     return results
 
 
@@ -280,14 +296,28 @@ def results_metrics(results: list[FrameResult]) -> dict[str, ErrorMetrics]:
 RESULT_HEADER = "frame,y_est,theta_est,std_y,std_theta,loglik,flags,y_true,theta_true,method"
 
 
-def write_results_csv(path, results: list[FrameResult]) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """header, then one comma-joined line per row.  Floats are written as
+    repr(float(v)): numpy 2 writes repr(np.float64(x)) as "np.float64(x)"."""
     with open(path, "w") as f:
-        f.write(RESULT_HEADER + "\n")
-        for r in results:
-            f.write(
-                f"{r.frame},{r.y_est!r},{r.theta_est!r},{r.std_y!r},{r.std_theta!r},"
-                f"{r.loglik!r},{r.flags},{r.y_true!r},{r.theta_true!r},{r.method}\n"
-            )
+        f.write(header + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            f.write(",".join(cells) + "\n")
+
+
+def _results_table(results: list[FrameResult]) -> tuple[str, list]:
+    return RESULT_HEADER, [dataclasses.astuple(r) for r in results]
+
+
+def write_results_csv(path, results: list[FrameResult]) -> None:
+    _write_csv(path, *_results_table(results))
+
+
+def _metrics_table(named_metrics: dict) -> tuple[str, list]:
+    rows = [(name, axis, m.as_row()) for name, metrics in named_metrics.items()
+            for axis, m in metrics.items()]
+    return "name,axis,mae,sd,p95,n", rows
 
 
 def _jsonable(obj):
@@ -325,16 +355,36 @@ def _maybe_dir(out_dir):
     return out_dir
 
 
+def _write_run(out_dir, cfg: ExperimentConfig, runner: str, tables: dict, extra=None) -> None:
+    """Write each table {file name: (header, rows)} and the run manifest
+    into out_dir; nothing when out_dir is None."""
+    out_dir = _maybe_dir(out_dir)
+    if out_dir:
+        for name, (header, rows) in tables.items():
+            _write_csv(out_dir / name, header, rows)
+        write_manifest(out_dir, cfg, runner, extra)
+
+
 # ---------------------------------------------------------------------------
 # runners
+
+
+# seed tag of the run that run_accuracy evaluates (and `rowloc gen-scene` writes)
+ACCURACY_TAG = 10
+
+
+def render_run(cfg: ExperimentConfig, tag: int, *index: int) -> Dataset:
+    """The scene seeded (tag, *index), rendered along the trajectory with
+    seed (tag + 1, *index): the run a runner builds its template from."""
+    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, tag, *index))
+    return make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, tag + 1, *index))
 
 
 def run_accuracy(
     cfg: ExperimentConfig, out_dir=None, cutoff_ablation: bool = False
 ) -> dict:
     """Template build on the first frames of a run, evaluation on all frames."""
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 10))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 11))
+    ds = render_run(cfg, ACCURACY_TAG)
     template = template_from_dataset(ds, cfg)
     eval_ds = _eval_subset(ds, cfg)
     odo = _dataset_odometry(eval_ds, cfg)
@@ -342,6 +392,10 @@ def run_accuracy(
         eval_ds.clouds, eval_ds.local_truth, template, cfg, odometry=odo
     )
     out = {"results": results, "metrics": results_metrics(results), "template": template}
+    tables = {
+        "frames.csv": _results_table(results),
+        "metrics.csv": _metrics_table({"with_cutoff": out["metrics"]}),
+    }
     if cutoff_ablation:
         no_cut_cfg = replace(cfg, mcl_cfg=replace(cfg.mcl_cfg, cutoff=_no_cutoff_box()))
         nc_results = evaluate_frames(
@@ -349,16 +403,9 @@ def run_accuracy(
         )
         out["no_cutoff_results"] = nc_results
         out["no_cutoff_metrics"] = results_metrics(nc_results)
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        write_results_csv(out_dir / "frames.csv", results)
-        _write_metrics_csv(out_dir / "metrics.csv", {"with_cutoff": out["metrics"]})
-        if cutoff_ablation:
-            write_results_csv(out_dir / "frames_no_cutoff.csv", out["no_cutoff_results"])
-            _write_metrics_csv(
-                out_dir / "metrics_no_cutoff.csv", {"without_cutoff": out["no_cutoff_metrics"]}
-            )
-        write_manifest(out_dir, cfg, "run_accuracy")
+        tables["frames_no_cutoff.csv"] = _results_table(nc_results)
+        tables["metrics_no_cutoff.csv"] = _metrics_table({"without_cutoff": out["no_cutoff_metrics"]})
+    _write_run(out_dir, cfg, "run_accuracy", tables)
     return out
 
 
@@ -395,22 +442,13 @@ def _dataset_odometry(ds: Dataset, cfg: ExperimentConfig) -> list[OdometryDelta]
     return simulate_odometry(ds.poses, cfg.odometry_sigma, derive_seed(cfg.seed, 12))
 
 
-def _write_metrics_csv(path, named_metrics: dict) -> None:
-    with open(path, "w") as f:
-        f.write("name,axis,mae,sd,p95,n\n")
-        for name, metrics in named_metrics.items():
-            for axis, m in metrics.items():
-                f.write(f"{name},{axis},{m.as_row()}\n")
-
-
 def run_cross_template_matrix(cfg: ExperimentConfig, k_rows: int, out_dir=None) -> dict:
     """Template from row k evaluated in row j, for all (k, j)."""
     if k_rows < 2:
         raise ValueError("need at least two rows")
     datasets, templates = [], []
     for k in range(k_rows):
-        scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 20, k))
-        ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 21, k))
+        ds = render_run(cfg, 20, k)
         templates.append(template_from_dataset(ds, cfg))
         datasets.append(_eval_subset(ds, cfg))
     mae_y = np.zeros((k_rows, k_rows))
@@ -433,40 +471,8 @@ def run_cross_template_matrix(cfg: ExperimentConfig, k_rows: int, out_dir=None) 
     return {"mae_y": mae_y, "mae_theta": mae_theta}
 
 
-def run_gap_sweep(
-    cfg: ExperimentConfig,
-    n_values=tuple(range(0, 41, 4)),
-    n_draws: int = 100,
-    out_dir=None,
-) -> dict:
-    """Random unit-tree removal: error and confidence curves vs gap count."""
-    check_sweep_method(cfg.method)
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 30))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 31))
-    template = template_from_dataset(ds, cfg)
-    eval_ds = _eval_subset(ds, cfg)
-    n_frames = len(eval_ds.clouds)
-
-    rows = []  # (n, draw, frame, y_err, theta_err, std_y, std_theta)
-    for n in n_values:
-        for draw in range(n_draws):
-            i = draw % n_frames
-            seed = derive_seed(cfg.seed, 32, n, draw)
-            cloud = degrade_in_template_frame(
-                eval_ds, i, lambda c: remove_unit_trees(c, n, seed)
-            )
-            est = _localize_single(cloud, template, cfg, derive_seed(cfg.seed, 33, n, draw))
-            y_t, th_t = eval_ds.local_truth[i]
-            rows.append(
-                (n, draw, i, est.pose.y - y_t, est.pose.theta - th_t, est.std_y, est.std_theta)
-            )
-    curves = _sweep_curves(rows, n_values)
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        _write_sweep_rows(out_dir / "draws.csv", "n_removed", rows)
-        _write_curves_csv(out_dir / "curves.csv", "n_removed", curves)
-        write_manifest(out_dir, cfg, "run_gap_sweep", {"n_values": list(n_values), "n_draws": n_draws})
-    return {"rows": rows, "curves": curves}
+# ---------------------------------------------------------------------------
+# robustness sweeps
 
 
 def check_sweep_method(method: str) -> None:
@@ -477,79 +483,114 @@ def check_sweep_method(method: str) -> None:
         )
 
 
-def _localize_single(cloud, template, cfg: ExperimentConfig, seed: int):
-    if cfg.method == "template-grid":
-        return localize_grid(cloud, template, cfg.mcl_cfg)
-    return localize_uniform(cloud, template, cfg.mcl_cfg, seed)
+def _sweep(cfg: ExperimentConfig, cases) -> dict:
+    """The sweep core: every frame of every swept value localized on its own
+    with cfg.method, as {value: [FrameResult]}.
+
+    cases yields (value, template, frames) per swept value, frames being
+    (frame index, cloud, truth, seed) tuples.  It is drawn from only after
+    the method check, so a method the sweeps cannot run renders nothing.
+    """
+    check_sweep_method(cfg.method)
+    return {
+        value: [_localize_frame(cfg.method, cloud, template, cfg, seed, i, truth)
+                for i, cloud, truth, seed in frames]
+        for value, template, frames in cases
+    }
 
 
-def _sweep_curves(rows, values) -> dict:
-    curves = {}
-    for v in values:
-        sel = [r for r in rows if r[0] == v]
-        ye = [r[3] for r in sel]
-        te = [r[4] for r in sel]
-        curves[v] = {
-            "y": compute_metrics(ye),
-            "theta": compute_metrics(te),
-            "std_y_mean": float(np.mean([r[5] for r in sel])),
-            "std_theta_mean": float(np.mean([r[6] for r in sel])),
+def _frames(cfg: ExperimentConfig, ds: Dataset, seed_key: tuple, degrade=None):
+    """Sweep frames of every frame i of ds, seeded (*seed_key, i); each cloud
+    is degraded in the template frame by `degrade` if one is given."""
+    for i, cloud in enumerate(ds.clouds):
+        if degrade is not None:
+            cloud = degrade_in_template_frame(ds, i, degrade)
+        yield i, cloud, ds.local_truth[i], derive_seed(cfg.seed, *seed_key, i)
+
+
+_SWEEP_ROW_HEADER = "draw,frame,y_err,theta_err,std_y,std_theta"
+
+
+def _sweep_row(value, draw: int, r: FrameResult) -> tuple:
+    return value, draw, r.frame, r.y_error, r.theta_error, r.std_y, r.std_theta
+
+
+def _sweep_curves(results: dict) -> dict:
+    return {
+        v: {
+            **results_metrics(res),
+            "std_y_mean": float(np.mean([r.std_y for r in res])),
+            "std_theta_mean": float(np.mean([r.std_theta for r in res])),
         }
-    return curves
+        for v, res in results.items()
+    }
 
 
-def _write_sweep_rows(path, param_name, rows) -> None:
-    with open(path, "w") as f:
-        f.write(f"{param_name},draw,frame,y_err,theta_err,std_y,std_theta\n")
-        for r in rows:
-            f.write(
-                f"{r[0]},{r[1]},{r[2]},{float(r[3])!r},{float(r[4])!r},"
-                f"{float(r[5])!r},{float(r[6])!r}\n"
-            )
+def _curves_table(param_name: str, curves: dict) -> tuple[str, list]:
+    header = f"{param_name},y_mae,y_sd,theta_mae,theta_sd,std_y_mean,std_theta_mean"
+    return header, [
+        (v, c["y"].mae, c["y"].sd, c["theta"].mae, c["theta"].sd, c["std_y_mean"], c["std_theta_mean"])
+        for v, c in curves.items()
+    ]
 
 
-def _write_curves_csv(path, param_name, curves) -> None:
-    with open(path, "w") as f:
-        f.write(f"{param_name},y_mae,y_sd,theta_mae,theta_sd,std_y_mean,std_theta_mean\n")
-        for v, c in curves.items():
-            f.write(
-                f"{v},{c['y'].mae!r},{c['y'].sd!r},{c['theta'].mae!r},"
-                f"{c['theta'].sd!r},{c['std_y_mean']!r},{c['std_theta_mean']!r}\n"
-            )
+def run_gap_sweep(
+    cfg: ExperimentConfig,
+    n_values=tuple(range(0, 41, 4)),
+    n_draws: int = 100,
+    out_dir=None,
+) -> dict:
+    """Random unit-tree removal: error and confidence curves vs gap count."""
+
+    def draws(ds, n):
+        for draw in range(n_draws):
+            i = draw % len(ds.clouds)
+            seed = derive_seed(cfg.seed, 32, n, draw)
+            cloud = degrade_in_template_frame(ds, i, lambda c: remove_unit_trees(c, n, seed))
+            yield i, cloud, ds.local_truth[i], derive_seed(cfg.seed, 33, n, draw)
+
+    def cases():
+        ds = render_run(cfg, 30)
+        template = template_from_dataset(ds, cfg)
+        eval_ds = _eval_subset(ds, cfg)
+        for n in n_values:
+            yield n, template, draws(eval_ds, n)
+
+    results = _sweep(cfg, cases())
+    rows = [_sweep_row(n, draw, r) for n, res in results.items() for draw, r in enumerate(res)]
+    curves = _sweep_curves(results)
+    _write_run(out_dir, cfg, "run_gap_sweep",
+               {"draws.csv": (f"n_removed,{_SWEEP_ROW_HEADER}", rows),
+                "curves.csv": _curves_table("n_removed", curves)},
+               {"n_values": list(n_values), "n_draws": n_draws})
+    return {"rows": rows, "curves": curves}
 
 
 def run_rowend_sweep(
     cfg: ExperimentConfig, d_values=(20.0, 15.0, 10.0, 5.0, 3.0, 2.0, 1.0), out_dir=None
 ) -> dict:
     """Row-end truncation: accuracy and flag rate vs distance to the end."""
-    check_sweep_method(cfg.method)
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 40))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 41))
-    template = template_from_dataset(ds, cfg)
-    eval_ds = _eval_subset(ds, cfg)
 
-    rows = []
-    flag_rates = {}
-    for d in d_values:
-        flagged = 0
-        for i in range(len(eval_ds.clouds)):
-            cloud = degrade_in_template_frame(eval_ds, i, lambda c: truncate_row_end(c, d))
-            est = _localize_single(cloud, template, cfg, derive_seed(cfg.seed, 42, int(d * 100), i))
-            y_t, th_t = eval_ds.local_truth[i]
-            rows.append((d, 0, i, est.pose.y - y_t, est.pose.theta - th_t, est.std_y, est.std_theta))
-            if est.low_confidence:
-                flagged += 1
-        flag_rates[d] = flagged / len(eval_ds.clouds)
-    curves = _sweep_curves(rows, d_values)
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        _write_sweep_rows(out_dir / "frames.csv", "distance", rows)
-        _write_curves_csv(out_dir / "curves.csv", "distance", curves)
-        with open(out_dir / "flag_rates.csv", "w") as f:
-            f.write("distance,low_confidence_rate\n")
-            for d, r in flag_rates.items():
-                f.write(f"{d},{r!r}\n")
-        write_manifest(out_dir, cfg, "run_rowend_sweep", {"d_values": list(d_values)})
+    def cases():
+        ds = render_run(cfg, 40)
+        template = template_from_dataset(ds, cfg)
+        eval_ds = _eval_subset(ds, cfg)
+        for d in d_values:
+            yield d, template, _frames(cfg, eval_ds, (42, int(d * 100)),
+                                       lambda c, d=d: truncate_row_end(c, d))
+
+    results = _sweep(cfg, cases())
+    rows = [_sweep_row(d, 0, r) for d, res in results.items() for r in res]
+    curves = _sweep_curves(results)
+    flag_rates = {
+        d: sum(FLAG_LOW_CONFIDENCE in r.flags.split(";") for r in res) / len(res)
+        for d, res in results.items()
+    }
+    _write_run(out_dir, cfg, "run_rowend_sweep",
+               {"frames.csv": (f"distance,{_SWEEP_ROW_HEADER}", rows),
+                "curves.csv": _curves_table("distance", curves),
+                "flag_rates.csv": ("distance,low_confidence_rate", flag_rates.items())},
+               {"d_values": list(d_values)})
     return {"rows": rows, "curves": curves, "flag_rates": flag_rates}
 
 
@@ -560,72 +601,51 @@ def run_curvature_sweep(
     out_dir=None,
 ) -> dict:
     """Straight-row template evaluated on rows of increasing curvature."""
-    check_sweep_method(cfg.method)
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 50))
-    out = {}
-    for rng_m in sensor_ranges:
-        sensor = replace(cfg.sensor, max_range=rng_m)
-        straight = make_dataset(scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51))
-        template = template_from_dataset(straight, cfg)
-        for radius in radii:
-            ds = make_dataset(
-                scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51), curvature_radius=radius
-            )
-            eval_ds = _eval_subset(ds, cfg)
-            res = [
-                _localize_single(
-                    eval_ds.clouds[i], template, cfg, derive_seed(cfg.seed, 52, int(rng_m), i)
+
+    def cases():
+        scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 50))
+        for rng_m in sensor_ranges:
+            sensor = replace(cfg.sensor, max_range=rng_m)
+            straight = make_dataset(scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51))
+            template = template_from_dataset(straight, cfg)
+            for radius in radii:
+                ds = make_dataset(
+                    scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51), curvature_radius=radius
                 )
-                for i in range(len(eval_ds.clouds))
-            ]
-            ye = [r.pose.y - t[0] for r, t in zip(res, eval_ds.local_truth)]
-            te = [r.pose.theta - t[1] for r, t in zip(res, eval_ds.local_truth)]
-            out[(rng_m, radius)] = {"y": compute_metrics(ye), "theta": compute_metrics(te)}
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        with open(out_dir / "curves.csv", "w") as f:
-            f.write("sensor_range,radius,y_mae,y_sd,theta_mae,theta_sd\n")
-            for (rng_m, radius), m in out.items():
-                f.write(
-                    f"{rng_m},{radius},{m['y'].mae!r},{m['y'].sd!r},"
-                    f"{m['theta'].mae!r},{m['theta'].sd!r}\n"
-                )
-        write_manifest(out_dir, cfg, "run_curvature_sweep",
-                       {"radii": [str(r) for r in radii], "sensor_ranges": list(sensor_ranges)})
+                yield (rng_m, radius), template, _frames(cfg, _eval_subset(ds, cfg), (52, int(rng_m)))
+
+    out = {key: results_metrics(res) for key, res in _sweep(cfg, cases()).items()}
+    rows = [(*key, m["y"].mae, m["y"].sd, m["theta"].mae, m["theta"].sd) for key, m in out.items()]
+    _write_run(out_dir, cfg, "run_curvature_sweep",
+               {"curves.csv": ("sensor_range,radius,y_mae,y_sd,theta_mae,theta_sd", rows)},
+               {"radii": [str(r) for r in radii], "sensor_ranges": list(sensor_ranges)})
     return out
 
 
 def run_voxel_sweep(cfg: ExperimentConfig, sizes=(0.02, 0.05, 0.1, 0.2, 0.5, 1.0), out_dir=None) -> dict:
     """Rebuild the template at each voxel size and re-evaluate."""
-    check_sweep_method(cfg.method)
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 60))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 61))
-    eval_ds = _eval_subset(ds, cfg)
+
+    def cases():
+        ds = render_run(cfg, 60)
+        eval_ds = _eval_subset(ds, cfg)
+        for size in sizes:
+            tpl_cfg = replace(cfg.template_cfg, resolution=size)
+            template = template_from_dataset(ds, replace(cfg, template_cfg=tpl_cfg))
+            yield size, template, _frames(cfg, eval_ds, (62, int(size * 1000)))
+
     out = {}
-    for size in sizes:
-        tpl_cfg = replace(cfg.template_cfg, resolution=size)
-        template = template_from_dataset(ds, replace(cfg, template_cfg=tpl_cfg))
-        res = [
-            _localize_single(eval_ds.clouds[i], template, cfg,
-                             derive_seed(cfg.seed, 62, int(size * 1000), i))
-            for i in range(len(eval_ds.clouds))
-        ]
-        ye = [r.pose.y - t[0] for r, t in zip(res, eval_ds.local_truth)]
-        te = [r.pose.theta - t[1] for r, t in zip(res, eval_ds.local_truth)]
-        n_voxels = int(np.prod(template.grid.shape))
+    for size, res in _sweep(cfg, cases()).items():
+        # the template grid's shape is its config's dims
+        n_voxels = int(np.prod(replace(cfg.template_cfg, resolution=size).dims))
         out[size] = {
-            "y": compute_metrics(ye),
-            "theta": compute_metrics(te),
+            **results_metrics(res),
             "n_voxels": n_voxels,
             "file_size": TEMPLATE_HEADER.size + 4 * n_voxels,  # header + f32 payload
         }
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        with open(out_dir / "table.csv", "w") as f:
-            f.write("voxel_size,y_mae,theta_mae,n_voxels,file_size_bytes\n")
-            for size, m in out.items():
-                f.write(f"{size},{m['y'].mae!r},{m['theta'].mae!r},{m['n_voxels']},{m['file_size']}\n")
-        write_manifest(out_dir, cfg, "run_voxel_sweep", {"sizes": list(sizes)})
+    rows = [(size, m["y"].mae, m["theta"].mae, m["n_voxels"], m["file_size"]) for size, m in out.items()]
+    _write_run(out_dir, cfg, "run_voxel_sweep",
+               {"table.csv": ("voxel_size,y_mae,theta_mae,n_voxels,file_size_bytes", rows)},
+               {"sizes": list(sizes)})
     return out
 
 
@@ -633,30 +653,20 @@ def run_template_size_sweep(
     cfg: ExperimentConfig, counts=(1, 5, 10, 20, 100, 200, 300), out_dir=None
 ) -> dict:
     """Vary the number of template-building frames."""
-    check_sweep_method(cfg.method)
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 70))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 71))
-    eval_ds = _eval_subset(ds, cfg)
-    out = {}
-    for count in counts:
-        template = template_from_dataset(ds, cfg, n_frames=count)
-        res = [
-            _localize_single(eval_ds.clouds[i], template, cfg, derive_seed(cfg.seed, 72, count, i))
-            for i in range(len(eval_ds.clouds))
-        ]
-        ye = [r.pose.y - t[0] for r, t in zip(res, eval_ds.local_truth)]
-        te = [r.pose.theta - t[1] for r, t in zip(res, eval_ds.local_truth)]
-        out[count] = {"y": compute_metrics(ye), "theta": compute_metrics(te)}
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        with open(out_dir / "table.csv", "w") as f:
-            f.write("n_frames,y_mae,y_sd,y_p95,theta_mae,theta_sd,theta_p95\n")
-            for count, m in out.items():
-                f.write(
-                    f"{count},{m['y'].mae!r},{m['y'].sd!r},{m['y'].p95!r},"
-                    f"{m['theta'].mae!r},{m['theta'].sd!r},{m['theta'].p95!r}\n"
-                )
-        write_manifest(out_dir, cfg, "run_template_size_sweep", {"counts": list(counts)})
+
+    def cases():
+        ds = render_run(cfg, 70)
+        eval_ds = _eval_subset(ds, cfg)
+        for count in counts:
+            template = template_from_dataset(ds, cfg, n_frames=count)
+            yield count, template, _frames(cfg, eval_ds, (72, count))
+
+    out = {count: results_metrics(res) for count, res in _sweep(cfg, cases()).items()}
+    rows = [(count, m["y"].mae, m["y"].sd, m["y"].p95, m["theta"].mae, m["theta"].sd, m["theta"].p95)
+            for count, m in out.items()]
+    _write_run(out_dir, cfg, "run_template_size_sweep",
+               {"table.csv": ("n_frames,y_mae,y_sd,y_p95,theta_mae,theta_sd,theta_p95", rows)},
+               {"counts": list(counts)})
     return out
 
 
@@ -666,8 +676,7 @@ def comparison_prefilter_box(z_max: float = 2.5) -> Box3:
 
 def run_compare(cfg: ExperimentConfig, out_dir=None, heading_split: float = 0.3) -> dict:
     """All methods on identical pre-filtered frames, split by heading regime."""
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 80))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 81))
+    ds = render_run(cfg, 80)
     template = template_from_dataset(ds, cfg)
     eval_ds = _eval_subset(ds, cfg)
     box = comparison_prefilter_box()
@@ -694,25 +703,19 @@ def run_compare(cfg: ExperimentConfig, out_dir=None, heading_split: float = 0.3)
             "small_heading": results_metrics(small) if small else None,
         }
     thresholds = np.linspace(0.0, 1.5, 76)
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        for method, res in all_results.items():
-            write_results_csv(out_dir / f"frames_{method}.csv", res)
-            for axis, getter in (("y", lambda r: r.y_error), ("theta", lambda r: r.theta_error)):
-                curve = accumulated_error_distribution([getter(r) for r in res], thresholds)
-                with open(out_dir / f"accumulated_{axis}_{method}.csv", "w") as f:
-                    f.write("threshold,fraction\n")
-                    for t, v in zip(thresholds, curve):
-                        f.write(f"{t!r},{v!r}\n")
-        with open(out_dir / "summary.csv", "w") as f:
-            f.write("method,regime,axis,mae,sd,p95,n\n")
-            for method, t in tables.items():
-                for regime in ("overall", "large_heading", "small_heading"):
-                    if t[regime] is None:
-                        continue
-                    for axis, m in t[regime].items():
-                        f.write(f"{method},{regime},{axis},{m.as_row()}\n")
-        write_manifest(out_dir, cfg, "run_compare", {"heading_split": heading_split})
+    files = {}
+    for method, res in all_results.items():
+        files[f"frames_{method}.csv"] = _results_table(res)
+        for axis, getter in (("y", lambda r: r.y_error), ("theta", lambda r: r.theta_error)):
+            curve = accumulated_error_distribution([getter(r) for r in res], thresholds)
+            files[f"accumulated_{axis}_{method}.csv"] = ("threshold,fraction", zip(thresholds, curve))
+    files["summary.csv"] = ("method,regime,axis,mae,sd,p95,n", [
+        (method, regime, axis, m.as_row())
+        for method, t in tables.items()
+        for regime, metrics in t.items() if metrics is not None
+        for axis, m in metrics.items()
+    ])
+    _write_run(out_dir, cfg, "run_compare", files, {"heading_split": heading_split})
     return {"results": all_results, "tables": tables}
 
 
@@ -726,9 +729,11 @@ def closed_loop_sim(
     """Proportional line following driven by per-frame template localization.
 
     Unicycle plant at the trajectory speed; the steering rate is
-    -k_y * y_est - k_theta * theta_est, saturated.  Localization uses
-    uniform sampling (no particle filter).
+    -k_y * y_est - k_theta * theta_est, saturated.  Each frame is localized
+    on its own with cfg.method, which must be one of SWEEP_METHODS (no
+    particle filter, no baseline).
     """
+    check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 90))
     if template is None:
         build_ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 91))
@@ -744,10 +749,11 @@ def closed_loop_sim(
     while x < cfg.scene.row_length:
         pose = Pose6D(x=x, y=y, z=cfg.sensor.mount_height, yaw=theta)
         cloud = render_frame(scene, pose, cfg.sensor, derive_seed(cfg.seed, 92, step))
-        est = localize_uniform(cloud, template, cfg.mcl_cfg, derive_seed(cfg.seed, 93, step))
-        omega = -gains.k_y * est.pose.y - gains.k_theta * est.pose.theta
+        est = _localize_frame(cfg.method, cloud, template, cfg, derive_seed(cfg.seed, 93, step),
+                              step, (y, theta))
+        omega = -gains.k_y * est.y_est - gains.k_theta * est.theta_est
         omega = max(-gains.max_steer_rate, min(gains.max_steer_rate, omega))
-        log.append((step * dt, x, y, theta, est.pose.y, est.pose.theta, omega))
+        log.append((step * dt, x, y, theta, est.y_est, est.theta_est, omega))
         x += v * math.cos(theta) * dt
         y += v * math.sin(theta) * dt
         theta += omega * dt
@@ -763,15 +769,9 @@ def closed_loop_sim(
         "offset_metrics": compute_metrics(offsets),
         "heading_metrics": compute_metrics(headings),
     }
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        with open(out_dir / "trajectory.csv", "w") as f:
-            f.write("t,x,y,theta,y_est,theta_est,omega\n")
-            for row in log:
-                f.write(",".join(repr(float(v_)) for v_ in row) + "\n")
-        _write_metrics_csv(
-            out_dir / "tracking.csv",
-            {"offset": {"y": out["offset_metrics"]}, "heading": {"theta": out["heading_metrics"]}},
-        )
-        write_manifest(out_dir, cfg, "closed_loop_sim", {"y0": y0, "theta0": theta0})
+    tracking = {"offset": {"y": out["offset_metrics"]}, "heading": {"theta": out["heading_metrics"]}}
+    _write_run(out_dir, cfg, "closed_loop_sim",
+               {"trajectory.csv": ("t,x,y,theta,y_est,theta_est,omega", [map(float, row) for row in log]),
+                "tracking.csv": _metrics_table(tracking)},
+               {"y0": y0, "theta0": theta0})
     return out

@@ -174,3 +174,21 @@ def test_sweep_rejects_a_method_it_cannot_run(cfg_file, tmp_path):
     assert exc.value.code != 0
     assert "template-uniform, template-grid" in str(exc.value.code)
     assert not out_dir.exists()
+
+
+def test_method_flag_only_where_it_is_read(cfg_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-compare", "--config", str(cfg_file), "--method", "baseline1",
+              "--out", str(tmp_path / "cmp")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_closed_loop_rejects_a_method_it_cannot_run(cfg_file, tmp_path):
+    out_dir = tmp_path / "loop"
+    with pytest.raises(SystemExit) as exc:
+        main(["closed-loop", "--config", str(cfg_file), "--method", "baseline1",
+              "--out", str(out_dir)])
+    assert "template-uniform, template-grid" in str(exc.value.code)
+    assert not out_dir.exists()

@@ -48,6 +48,12 @@ def test_unknown_preset_is_an_error():
         experiment_config_from_kv({"scene.preset": "kiwi"})
 
 
+def test_unknown_method_is_an_error():
+    with pytest.raises(ConfigError, match="unknown run.method 'template-typo'.*template-grid"):
+        experiment_config_from_kv({"run.method": "template-typo"})
+    assert experiment_config_from_kv({"run.method": "baseline2"}).method == "baseline2"
+
+
 def test_defaults_are_vineyard_preset():
     cfg = experiment_config_from_kv({})
     assert cfg.scene == vineyard_preset()

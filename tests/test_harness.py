@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rowloc import harness
 from rowloc.geometry import PointCloud, PreprocessConfig
 from rowloc.harness import (
     ALL_METHODS,
@@ -183,3 +184,26 @@ def test_closed_loop_converges_to_centerline(cfg, tmp_path):
     traj = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t,x,y,theta,y_est,theta_est,omega"
     assert len(traj) == 1 + len(log)
+
+
+def test_closed_loop_runs_the_method_it_reports(cfg, tmp_path, monkeypatch):
+    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 90))
+    build_ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 91))
+    template = template_from_dataset(build_ds, cfg)
+    calls = []
+    original = harness.localize_grid
+    monkeypatch.setattr(harness, "localize_grid", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(harness, "localize_uniform", None)  # calling it fails the test
+    out = closed_loop_sim(replace(cfg, method="template-grid"), template=template, out_dir=tmp_path)
+    assert len(calls) == len(out["log"]) > 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["method"] == "template-grid"
+
+
+@pytest.mark.parametrize("method", ["baseline1", "template-pf"])
+def test_closed_loop_rejects_methods_it_cannot_run(cfg, tmp_path, method):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with pytest.raises(ValueError, match="template-uniform, template-grid"):
+        closed_loop_sim(replace(cfg, method=method), out_dir=out_dir)
+    assert list(out_dir.iterdir()) == []
