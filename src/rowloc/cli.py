@@ -107,7 +107,7 @@ def cmd_localize(args):
 
 def cmd_eval_accuracy(args):
     cfg = _base_config(args)
-    out = harness.run_accuracy(cfg, out_dir=args.out, cutoff_ablation=args.cutoff_ablation)
+    out = harness.run_accuracy(cfg, out_dir=args.out)
     m = out["metrics"]
     print(f"lateral MAE {m['y'].mae:.3f} m, heading MAE {m['theta'].mae:.4f} rad")
 
@@ -199,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", type=Path, required=True)
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("eval-accuracy", help="accuracy run with optional cutoff ablation")
+    p = sub.add_parser("eval-accuracy", help="build a template, then localize the eval frames")
     _add_common(p, method=True)
-    p.add_argument("--cutoff-ablation", action="store_true")
     p.set_defaults(func=cmd_eval_accuracy)
 
     p = sub.add_parser("eval-cross", help="cross-row template matrix")

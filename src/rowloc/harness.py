@@ -380,9 +380,7 @@ def render_run(cfg: ExperimentConfig, tag: int, *index: int) -> Dataset:
     return make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, tag + 1, *index))
 
 
-def run_accuracy(
-    cfg: ExperimentConfig, out_dir=None, cutoff_ablation: bool = False
-) -> dict:
+def run_accuracy(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Template build on the first frames of a run, evaluation on all frames."""
     ds = render_run(cfg, ACCURACY_TAG)
     template = template_from_dataset(ds, cfg)
@@ -396,22 +394,8 @@ def run_accuracy(
         "frames.csv": _results_table(results),
         "metrics.csv": _metrics_table({"with_cutoff": out["metrics"]}),
     }
-    if cutoff_ablation:
-        no_cut_cfg = replace(cfg, mcl_cfg=replace(cfg.mcl_cfg, cutoff=_no_cutoff_box()))
-        nc_results = evaluate_frames(
-            eval_ds.clouds, eval_ds.local_truth, template, no_cut_cfg, seed_tag=1, odometry=odo
-        )
-        out["no_cutoff_results"] = nc_results
-        out["no_cutoff_metrics"] = results_metrics(nc_results)
-        tables["frames_no_cutoff.csv"] = _results_table(nc_results)
-        tables["metrics_no_cutoff.csv"] = _metrics_table({"without_cutoff": out["no_cutoff_metrics"]})
     _write_run(out_dir, cfg, "run_accuracy", tables)
     return out
-
-
-def _no_cutoff_box() -> Box3:
-    big = 1e9
-    return Box3(np.array([-big] * 3), np.array([big] * 3))
 
 
 def _take(ds: Dataset, idx) -> Dataset:

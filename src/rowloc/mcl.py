@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import (
-    Box3,
     DegenerateInputError,
     LowConfidenceFitError,
     PointCloud,
@@ -104,9 +103,6 @@ class MclConfig:
     top_fraction: float = 0.01
     p_floor: float = DEFAULT_P_FLOOR
     pre_cfg: PreprocessConfig = PreprocessConfig()
-    # None -> the template's full grid box; proposals then pay the
-    # no-info penalty for mismatched points instead of shedding them
-    cutoff: Box3 | None = None
     # std thresholds above which the estimate is flagged low-confidence
     low_conf_std_y: float = 0.2
     low_conf_std_theta: float = 0.15
@@ -219,8 +215,7 @@ def _scorer_for(cloud_C: PointCloud, template: Template, cfg: MclConfig) -> Pose
         frame = preprocess(cloud_C, cfg.pre_cfg)
     except (DegenerateInputError, LowConfidenceFitError):
         return None
-    cutoff = cfg.cutoff if cfg.cutoff is not None else template.config.template_range
-    return PoseScorer(frame, template, cutoff, cfg.p_floor)
+    return PoseScorer(frame, template, cfg.p_floor)
 
 
 def localize_uniform(

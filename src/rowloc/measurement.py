@@ -5,12 +5,17 @@ per-point template lookups; we work with the sum of logs to avoid
 underflow, and floor each per-point probability so a single zero voxel
 cannot annihilate the score.  The argmax over proposals is unchanged.
 
-Every preprocessed point contributes to every proposal's score: points
-that a proposal pushes outside the cutoff box (or off the template grid)
-pay the no-information probability instead of being dropped.  Without
-the constant penalty, proposals that rotate informative points out of
-the box would shed their negative log terms and beat the true pose on
-raw sum.
+One box decides which points are scored: the template's grid box,
+`template_range`.  A point that a proposal places inside it reads its
+voxel (out-of-row voxels hold the no-information frequency) and counts
+as scored; every other point pays the no-information probability and is
+not counted.  Every preprocessed point thus contributes to every
+proposal's score.  Without the constant penalty, proposals that rotate
+informative points out of the box would shed their negative log terms
+and beat the true pose on raw sum.  Uniform, particle-filter and grid
+estimation, `measurement_log_likelihood` and `likelihood_field` all
+score this way, so a field over grid search's (y, theta) grid peaks at
+grid search's pose.
 
 Exactness contract: `PoseScorer.score` returns, bit for bit, what
 scoring each proposal on its own would return.  Runs of consecutive
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Box3,
     PointCloud,
     PreprocessConfig,
     PreprocessedFrame,
@@ -73,11 +77,9 @@ class PoseScorer:
         self,
         frame: PreprocessedFrame,
         template: Template,
-        cutoff: Box3 | None,
         p_floor: float = DEFAULT_P_FLOOR,
     ):
         self.template = template
-        self.cutoff = cutoff
         self.p_floor = float(p_floor)
         self.log_floor = math.log(self.p_floor)
         self.log_no_info = math.log(max(template.no_info_frequency, self.p_floor))
@@ -96,43 +98,18 @@ class PoseScorer:
         self._dims = cfg.dims
         self._table = _log_table(template, self.p_floor, self.log_no_info)
 
-        # grid-coordinate constants for the float32 hot path
+        # the float32 hot path works in grid coordinates (voxels from the
+        # grid origin), where template_range is [0, _fx_hi] x [0, _fy_hi]
         self._lo_x = np.float32(lo[0])
         self._lo_y = np.float32(lo[1])
         self._inv_res = np.float32(1.0 / res)
-        self._gx_hi = np.float32(self._dims[0])
-        self._gy_hi = np.float32(self._dims[1])
-        box = cutoff if cutoff is not None else cfg.template_range
-        self._cx = (
-            np.float32((box.min_corner[0] - lo[0]) / res),
-            np.float32((box.max_corner[0] - lo[0]) / res),
-        )
-        self._cy = (
-            np.float32((box.min_corner[1] - lo[1]) / res),
-            np.float32((box.max_corner[1] - lo[1]) / res),
-        )
+        self._fx_hi = np.float32((hi[0] - lo[0]) / res)
+        self._fy_hi = np.float32((hi[1] - lo[1]) / res)
 
-        # z index and masks never depend on the proposal
-        iz = np.floor((qz - lo[2]) / res).astype(np.int64)
-        iz[qz == hi[2]] = self._dims[2] - 1
-        np.clip(iz, 0, self._dims[2] - 1, out=iz)
+        # z index and mask never depend on the proposal
+        iz, self._z_keep = cfg.voxel_index(qz[:, None], axes=(2,))
         # +1: slot 0 of the log table holds the no-info log
-        self._iz32 = iz.astype(np.int32) + np.int32(1)
-        if cutoff is not None:
-            self._z_keep = (qz >= cutoff.min_corner[2]) & (qz <= cutoff.max_corner[2])
-        else:
-            self._z_keep = np.ones(self.n_points, dtype=bool)
-        self._z_valid = self._z_keep & (qz >= lo[2]) & (qz <= hi[2])
-        # A kept point is on the grid when the cutoff box lies inside it
-        # (compared in the same float32 grid coordinates the kernel uses),
-        # so the in-grid test can be skipped.
-        self._box_in_grid = bool(
-            self._cx[0] >= 0
-            and self._cx[1] <= self._gx_hi
-            and self._cy[0] >= 0
-            and self._cy[1] <= self._gy_hi
-            and np.array_equal(self._z_keep, self._z_valid)
-        )
+        self._iz32 = iz[:, 0].astype(np.int32) + np.int32(1)
 
     def score(self, ys: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log-likelihoods, points-scored) for parallel arrays of proposals."""
@@ -166,21 +143,13 @@ class PoseScorer:
         fy -= self._lo_y
         fy *= self._inv_res
 
-        keep_x = (fx >= self._cx[0]) & (fx <= self._cx[1])
+        keep_x = (fx >= 0) & (fx <= self._fx_hi)
         keep_x &= self._z_keep
-        keep = (fy >= self._cy[0]) & (fy <= self._cy[1])
+        keep = (fy >= 0) & (fy <= self._fy_hi)
         keep &= keep_x
-        if self._box_in_grid:
-            valid = keep
-        else:
-            valid_x = (fx >= 0) & (fx <= self._gx_hi)
-            valid_x &= self._z_valid
-            valid = (fy >= 0) & (fy <= self._gy_hi)
-            valid &= valid_x
-            valid &= keep
 
         nx, ny, nz = self._dims
-        # truncation (not floor) is fine: invalid points are sent to slot 0
+        # truncation equals floor on kept points; the rest are sent to slot 0
         ix = fx.astype(np.int32)
         np.clip(ix, 0, np.int32(nx - 1), out=ix)
         ix *= np.int32(ny * nz)
@@ -189,7 +158,7 @@ class PoseScorer:
         np.clip(lin, 0, np.int32(ny - 1), out=lin)
         lin *= np.int32(nz)
         lin += ix
-        lin *= valid  # off-grid and cut points read the no-info slot 0
+        lin *= keep  # points outside template_range read the no-info slot 0
         logs = self._table.take(lin)
         return logs.sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
 
@@ -245,15 +214,17 @@ def measurement_log_likelihood(
     template: Template,
     y: float,
     theta: float,
-    row_range: Box3 | None = None,
     pre_cfg: PreprocessConfig = PreprocessConfig(),
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> LogLikelihood:
-    """Log of Eq.-style product likelihood at a single (y, theta) proposal."""
+    """Log of Eq.-style product likelihood at a single (y, theta) proposal.
+
+    Raises `DegenerateInputError` or `LowConfidenceFitError` when the frame
+    has no usable ground (no points, or no ground plane fit); the
+    `localize_*` estimators return a flagged estimate for such a frame.
+    """
     frame = preprocess(cloud_C, pre_cfg)
-    if row_range is None:
-        row_range = template.config.row_range
-    scorer = PoseScorer(frame, template, row_range, p_floor)
+    scorer = PoseScorer(frame, template, p_floor)
     ll, ns = scorer.score(np.array([y]), np.array([theta]))
     if ns[0] == 0:
         return LogLikelihood(0.0, 0)
@@ -265,22 +236,22 @@ def likelihood_field(
     template: Template,
     y_values: np.ndarray,
     theta_values: np.ndarray,
-    row_range: Box3 | None = None,
     pre_cfg: PreprocessConfig = PreprocessConfig(),
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> np.ndarray:
     """Log-likelihood over a (theta, y) grid; preprocessing runs once.
 
-    Returns an array of shape (len(theta_values), len(y_values)).
+    Returns an array of shape (len(theta_values), len(y_values)).  Raises
+    `DegenerateInputError` or `LowConfidenceFitError` when the frame has no
+    usable ground (no points, or no ground plane fit); the `localize_*`
+    estimators return a flagged estimate for such a frame.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
     theta_values = np.asarray(theta_values, dtype=np.float64)
     if y_values.size == 0 or theta_values.size == 0:
         raise ValueError("grids must be non-empty")
     frame = preprocess(cloud_C, pre_cfg)
-    if row_range is None:
-        row_range = template.config.row_range
-    scorer = PoseScorer(frame, template, row_range, p_floor)
+    scorer = PoseScorer(frame, template, p_floor)
     tt, yy = np.meshgrid(theta_values, y_values, indexing="ij")
     ll, _ = scorer.score(yy.ravel(), tt.ravel())
     return ll.reshape(theta_values.size, y_values.size)

@@ -75,6 +75,37 @@ class TemplateConfig:
         d = np.ceil(self.template_range.extent / self.resolution - 1e-9).astype(int)
         return (max(int(d[0]), 1), max(int(d[1]), 1), max(int(d[2]), 1))
 
+    def voxel_index(self, points: np.ndarray, axes=(0, 1, 2)) -> tuple[np.ndarray, np.ndarray]:
+        """(voxel indices, inside-template_range mask) of float64 {T} points.
+
+        `points` is (N, len(axes)); column k is the coordinate on axis
+        axes[k].  Indices are floored and clamped into the grid, so a point
+        on the upper face lands in the last voxel; outside points get
+        clamped indices and False in the mask.
+        """
+        axes = list(axes)
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, len(axes))
+        lo = self.template_range.min_corner[axes]
+        hi = self.template_range.max_corner[axes]
+        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+        idx = np.floor((pts - lo) / self.resolution).astype(np.int64)
+        np.clip(idx, 0, np.array(self.dims)[axes] - 1, out=idx)
+        return idx, inside
+
+    def in_row_mask(self) -> np.ndarray:
+        """Boolean grid of voxels whose center lies inside row_range."""
+        nx, ny, nz = self.dims
+        res = self.resolution
+        lo = self.template_range.min_corner
+        cx = lo[0] + (np.arange(nx) + 0.5) * res
+        cy = lo[1] + (np.arange(ny) + 0.5) * res
+        cz = lo[2] + (np.arange(nz) + 0.5) * res
+        row = self.row_range
+        mx = (cx >= row.min_corner[0]) & (cx <= row.max_corner[0])
+        my = (cy >= row.min_corner[1]) & (cy <= row.max_corner[1])
+        mz = (cz >= row.min_corner[2]) & (cz <= row.max_corner[2])
+        return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
+
 
 @dataclass(frozen=True)
 class GroundTruthPose:
@@ -114,43 +145,6 @@ class Template:
         assert self.config.no_info_frequency is not None
         return self.config.no_info_frequency
 
-    def voxel_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, inside-mask) for an (N, 3) array of {T} points.
-
-        Upper-boundary points clamp into the last voxel; indices of
-        outside points are clamped but flagged False in the mask.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        box = self.config.template_range
-        inside = np.all((pts >= box.min_corner) & (pts <= box.max_corner), axis=1)
-        idx = np.floor((pts - box.min_corner) / self.config.resolution).astype(np.int64)
-        np.clip(idx, 0, np.array(self.config.dims) - 1, out=idx)
-        return idx, inside
-
-    def lookup(self, points: np.ndarray) -> np.ndarray:
-        """Per-point frequency; outside the grid returns no_info_frequency."""
-        idx, inside = self.voxel_indices(points)
-        out = np.full(idx.shape[0], self.no_info_frequency, dtype=np.float64)
-        if np.any(inside):
-            ii = idx[inside]
-            out[inside] = self.grid[ii[:, 0], ii[:, 1], ii[:, 2]]
-        return out
-
-    def in_row_mask(self) -> np.ndarray:
-        """Boolean grid of voxels whose center lies inside row_range."""
-        cfg = self.config
-        nx, ny, nz = cfg.dims
-        res = cfg.resolution
-        lo = cfg.template_range.min_corner
-        cx = lo[0] + (np.arange(nx) + 0.5) * res
-        cy = lo[1] + (np.arange(ny) + 0.5) * res
-        cz = lo[2] + (np.arange(nz) + 0.5) * res
-        row = cfg.row_range
-        mx = (cx >= row.min_corner[0]) & (cx <= row.max_corner[0])
-        my = (cy >= row.min_corner[1]) & (cy <= row.max_corner[1])
-        mz = (cz >= row.min_corner[2]) & (cz <= row.max_corner[2])
-        return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
-
 
 def build_template(
     clouds_C: list[PointCloud],
@@ -171,11 +165,7 @@ def build_template(
     if not clouds_C:
         raise ValueError("need at least one frame to build a template")
 
-    dims = cfg.dims
-    counts = np.zeros(dims, dtype=np.float64)
-    empty = np.zeros(dims, dtype=np.float32)
-    empty.flags.writeable = False  # no copy: the probe only supplies voxel geometry
-    probe = Template(replace(cfg, no_info_frequency=0.0), empty, 0)
+    counts = np.zeros(cfg.dims, dtype=np.float64)
     n = len(clouds_C)
     for cloud, truth in zip(clouds_C, truths):
         frame = preprocess(cloud, pre_cfg)
@@ -187,13 +177,13 @@ def build_template(
         cloud_T = cutoff_filter(cloud_T, cfg.row_range)
         if len(cloud_T) == 0:
             continue
-        idx, inside = probe.voxel_indices(cloud_T.points)
+        idx, inside = cfg.voxel_index(cloud_T.points)
         idx = idx[inside]
         idx = idx[group_rows(idx)[1]]  # each occupied voxel once
         np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1.0)
 
     freq = counts / float(n)
-    row_mask = probe.in_row_mask()
+    row_mask = cfg.in_row_mask()
     no_info = cfg.no_info_frequency
     if no_info is None:
         # Half the geometric mean of occupied in-row frequencies: low

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from rowloc import harness
-from rowloc.geometry import PointCloud, PreprocessConfig
+from rowloc.geometry import (
+    Box3,
+    DegenerateInputError,
+    LowConfidenceFitError,
+    PointCloud,
+    PreprocessConfig,
+)
 from rowloc.harness import (
     ALL_METHODS,
     ControllerGains,
@@ -25,8 +31,10 @@ from rowloc.harness import (
     run_voxel_sweep,
     template_from_dataset,
 )
-from rowloc.mcl import MclConfig
+from rowloc.measurement import likelihood_field
+from rowloc.mcl import FLAG_EMPTY_MEASUREMENT, MclConfig, localize_grid
 from rowloc.synth import SensorSpec, TrajectorySpec, generate_scene, vineyard_preset
+from rowloc.template import TemplateConfig, default_row_range
 
 
 def _fast_config() -> ExperimentConfig:
@@ -87,12 +95,29 @@ def test_run_accuracy_outputs_and_determinism(cfg, tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
-def test_run_accuracy_cutoff_ablation(cfg, tmp_path):
-    out = run_accuracy(cfg, out_dir=tmp_path, cutoff_ablation=True)
-    assert "no_cutoff_results" in out and "no_cutoff_metrics" in out
-    assert len(out["no_cutoff_results"]) == cfg.n_eval_frames
-    assert (tmp_path / "frames_no_cutoff.csv").exists()
-    assert (tmp_path / "metrics_no_cutoff.csv").exists()
+def test_likelihood_field_peaks_at_grid_search_pose():
+    # the row edges y = +-1.5 cut through the voxels of a grid from y = -3.07
+    box = Box3.from_ranges((0.0, 9.95), (-3.07, 3.0), (0.0, 2.97))
+    tpl_cfg = TemplateConfig(resolution=0.1, template_range=box, row_range=default_row_range(3.0, box))
+    cfg = replace(_fast_config(), seed=7, n_eval_frames=15, template_cfg=tpl_cfg)
+    ds = harness.render_run(cfg, harness.ACCURACY_TAG)
+    template = template_from_dataset(ds, cfg)
+    p = cfg.mcl_cfg.prior
+    ys = np.arange(p.y_min, p.y_max + 1e-12, 0.02)
+    thetas = np.arange(p.theta_min, p.theta_max + 1e-12, 0.01)
+    n_scored = 0
+    for cloud in harness._eval_subset(ds, cfg).clouds:
+        est = localize_grid(cloud, template, cfg.mcl_cfg)
+        try:
+            field = likelihood_field(cloud, template, ys, thetas, pre_cfg=cfg.mcl_cfg.pre_cfg)
+        except (DegenerateInputError, LowConfidenceFitError):
+            # the field raises on a frame with no usable ground; grid search flags it
+            assert FLAG_EMPTY_MEASUREMENT in est.flags
+            continue
+        k, j = np.unravel_index(np.argmax(field), field.shape)
+        assert (ys[j], thetas[k]) == (est.pose.y, est.pose.theta)
+        n_scored += 1
+    assert n_scored == 14
 
 
 def test_run_compare_covers_all_methods(cfg, tmp_path):

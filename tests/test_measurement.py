@@ -46,7 +46,7 @@ def _voxel_of(p):
 def test_point_in_certain_voxel_scores_zero():
     p = np.array([1.23, 0.47, 0.91])
     template = _template_with({_voxel_of(p): 1.0})
-    scorer = PoseScorer(_frame(p), template, SMALL_CFG.template_range)
+    scorer = PoseScorer(_frame(p), template)
     ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
     assert ll[0] == 0.0
     assert ns[0] == 1
@@ -55,27 +55,35 @@ def test_point_in_certain_voxel_scores_zero():
 def test_point_in_empty_voxel_pays_the_probability_floor():
     p = np.array([1.23, 0.47, 0.91])
     template = _template_with({_voxel_of(p): 0.0})
-    scorer = PoseScorer(_frame(p), template, SMALL_CFG.template_range)
+    scorer = PoseScorer(_frame(p), template)
     ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
     assert ll[0] == pytest.approx(math.log(DEFAULT_P_FLOOR))
     assert ns[0] == 1
 
 
-def test_point_outside_cutoff_pays_the_no_info_penalty():
-    p = np.array([1.23, 0.47, 0.91])
-    template = _template_with({_voxel_of(p): 1.0})
-    cutoff = Box3.from_ranges((0.0, 1.0), (-2.0, 2.0), (0.0, 2.0))  # excludes x=1.23
-    scorer = PoseScorer(_frame(p), template, cutoff)
+def test_point_outside_template_range_pays_the_no_info_penalty():
+    # beyond x max, and below z = 0
+    pts = np.array([[4.03, 0.47, 0.91], [1.23, 0.47, -0.02]])
+    scorer = PoseScorer(_frame(pts), _template_with({}))
     ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
-    assert ll[0] == pytest.approx(math.log(0.02))
+    assert ll[0] == 2 * np.float64(np.float32(math.log(0.02)))
     assert ns[0] == 0
+
+
+def test_point_in_an_out_of_row_voxel_reads_the_grid():
+    p = np.array([1.23, 1.47, 0.91])  # inside template_range, beyond the row's y = 1
+    template = _template_with({_voxel_of(p): 0.5})
+    scorer = PoseScorer(_frame(p), template)
+    ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
+    assert ll[0] == np.float32(math.log(0.5))
+    assert ns[0] == 1
 
 
 def test_sum_of_per_point_logs():
     pts = np.array([[1.23, 0.47, 0.91], [2.51, -0.33, 0.55], [3.99, 0.0, 1.99]])
     freqs = [0.8, 0.25, 0.5]
     template = _template_with({_voxel_of(p): f for p, f in zip(pts, freqs)})
-    scorer = PoseScorer(_frame(pts), template, SMALL_CFG.template_range)
+    scorer = PoseScorer(_frame(pts), template)
     ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
     assert ns[0] == 3
     assert ll[0] == pytest.approx(sum(np.log(np.float32(f)) for f in freqs), abs=1e-6)
@@ -88,10 +96,10 @@ def test_permutation_invariance():
     template = Template(SMALL_CFG, grid, 10)
     ys = rng.uniform(-0.4, 0.4, 16)
     thetas = rng.uniform(-0.3, 0.3, 16)
-    base = PoseScorer(_frame(pts), template, SMALL_CFG.template_range)
+    base = PoseScorer(_frame(pts), template)
     ll0, ns0 = base.score(ys, thetas)
     perm = rng.permutation(pts.shape[0])
-    shuf = PoseScorer(_frame(pts[perm]), template, SMALL_CFG.template_range)
+    shuf = PoseScorer(_frame(pts[perm]), template)
     ll1, ns1 = shuf.score(ys, thetas)
     np.testing.assert_allclose(ll0, ll1, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(ns0, ns1)
@@ -108,7 +116,7 @@ def test_scorer_matches_float64_reference_at_zero_heading():
     pts = lo + (idx + 0.5) * res
     grid = rng.uniform(0.01, 1.0, SMALL_CFG.dims).astype(np.float32)
     template = Template(SMALL_CFG, grid, 10)
-    scorer = PoseScorer(_frame(pts), template, SMALL_CFG.template_range)
+    scorer = PoseScorer(_frame(pts), template)
     ys = np.arange(-0.5, 0.5001, res)
     ll, ns = scorer.score(ys, np.zeros_like(ys))
     for k, y in enumerate(ys):
@@ -157,10 +165,7 @@ def test_likelihood_field_matches_pointwise_scoring(centered_wall_cloud_C):
     assert field.shape == (3, 3)
     for i, th in enumerate(thetas):
         for j, y in enumerate(ys):
-            single = measurement_log_likelihood(
-                centered_wall_cloud_C, template, float(y), float(th),
-                row_range=template.config.row_range,
-            )
+            single = measurement_log_likelihood(centered_wall_cloud_C, template, float(y), float(th))
             assert field[i, j] == pytest.approx(single.value, abs=1e-9)
 
 
@@ -178,7 +183,7 @@ def test_mirror_symmetric_scene_gives_symmetric_scores():
     grid = rng.uniform(0.01, 1.0, SMALL_CFG.dims).astype(np.float32)
     grid = np.minimum(grid, grid[:, ::-1, :])  # mirror-symmetric in y
     template = Template(SMALL_CFG, grid, 10)
-    scorer = PoseScorer(_frame(pts), template, SMALL_CFG.template_range)
+    scorer = PoseScorer(_frame(pts), template)
     ys = np.array([0.13, 0.31, -0.22])
     thetas = np.array([0.11, -0.17, 0.23])
     ll_a, _ = scorer.score(ys, thetas)
@@ -188,7 +193,7 @@ def test_mirror_symmetric_scene_gives_symmetric_scores():
 
 def test_empty_measurement_contract():
     template = _template_with({})
-    scorer = PoseScorer(_frame(np.zeros((0, 3))), template, SMALL_CFG.template_range)
+    scorer = PoseScorer(_frame(np.zeros((0, 3))), template)
     ll, ns = scorer.score(np.array([0.0, 0.1]), np.array([0.0, 0.0]))
     assert np.all(ll == 0.0) and np.all(ns == 0)
     assert LogLikelihood(0.0, 0).empty

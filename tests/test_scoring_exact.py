@@ -13,19 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowloc.geometry import Box3, PointCloud, PreprocessedFrame, rotation_from_euler
-from rowloc.harness import _no_cutoff_box
 from rowloc.measurement import PoseScorer
 from rowloc.template import Template, TemplateConfig
 
 F32 = np.float32
 
 
-def reference_score(frame, template, cutoff, p_floor, y, theta):
+def reference_score(frame, template, p_floor, y, theta):
     """(log-likelihood, points scored) of one proposal."""
     cfg = template.config
     lo, hi, res = cfg.template_range.min_corner, cfg.template_range.max_corner, cfg.resolution
     nx, ny, nz = cfg.dims
-    box = cutoff if cutoff is not None else cfg.template_range
 
     R = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
     leveled = frame.cloud_V.points @ R.T
@@ -40,10 +38,10 @@ def reference_score(frame, template, cutoff, p_floor, y, theta):
     def grid_coord(v, axis):
         return F32((v - lo[axis]) / res)
 
-    keep = (fx >= grid_coord(box.min_corner[0], 0)) & (fx <= grid_coord(box.max_corner[0], 0))
-    keep &= (fy >= grid_coord(box.min_corner[1], 1)) & (fy <= grid_coord(box.max_corner[1], 1))
-    if cutoff is not None:
-        keep &= (qz >= cutoff.min_corner[2]) & (qz <= cutoff.max_corner[2])
+    # a point is scored when it lands in template_range
+    keep = (fx >= grid_coord(lo[0], 0)) & (fx <= grid_coord(hi[0], 0))
+    keep &= (fy >= grid_coord(lo[1], 1)) & (fy <= grid_coord(hi[1], 1))
+    keep &= (qz >= lo[2]) & (qz <= hi[2])
     on_grid = (fx >= 0) & (fx <= F32(nx)) & (fy >= 0) & (fy <= F32(ny))
     on_grid &= (qz >= lo[2]) & (qz <= hi[2])
 
@@ -59,13 +57,8 @@ def reference_score(frame, template, cutoff, p_floor, y, theta):
     return logs.sum(dtype=np.float64), int(np.count_nonzero(keep))
 
 
+# extents that are not multiples of the resolution
 TEMPLATE_RANGE = Box3.from_ranges((-0.05, 4.0), (-2.07, 2.0), (0.0, 2.0))
-CUTOFFS = {
-    "inside": Box3.from_ranges((0.0, 4.0), (-1.0, 1.0), (0.0, 1.5)),
-    "straddling": Box3.from_ranges((-1.0, 3.0), (-1.5, 2.5), (0.5, 2.5)),
-    "none": _no_cutoff_box(),
-    "default": None,
-}
 
 
 @st.composite
@@ -100,17 +93,16 @@ def scenes(draw):
     ys = rng.uniform(-1.0, 1.0, thetas.size)
     on_face = rng.uniform(size=ys.size) < 0.2
     ys[on_face] = np.round(ys[on_face] / res) * res
-    cutoff = CUTOFFS[draw(st.sampled_from(sorted(CUTOFFS)))]
     p_floor = draw(st.sampled_from([1e-4, 1e-2]))
-    return frame, template, cutoff, p_floor, ys, thetas
+    return frame, template, p_floor, ys, thetas
 
 
 @settings(max_examples=60, deadline=None)
 @given(scenes())
 def test_score_equals_per_proposal_reference(scene):
-    frame, template, cutoff, p_floor, ys, thetas = scene
-    ll, ns = PoseScorer(frame, template, cutoff, p_floor).score(ys, thetas)
-    expected = [reference_score(frame, template, cutoff, p_floor, y, th) for y, th in zip(ys, thetas)]
+    frame, template, p_floor, ys, thetas = scene
+    ll, ns = PoseScorer(frame, template, p_floor).score(ys, thetas)
+    expected = [reference_score(frame, template, p_floor, y, th) for y, th in zip(ys, thetas)]
     want_ll = np.array([e[0] for e in expected])
     want_ns = np.array([e[1] for e in expected], dtype=np.int64)
     np.testing.assert_array_equal(ll.view(np.int64), want_ll.view(np.int64))
@@ -125,9 +117,10 @@ def test_scorers_of_one_template_share_its_log_table():
     template = Template(cfg, grid, 1)
     grid[:] = 1.0  # the template holds its own copy
     frame = PreprocessedFrame(PointCloud(np.array([[1.0, 0.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
-    a = PoseScorer(frame, template, None)
-    b = PoseScorer(frame, template, cfg.row_range)
-    c = PoseScorer(frame, template, None, p_floor=1e-2)
+    other = PreprocessedFrame(PointCloud(np.array([[2.0, 0.5, 0.3]]), "V"), 0.01, 0.0, 0.2)
+    a = PoseScorer(frame, template)
+    b = PoseScorer(other, template)
+    c = PoseScorer(frame, template, p_floor=1e-2)
     assert a._table is b._table
     assert a._table is not c._table
     assert a._table.dtype == F32 and not a._table.flags.writeable

@@ -45,6 +45,15 @@ def _frame_with(*points_T):
 TRUTH = GroundTruthPose(y=0.0, theta=0.0, roll=0.0, pitch=0.0, z=1.0)
 
 
+def _lookup(template, points):
+    """Per-point frequency, one voxel at a time; no_info outside the grid."""
+    idx, inside = template.config.voxel_index(points)
+    return np.array([
+        float(template.grid[tuple(i)]) if ok else template.no_info_frequency
+        for i, ok in zip(idx, inside)
+    ])
+
+
 def test_config_dims_from_extent():
     cfg = TemplateConfig(resolution=0.1)
     assert cfg.dims == (200, 100, 40)
@@ -70,7 +79,7 @@ def test_default_row_range_limits_y_to_half_spacing():
 def test_single_point_single_frame_has_frequency_one():
     target = np.array([5.03, 0.52, 1.57])
     template = build_template([_frame_with(target)], [TRUTH], TemplateConfig(), PRE)
-    idx, inside = template.voxel_indices(target[None, :])
+    idx, inside = template.config.voxel_index(target[None, :])
     assert inside[0]
     assert template.grid[tuple(idx[0])] == 1.0
 
@@ -79,7 +88,7 @@ def test_point_present_in_one_of_two_frames_has_frequency_half():
     target = np.array([5.03, 0.52, 1.57])
     clouds = [_frame_with(target), _frame_with()]
     template = build_template(clouds, [TRUTH, TRUTH], TemplateConfig(), PRE)
-    idx, _ = template.voxel_indices(target[None, :])
+    idx, _ = template.config.voxel_index(target[None, :])
     assert template.grid[tuple(idx[0])] == 0.5
 
 
@@ -94,7 +103,7 @@ def test_frequencies_in_unit_interval_and_counts_integral():
     truths = [GroundTruthPose(y=0.0, theta=0.0) for _ in clouds]
     template = build_template(clouds, truths, TemplateConfig(), PRE)
     assert np.all(template.grid >= 0.0) and np.all(template.grid <= 1.0)
-    row = template.in_row_mask()
+    row = template.config.in_row_mask()
     counts = template.grid[row].astype(np.float64) * template.n_frames
     # frequencies are stored as float32, so integrality holds to f32 precision
     assert np.max(np.abs(counts - np.round(counts))) < 1e-5
@@ -135,7 +144,7 @@ def test_build_matches_brute_force_recount():
     expected = np.zeros(cfg.dims, dtype=np.float64)
     for key, c in counts.items():
         expected[key] = c / len(clouds)
-    row = template.in_row_mask()
+    row = template.config.in_row_mask()
     np.testing.assert_allclose(template.grid[row], expected[row], atol=1e-6)
 
 
@@ -145,7 +154,7 @@ def test_wall_voxels_reach_high_frequency_over_many_frames():
     clouds = [_frame_with(wall.points) for _ in range(20)]
     template = build_template(clouds, [TRUTH] * 20, TemplateConfig(), PRE)
     probe = np.array([5.05, 1.42, 1.05])  # on the left wall
-    assert template.lookup(probe[None, :])[0] >= 0.9
+    assert _lookup(template, probe[None, :])[0] >= 0.9
 
 
 def test_lookup_matches_floor_index_oracle():
@@ -154,18 +163,24 @@ def test_lookup_matches_floor_index_oracle():
     grid = rng.uniform(0, 1, cfg.dims).astype(np.float32)
     template = Template(cfg, grid, 10)
     pts = rng.uniform(-2, 22, size=(10_000, 3)) * np.array([1.0, 0.5, 0.25])
-    got = template.lookup(pts)
+    idx, inside = cfg.voxel_index(pts)
     lo = cfg.template_range.min_corner
     hi = cfg.template_range.max_corner
-    for k in rng.integers(0, pts.shape[0], 500):
+    sample = rng.integers(0, pts.shape[0], 500)
+    got = _lookup(template, pts[sample])
+    for k, v in zip(sample, got):
         p = pts[k]
         if np.all(p >= lo) and np.all(p <= hi):
-            idx = tuple(
+            want = tuple(
                 min(int((p[a] - lo[a]) // cfg.resolution), cfg.dims[a] - 1) for a in range(3)
             )
-            assert got[k] == grid[idx]
+            assert inside[k] and tuple(idx[k]) == want
+            assert v == grid[want]
         else:
-            assert got[k] == 0.02
+            assert not inside[k]
+            assert v == 0.02
+    # indices of outside points are clamped into the grid
+    assert np.all(idx >= 0) and np.all(idx < np.array(cfg.dims))
 
 
 def test_upper_boundary_points_clamp_into_last_voxel():
@@ -174,14 +189,19 @@ def test_upper_boundary_points_clamp_into_last_voxel():
     grid[-1, -1, -1] = 0.75
     template = Template(cfg, grid, 4)
     corner = cfg.template_range.max_corner
-    assert template.lookup(corner[None, :])[0] == np.float32(0.75)
+    idx, inside = cfg.voxel_index(corner[None, :])
+    assert inside[0] and tuple(idx[0]) == tuple(d - 1 for d in cfg.dims)
+    assert _lookup(template, corner[None, :])[0] == np.float32(0.75)
+    # one axis alone, as the scorer indexes z
+    iz, z_in = cfg.voxel_index(np.array([[corner[2]], [-0.01]]), axes=(2,))
+    assert iz[:, 0].tolist() == [cfg.dims[2] - 1, 0] and z_in.tolist() == [True, False]
 
 
 def test_auto_no_info_is_below_typical_occupied_frequency():
     wall = make_wall_cloud_T(length=10.0, step=0.12)
     clouds = [_frame_with(wall.points) for _ in range(10)]
     template = build_template(clouds, [TRUTH] * 10, TemplateConfig(), PRE)
-    occ = template.grid[template.in_row_mask() & (template.grid > 0)]
+    occ = template.grid[template.config.in_row_mask() & (template.grid > 0)]
     geo = np.exp(np.log(occ[occ != np.float32(template.no_info_frequency)]).mean())
     assert 1e-3 <= template.no_info_frequency <= 0.5
     assert template.no_info_frequency < geo
