@@ -1,11 +1,7 @@
-"""Point-cloud file I/O.
+"""Point-cloud file I/O: the binary format the CLI's datasets use.
 
-Two interchangeable formats:
-  * text CSV: one "x,y,z" line per point (meters); lines starting with
-    '#' are comments/headers and are ignored
-  * binary: little-endian, magic "PC3D", u32 count, then count * 3 * f32
-
-The binary form round-trips bit-exactly.
+Little-endian: magic "PC3D", u32 count, then count * 3 * f32 (meters).
+A saved float32-representable cloud round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -22,27 +18,6 @@ BINARY_MAGIC = b"PC3D"
 
 class CloudFormatError(ValueError):
     """Malformed point-cloud file."""
-
-
-def save_cloud_csv(cloud: PointCloud, path) -> None:
-    with open(path, "w") as f:
-        f.write("# x,y,z\n")
-        for x, y, z in cloud.points:
-            f.write(f"{float(x)!r},{float(y)!r},{float(z)!r}\n")
-
-
-def load_cloud_csv(path, frame: str = "C") -> PointCloud:
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise CloudFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            rows.append([float(v) for v in parts])
-    return PointCloud(np.array(rows, dtype=np.float64).reshape(-1, 3), frame)
 
 
 def save_cloud_binary(cloud: PointCloud, path) -> None:

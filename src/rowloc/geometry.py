@@ -181,11 +181,6 @@ def transform_cloud(T: RigidTransform, cloud: PointCloud, frame: str | None = No
     return PointCloud(T.apply(cloud.points), frame if frame is not None else cloud.frame)
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform equivalent to applying b first, then a."""
-    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
 def invert(T: RigidTransform) -> RigidTransform:
     Rt = T.rotation.T
     return RigidTransform(Rt, -Rt @ T.translation)

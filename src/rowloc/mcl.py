@@ -169,11 +169,14 @@ def covariance_top_fraction(
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
-    n = poses.shape[0]
-    k = max(1, math.ceil(fraction * n))
+    k = _top_count(poses.shape[0], fraction)
     order = np.argsort(-weights, kind="stable")[:k]
     dev = poses[order] - np.array([best.y, best.theta])
     return dev.T @ dev / k
+
+
+def _top_count(n: int, fraction: float) -> int:
+    return max(1, math.ceil(fraction * n))
 
 
 def _make_estimate(poses, logliks, n_scored, cfg: MclConfig, extra_flags=()) -> PoseEstimate:
@@ -244,7 +247,14 @@ def localize_grid(
     y_step: float = 0.02,
     theta_step: float = 0.01,
 ) -> PoseEstimate:
-    """Exhaustive grid search over the prior box (deterministic oracle)."""
+    """Grid search over the prior box (deterministic oracle).
+
+    The estimate is, bit for bit, the one that scoring every cell gives.
+    Only the top `cfg.top_fraction` of cells, which set the pose and its
+    covariance, must be scored exactly, so blocks of cells whose upper
+    bound falls strictly below the k-th best score are skipped
+    (`PoseScorer.score_grid_top_k`).
+    """
     p = cfg.prior
     ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
     thetas = np.arange(p.theta_min, p.theta_max + 1e-12, theta_step)
@@ -253,7 +263,8 @@ def localize_grid(
     scorer = _scorer_for(cloud_C, template, cfg)
     if scorer is None:
         return _empty_estimate(cfg)
-    logliks, n_scored = scorer.score(poses[:, 0], poses[:, 1])
+    k = _top_count(poses.shape[0], cfg.top_fraction)
+    logliks, n_scored = scorer.score_grid_top_k(ys, thetas, k)
     if not np.any(n_scored):
         return _empty_estimate(cfg)
     return _make_estimate(poses, logliks, n_scored, cfg)

@@ -26,6 +26,14 @@ and each row is summed alone, so neither the log-likelihoods nor the
 points-scored counts depend on how proposals are grouped.  The log of
 the template grid is computed once per (template, p_floor) and kept on
 the template, whose grid is read-only.
+
+`PoseScorer.score_grid_top_k` extends the contract to top-k pruning.
+The cells it scores hold exactly what `score` returns for them, and
+every cell it skips scores strictly below the k-th best, so the k best
+cells, their order, ties broken by index, and whether any cell scores a
+point all match scoring every cell.  Grid search uses it; uniform and
+particle-filter proposals, `measurement_log_likelihood` and
+`likelihood_field`, which returns every cell, are scored exhaustively.
 """
 
 from __future__ import annotations
@@ -162,6 +170,130 @@ class PoseScorer:
         logs = self._table.take(lin)
         return logs.sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
 
+    def score_grid_top_k(
+        self, ys: np.ndarray, thetas: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The k best cells of the theta-major (thetas x ys) grid, exactly.
+
+        Returns what `score` returns for the flattened grid, except that
+        cells that cannot be among the k best (stable index order breaking
+        ties) may hold -inf and 0 points scored.  `ys` must be ascending.
+        Each heading's ys are split into blocks of _Y_BLOCK cells.  Blocks
+        are scored in rounds, highest upper bound first, and a block is
+        skipped once its bound lies strictly below the k-th best score
+        found so far.  When no scored cell scores a point, the whole grid
+        is scored, so "no cell scores a point" is decided exactly too.
+        """
+        ys = np.asarray(ys, dtype=np.float64)
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if np.any(np.diff(ys) < 0):
+            raise ValueError("grid ys must be ascending")
+        n_y = ys.size
+        n = thetas.size * n_y
+        k = min(k, n)
+        loglik = np.full(n, -np.inf)
+        n_scored = np.zeros(n, dtype=np.int64)
+        firsts = np.arange(0, n_y, _Y_BLOCK)
+        lasts = np.minimum(firsts + _Y_BLOCK, n_y) - 1
+        # cells of block j of heading 0, padded to _Y_BLOCK
+        offsets = firsts[:, None] + np.arange(_Y_BLOCK)
+        in_block = offsets <= lasts[:, None]
+
+        def score_blocks(blocks):
+            # in index order, so adjacent blocks of one heading form one run
+            t, j = np.divmod(np.sort(blocks), firsts.size)
+            cells = (t[:, None] * n_y + offsets[j])[in_block[j]]
+            loglik[cells], n_scored[cells] = self.score(ys[cells % n_y], thetas[cells // n_y])
+
+        bounds, magnitude = self._block_bounds(ys, thetas, firsts, lasts)
+        pending = np.argsort(-bounds, axis=None, kind="stable")
+        bounds = bounds.ravel()
+        while pending.size:
+            # -inf until k cells are scored, when nothing can be pruned yet
+            kth = np.partition(loglik, n - k)[n - k]
+            pending = pending[~_prunable(bounds[pending], self.n_points, magnitude, kth)]
+            score_blocks(pending[:_ROUND])
+            pending = pending[_ROUND:]
+        if not np.any(n_scored):
+            return self.score(np.tile(ys, thetas.size), np.repeat(thetas, n_y))
+        return loglik, n_scored
+
+    def _block_bounds(self, ys, thetas, firsts, lasts) -> tuple[np.ndarray, float]:
+        """Upper bounds on `score` over each y-block of each heading.
+
+        Returns the float64 sums of the per-point bounds, of shape
+        (len(thetas), len(firsts)), and the largest |log| a bound term can
+        take.  For one heading the kernel's float32 y coordinate is
+        monotone in y, so over a block a point reads only y indices from
+        the one at the block's first y to the one at its last, or the
+        no-info slot where it leaves the box.  The pooled table holds the
+        maximum over that window, the no-info log included at the box's y
+        faces; a point outside the x/z box reads the no-info slot.
+        """
+        nx, ny, nz = self._dims
+        res = self.template.config.resolution
+        # y indices one block can read: its span, widened for float32 rounding
+        span = float(np.max(ys[lasts] - ys[firsts], initial=0.0)) / res
+        ymax = float(np.max(np.abs(ys), initial=0.0))
+        span += _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
+            ny + (abs(float(self._lo_y)) + ymax) / res
+        )
+        pooled, magnitude = _pooled_table(
+            self.template, self._table, self.p_floor, math.floor(span) + 2
+        )
+        y_first = ys[firsts].astype(np.float32)[:, None]
+        bounds = np.empty((thetas.size, firsts.size))
+        # headings per pass, so the temporaries stay near `score`'s chunks
+        step = max(1, _CHUNK // max(firsts.size, 1))
+        for lo in range(0, thetas.size, step):
+            th = thetas[lo : lo + step]
+            cos_t = np.cos(th).astype(np.float32)[:, None]
+            sin_t = np.sin(th).astype(np.float32)[:, None]
+            fx = cos_t * self._qx32 - sin_t * self._qy32
+            fx -= self._lo_x
+            fx *= self._inv_res
+            keep_x = (fx >= 0) & (fx <= self._fx_hi)
+            keep_x &= self._z_keep
+            ix = fx.astype(np.int32)
+            np.clip(ix, 0, np.int32(nx - 1), out=ix)
+            ix *= np.int32(ny * nz)
+            ix += self._iz32
+            # the kernel's fy at each block's first y, in the kernel's op order
+            fy = (sin_t * self._qx32 + cos_t * self._qy32)[:, None, :] + y_first
+            fy -= self._lo_y
+            fy *= self._inv_res
+            # clamped before the cast: the first index the block can read
+            np.clip(fy, 0, np.float32(ny - 1), out=fy)
+            lin = fy.astype(np.int32)
+            lin *= np.int32(nz)
+            lin += ix[:, None, :]
+            lin *= keep_x[:, None, :]
+            bounds[lo : lo + step] = pooled.take(lin).sum(axis=2, dtype=np.float64)
+        return bounds, magnitude
+
+
+def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray:
+    """Blocks whose every cell scores strictly below `kth`.
+
+    A float64 sum of N terms errs by at most (N - 1) * 2**-53 * sum|term|
+    in any summation order.  Each score term is at most its bound term b,
+    so a cell's computed score is at most its block's computed bound plus
+    about 2 * N * 2**-53 * sum|b|.  The slack is twice that, with sum|b|
+    at most N * `magnitude`.  A block whose bound only ties `kth` may hold
+    a cell that ties the k-th best, which stable index order can rank in
+    the top k, so the comparison is strict.
+    """
+    return bounds + 2.0 * n_points * 2.0**-52 * (n_points * magnitude) < kth
+
+
+# y values per block: a longer block costs fewer bounds but reads a wider
+# pooled window, so fewer blocks can be skipped
+_Y_BLOCK = 14
+# float32 roundings a block's y span can gain, in units of eps * magnitude
+_SPAN_ULPS = 64
+# blocks scored per round before the k-th best is updated
+_ROUND = 32
+
 
 # runs of at least this many equal headings are scored as a shared-heading
 # block; shorter runs (duplicated PF particles) stay in the chunks, which
@@ -207,6 +339,38 @@ def _log_table(template: Template, p_floor: float, log_no_info: float) -> np.nda
         table.flags.writeable = False
         template._log_tables[p_floor] = table
     return table
+
+
+def _pooled_table(
+    template: Template, table: np.ndarray, p_floor: float, window: int
+) -> tuple[np.ndarray, float]:
+    """The log table max-pooled over `window` y voxels, and its largest |log|.
+
+    Voxel (ix, iy, iz) holds the max of the logs at iy .. iy + window - 1
+    (fewer at the grid's upper y face).  A window that starts at iy = 0 or
+    reaches the upper face (iy >= ny - window) also takes the no-info log:
+    a block whose first y index lies there may place the point outside
+    the box, below y = 0 or past the upper face, for some of its cells.
+    Slot 0 keeps the no-info log.  Built once per (template, p_floor,
+    window) and kept on the template.
+    """
+    key = (p_floor, window)
+    cached = template._pooled_tables.get(key)
+    if cached is None:
+        ny = template.config.dims[1]
+        logs = table[1:].reshape(template.config.dims)
+        pooled = table.copy()
+        view = pooled[1:].reshape(logs.shape)
+        for s in range(1, min(window, ny)):
+            np.maximum(view[:, :-s], logs[:, s:], out=view[:, :-s])
+        no_info = table[0]
+        np.maximum(view[:, :1], no_info, out=view[:, :1])
+        edge = view[:, max(ny - window, 0) :]
+        np.maximum(edge, no_info, out=edge)
+        pooled.flags.writeable = False
+        cached = pooled, float(np.abs(pooled).max())
+        template._pooled_tables[key] = cached
+    return cached
 
 
 def measurement_log_likelihood(
@@ -255,14 +419,3 @@ def likelihood_field(
     tt, yy = np.meshgrid(theta_values, y_values, indexing="ij")
     ll, _ = scorer.score(yy.ravel(), tt.ravel())
     return ll.reshape(theta_values.size, y_values.size)
-
-
-def save_likelihood_field_csv(path, field: np.ndarray, y_values, theta_values) -> None:
-    """CSV matrix: rows = theta nodes, cols = y nodes, with value headers."""
-    y_values = np.asarray(y_values)
-    theta_values = np.asarray(theta_values)
-    with open(path, "w") as f:
-        f.write("theta\\y," + ",".join(repr(float(v)) for v in y_values) + "\n")
-        for i, th in enumerate(theta_values):
-            row = ",".join(repr(float(v)) for v in field[i])
-            f.write(f"{float(th)!r},{row}\n")

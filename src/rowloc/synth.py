@@ -374,16 +374,6 @@ def _bend_points(points: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _unbend_points(points: np.ndarray, radius: float) -> np.ndarray:
-    pts = np.array(points, dtype=np.float64)
-    phi = np.arctan2(pts[:, 0], radius - pts[:, 1])
-    r = np.hypot(pts[:, 0], radius - pts[:, 1])
-    out = pts.copy()
-    out[:, 0] = radius * phi
-    out[:, 1] = radius - r
-    return out
-
-
 def bend_row(obj, radius: float, row_length: float | None = None):
     """Bend a straight scene or cloud onto a circle of the given radius."""
     if isinstance(obj, OrchardScene):
@@ -397,15 +387,6 @@ def bend_row(obj, radius: float, row_length: float | None = None):
     if isinstance(obj, OrchardScene):
         return replace(obj, points=_bend_points(obj.points, radius), curvature_radius=radius)
     return PointCloud(_bend_points(obj.points, radius), obj.frame)
-
-
-def unbend_row(obj, radius: float):
-    """Inverse of bend_row."""
-    if math.isinf(radius):
-        return obj
-    if isinstance(obj, OrchardScene):
-        return replace(obj, points=_unbend_points(obj.points, radius), curvature_radius=math.inf)
-    return PointCloud(_unbend_points(obj.points, radius), obj.frame)
 
 
 def bent_pose(pose: Pose6D, radius: float) -> Pose6D:

@@ -125,8 +125,10 @@ class Template:
     config: TemplateConfig
     grid: np.ndarray  # (nx, ny, nz) float32, read-only
     n_frames: int
-    # per-p_floor log tables, filled by the sensor model (measurement.py)
+    # per-p_floor log tables and per-(p_floor, window) y-max-pooled copies,
+    # filled by the sensor model (measurement.py)
     _log_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pooled_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The grid is read-only so tables derived from it cannot go stale:

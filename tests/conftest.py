@@ -1,9 +1,17 @@
 """Shared fixtures: deterministic hand-built scenes and small synthetic runs."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rowloc.geometry import PointCloud, invert, make_pose_transform, transform_cloud
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failure
+# seen in CI reproduces locally with the same variable set
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_wall_cloud_T(

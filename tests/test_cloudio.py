@@ -1,36 +1,8 @@
 import numpy as np
 import pytest
 
-from rowloc.cloudio import (
-    CloudFormatError,
-    load_cloud_binary,
-    load_cloud_csv,
-    save_cloud_binary,
-    save_cloud_csv,
-)
+from rowloc.cloudio import CloudFormatError, load_cloud_binary, save_cloud_binary
 from rowloc.geometry import PointCloud
-
-
-def test_csv_round_trip(tmp_path):
-    pts = np.array([[1.25, -0.5, 3.0], [0.1, 0.2, 0.3]])
-    path = tmp_path / "cloud.csv"
-    save_cloud_csv(PointCloud(pts), path)
-    back = load_cloud_csv(path, frame="T")
-    assert back.frame == "T"
-    np.testing.assert_array_equal(back.points, pts)
-
-
-def test_csv_ignores_comments_and_blank_lines(tmp_path):
-    path = tmp_path / "cloud.csv"
-    path.write_text("# header\n\n1,2,3\n# mid\n4,5,6\n")
-    np.testing.assert_array_equal(load_cloud_csv(path).points, [[1, 2, 3], [4, 5, 6]])
-
-
-def test_csv_rejects_wrong_field_count(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2\n")
-    with pytest.raises(CloudFormatError):
-        load_cloud_csv(path)
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

@@ -11,7 +11,6 @@ from rowloc.geometry import (
     PointCloud,
     PreprocessConfig,
     RigidTransform,
-    compose,
     cutoff_filter,
     invert,
     make_pose_transform,
@@ -53,14 +52,6 @@ def test_rotation_matrices_are_orthonormal():
         R = rotation_from_euler(*rng.uniform(-3, 3, 3)).rotation
         np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(R) == pytest.approx(1.0)
-
-
-def test_compose_matches_sequential_application():
-    rng = np.random.default_rng(5)
-    a = RigidTransform(rotation_from_euler(0.1, -0.2, 0.7).rotation, rng.normal(size=3))
-    b = RigidTransform(rotation_from_euler(-0.4, 0.3, 1.2).rotation, rng.normal(size=3))
-    pts = rng.normal(size=(40, 3))
-    np.testing.assert_allclose(compose(a, b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
 
 def test_invert_round_trip_below_1e9():

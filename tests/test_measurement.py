@@ -10,7 +10,6 @@ from rowloc.measurement import (
     PoseScorer,
     likelihood_field,
     measurement_log_likelihood,
-    save_likelihood_field_csv,
 )
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 from rowloc.synth import SensorSpec, render_frame, generate_scene, vineyard_preset
@@ -204,16 +203,3 @@ def test_field_grids_must_be_nonempty(centered_wall_cloud_C):
     template = _build_wall_template()
     with pytest.raises(ValueError):
         likelihood_field(centered_wall_cloud_C, template, np.array([]), np.array([0.0]))
-
-
-def test_field_csv_round_trips_values(tmp_path, centered_wall_cloud_C):
-    template = _build_wall_template()
-    ys = np.array([-0.1, 0.1])
-    thetas = np.array([0.0, 0.05])
-    field = likelihood_field(centered_wall_cloud_C, template, ys, thetas)
-    path = tmp_path / "field.csv"
-    save_likelihood_field_csv(path, field, ys, thetas)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    back = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-    np.testing.assert_array_equal(back, field)

@@ -22,7 +22,6 @@ from rowloc.synth import (
     simulate_odometry,
     sinusoidal_trajectory,
     truncate_row_end,
-    unbend_row,
     unit_tree_membership,
     vineyard_preset,
 )
@@ -324,12 +323,6 @@ def test_bend_preserves_arc_spacing():
     chord = np.linalg.norm(np.diff(bent[:, :2], axis=0), axis=1)
     arc = 2.0 * R * np.arcsin(chord / (2.0 * R))
     np.testing.assert_allclose(arc, np.diff(xs), atol=1e-9)
-
-
-def test_bend_unbend_round_trip():
-    cloud = _template_frame_cloud()
-    back = unbend_row(bend_row(cloud, 135.0, row_length=20.0), 135.0)
-    np.testing.assert_allclose(back.points, cloud.points, atol=1e-9)
 
 
 def test_bend_rejects_too_small_radius():
