@@ -228,13 +228,21 @@ def localize_uniform(
     seed: int,
     n: int | None = None,
 ) -> PoseEstimate:
-    """Draw n uniform proposals, score them all, return the argmax pose."""
+    """Draw n uniform proposals and return the best-scoring pose.
+
+    The estimate is, bit for bit, the one that scoring every proposal
+    gives.  Only the top `cfg.top_fraction` of proposals, which set the
+    pose and its covariance, must be scored exactly, so blocks of
+    proposals whose upper bound falls strictly below the k-th best score
+    are skipped (`PoseScorer.score_top_k`).
+    """
     n = n if n is not None else cfg.n_particles
     poses = sample_uniform(cfg.prior, n, seed)
     scorer = _scorer_for(cloud_C, template, cfg)
     if scorer is None:
         return _empty_estimate(cfg)
-    logliks, n_scored = scorer.score(poses[:, 0], poses[:, 1])
+    k = _top_count(n, cfg.top_fraction)
+    logliks, n_scored = scorer.score_top_k(poses[:, 0], poses[:, 1], k)
     if not np.any(n_scored):
         return _empty_estimate(cfg)
     return _make_estimate(poses, logliks, n_scored, cfg)
@@ -253,7 +261,7 @@ def localize_grid(
     Only the top `cfg.top_fraction` of cells, which set the pose and its
     covariance, must be scored exactly, so blocks of cells whose upper
     bound falls strictly below the k-th best score are skipped
-    (`PoseScorer.score_grid_top_k`).
+    (`PoseScorer.score_top_k`).
     """
     p = cfg.prior
     ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
@@ -264,7 +272,7 @@ def localize_grid(
     if scorer is None:
         return _empty_estimate(cfg)
     k = _top_count(poses.shape[0], cfg.top_fraction)
-    logliks, n_scored = scorer.score_grid_top_k(ys, thetas, k)
+    logliks, n_scored = scorer.score_top_k(poses[:, 0], poses[:, 1], k)
     if not np.any(n_scored):
         return _empty_estimate(cfg)
     return _make_estimate(poses, logliks, n_scored, cfg)

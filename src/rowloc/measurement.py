@@ -27,12 +27,13 @@ points-scored counts depend on how proposals are grouped.  The log of
 the template grid is computed once per (template, p_floor) and kept on
 the template, whose grid is read-only.
 
-`PoseScorer.score_grid_top_k` extends the contract to top-k pruning.
-The cells it scores hold exactly what `score` returns for them, and
-every cell it skips scores strictly below the k-th best, so the k best
-cells, their order, ties broken by index, and whether any cell scores a
-point all match scoring every cell.  Grid search uses it; uniform and
-particle-filter proposals, `measurement_log_likelihood` and
+`PoseScorer.score_top_k` extends the contract to top-k pruning.  The
+proposals it scores hold exactly what `score` returns for them, and
+every proposal it skips scores strictly below the k-th best, so the k
+best proposals, their order, ties broken by index, and whether any
+proposal scores a point all match scoring every proposal.  Uniform
+sampling and grid search use it.  Particle-filter proposals, whose
+weights need every score, `measurement_log_likelihood` and
 `likelihood_field`, which returns every cell, are scored exhaustively.
 """
 
@@ -170,126 +171,192 @@ class PoseScorer:
         logs = self._table.take(lin)
         return logs.sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
 
-    def score_grid_top_k(
+    def score_top_k(
         self, ys: np.ndarray, thetas: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The k best cells of the theta-major (thetas x ys) grid, exactly.
+        """The k best of the proposals (ys, thetas), exactly.
 
-        Returns what `score` returns for the flattened grid, except that
-        cells that cannot be among the k best (stable index order breaking
-        ties) may hold -inf and 0 points scored.  `ys` must be ascending.
-        Each heading's ys are split into blocks of _Y_BLOCK cells.  Blocks
-        are scored in rounds, highest upper bound first, and a block is
-        skipped once its bound lies strictly below the k-th best score
-        found so far.  When no scored cell scores a point, the whole grid
-        is scored, so "no cell scores a point" is decided exactly too.
+        Returns what `score` returns, in the proposals' order, except that
+        proposals that cannot be among the k best (stable index order
+        breaking ties) may hold -inf and 0 points scored.  The proposals
+        are grouped into (heading-bin x y-bin) blocks (`_block_bounds`).
+        Blocks are scored in rounds, highest upper bound first, and a block
+        is skipped once its bound lies strictly below the k-th best score
+        found so far.  When no scored proposal scores a point, every
+        proposal is scored, so "no proposal scores a point" is decided
+        exactly too.
         """
         ys = np.asarray(ys, dtype=np.float64)
         thetas = np.asarray(thetas, dtype=np.float64)
-        if np.any(np.diff(ys) < 0):
-            raise ValueError("grid ys must be ascending")
-        n_y = ys.size
-        n = thetas.size * n_y
+        n = ys.size
         k = min(k, n)
+        if k < 1:
+            return self.score(ys, thetas)
         loglik = np.full(n, -np.inf)
         n_scored = np.zeros(n, dtype=np.int64)
-        firsts = np.arange(0, n_y, _Y_BLOCK)
-        lasts = np.minimum(firsts + _Y_BLOCK, n_y) - 1
-        # cells of block j of heading 0, padded to _Y_BLOCK
-        offsets = firsts[:, None] + np.arange(_Y_BLOCK)
-        in_block = offsets <= lasts[:, None]
-
-        def score_blocks(blocks):
-            # in index order, so adjacent blocks of one heading form one run
-            t, j = np.divmod(np.sort(blocks), firsts.size)
-            cells = (t[:, None] * n_y + offsets[j])[in_block[j]]
-            loglik[cells], n_scored[cells] = self.score(ys[cells % n_y], thetas[cells // n_y])
-
-        bounds, magnitude = self._block_bounds(ys, thetas, firsts, lasts)
-        pending = np.argsort(-bounds, axis=None, kind="stable")
-        bounds = bounds.ravel()
+        block_of, bounds, magnitude = self._block_bounds(ys, thetas)
+        pending = np.argsort(-bounds, kind="stable")
+        chosen = np.zeros(bounds.size, dtype=bool)
         while pending.size:
-            # -inf until k cells are scored, when nothing can be pruned yet
+            # -inf until k proposals are scored, when nothing can be pruned yet
             kth = np.partition(loglik, n - k)[n - k]
             pending = pending[~_prunable(bounds[pending], self.n_points, magnitude, kth)]
-            score_blocks(pending[:_ROUND])
+            chosen[:] = False
+            chosen[pending[:_ROUND]] = True
+            # in the proposals' order, so a grid's runs of one heading stay runs
+            cells = np.flatnonzero(chosen[block_of])
+            loglik[cells], n_scored[cells] = self.score(ys[cells], thetas[cells])
             pending = pending[_ROUND:]
         if not np.any(n_scored):
-            return self.score(np.tile(ys, thetas.size), np.repeat(thetas, n_y))
+            return self.score(ys, thetas)
         return loglik, n_scored
 
-    def _block_bounds(self, ys, thetas, firsts, lasts) -> tuple[np.ndarray, float]:
-        """Upper bounds on `score` over each y-block of each heading.
+    def _block_bounds(self, ys, thetas) -> tuple[np.ndarray, np.ndarray, float]:
+        """Each proposal's block, upper bounds on `score` over each block.
 
-        Returns the float64 sums of the per-point bounds, of shape
-        (len(thetas), len(firsts)), and the largest |log| a bound term can
-        take.  For one heading the kernel's float32 y coordinate is
-        monotone in y, so over a block a point reads only y indices from
-        the one at the block's first y to the one at its last, or the
-        no-info slot where it leaves the box.  The pooled table holds the
-        maximum over that window, the no-info log included at the box's y
-        faces; a point outside the x/z box reads the no-info slot.
+        Returns the block of every proposal, the float64 sums of each
+        block's per-point bounds, and the largest |log| a bound term can
+        take.
+
+        Heading bins are 2 * _ROT_SLACK voxels wide at the frame's largest
+        point range r, and y-bins _Y_BIN voxels (`_proposal_blocks`).  A
+        bin's bound is read at one heading, the middle of its range, where
+        a point lies at most S = r * (half the bin's width) / res voxels,
+        plus float32 rounding, in x and in y from where any of the bin's
+        headings puts it.  For one heading the kernel's float32 y
+        coordinate is monotone in y.  So over a block a point reads x
+        indices within S of its x at the middle heading, and y indices from
+        S below its y at the block's lowest y to S above its y at the
+        block's highest y, or the no-info slot where it leaves the box.
+        The pooled table holds the maximum over that window, the no-info
+        log included at the box's faces the window can cross; a point
+        whose x range misses the box, or outside the z range, reads the
+        no-info slot.  A bin of one heading has S = 0: its x coordinates
+        are the kernel's, bit for bit, and its x window is 1.
         """
+        cfg = self.template.config
+        res = cfg.resolution
         nx, ny, nz = self._dims
-        res = self.template.config.resolution
-        # y indices one block can read: its span, widened for float32 rounding
-        span = float(np.max(ys[lasts] - ys[firsts], initial=0.0)) / res
-        ymax = float(np.max(np.abs(ys), initial=0.0))
-        span += _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
-            ny + (abs(float(self._lo_y)) + ymax) / res
+        q = np.hypot(self._qx32, self._qy32, dtype=np.float64)
+        r_max = float(np.max(q[self._z_keep], initial=0.0))
+
+        width = 2.0 * _ROT_SLACK * res / max(r_max, res)
+        block_of, block_bin, y_lo, span, middle, half = _proposal_blocks(
+            ys, thetas, width, _Y_BIN * res
         )
+        n_blocks = block_bin.size
+
+        # float32 rounding the kernel's coordinates can gain, in voxels
+        lo = cfg.template_range.min_corner
+        margin = _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
+            max(nx, ny)
+            + (abs(lo[0]) + abs(lo[1]) + r_max + float(np.max(np.abs(ys)))) / res
+        )
+        # a full bin's slack and span at least, so the windows, and with
+        # them the pooled table, do not vary with the proposals
+        span = max(span / res, _Y_BIN)
+        if half > 0.0:
+            slack = max(r_max * half / res, _ROT_SLACK) + margin
+            x_window = math.floor(2.0 * slack) + 2
+        else:
+            slack, x_window = 0.0, 1
+        y_window = math.floor(span + 2.0 * slack + margin) + 2
         pooled, magnitude = _pooled_table(
-            self.template, self._table, self.p_floor, math.floor(span) + 2
+            self.template, self._table, self.p_floor, x_window, y_window
         )
-        y_first = ys[firsts].astype(np.float32)[:, None]
-        bounds = np.empty((thetas.size, firsts.size))
-        # headings per pass, so the temporaries stay near `score`'s chunks
-        step = max(1, _CHUNK // max(firsts.size, 1))
-        for lo in range(0, thetas.size, step):
-            th = thetas[lo : lo + step]
-            cos_t = np.cos(th).astype(np.float32)[:, None]
-            sin_t = np.sin(th).astype(np.float32)[:, None]
-            fx = cos_t * self._qx32 - sin_t * self._qy32
+
+        slack32 = np.float32(slack)
+        cos_m = np.cos(middle).astype(np.float32)[:, None]
+        sin_m = np.sin(middle).astype(np.float32)[:, None]
+        y_lo32 = y_lo.astype(np.float32)[:, None]
+        bounds = np.empty(n_blocks)
+        # blocks per pass, so the temporaries stay near `score`'s chunks
+        for first in range(0, n_blocks, _CHUNK):
+            blocks = slice(first, first + _CHUNK)
+            b = block_bin[blocks]
+            hb = slice(b[0], b[-1] + 1)
+            b = b - b[0]
+            # the kernel's fx at each bin's middle heading, in its op order
+            fx = cos_m[hb] * self._qx32 - sin_m[hb] * self._qy32
             fx -= self._lo_x
             fx *= self._inv_res
-            keep_x = (fx >= 0) & (fx <= self._fx_hi)
+            keep_x = (fx + slack32 >= 0) & (fx - slack32 <= self._fx_hi)
             keep_x &= self._z_keep
+            fx -= slack32
+            # clamped before the cast: the first index the window reads
+            np.clip(fx, 0, np.float32(nx - 1), out=fx)
             ix = fx.astype(np.int32)
-            np.clip(ix, 0, np.int32(nx - 1), out=ix)
             ix *= np.int32(ny * nz)
             ix += self._iz32
-            # the kernel's fy at each block's first y, in the kernel's op order
-            fy = (sin_t * self._qx32 + cos_t * self._qy32)[:, None, :] + y_first
+            # and its fy at each block's lowest y
+            fy = (sin_m[hb] * self._qx32 + cos_m[hb] * self._qy32)[b] + y_lo32[blocks]
             fy -= self._lo_y
             fy *= self._inv_res
-            # clamped before the cast: the first index the block can read
+            fy -= slack32
             np.clip(fy, 0, np.float32(ny - 1), out=fy)
             lin = fy.astype(np.int32)
             lin *= np.int32(nz)
-            lin += ix[:, None, :]
-            lin *= keep_x[:, None, :]
-            bounds[lo : lo + step] = pooled.take(lin).sum(axis=2, dtype=np.float64)
-        return bounds, magnitude
+            lin += ix[b]
+            lin *= keep_x[b]
+            bounds[blocks] = pooled.take(lin).sum(axis=1, dtype=np.float64)
+        return block_of, bounds, magnitude
+
+
+def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
+    """Group proposals into (heading-bin x y-bin) blocks.
+
+    A heading that _MIN_RUN or more proposals share, as each of a grid's
+    does, is a heading bin of its own; the other proposals fall into bins
+    `heading_width` wide.  Each bin is cut into y-bins `y_width` wide.
+    Blocks are numbered heading bin first, so the blocks of one bin are
+    adjacent.  Returns each proposal's block; each block's heading bin,
+    lowest y and y span (the largest over blocks); and each bin's middle
+    heading with the largest distance from a bin's middle to a heading in
+    it.
+    """
+    headings, run, run_len = np.unique(thetas, return_inverse=True, return_counts=True)
+    wide = np.floor((thetas - headings[0]) / heading_width).astype(np.int64) + headings.size
+    _, hbin = np.unique(np.where(run_len[run] >= _MIN_RUN, run, wide), return_inverse=True)
+    ybin = np.floor((ys - ys.min()) / y_width).astype(np.int64)
+    _, block_of = np.unique(hbin * (ybin.max() + 1) + ybin, return_inverse=True)
+    n_blocks = int(block_of.max()) + 1
+    block_bin = np.empty(n_blocks, dtype=np.int64)
+    block_bin[block_of] = hbin
+
+    bin_lo = np.full(block_bin[-1] + 1, np.inf)
+    bin_hi = np.full(block_bin[-1] + 1, -np.inf)
+    np.minimum.at(bin_lo, hbin, thetas)
+    np.maximum.at(bin_hi, hbin, thetas)
+    middle = 0.5 * (bin_lo + bin_hi)
+    half = float(np.max(np.maximum(bin_hi - middle, middle - bin_lo)))
+    y_lo = np.full(n_blocks, np.inf)
+    y_hi = np.full(n_blocks, -np.inf)
+    np.minimum.at(y_lo, block_of, ys)
+    np.maximum.at(y_hi, block_of, ys)
+    return block_of, block_bin, y_lo, float(np.max(y_hi - y_lo)), middle, half
 
 
 def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray:
-    """Blocks whose every cell scores strictly below `kth`.
+    """Blocks whose every proposal scores strictly below `kth`.
 
     A float64 sum of N terms errs by at most (N - 1) * 2**-53 * sum|term|
     in any summation order.  Each score term is at most its bound term b,
-    so a cell's computed score is at most its block's computed bound plus
-    about 2 * N * 2**-53 * sum|b|.  The slack is twice that, with sum|b|
-    at most N * `magnitude`.  A block whose bound only ties `kth` may hold
-    a cell that ties the k-th best, which stable index order can rank in
-    the top k, so the comparison is strict.
+    so a proposal's computed score is at most its block's computed bound
+    plus about 2 * N * 2**-53 * sum|b|.  The slack is twice that, with
+    sum|b| at most N * `magnitude`.  A block whose bound only ties `kth`
+    may hold a proposal that ties the k-th best, which stable index order
+    can rank in the top k, so the comparison is strict.
     """
     return bounds + 2.0 * n_points * 2.0**-52 * (n_points * magnitude) < kth
 
 
-# y values per block: a longer block costs fewer bounds but reads a wider
-# pooled window, so fewer blocks can be skipped
-_Y_BLOCK = 14
-# float32 roundings a block's y span can gain, in units of eps * magnitude
+# the rotation slack of a heading bin, in voxels at the frame's largest
+# point range: wider bins cost fewer bounds but read a wider pooled window
+_ROT_SLACK = 0.75
+# the width of a y-bin, in voxels; both are kept off whole numbers so that
+# the pooled windows do not depend on float rounding
+_Y_BIN = 1.9
+# float32 roundings a coordinate can gain, in units of eps * magnitude
 _SPAN_ULPS = 64
 # blocks scored per round before the k-th best is updated
 _ROUND = 32
@@ -342,31 +409,38 @@ def _log_table(template: Template, p_floor: float, log_no_info: float) -> np.nda
 
 
 def _pooled_table(
-    template: Template, table: np.ndarray, p_floor: float, window: int
+    template: Template, table: np.ndarray, p_floor: float, x_window: int, y_window: int
 ) -> tuple[np.ndarray, float]:
-    """The log table max-pooled over `window` y voxels, and its largest |log|.
+    """The log table max-pooled over x and y windows, and its largest |log|.
 
-    Voxel (ix, iy, iz) holds the max of the logs at iy .. iy + window - 1
-    (fewer at the grid's upper y face).  A window that starts at iy = 0 or
-    reaches the upper face (iy >= ny - window) also takes the no-info log:
-    a block whose first y index lies there may place the point outside
-    the box, below y = 0 or past the upper face, for some of its cells.
-    Slot 0 keeps the no-info log.  Built once per (template, p_floor,
-    window) and kept on the template.
+    Voxel (ix, iy, iz) holds the max of the logs at ix .. ix + x_window - 1
+    and iy .. iy + y_window - 1 (fewer at the grid's upper faces).  A
+    window that starts at iy = 0 or reaches the upper y face
+    (iy >= ny - y_window) also takes the no-info log: a block whose first
+    y index lies there may place the point outside the box, below y = 0 or
+    past the upper face, for some of its proposals.  So does a window of
+    more than one x voxel at the x faces.  Slot 0 keeps the no-info log.
+    Built once per (template, p_floor, windows) and kept on the template.
     """
-    key = (p_floor, window)
+    key = (p_floor, x_window, y_window)
     cached = template._pooled_tables.get(key)
     if cached is None:
-        ny = template.config.dims[1]
+        nx, ny, _ = template.config.dims
         logs = table[1:].reshape(template.config.dims)
         pooled = table.copy()
         view = pooled[1:].reshape(logs.shape)
-        for s in range(1, min(window, ny)):
+        for s in range(1, min(y_window, ny)):
             np.maximum(view[:, :-s], logs[:, s:], out=view[:, :-s])
+        if x_window > 1:
+            y_pooled = view.copy()
+            for s in range(1, min(x_window, nx)):
+                np.maximum(view[:-s], y_pooled[s:], out=view[:-s])
         no_info = table[0]
-        np.maximum(view[:, :1], no_info, out=view[:, :1])
-        edge = view[:, max(ny - window, 0) :]
-        np.maximum(edge, no_info, out=edge)
+        faces = [view[:, :1], view[:, max(ny - y_window, 0) :]]
+        if x_window > 1:
+            faces += [view[:1], view[max(nx - x_window, 0) :]]
+        for face in faces:
+            np.maximum(face, no_info, out=face)
         pooled.flags.writeable = False
         cached = pooled, float(np.abs(pooled).max())
         template._pooled_tables[key] = cached

@@ -15,6 +15,8 @@ import numpy as np
 
 from .geometry import (
     Box3,
+    DegenerateInputError,
+    LowConfidenceFitError,
     PointCloud,
     PreprocessConfig,
     cutoff_filter,
@@ -125,8 +127,8 @@ class Template:
     config: TemplateConfig
     grid: np.ndarray  # (nx, ny, nz) float32, read-only
     n_frames: int
-    # per-p_floor log tables and per-(p_floor, window) y-max-pooled copies,
-    # filled by the sensor model (measurement.py)
+    # per-p_floor log tables and per-(p_floor, x window, y window)
+    # max-pooled copies, filled by the sensor model (measurement.py)
     _log_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pooled_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -160,7 +162,9 @@ def build_template(
     height) from the ground-plane fit and (y, theta) from ground truth,
     cut to the in-row region, and mark each occupied voxel once per frame.
     The final grid is the count divided by the number of frames, with the
-    out-of-row region filled with no_info_frequency.
+    out-of-row region filled with no_info_frequency.  A frame with no
+    usable ground (no points, or no ground plane fit) teaches nothing and
+    is left out of both; `ValueError` is raised when no frame is usable.
     """
     if len(clouds_C) != len(truths):
         raise ValueError(f"{len(clouds_C)} clouds vs {len(truths)} truth poses")
@@ -168,9 +172,13 @@ def build_template(
         raise ValueError("need at least one frame to build a template")
 
     counts = np.zeros(cfg.dims, dtype=np.float64)
-    n = len(clouds_C)
+    n = 0
     for cloud, truth in zip(clouds_C, truths):
-        frame = preprocess(cloud, pre_cfg)
+        try:
+            frame = preprocess(cloud, pre_cfg)
+        except (DegenerateInputError, LowConfidenceFitError):
+            continue
+        n += 1
         roll = truth.roll if truth.roll is not None else frame.roll
         pitch = truth.pitch if truth.pitch is not None else frame.pitch
         z = truth.z if truth.z is not None else frame.height
@@ -184,6 +192,8 @@ def build_template(
         idx = idx[group_rows(idx)[1]]  # each occupied voxel once
         np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1.0)
 
+    if n == 0:
+        raise ValueError("no teaching frame has usable ground")
     freq = counts / float(n)
     row_mask = cfg.in_row_mask()
     no_info = cfg.no_info_frequency

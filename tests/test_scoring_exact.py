@@ -5,9 +5,9 @@ packs the rest into chunks; neither may change a single log-likelihood
 bit or points-scored count.  The reference below scores one proposal at
 a time with the scorer's float32 arithmetic written out step by step.
 
-Grid search scores only the y-blocks whose upper bound reaches the k-th
-best cell; its estimate must equal, bit for bit, the one built from
-scoring every cell.
+Grid search and uniform sampling score only the blocks of proposals
+whose upper bound reaches the k-th best score; their estimates must
+equal, bit for bit, the ones built from scoring every proposal.
 """
 
 import math
@@ -27,8 +27,9 @@ from rowloc.mcl import (
     _empty_estimate,
     _make_estimate,
     localize_grid,
+    localize_uniform,
 )
-from rowloc.measurement import PoseScorer, _prunable
+from rowloc.measurement import _ROT_SLACK, _ROUND, _Y_BIN, PoseScorer, _prunable
 from rowloc.template import Template, TemplateConfig
 
 F32 = np.float32
@@ -143,13 +144,17 @@ def test_scorers_of_one_template_share_its_log_table():
     assert np.all(template.grid == F32(0.5))
 
 
-def exhaustive_grid_estimate(frame, template, cfg, y_step, theta_step):
-    """`localize_grid`'s estimate from scoring every cell of the grid."""
+def grid_poses(cfg, y_step, theta_step):
+    """`localize_grid`'s cells, theta-major."""
     p = cfg.prior
     ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
     thetas = np.arange(p.theta_min, p.theta_max + 1e-12, theta_step)
     tt, yy = np.meshgrid(thetas, ys, indexing="ij")
-    poses = np.column_stack([yy.ravel(), tt.ravel()])
+    return np.column_stack([yy.ravel(), tt.ravel()])
+
+
+def exhaustive_estimate(frame, template, cfg, poses):
+    """The estimate built from scoring every proposal."""
     ll, ns = PoseScorer(frame, template, cfg.p_floor).score(poses[:, 0], poses[:, 1])
     if not np.any(ns):
         return _empty_estimate(cfg)
@@ -162,6 +167,13 @@ def pruned_grid_estimate(frame, template, cfg, y_step, theta_step):
         return localize_grid(frame.cloud_V, template, cfg, y_step, theta_step)
 
 
+def pruned_uniform_estimate(frame, template, cfg, poses):
+    """`localize_uniform` on an already preprocessed frame, drawing `poses`."""
+    with mock.patch.object(mcl, "preprocess", lambda cloud, pre_cfg: frame), \
+            mock.patch.object(mcl, "sample_uniform", lambda prior, n, seed: poses):
+        return localize_uniform(frame.cloud_V, template, cfg, seed=0, n=len(poses))
+
+
 def estimate_bits(est):
     floats = np.array([est.pose.y, est.pose.theta, est.std_y, est.std_theta, est.loglik])
     cov = np.asarray(est.covariance, dtype=np.float64)
@@ -171,8 +183,35 @@ def estimate_bits(est):
 ROW_RANGE = Box3.from_ranges((0.0, 4.0), (-1.0, 1.0), (0.0, 2.0))
 
 
+def uniform_proposals(draw, rng, frame, template, cfg):
+    """A uniform proposal set: random, with duplicates, one pose, or on bin edges."""
+    kind = draw(st.sampled_from(["random", "duplicates", "one", "bin-edges"]))
+    n = 1 if kind == "one" else draw(st.integers(2, 300))
+    p = cfg.prior
+    ys = rng.uniform(p.y_min, p.y_max, n)
+    thetas = rng.uniform(p.theta_min, p.theta_max, n)
+    if kind == "duplicates":
+        # headings shared by a grid column's worth of proposals, and repeated poses
+        thetas = thetas[rng.integers(0, max(1, n // 12), n)]
+        src = rng.integers(0, n, n)
+        copy = rng.uniform(size=n) < 0.3
+        ys[copy], thetas[copy] = ys[src[copy]], thetas[src[copy]]
+    elif kind == "bin-edges":
+        # on the edges of the heading bins and y-bins the scorer cuts
+        scorer = PoseScorer(frame, template, cfg.p_floor)
+        res = template.config.resolution
+        r = np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64)[scorer._z_keep]
+        width = 2.0 * _ROT_SLACK * res / max(float(r.max(initial=0.0)), res)
+        edge = rng.uniform(size=n) < 0.5
+        thetas[edge] = thetas.min() + rng.integers(0, 8, edge.sum()) * width
+        edge = rng.uniform(size=n) < 0.5
+        ys[edge] = ys.min() + rng.integers(0, 8, edge.sum()) * (_Y_BIN * res)
+    return np.column_stack([ys, thetas])
+
+
 @st.composite
-def grid_scenes(draw):
+def search_scenes(draw):
+    """A frame, a template, a config and a grid search or a uniform proposal set."""
     res = draw(st.sampled_from([0.1, 0.25, 0.3]))
     no_info = draw(st.floats(1e-5, 0.5))
     cfg = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
@@ -180,7 +219,7 @@ def grid_scenes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "peaked", "constant"]))
     if kind == "constant":
-        # in the box or out of it, every point reads the same log: all cells tie
+        # in the box or out of it, every point reads the same log: all proposals tie
         grid = np.full(cfg.dims, no_info, dtype=F32)
     else:
         grid = rng.uniform(0.0, 1.0, cfg.dims).astype(F32)
@@ -201,16 +240,24 @@ def grid_scenes(draw):
         prior=UniformPrior(-y_half, y_half, -theta_half, theta_half),
         p_floor=draw(st.sampled_from([1e-4, 1e-2])),
     )
-    y_step = draw(st.sampled_from([0.02, 0.05, 0.013]))
-    theta_step = draw(st.sampled_from([0.01, 0.03, 0.1]))
-    return frame, template, mcl_cfg, y_step, theta_step
+    if draw(st.booleans()):
+        steps = (draw(st.sampled_from([0.02, 0.05, 0.013])),
+                 draw(st.sampled_from([0.01, 0.03, 0.1])))
+        return frame, template, mcl_cfg, steps
+    return frame, template, mcl_cfg, uniform_proposals(draw, rng, frame, template, mcl_cfg)
 
 
-@settings(max_examples=80, deadline=None)
-@given(grid_scenes())
+@settings(max_examples=120, deadline=None)
+@given(search_scenes())
 def test_pruned_grid_search_equals_exhaustive(scene):
-    want = exhaustive_grid_estimate(*scene)
-    got = pruned_grid_estimate(*scene)
+    """Grid search, and uniform sampling of any proposal set, equal exhaustive scoring."""
+    frame, template, cfg, search = scene
+    if isinstance(search, tuple):
+        want = exhaustive_estimate(frame, template, cfg, grid_poses(cfg, *search))
+        got = pruned_grid_estimate(frame, template, cfg, *search)
+    else:
+        want = exhaustive_estimate(frame, template, cfg, search)
+        got = pruned_uniform_estimate(frame, template, cfg, search)
     assert estimate_bits(got) == estimate_bits(want)
 
 
@@ -223,7 +270,7 @@ def test_grid_search_scores_every_cell_when_its_top_cells_score_no_point():
     template = Template(cfg, np.zeros(cfg.dims, dtype=F32), 10)
     frame = PreprocessedFrame(PointCloud(np.array([[3.9, -1.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
     mcl_cfg = MclConfig(prior=UniformPrior(-0.5, 0.5, 0.0, 0.6))
-    want = exhaustive_grid_estimate(frame, template, mcl_cfg, 0.02, 0.01)
+    want = exhaustive_estimate(frame, template, mcl_cfg, grid_poses(mcl_cfg, 0.02, 0.01))
     assert want.n_points == 0 and FLAG_EMPTY_MEASUREMENT not in want.flags
     got = pruned_grid_estimate(frame, template, mcl_cfg, 0.02, 0.01)
     assert estimate_bits(got) == estimate_bits(want)
@@ -247,14 +294,115 @@ def test_grid_search_skips_cells_on_a_peaked_frame(monkeypatch):
     assert 0 < sum(scored) < 0.5 * 81 * 121
 
 
-def test_grid_top_k_rejects_descending_ys():
-    # a block's bound assumes its first y is its lowest
-    cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
-                         no_info_frequency=0.02)
-    template = Template(cfg, np.zeros(cfg.dims, dtype=F32), 1)
-    frame = PreprocessedFrame(PointCloud(np.array([[1.0, 0.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        PoseScorer(frame, template).score_grid_top_k(np.array([0.1, 0.0]), np.array([0.0]), 1)
+SLACK_BOX = Box3.from_ranges((-2.0, 4.0), (-3.0, 3.0), (0.0, 2.0))
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("corner", ["low", "high"])
+def test_rotation_slack_covers_a_far_point_at_a_heading_bin_edge(axis, corner):
+    """One point at the frame's largest range; one block's two proposals sit
+    at the edges of its heading bin (and, for y, at the ends of its y-bin).
+    At the bin's middle heading the point lies in a cold voxel; rotated to
+    one edge heading it crosses voxel faces into the first or the last
+    voxel of the block's pooled window, which is hot.  A bound read without
+    the rotation slack, or through a window one voxel short, misses it and
+    prunes the block behind the warm proposals of the other blocks."""
+    res = 0.1
+    cfg = TemplateConfig(resolution=res, template_range=SLACK_BOX, no_info_frequency=0.5)
+    lo = cfg.template_range.min_corner
+    r = 3.0
+    width = 2.0 * _ROT_SLACK * res / r  # the heading bins of a frame whose largest range is r
+    th_lo, th_hi = 0.0, 0.998 * width
+    th_mid = 0.5 * (th_lo + th_hi)
+    if axis == "y":
+        # the point on the x axis: its y moves by r per radian at heading 0
+        total = _Y_BIN + 2.0 * _ROT_SLACK  # the y indices a full block can reach
+        frac = 1.0 - 0.5 * (math.ceil(total) - total)
+        k_lo = 15
+        y0 = (k_lo + frac + _ROT_SLACK) * res + lo[1] - r * math.sin(th_mid)
+        block = [(y0, th_lo), (y0 + 0.997 * _Y_BIN * res, th_hi)]
+        point = (r, 0.0)
+    else:
+        # the point on the y axis, nearly: its x moves by r per radian
+        total = 2.0 * _ROT_SLACK
+        frac = 1.0 - 0.5 * (math.ceil(total) - total)
+        k_lo = 18
+        a = ((k_lo + frac + _ROT_SLACK) * res + lo[0] + r * math.sin(th_mid)) / math.cos(th_mid)
+        point = (a, math.sqrt(r * r - a * a))
+        y0 = -1.5
+        block = [(y0, th_hi), (y0, th_lo)]  # x falls as the heading grows
+    # the voxel on `axis` each of the block's two poses places the point in
+    qx, qy = point
+    ax = "xy".index(axis)
+
+    def coord(y, t):
+        if axis == "x":
+            return qx * math.cos(t) - qy * math.sin(t)
+        return qx * math.sin(t) + qy * math.cos(t) + y
+
+    index = [math.floor((coord(y, t) - lo[ax]) / res) for y, t in block]
+    assert index == [k_lo, k_lo + math.floor(total) + 1]
+
+    grid = np.full(cfg.dims, 0.5, dtype=F32)  # warm, as is the no-info slot
+    cold = [slice(None)] * 3
+    cold[ax] = slice(k_lo - 2, index[1] + 3)
+    grid[tuple(cold)] = 0.05
+    hot = [slice(None)] * 3
+    hot[ax] = index[0] if corner == "low" else index[1]
+    grid[tuple(hot)] = 0.9
+    assert_hot_block_is_found(Template(cfg, grid, 10), point, block, width, y0)
+
+
+@pytest.mark.parametrize("crossing", ["leaves", "enters"])
+def test_rotation_slack_covers_a_point_crossing_the_x_face(crossing):
+    """As above, at the box's upper x face: at the bin's middle heading the
+    point lies just inside the box (or just outside), and at one edge
+    heading just outside (inside).  The hot log is the no-info slot's (the
+    last voxel's), which the block's bound must take."""
+    res = 0.1
+    hi_x = SLACK_BOX.max_corner[0]
+    target = hi_x - 0.03 if crossing == "leaves" else hi_x + 0.03
+    qy, a, th_mid = 3.0, target, 0.0
+    for _ in range(4):  # the bin width follows the point's range
+        r = math.hypot(a, qy)
+        width = 2.0 * _ROT_SLACK * res / r
+        th_mid = 0.5 * 0.998 * width
+        a = (target + qy * math.sin(th_mid)) / math.cos(th_mid)
+    th_lo, th_hi = 0.0, 0.998 * width
+    x = [a * math.cos(t) - qy * math.sin(t) for t in (th_lo, th_mid, th_hi)]
+    if crossing == "leaves":
+        assert x[1] < hi_x < x[0]
+        no_info, hot = 0.9, None
+    else:
+        assert x[2] < hi_x < x[1]
+        no_info, hot = 0.05, -1
+    y0 = -3.5
+    cfg = TemplateConfig(resolution=res, template_range=SLACK_BOX, no_info_frequency=no_info)
+    grid = np.full(cfg.dims, 0.5, dtype=F32)  # warm
+    grid[-6:] = 0.05
+    if hot is not None:
+        grid[hot] = 0.9
+    assert_hot_block_is_found(Template(cfg, grid, 10), (a, qy), [(y0, th_lo), (y0, th_hi)],
+                              width, y0)
+
+
+def assert_hot_block_is_found(template, point, block, width, y0):
+    """Pruned and exhaustive search agree on `block` and warm filler blocks.
+
+    The fillers, more blocks than one round scores, all read warm logs;
+    one of `block`'s proposals reads the hot log 0.9 and is the best.
+    """
+    frame = PreprocessedFrame(PointCloud(np.array([[*point, 1.0]]), "V"), 0.0, 0.0, 0.0)
+    res = template.config.resolution
+    fill_th = 0.3 + 1.2 * width * np.arange(5)
+    fill_y = y0 + 1.2 * _Y_BIN * res * np.arange(math.ceil((_ROUND + 8) / 5))
+    tt, yy = np.meshgrid(fill_th, fill_y, indexing="ij")
+    poses = np.vstack([np.array(block), np.column_stack([yy.ravel(), tt.ravel()])])
+    mcl_cfg = MclConfig()
+    want = exhaustive_estimate(frame, template, mcl_cfg, poses)
+    assert want.loglik == pytest.approx(math.log(0.9))
+    got = pruned_uniform_estimate(frame, template, mcl_cfg, poses)
+    assert estimate_bits(got) == estimate_bits(want)
 
 
 def test_a_block_within_the_slack_of_the_kth_best_is_scored():

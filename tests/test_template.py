@@ -92,6 +92,19 @@ def test_point_present_in_one_of_two_frames_has_frequency_half():
     assert template.grid[tuple(idx[0])] == 0.5
 
 
+def test_frames_without_usable_ground_are_left_out():
+    target = np.array([5.03, 0.52, 1.57])
+    clouds = [_frame_with(target), _frame_with()]
+    want = build_template(clouds, [TRUTH, TRUTH], TemplateConfig(), PRE)
+    empty = PointCloud(np.empty((0, 3)), "C")
+    got = build_template(clouds[:1] + [empty] + clouds[1:], [TRUTH] * 3, TemplateConfig(), PRE)
+    assert got.n_frames == want.n_frames == 2
+    assert got.no_info_frequency == want.no_info_frequency
+    assert got.grid.tobytes() == want.grid.tobytes()
+    with pytest.raises(ValueError):
+        build_template([empty], [TRUTH], TemplateConfig(), PRE)
+
+
 def test_frequencies_in_unit_interval_and_counts_integral():
     spec = vineyard_preset(row_length=20.0, foliage_density=10.0)
     scene = generate_scene(spec, 0)
