@@ -265,60 +265,71 @@ class PoseScorer:
             self.template, self._table, self.p_floor, x_window, y_window
         )
 
+        # each bin's y-blocks in a row, padded with its last block's lowest y
+        n_bins = middle.size
+        per_bin = np.bincount(block_bin, minlength=n_bins)
+        first = np.cumsum(per_bin) - per_bin
+        col = np.arange(n_blocks) - first[block_bin]
+        y_lo32 = np.repeat(y_lo[first + per_bin - 1], per_bin.max()).reshape(n_bins, -1)
+        y_lo32[block_bin, col] = y_lo
+        y_lo32 = y_lo32.astype(np.float32)[:, :, None]
+
         slack32 = np.float32(slack)
         cos_m = np.cos(middle).astype(np.float32)[:, None]
         sin_m = np.sin(middle).astype(np.float32)[:, None]
-        y_lo32 = y_lo.astype(np.float32)[:, None]
-        bounds = np.empty(n_blocks)
-        # blocks per pass, so the temporaries stay near `score`'s chunks
-        for first in range(0, n_blocks, _CHUNK):
-            blocks = slice(first, first + _CHUNK)
-            b = block_bin[blocks]
-            hb = slice(b[0], b[-1] + 1)
-            b = b - b[0]
+        bounds = np.empty(y_lo32.shape[:2])
+        # bins per pass, so the temporaries stay near `score`'s chunks
+        step = max(1, _CHUNK // bounds.shape[1])
+        for lo in range(0, n_bins, step):
+            hb = slice(lo, lo + step)
             # the kernel's fx at each bin's middle heading, in its op order
             fx = cos_m[hb] * self._qx32 - sin_m[hb] * self._qy32
             fx -= self._lo_x
             fx *= self._inv_res
-            keep_x = (fx + slack32 >= 0) & (fx - slack32 <= self._fx_hi)
+            keep_x = (fx >= -slack32) & (fx <= self._fx_hi + slack32)
             keep_x &= self._z_keep
-            fx -= slack32
+            if slack:
+                fx -= slack32
             # clamped before the cast: the first index the window reads
             np.clip(fx, 0, np.float32(nx - 1), out=fx)
             ix = fx.astype(np.int32)
             ix *= np.int32(ny * nz)
             ix += self._iz32
             # and its fy at each block's lowest y
-            fy = (sin_m[hb] * self._qx32 + cos_m[hb] * self._qy32)[b] + y_lo32[blocks]
+            fy = (sin_m[hb] * self._qx32 + cos_m[hb] * self._qy32)[:, None, :] + y_lo32[hb]
             fy -= self._lo_y
             fy *= self._inv_res
-            fy -= slack32
+            if slack:
+                fy -= slack32
             np.clip(fy, 0, np.float32(ny - 1), out=fy)
             lin = fy.astype(np.int32)
             lin *= np.int32(nz)
-            lin += ix[b]
-            lin *= keep_x[b]
-            bounds[blocks] = pooled.take(lin).sum(axis=1, dtype=np.float64)
-        return block_of, bounds, magnitude
+            lin += ix[:, None, :]
+            lin *= keep_x[:, None, :]
+            bounds[hb] = pooled.take(lin).sum(axis=2, dtype=np.float64)
+        return block_of, bounds[block_bin, col], magnitude
 
 
 def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
     """Group proposals into (heading-bin x y-bin) blocks.
 
-    A heading that _MIN_RUN or more proposals share, as each of a grid's
-    does, is a heading bin of its own; the other proposals fall into bins
-    `heading_width` wide.  Each bin is cut into y-bins `y_width` wide.
-    Blocks are numbered heading bin first, so the blocks of one bin are
-    adjacent.  Returns each proposal's block; each block's heading bin,
-    lowest y and y span (the largest over blocks); and each bin's middle
-    heading with the largest distance from a bin's middle to a heading in
-    it.
+    A run of _MIN_RUN or more consecutive proposals with one heading, as
+    each heading of a theta-major grid is, is a heading bin of its own;
+    the other proposals fall into bins `heading_width` wide.  Each bin is
+    cut into y-bins `y_width` wide.  Blocks are numbered heading bin
+    first, so the blocks of one bin are adjacent.  Returns each
+    proposal's block; each block's heading bin, lowest y and y span (the
+    largest over blocks); and each bin's middle heading with the largest
+    distance from a bin's middle to a heading in it.
     """
-    headings, run, run_len = np.unique(thetas, return_inverse=True, return_counts=True)
-    wide = np.floor((thetas - headings[0]) / heading_width).astype(np.int64) + headings.size
-    _, hbin = np.unique(np.where(run_len[run] >= _MIN_RUN, run, wide), return_inverse=True)
+    new_run = np.ones(thetas.size, dtype=bool)
+    np.not_equal(thetas[1:], thetas[:-1], out=new_run[1:])
+    run = np.cumsum(new_run) - 1
+    shared = (np.bincount(run) >= _MIN_RUN)[run]
+    wide = np.floor((thetas - thetas.min()) / heading_width).astype(np.int64)
+    hbin = _dense_ids(np.where(shared, run, run[-1] + 1 + wide))
     ybin = np.floor((ys - ys.min()) / y_width).astype(np.int64)
-    _, block_of = np.unique(hbin * (ybin.max() + 1) + ybin, return_inverse=True)
+    block_of = _dense_ids(hbin * (ybin.max() + 1) + ybin)
     n_blocks = int(block_of.max()) + 1
     block_bin = np.empty(n_blocks, dtype=np.int64)
     block_bin[block_of] = hbin
@@ -334,6 +345,12 @@ def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
     np.minimum.at(y_lo, block_of, ys)
     np.maximum.at(y_hi, block_of, ys)
     return block_of, block_bin, y_lo, float(np.max(y_hi - y_lo)), middle, half
+
+
+def _dense_ids(keys: np.ndarray) -> np.ndarray:
+    """0, 1, ... for the distinct non-negative integer keys, in key order."""
+    present = np.bincount(keys) > 0
+    return (np.cumsum(present) - 1)[keys]
 
 
 def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray:
@@ -355,7 +372,7 @@ def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray
 _ROT_SLACK = 0.75
 # the width of a y-bin, in voxels; both are kept off whole numbers so that
 # the pooled windows do not depend on float rounding
-_Y_BIN = 1.9
+_Y_BIN = 2.9
 # float32 roundings a coordinate can gain, in units of eps * magnitude
 _SPAN_ULPS = 64
 # blocks scored per round before the k-th best is updated
