@@ -195,7 +195,9 @@ class PoseScorer:
         loglik = np.full(n, -np.inf)
         n_scored = np.zeros(n, dtype=np.int64)
         block_of, bounds, magnitude = self._block_bounds(ys, thetas)
-        pending = np.argsort(-bounds, kind="stable")
+        # the blocks that hold proposals, highest bound first
+        pending = np.flatnonzero(np.bincount(block_of, minlength=bounds.size))
+        pending = pending[np.argsort(-bounds[pending], kind="stable")]
         chosen = np.zeros(bounds.size, dtype=bool)
         while pending.size:
             # -inf until k proposals are scored, when nothing can be pruned yet
@@ -220,19 +222,19 @@ class PoseScorer:
 
         Heading bins are 2 * _ROT_SLACK voxels wide at the frame's largest
         point range r, and y-bins _Y_BIN voxels (`_proposal_blocks`).  A
-        bin's bound is read at one heading, the middle of its range, where
-        a point lies at most S = r * (half the bin's width) / res voxels,
+        bin's bound is read at one heading, its middle, where a point lies
+        at most S = r * (half the bin's width) / res <= _ROT_SLACK voxels,
         plus float32 rounding, in x and in y from where any of the bin's
         headings puts it.  For one heading the kernel's float32 y
         coordinate is monotone in y.  So over a block a point reads x
         indices within S of its x at the middle heading, and y indices from
-        S below its y at the block's lowest y to S above its y at the
-        block's highest y, or the no-info slot where it leaves the box.
-        The pooled table holds the maximum over that window, the no-info
-        log included at the box's faces the window can cross; a point
-        whose x range misses the box, or outside the z range, reads the
-        no-info slot.  A bin of one heading has S = 0: its x coordinates
-        are the kernel's, bit for bit, and its x window is 1.
+        S below its y at the y-bin's lowest y to _Y_BIN + S above it, or
+        the no-info slot where it leaves the box.  The pooled table holds
+        the maximum over that window, the no-info log included at the
+        box's faces the window can cross; a point whose x range misses the
+        box, or outside the z range, reads the no-info slot.  A bin of one
+        heading has S = 0: its coordinates are the kernel's, bit for bit,
+        and its x window is 1.
         """
         cfg = self.template.config
         res = cfg.resolution
@@ -241,10 +243,7 @@ class PoseScorer:
         r_max = float(np.max(q[self._z_keep], initial=0.0))
 
         width = 2.0 * _ROT_SLACK * res / max(r_max, res)
-        block_of, block_bin, y_lo, span, middle, half = _proposal_blocks(
-            ys, thetas, width, _Y_BIN * res
-        )
-        n_blocks = block_bin.size
+        block_of, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
 
         # float32 rounding the kernel's coordinates can gain, in voxels
         lo = cfg.template_range.min_corner
@@ -252,54 +251,43 @@ class PoseScorer:
             max(nx, ny)
             + (abs(lo[0]) + abs(lo[1]) + r_max + float(np.max(np.abs(ys)))) / res
         )
-        # a full bin's slack and span at least, so the windows, and with
-        # them the pooled table, do not vary with the proposals
-        span = max(span / res, _Y_BIN)
-        if half > 0.0:
-            slack = max(r_max * half / res, _ROT_SLACK) + margin
+        if wide:
+            slack = _ROT_SLACK + margin
             x_window = math.floor(2.0 * slack) + 2
         else:
             slack, x_window = 0.0, 1
-        y_window = math.floor(span + 2.0 * slack + margin) + 2
+        y_window = math.floor(_Y_BIN + 2.0 * slack + margin) + 2
         pooled, magnitude = _pooled_table(
             self.template, self._table, self.p_floor, x_window, y_window
         )
 
-        # each bin's y-blocks in a row, padded with its last block's lowest y
-        n_bins = middle.size
-        per_bin = np.bincount(block_bin, minlength=n_bins)
-        first = np.cumsum(per_bin) - per_bin
-        col = np.arange(n_blocks) - first[block_bin]
-        y_lo32 = np.repeat(y_lo[first + per_bin - 1], per_bin.max()).reshape(n_bins, -1)
-        y_lo32[block_bin, col] = y_lo
-        y_lo32 = y_lo32.astype(np.float32)[:, :, None]
-
         slack32 = np.float32(slack)
         cos_m = np.cos(middle).astype(np.float32)[:, None]
         sin_m = np.sin(middle).astype(np.float32)[:, None]
-        bounds = np.empty(y_lo32.shape[:2])
+        y_lo32 = y_lo.astype(np.float32)[:, None]
+        bounds = np.empty((middle.size, y_lo.size))
         # bins per pass, so the temporaries stay near `score`'s chunks
-        step = max(1, _CHUNK // bounds.shape[1])
-        for lo in range(0, n_bins, step):
-            hb = slice(lo, lo + step)
+        step = max(1, _CHUNK // y_lo.size)
+        for first in range(0, middle.size, step):
+            hb = slice(first, first + step)
             # the kernel's fx at each bin's middle heading, in its op order
             fx = cos_m[hb] * self._qx32 - sin_m[hb] * self._qy32
             fx -= self._lo_x
             fx *= self._inv_res
             keep_x = (fx >= -slack32) & (fx <= self._fx_hi + slack32)
             keep_x &= self._z_keep
-            if slack:
+            if wide:
                 fx -= slack32
             # clamped before the cast: the first index the window reads
             np.clip(fx, 0, np.float32(nx - 1), out=fx)
             ix = fx.astype(np.int32)
             ix *= np.int32(ny * nz)
             ix += self._iz32
-            # and its fy at each block's lowest y
-            fy = (sin_m[hb] * self._qx32 + cos_m[hb] * self._qy32)[:, None, :] + y_lo32[hb]
+            # and its fy at each y-bin's lowest y
+            fy = (sin_m[hb] * self._qx32 + cos_m[hb] * self._qy32)[:, None, :] + y_lo32
             fy -= self._lo_y
             fy *= self._inv_res
-            if slack:
+            if wide:
                 fy -= slack32
             np.clip(fy, 0, np.float32(ny - 1), out=fy)
             lin = fy.astype(np.int32)
@@ -307,50 +295,40 @@ class PoseScorer:
             lin += ix[:, None, :]
             lin *= keep_x[:, None, :]
             bounds[hb] = pooled.take(lin).sum(axis=2, dtype=np.float64)
-        return block_of, bounds[block_bin, col], magnitude
+        return block_of, bounds.ravel(), magnitude
 
 
 def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
     """Group proposals into (heading-bin x y-bin) blocks.
 
     A run of _MIN_RUN or more consecutive proposals with one heading, as
-    each heading of a theta-major grid is, is a heading bin of its own;
-    the other proposals fall into bins `heading_width` wide.  Each bin is
-    cut into y-bins `y_width` wide.  Blocks are numbered heading bin
-    first, so the blocks of one bin are adjacent.  Returns each
-    proposal's block; each block's heading bin, lowest y and y span (the
-    largest over blocks); and each bin's middle heading with the largest
-    distance from a bin's middle to a heading in it.
+    each heading of a theta-major grid is, is a heading bin of its own,
+    whose middle is that heading.  The other proposals fall into bins
+    `heading_width` wide from their lowest heading, whose middle is the
+    bin's centre.  y-bins are `y_width` wide from the lowest y.  Block
+    b * n + j is y-bin j of heading bin b, for n y-bins.  Returns each
+    proposal's block, the lowest y in each y-bin, each heading bin's
+    middle, and whether any bin is `heading_width` wide.
     """
     new_run = np.ones(thetas.size, dtype=bool)
     np.not_equal(thetas[1:], thetas[:-1], out=new_run[1:])
-    run = np.cumsum(new_run) - 1
-    shared = (np.bincount(run) >= _MIN_RUN)[run]
-    wide = np.floor((thetas - thetas.min()) / heading_width).astype(np.int64)
-    hbin = _dense_ids(np.where(shared, run, run[-1] + 1 + wide))
+    starts = np.flatnonzero(new_run)
+    run_len = np.diff(starts, append=thetas.size)
+    shared = run_len >= _MIN_RUN
+    hbin = np.repeat(np.cumsum(shared) - 1, run_len)
+    middle = thetas[starts[shared]]
+    wide = not shared.all()
+    if wide:
+        in_wide = ~np.repeat(shared, run_len)
+        lowest = thetas[in_wide].min()
+        wbin = np.floor((thetas[in_wide] - lowest) / heading_width).astype(np.int64)
+        hbin[in_wide] = middle.size + wbin
+        centres = lowest + (np.arange(wbin.max() + 1) + 0.5) * heading_width
+        middle = np.concatenate((middle, centres))
     ybin = np.floor((ys - ys.min()) / y_width).astype(np.int64)
-    block_of = _dense_ids(hbin * (ybin.max() + 1) + ybin)
-    n_blocks = int(block_of.max()) + 1
-    block_bin = np.empty(n_blocks, dtype=np.int64)
-    block_bin[block_of] = hbin
-
-    bin_lo = np.full(block_bin[-1] + 1, np.inf)
-    bin_hi = np.full(block_bin[-1] + 1, -np.inf)
-    np.minimum.at(bin_lo, hbin, thetas)
-    np.maximum.at(bin_hi, hbin, thetas)
-    middle = 0.5 * (bin_lo + bin_hi)
-    half = float(np.max(np.maximum(bin_hi - middle, middle - bin_lo)))
-    y_lo = np.full(n_blocks, np.inf)
-    y_hi = np.full(n_blocks, -np.inf)
-    np.minimum.at(y_lo, block_of, ys)
-    np.maximum.at(y_hi, block_of, ys)
-    return block_of, block_bin, y_lo, float(np.max(y_hi - y_lo)), middle, half
-
-
-def _dense_ids(keys: np.ndarray) -> np.ndarray:
-    """0, 1, ... for the distinct non-negative integer keys, in key order."""
-    present = np.bincount(keys) > 0
-    return (np.cumsum(present) - 1)[keys]
+    y_lo = np.full(ybin.max() + 1, np.inf)
+    np.minimum.at(y_lo, ybin, ys)
+    return hbin * y_lo.size + ybin, y_lo, middle, wide
 
 
 def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray:
