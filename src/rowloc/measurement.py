@@ -245,7 +245,8 @@ class PoseScorer:
         width = 2.0 * _ROT_SLACK * res / max(r_max, res)
         block_of, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
 
-        # float32 rounding the kernel's coordinates can gain, in voxels
+        # float32 rounding the kernel's coordinates can gain, in voxels; far
+        # above the float64 rounding of the bins' edges and centres
         lo = cfg.template_range.min_corner
         margin = _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
             max(nx, ny)
@@ -348,8 +349,8 @@ def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray
 # the rotation slack of a heading bin, in voxels at the frame's largest
 # point range: wider bins cost fewer bounds but read a wider pooled window
 _ROT_SLACK = 0.75
-# the width of a y-bin, in voxels; both are kept off whole numbers so that
-# the pooled windows do not depend on float rounding
+# the width of a y-bin, in voxels; it and its sum with 2 * _ROT_SLACK are
+# kept off whole numbers, so the pooled windows do not hang on rounding
 _Y_BIN = 2.9
 # float32 roundings a coordinate can gain, in units of eps * magnitude
 _SPAN_ULPS = 64
