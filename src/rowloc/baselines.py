@@ -31,6 +31,15 @@ from .geometry import (
 )
 
 
+# leveled points at or below this height (m) are ground
+GROUND_Z_MAX = 0.15
+# a side with fewer non-ground points has no row line
+MIN_SIDE_POINTS = 8
+# the density histogram's bin width (m); its bins span +-1 m about each line
+DENSITY_BIN = 0.05
+_DENSITY_BINS = np.arange(-1.0, 1.0 + DENSITY_BIN, DENSITY_BIN)
+
+
 class SideMissingError(RuntimeError):
     """One row side has too few points to fit a line."""
 
@@ -38,13 +47,10 @@ class SideMissingError(RuntimeError):
 @dataclass(frozen=True)
 class BaselineParams:
     pre_cfg: PreprocessConfig = PreprocessConfig()
-    ground_z_max: float = 0.15  # leveled points below this are ground
     ransac_iters: int = 200
     line_inlier_tol: float = 0.1
     n_pair_hypotheses: int = 500
-    min_side_points: int = 8
     min_inlier_fraction: float = 0.3
-    density_bin: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -105,17 +111,17 @@ def _level_and_project(cloud_C: PointCloud, params: BaselineParams, raw: bool = 
         pts = frame.cloud_V.points
     leveled = pts @ R.T
     leveled[:, 2] += frame.height
-    non_ground = leveled[leveled[:, 2] > params.ground_z_max]
+    non_ground = leveled[leveled[:, 2] > GROUND_Z_MAX]
     return non_ground[:, :2]
 
 
-def _split_sides(xy: np.ndarray, params: BaselineParams):
+def _split_sides(xy: np.ndarray):
     left = xy[xy[:, 1] > 0]
     right = xy[xy[:, 1] <= 0]
-    if left.shape[0] < params.min_side_points or right.shape[0] < params.min_side_points:
+    if left.shape[0] < MIN_SIDE_POINTS or right.shape[0] < MIN_SIDE_POINTS:
         raise SideMissingError(
             f"side point counts {left.shape[0]}/{right.shape[0]} "
-            f"below minimum {params.min_side_points}"
+            f"below minimum {MIN_SIDE_POINTS}"
         )
     return left, right
 
@@ -194,7 +200,7 @@ def baseline1(cloud_C: PointCloud, params: BaselineParams = BaselineParams(), se
     """Twin RANSAC row lines after ground-plane projection -> (y, theta)."""
     rng = np.random.default_rng(seed)
     xy = _level_and_project(cloud_C, params)
-    left_pts, right_pts = _split_sides(xy, params)
+    left_pts, right_pts = _split_sides(xy)
     left = _ransac_line(left_pts, params, rng)
     right = _ransac_line(right_pts, params, rng)
     direction = left.direction + right.direction
@@ -323,7 +329,7 @@ def baseline2(cloud_C: PointCloud, params: BaselineParams = BaselineParams(), se
     """
     rng = np.random.default_rng(seed)
     xy = _level_and_project(cloud_C, params)
-    left_pts, right_pts = _split_sides(xy, params)
+    left_pts, right_pts = _split_sides(xy)
     draws = _pair_draws(rng, left_pts.shape[0], right_pts.shape[0], params.n_pair_hypotheses)
     _, best = _best_pair_hypothesis(left_pts, right_pts, draws, params)
     if best is None:
@@ -355,8 +361,7 @@ def baseline2_refine_offset(
         d = d[np.abs(d) <= 1.0]
         if d.size == 0:
             raise SideMissingError("empty density histogram for one row side")
-        bins = np.arange(-1.0, 1.0 + params.density_bin, params.density_bin)
-        hist, edges = np.histogram(d, bins=bins)
+        hist, edges = np.histogram(d, bins=_DENSITY_BINS)
         peak = int(np.argmax(hist))
         delta = 0.5 * (edges[peak] + edges[peak + 1])
         offsets.append(line.offset + delta)

@@ -209,14 +209,18 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse, order[starts]
 
 
+def _check_leaf(leaf: float) -> None:
+    if not (math.isfinite(leaf) and leaf > 0):
+        raise ValueError(f"leaf size must be finite and positive, got {leaf}")
+
+
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """One centroid per occupied cell of a uniform grid anchored at the origin.
 
     Centroids come in lexicographic cell order; each cell's points are
     summed in input order.
     """
-    if leaf <= 0:
-        raise ValueError(f"leaf size must be positive, got {leaf}")
+    _check_leaf(leaf)
     pts = cloud.points
     if pts.shape[0] == 0:
         return cloud
@@ -355,13 +359,18 @@ def ransac_ground_plane(
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Knobs for the downsample + ground-plane pipeline."""
+    """The downsampling leaf (m) of the preprocessing pipeline.
+
+    The ground fit runs with `ransac_ground_plane`'s defaults: 200
+    hypotheses from a fixed seed, a 0.05 m inlier band and no inlier floor.
+    So `preprocess` is deterministic, and it never raises
+    `LowConfidenceFitError`.
+    """
 
     leaf_size: float = 0.05
-    ransac_iters: int = 200
-    ransac_inlier_tol: float = 0.05
-    ransac_seed: int = 0
-    min_inlier_ratio: float = 0.0
+
+    def __post_init__(self):
+        _check_leaf(self.leaf_size)
 
 
 @dataclass(frozen=True)
@@ -389,11 +398,5 @@ def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) 
     """Drop non-finite points, downsample, tag the cloud {V} (it coincides
     with {C}), and estimate (roll, pitch, height)."""
     cloud_V = voxel_downsample(finite_points(cloud_C), cfg.leaf_size).with_frame("V")
-    _, roll, pitch, height = ransac_ground_plane(
-        cloud_V,
-        iters=cfg.ransac_iters,
-        inlier_tol=cfg.ransac_inlier_tol,
-        seed=cfg.ransac_seed,
-        min_inlier_ratio=cfg.min_inlier_ratio,
-    )
+    _, roll, pitch, height = ransac_ground_plane(cloud_V)
     return PreprocessedFrame(cloud_V, roll, pitch, height)

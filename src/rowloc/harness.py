@@ -36,7 +36,6 @@ from .baselines import (
 from .geometry import (
     Box3,
     DegenerateInputError,
-    LowConfidenceFitError,
     PointCloud,
     Pose6D,
     cutoff_filter,
@@ -239,7 +238,7 @@ def _localize_frame(method, cloud, template, cfg, seed, frame, truth) -> FrameRe
             flags = ""
         except SideMissingError:
             y, theta, flags = 0.0, 0.0, "side-missing"
-        except (DegenerateInputError, LowConfidenceFitError):
+        except DegenerateInputError:
             y, theta, flags = 0.0, 0.0, "degenerate"
         fields = (y, theta, math.nan, math.nan, math.nan, flags)
     return FrameResult(frame, *fields, float(truth[0]), float(truth[1]), method)
@@ -406,18 +405,16 @@ def _take(ds: Dataset, idx) -> Dataset:
     )
 
 
-def _subsample(ds: Dataset, n: int | None, end_margin: float | None = None, row_length: float | None = None) -> Dataset:
-    if end_margin is not None and row_length is not None:
-        keep = [i for i, p in enumerate(ds.poses) if p.x <= row_length - end_margin]
-        ds = _take(ds, keep)
+def _eval_subset(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
+    """The frames cfg evaluates: those at least cfg.eval_end_margin from the
+    row end, then cfg.n_eval_frames of them evenly spaced."""
+    if cfg.eval_end_margin is not None:
+        limit = cfg.scene.row_length - cfg.eval_end_margin
+        ds = _take(ds, [i for i, p in enumerate(ds.poses) if p.x <= limit])
+    n = cfg.n_eval_frames
     if n is None or n >= len(ds.clouds):
         return ds
-    idx = np.linspace(0, len(ds.clouds) - 1, n).astype(int)
-    return _take(ds, idx)
-
-
-def _eval_subset(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
-    return _subsample(ds, cfg.n_eval_frames, cfg.eval_end_margin, cfg.scene.row_length)
+    return _take(ds, np.linspace(0, len(ds.clouds) - 1, n).astype(int))
 
 
 def _dataset_odometry(ds: Dataset, cfg: ExperimentConfig) -> list[OdometryDelta]:
@@ -654,11 +651,15 @@ def run_template_size_sweep(
     return out
 
 
-def comparison_prefilter_box(z_max: float = 2.5) -> Box3:
-    return Box3.from_ranges((0.0, 20.0), (-5.0, 5.0), (0.0, z_max))
+# |true heading| (rad) above which run_compare counts a frame as large-heading
+HEADING_SPLIT = 0.3
 
 
-def run_compare(cfg: ExperimentConfig, out_dir=None, heading_split: float = 0.3) -> dict:
+def comparison_prefilter_box() -> Box3:
+    return Box3.from_ranges((0.0, 20.0), (-5.0, 5.0), (0.0, 2.5))
+
+
+def run_compare(cfg: ExperimentConfig, out_dir=None) -> dict:
     """All methods on identical pre-filtered frames, split by heading regime."""
     ds = render_run(cfg, 80)
     template = template_from_dataset(ds, cfg)
@@ -679,8 +680,8 @@ def run_compare(cfg: ExperimentConfig, out_dir=None, heading_split: float = 0.3)
         )
         all_results[method] = res
         overall = results_metrics(res)
-        large = [r for r in res if abs(r.theta_true) > heading_split]
-        small = [r for r in res if abs(r.theta_true) <= heading_split]
+        large = [r for r in res if abs(r.theta_true) > HEADING_SPLIT]
+        small = [r for r in res if abs(r.theta_true) <= HEADING_SPLIT]
         tables[method] = {
             "overall": overall,
             "large_heading": results_metrics(large) if large else None,
@@ -699,20 +700,20 @@ def run_compare(cfg: ExperimentConfig, out_dir=None, heading_split: float = 0.3)
         for regime, metrics in t.items() if metrics is not None
         for axis, m in metrics.items()
     ])
-    _write_run(out_dir, cfg, "run_compare", files, {"heading_split": heading_split})
+    _write_run(out_dir, cfg, "run_compare", files)
     return {"results": all_results, "tables": tables}
 
 
 def closed_loop_sim(
     cfg: ExperimentConfig,
     y0: float = 0.3,
-    theta0: float = 0.0,
     template: Template | None = None,
     out_dir=None,
 ) -> dict:
     """Proportional line following driven by per-frame template localization.
 
-    Unicycle plant at the trajectory speed; the steering rate is
+    Unicycle plant at the trajectory speed, starting at lateral offset y0
+    with heading 0; the steering rate is
     -k_y * y_est - k_theta * theta_est, saturated.  Each frame is localized
     on its own with cfg.method, which must be one of SWEEP_METHODS (no
     particle filter, no baseline).
@@ -726,7 +727,7 @@ def closed_loop_sim(
     dt = 1.0 / cfg.trajectory.frame_rate
     v = cfg.trajectory.speed
     gains = cfg.gains
-    x, y, theta = 0.0, y0, theta0
+    x, y, theta = 0.0, y0, 0.0
     half_row = cfg.scene.row_spacing / 2.0
     log = []  # (t, x, y, theta, y_est, theta_est, omega)
     step = 0
@@ -757,5 +758,5 @@ def closed_loop_sim(
     _write_run(out_dir, cfg, "closed_loop_sim",
                {"trajectory.csv": ("t,x,y,theta,y_est,theta_est,omega", [map(float, row) for row in log]),
                 "tracking.csv": _metrics_table(tracking)},
-               {"y0": y0, "theta0": theta0})
+               {"y0": y0})
     return out

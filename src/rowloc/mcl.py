@@ -9,23 +9,23 @@ second-moment matrix of the top-1% proposals about that estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    DegenerateInputError,
-    LowConfidenceFitError,
-    PointCloud,
-    PreprocessConfig,
-    preprocess,
-)
+from .geometry import DegenerateInputError, PointCloud, PreprocessConfig, preprocess
 from .measurement import DEFAULT_P_FLOOR, PoseScorer
 from .template import Template
 
 FLAG_EMPTY_MEASUREMENT = "empty-measurement"
 FLAG_LOW_CONFIDENCE = "low-confidence"
 FLAG_REINITIALIZED = "reinitialized"
+
+# the share of proposals, best first, whose spread about the estimate is
+# its covariance
+TOP_FRACTION = 0.01
+# the covariance reported when the measurement is empty
+MAX_COVARIANCE = np.diag([0.8**2, 0.6**2])
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,11 @@ class PoseEstimate:
 class MclConfig:
     prior: UniformPrior = UniformPrior()
     n_particles: int = 5000
-    top_fraction: float = 0.01
     p_floor: float = DEFAULT_P_FLOOR
     pre_cfg: PreprocessConfig = PreprocessConfig()
     # std thresholds above which the estimate is flagged low-confidence
     low_conf_std_y: float = 0.2
     low_conf_std_theta: float = 0.15
-    # covariance reported when the measurement is empty
-    max_covariance: np.ndarray = field(
-        default_factory=lambda: np.diag([0.8**2, 0.6**2])
-    )
 
 
 def sample_uniform(prior: UniformPrior, n: int, seed: int) -> np.ndarray:
@@ -160,7 +155,7 @@ def covariance_top_fraction(
     poses: np.ndarray,
     weights: np.ndarray,
     best: PoseProposal,
-    fraction: float = 0.01,
+    fraction: float = TOP_FRACTION,
 ) -> np.ndarray:
     """Unweighted second moment about `best` of the top-weight particles.
 
@@ -179,15 +174,13 @@ def _top_count(n: int, fraction: float) -> int:
     return max(1, math.ceil(fraction * n))
 
 
-def _make_estimate(poses, logliks, n_scored, cfg: MclConfig, extra_flags=()) -> PoseEstimate:
-    flags = list(extra_flags)
+def _make_estimate(poses, logliks, n_scored, cfg: MclConfig) -> PoseEstimate:
     best_i = int(np.argmax(logliks))
     best = PoseProposal(float(poses[best_i, 0]), float(poses[best_i, 1]))
-    cov = covariance_top_fraction(poses, logliks, best, cfg.top_fraction)
+    cov = covariance_top_fraction(poses, logliks, best)
     std_y = math.sqrt(max(cov[0, 0], 0.0))
     std_theta = math.sqrt(max(cov[1, 1], 0.0))
-    if std_y > cfg.low_conf_std_y or std_theta > cfg.low_conf_std_theta:
-        flags.append(FLAG_LOW_CONFIDENCE)
+    low = std_y > cfg.low_conf_std_y or std_theta > cfg.low_conf_std_theta
     return PoseEstimate(
         pose=best,
         covariance=cov,
@@ -195,12 +188,12 @@ def _make_estimate(poses, logliks, n_scored, cfg: MclConfig, extra_flags=()) -> 
         std_theta=std_theta,
         loglik=float(logliks[best_i]),
         n_points=int(n_scored[best_i]),
-        flags=tuple(dict.fromkeys(flags)),
+        flags=(FLAG_LOW_CONFIDENCE,) if low else (),
     )
 
 
-def _empty_estimate(cfg: MclConfig) -> PoseEstimate:
-    cov = np.asarray(cfg.max_covariance, dtype=np.float64)
+def _empty_estimate() -> PoseEstimate:
+    cov = MAX_COVARIANCE.copy()
     return PoseEstimate(
         pose=PoseProposal(0.0, 0.0),
         covariance=cov,
@@ -216,9 +209,30 @@ def _scorer_for(cloud_C: PointCloud, template: Template, cfg: MclConfig) -> Pose
     """None when the frame is unusable (empty, or no ground plane found)."""
     try:
         frame = preprocess(cloud_C, cfg.pre_cfg)
-    except (DegenerateInputError, LowConfidenceFitError):
+    except DegenerateInputError:
         return None
     return PoseScorer(frame, template, cfg.p_floor)
+
+
+def _localize_proposals(
+    cloud_C: PointCloud, template: Template, cfg: MclConfig, poses: np.ndarray
+) -> PoseEstimate:
+    """The estimate from the (n, 2) proposals (y, theta), bit for bit the
+    one scoring every proposal gives.
+
+    Only the top TOP_FRACTION of proposals, which set the pose and its
+    covariance, must be scored exactly, so blocks of proposals whose upper
+    bound falls strictly below the k-th best score are skipped
+    (`PoseScorer.score_top_k`).
+    """
+    scorer = _scorer_for(cloud_C, template, cfg)
+    if scorer is None:
+        return _empty_estimate()
+    k = _top_count(poses.shape[0], TOP_FRACTION)
+    logliks, n_scored = scorer.score_top_k(poses[:, 0], poses[:, 1], k)
+    if not np.any(n_scored):
+        return _empty_estimate()
+    return _make_estimate(poses, logliks, n_scored, cfg)
 
 
 def localize_uniform(
@@ -228,24 +242,10 @@ def localize_uniform(
     seed: int,
     n: int | None = None,
 ) -> PoseEstimate:
-    """Draw n uniform proposals and return the best-scoring pose.
-
-    The estimate is, bit for bit, the one that scoring every proposal
-    gives.  Only the top `cfg.top_fraction` of proposals, which set the
-    pose and its covariance, must be scored exactly, so blocks of
-    proposals whose upper bound falls strictly below the k-th best score
-    are skipped (`PoseScorer.score_top_k`).
-    """
+    """Draw n uniform proposals and return the best-scoring pose, with
+    top-k pruning (`_localize_proposals`)."""
     n = n if n is not None else cfg.n_particles
-    poses = sample_uniform(cfg.prior, n, seed)
-    scorer = _scorer_for(cloud_C, template, cfg)
-    if scorer is None:
-        return _empty_estimate(cfg)
-    k = _top_count(n, cfg.top_fraction)
-    logliks, n_scored = scorer.score_top_k(poses[:, 0], poses[:, 1], k)
-    if not np.any(n_scored):
-        return _empty_estimate(cfg)
-    return _make_estimate(poses, logliks, n_scored, cfg)
+    return _localize_proposals(cloud_C, template, cfg, sample_uniform(cfg.prior, n, seed))
 
 
 def localize_grid(
@@ -255,27 +255,13 @@ def localize_grid(
     y_step: float = 0.02,
     theta_step: float = 0.01,
 ) -> PoseEstimate:
-    """Grid search over the prior box (deterministic oracle).
-
-    The estimate is, bit for bit, the one that scoring every cell gives.
-    Only the top `cfg.top_fraction` of cells, which set the pose and its
-    covariance, must be scored exactly, so blocks of cells whose upper
-    bound falls strictly below the k-th best score are skipped
-    (`PoseScorer.score_top_k`).
-    """
+    """Grid search over the prior box (deterministic oracle), theta-major,
+    with top-k pruning (`_localize_proposals`)."""
     p = cfg.prior
     ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
     thetas = np.arange(p.theta_min, p.theta_max + 1e-12, theta_step)
     tt, yy = np.meshgrid(thetas, ys, indexing="ij")
-    poses = np.column_stack([yy.ravel(), tt.ravel()])
-    scorer = _scorer_for(cloud_C, template, cfg)
-    if scorer is None:
-        return _empty_estimate(cfg)
-    k = _top_count(poses.shape[0], cfg.top_fraction)
-    logliks, n_scored = scorer.score_top_k(poses[:, 0], poses[:, 1], k)
-    if not np.any(n_scored):
-        return _empty_estimate(cfg)
-    return _make_estimate(poses, logliks, n_scored, cfg)
+    return _localize_proposals(cloud_C, template, cfg, np.column_stack([yy.ravel(), tt.ravel()]))
 
 
 def init_particles(cfg: MclConfig, seed: int, n: int | None = None) -> ParticleSet:
@@ -297,7 +283,7 @@ def localize_pf(
     poses = sample_motion_model(u, prev.poses, rng)
     scorer = _scorer_for(cloud_C, template, cfg)
     if scorer is None:
-        return _empty_estimate(cfg), ParticleSet(poses, np.full(len(prev), 1.0 / len(prev)))
+        return _empty_estimate(), ParticleSet(poses, np.full(len(prev), 1.0 / len(prev)))
     logliks, n_scored = scorer.score(poses[:, 0], poses[:, 1])
 
     # Lost track: no particle sees a single point (the set has drifted off
@@ -310,7 +296,7 @@ def localize_pf(
         n = len(prev)
         reinit = init_particles(cfg, int(rng.integers(0, 2**32)), n)
         flags = (FLAG_EMPTY_MEASUREMENT,) if no_points else ()
-        est = replace(_empty_estimate(cfg), flags=flags + (FLAG_LOW_CONFIDENCE, FLAG_REINITIALIZED))
+        est = replace(_empty_estimate(), flags=flags + (FLAG_LOW_CONFIDENCE, FLAG_REINITIALIZED))
         return est, reinit
 
     est = _make_estimate(poses, logliks, n_scored, cfg)

@@ -311,11 +311,7 @@ def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
     proposal's block, the lowest y in each y-bin, each heading bin's
     middle, and whether any bin is `heading_width` wide.
     """
-    new_run = np.ones(thetas.size, dtype=bool)
-    np.not_equal(thetas[1:], thetas[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    run_len = np.diff(starts, append=thetas.size)
-    shared = run_len >= _MIN_RUN
+    starts, run_len, shared = _heading_runs(thetas)
     hbin = np.repeat(np.cumsum(shared) - 1, run_len)
     middle = thetas[starts[shared]]
     wide = not shared.all()
@@ -370,17 +366,23 @@ def _blocks(thetas: np.ndarray):
     Runs of _MIN_RUN or more equal headings (a theta-major grid) share
     one heading row; the proposals between them are chunked as they come.
     """
-    n = thetas.shape[0]
-    edges = np.flatnonzero(thetas[1:] != thetas[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [n]))
-    long = ends - starts >= _MIN_RUN
+    starts, lengths, long = _heading_runs(thetas)
     pos = 0
-    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
+    for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
         yield from _chunks(pos, start, False)
-        yield from _chunks(start, end, True)
-        pos = end
-    yield from _chunks(pos, n, False)
+        pos = start + length
+        yield from _chunks(start, pos, True)
+    yield from _chunks(pos, thetas.shape[0], False)
+
+
+def _heading_runs(thetas: np.ndarray):
+    """Runs of consecutive equal headings: (starts, lengths, long), long
+    marking the runs of _MIN_RUN or more."""
+    new_run = np.ones(thetas.shape[0], dtype=bool)
+    np.not_equal(thetas[1:], thetas[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(starts, append=thetas.shape[0])
+    return starts, lengths, lengths >= _MIN_RUN
 
 
 def _chunks(start: int, end: int, shared: bool):
@@ -453,9 +455,9 @@ def measurement_log_likelihood(
 ) -> LogLikelihood:
     """Log of Eq.-style product likelihood at a single (y, theta) proposal.
 
-    Raises `DegenerateInputError` or `LowConfidenceFitError` when the frame
-    has no usable ground (no points, or no ground plane fit); the
-    `localize_*` estimators return a flagged estimate for such a frame.
+    Raises `DegenerateInputError` when the frame has no usable ground (no
+    points, or no ground plane fit); the `localize_*` estimators return a
+    flagged estimate for such a frame.
     """
     frame = preprocess(cloud_C, pre_cfg)
     scorer = PoseScorer(frame, template, p_floor)
@@ -476,9 +478,9 @@ def likelihood_field(
     """Log-likelihood over a (theta, y) grid; preprocessing runs once.
 
     Returns an array of shape (len(theta_values), len(y_values)).  Raises
-    `DegenerateInputError` or `LowConfidenceFitError` when the frame has no
-    usable ground (no points, or no ground plane fit); the `localize_*`
-    estimators return a flagged estimate for such a frame.
+    `DegenerateInputError` when the frame has no usable ground (no points,
+    or no ground plane fit); the `localize_*` estimators return a flagged
+    estimate for such a frame.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
     theta_values = np.asarray(theta_values, dtype=np.float64)

@@ -21,6 +21,11 @@ TAG_GROUND = 0
 TAG_LEFT = 1
 TAG_RIGHT = 2
 
+# the ground extends this far (m) beyond each row line
+GROUND_MARGIN = 2.0
+# unit trees: 1 m canopy units per row side, at 0 <= x < UNITS_PER_SIDE
+UNITS_PER_SIDE = 20
+
 
 @dataclass(frozen=True)
 class OrchardSpec:
@@ -39,8 +44,6 @@ class OrchardSpec:
     # proportional to 1 + clump_amplitude * cos(2 pi (x - head) / spacing)
     clump_amplitude: float = 0.8
     ground_density: float = 8.0  # points/m^2
-    ground_margin: float = 2.0  # ground extends this far beyond each row line
-    gaps: tuple[tuple[int, int], ...] = ()  # (side_tag, plant_index) to omit
 
     def __post_init__(self):
         if self.row_spacing <= 0 or self.plant_spacing <= 0 or self.row_length <= 0:
@@ -152,15 +155,12 @@ def generate_scene(spec: OrchardSpec, seed: int) -> OrchardScene:
     """Sample the parametric world; deterministic per seed."""
     rng = np.random.default_rng(seed)
     chunks, tags, plants = [], [], []
-    gap_set = set(spec.gaps)
     n_plants = int(math.ceil(spec.row_length / spec.plant_spacing))
 
     for side_tag, side_sign in ((TAG_LEFT, +1.0), (TAG_RIGHT, -1.0)):
         y_center = side_sign * spec.row_spacing / 2.0
         if spec.profile == "wall":
             for k in range(n_plants):
-                if (side_tag, k) in gap_set:
-                    continue
                 x0 = k * spec.plant_spacing
                 x1 = min(x0 + spec.plant_spacing, spec.row_length)
                 area = (x1 - x0) * spec.canopy_height
@@ -201,8 +201,6 @@ def generate_scene(spec: OrchardSpec, seed: int) -> OrchardScene:
             rx, ry, rz = spec.blob_radii
             volume = 4.0 / 3.0 * math.pi * rx * ry * rz
             for k in range(n_plants):
-                if (side_tag, k) in gap_set:
-                    continue
                 cx = (k + 0.5) * spec.plant_spacing
                 if cx > spec.row_length:
                     continue
@@ -232,7 +230,7 @@ def generate_scene(spec: OrchardSpec, seed: int) -> OrchardScene:
                 tags.append(np.full(pts.shape[0], side_tag))
                 plants.append(np.full(pts.shape[0], k))
 
-    half_width = spec.row_spacing / 2.0 + spec.ground_margin
+    half_width = spec.row_spacing / 2.0 + GROUND_MARGIN
     area = spec.row_length * 2.0 * half_width
     n_ground = rng.poisson(spec.ground_density * area)
     ground = np.column_stack(
@@ -321,30 +319,31 @@ def simulate_odometry(
     return out
 
 
-def unit_tree_membership(points: np.ndarray, n_units_per_side: int = 20) -> np.ndarray:
+def unit_tree_membership(points: np.ndarray) -> np.ndarray:
     """(side, floor(x)) unit id per point in {T}; -1 for non-canopy/outside.
 
-    Units 0..n-1 are the left side (y > 0), n..2n-1 the right side.
-    Ground points (z below 0.1 m) never belong to a unit.
+    Units 0..n-1 are the left side (y > 0), n..2n-1 the right side, for
+    n = UNITS_PER_SIDE.  Ground points (z below 0.1 m) never belong to a
+    unit.
     """
     pts = np.atleast_2d(points)
     ux = np.floor(pts[:, 0]).astype(np.int64)
-    valid = (ux >= 0) & (ux < n_units_per_side) & (pts[:, 2] > 0.1)
-    side_offset = np.where(pts[:, 1] > 0, 0, n_units_per_side)
+    valid = (ux >= 0) & (ux < UNITS_PER_SIDE) & (pts[:, 2] > 0.1)
+    side_offset = np.where(pts[:, 1] > 0, 0, UNITS_PER_SIDE)
     ids = np.where(valid, ux + side_offset, -1)
     return ids
 
 
-def remove_unit_trees(cloud: PointCloud, n: int, seed: int, n_units_per_side: int = 20) -> PointCloud:
+def remove_unit_trees(cloud: PointCloud, n: int, seed: int) -> PointCloud:
     """Drop all canopy points in n randomly chosen 1 m x side units."""
-    total = 2 * n_units_per_side
+    total = 2 * UNITS_PER_SIDE
     if not 0 <= n <= total:
         raise ValueError(f"n must be in [0, {total}], got {n}")
     if n == 0 or len(cloud) == 0:
         return cloud
     rng = np.random.default_rng(seed)
     removed = rng.choice(total, size=n, replace=False)
-    ids = unit_tree_membership(cloud.points, n_units_per_side)
+    ids = unit_tree_membership(cloud.points)
     keep = ~np.isin(ids, removed)
     return PointCloud(cloud.points[keep], cloud.frame)
 

@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import (
     Box3,
     DegenerateInputError,
-    LowConfidenceFitError,
     PointCloud,
     PreprocessConfig,
     cutoff_filter,
@@ -176,7 +175,7 @@ def build_template(
     for cloud, truth in zip(clouds_C, truths):
         try:
             frame = preprocess(cloud, pre_cfg)
-        except (DegenerateInputError, LowConfidenceFitError):
+        except DegenerateInputError:
             continue
         n += 1
         roll = truth.roll if truth.roll is not None else frame.roll

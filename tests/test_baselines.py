@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rowloc.baselines import (
+    DENSITY_BIN,
     BaselineParams,
     Line2,
     RowLinePair,
@@ -96,7 +97,7 @@ def test_refine_is_noop_when_density_sits_on_the_lines(wall_cloud_T):
     cloud_C = camera_cloud_at(wall_cloud_T, 0.1, 0.0)
     y, _, pair = baseline2(cloud_C, PARAMS, seed=0)
     refined = baseline2_refine_offset(cloud_C, pair, PARAMS)
-    assert refined == pytest.approx(y, abs=PARAMS.density_bin)
+    assert refined == pytest.approx(y, abs=DENSITY_BIN)
 
 
 def test_refine_snaps_to_dense_trunk_plane():

@@ -100,6 +100,12 @@ def test_inf_values_parse():
     assert cfg.sensor.max_range == math.inf
 
 
+def test_non_finite_leaf_size_fails_at_load():
+    # a NaN leaf would collapse every frame to one voxel
+    with pytest.raises(ValueError, match="leaf size"):
+        experiment_config_from_kv({"preprocess.leaf_size": "nan"})
+
+
 def test_no_info_frequency_auto_and_fixed():
     auto = experiment_config_from_kv({"template.no_info_frequency": "auto"})
     assert auto.template_cfg.no_info_frequency is None

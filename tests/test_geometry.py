@@ -135,8 +135,11 @@ def test_voxel_downsample_single_cell_returns_centroid():
 
 
 def test_voxel_downsample_rejects_bad_leaf():
-    with pytest.raises(ValueError):
-        voxel_downsample(PointCloud(np.zeros((1, 3))), 0.0)
+    for leaf in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            voxel_downsample(PointCloud(np.zeros((1, 3))), leaf)
+        with pytest.raises(ValueError):
+            PreprocessConfig(leaf_size=leaf)
 
 
 def test_plane_normalizes_and_signed_distance():

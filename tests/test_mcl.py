@@ -8,6 +8,7 @@ from rowloc.baselines import baseline1, baseline2, baseline2_refine_offset
 from rowloc.mcl import (
     FLAG_EMPTY_MEASUREMENT,
     FLAG_REINITIALIZED,
+    MAX_COVARIANCE,
     MclConfig,
     OdometryDelta,
     ParticleSet,
@@ -204,7 +205,7 @@ def test_localize_empty_cloud_is_flagged(wall_template_and_run):
     est = localize_uniform(PointCloud(np.zeros((0, 3))), template, cfg, seed=11)
     assert FLAG_EMPTY_MEASUREMENT in est.flags
     assert est.low_confidence
-    np.testing.assert_array_equal(est.covariance, cfg.max_covariance)
+    np.testing.assert_array_equal(est.covariance, MAX_COVARIANCE)
 
 
 def test_particle_filter_tracks_without_drift(wall_template_and_run):

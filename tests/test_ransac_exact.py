@@ -329,7 +329,7 @@ def test_baseline2_matches_reference_on_wall_scenes():
     for seed in range(4):
         cloud = camera_cloud_at(wall, 0.1 * seed - 0.15, 0.04 * seed - 0.06)
         y, theta, pair = baselines.baseline2(cloud, params, seed=seed)
-        left, right = baselines._split_sides(baselines._level_and_project(cloud, params), params)
+        left, right = baselines._split_sides(baselines._level_and_project(cloud, params))
         _, want = reference_pair_search(left, right, params, np.random.default_rng(seed))
         assert _bits(pair) == _bits(want)
         want_y, want_theta = baselines._centerline_to_pose(

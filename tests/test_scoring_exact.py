@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowloc import mcl
+from rowloc import mcl, measurement
 from rowloc.geometry import Box3, PointCloud, PreprocessedFrame, rotation_from_euler
 from rowloc.mcl import (
     FLAG_EMPTY_MEASUREMENT,
@@ -157,7 +157,7 @@ def exhaustive_estimate(frame, template, cfg, poses):
     """The estimate built from scoring every proposal."""
     ll, ns = PoseScorer(frame, template, cfg.p_floor).score(poses[:, 0], poses[:, 1])
     if not np.any(ns):
-        return _empty_estimate(cfg)
+        return _empty_estimate()
     return _make_estimate(poses, ll, ns, cfg)
 
 
@@ -247,10 +247,7 @@ def search_scenes(draw):
     return frame, template, mcl_cfg, uniform_proposals(draw, rng, frame, template, mcl_cfg)
 
 
-@settings(max_examples=120, deadline=None)
-@given(search_scenes())
-def test_pruned_grid_search_equals_exhaustive(scene):
-    """Grid search, and uniform sampling of any proposal set, equal exhaustive scoring."""
+def assert_pruned_search_equals_exhaustive(scene):
     frame, template, cfg, search = scene
     if isinstance(search, tuple):
         want = exhaustive_estimate(frame, template, cfg, grid_poses(cfg, *search))
@@ -259,6 +256,22 @@ def test_pruned_grid_search_equals_exhaustive(scene):
         want = exhaustive_estimate(frame, template, cfg, search)
         got = pruned_uniform_estimate(frame, template, cfg, search)
     assert estimate_bits(got) == estimate_bits(want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(search_scenes())
+def test_pruned_grid_search_equals_exhaustive(scene):
+    """Grid search, and uniform sampling of any proposal set, equal exhaustive scoring."""
+    assert_pruned_search_equals_exhaustive(scene)
+
+
+@settings(max_examples=120, deadline=None)
+@given(search_scenes())
+def test_pruned_search_equals_exhaustive_when_pruning_starts_after_one_block(scene):
+    """As above, with rounds of one block: a search prunes from its second
+    block on, so nearly every block's bound decides whether it is scored."""
+    with mock.patch.object(measurement, "_ROUND", 1):
+        assert_pruned_search_equals_exhaustive(scene)
 
 
 def test_grid_search_scores_every_cell_when_its_top_cells_score_no_point():

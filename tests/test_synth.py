@@ -73,14 +73,6 @@ def test_generate_scene_deterministic_and_structured():
     assert np.all(a.points[:, 0] >= -0.2)
 
 
-def test_gap_list_omits_plants():
-    spec = vineyard_preset(row_length=18.0, gaps=((TAG_LEFT, 3), (TAG_RIGHT, 0)))
-    scene = generate_scene(spec, 6)
-    assert not np.any((scene.tags == TAG_LEFT) & (scene.plant_index == 3))
-    assert not np.any((scene.tags == TAG_RIGHT) & (scene.plant_index == 0))
-    assert np.any((scene.tags == TAG_LEFT) & (scene.plant_index == 0))
-
-
 def test_blob_scene_points_near_tree_centers():
     spec = apricot_preset(row_length=15.0)
     scene = generate_scene(spec, 7)
