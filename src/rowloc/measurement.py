@@ -23,23 +23,36 @@ proposals with one heading (a theta-major grid) share that heading's
 rotation, x index and x/z masks; other proposals are scored in chunks.
 The float32 arithmetic per point and proposal is the same either way,
 and each row is summed alone, so neither the log-likelihoods nor the
-points-scored counts depend on how proposals are grouped.  The log of
-the template grid is computed once per (template, p_floor) and kept on
-the template, whose grid is read-only.
+points-scored counts depend on how proposals are grouped.  Nor do they
+depend on which thread scores a row: in a call with _MIN_THREADED_ROWS
+or more rows of distinct headings (the particle filter's), their chunks
+are scored by one thread per CPU the process may run on
+(`os.sched_getaffinity`), the calling thread and a pool's, each taking
+the next chunk left until none is.  Worker threads run only
+`_score_block`; `score` itself, the shared-heading blocks of a grid and
+the bound pass of `score_top_k` stay on the calling thread, and so do
+calls with fewer rows, such as the rounds of `score_top_k`.  With one
+CPU, or one chunk, no thread is started.  The log of the template grid
+is computed once per (template, p_floor) and kept on the template,
+whose grid is read-only.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
 every proposal it skips scores strictly below the k-th best, so the k
 best proposals, their order, ties broken by index, and whether any
-proposal scores a point all match scoring every proposal.  Uniform
-sampling and grid search use it.  Particle-filter proposals, whose
-weights need every score, `measurement_log_likelihood` and
-`likelihood_field`, which returns every cell, are scored exhaustively.
+proposal scores a point all match scoring every proposal.  A proposal
+set with at least as many (heading bin x y-bin) blocks as proposals is
+scored whole, with no bound computed.  Uniform sampling and grid search
+use it.  Particle-filter proposals, whose weights need every score,
+`measurement_log_likelihood` and `likelihood_field`, which returns every
+cell, are scored exhaustively.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +70,16 @@ DEFAULT_P_FLOOR = 1e-4
 
 # particles per scoring chunk; bounds the (chunk x n_points) temporaries
 _CHUNK = 128
+# particles per chunk in a call scored on several threads, each of which
+# holds its chunk's temporaries at once: two hold what one did
+_THREADED_CHUNK = 64
+# fewest distinct-heading rows a `score` call shares with the pool.  The
+# rounds of top-k pruning stay below it (uniform sampling: two a frame,
+# at most about 430 rows and 4-10 ms each); on a shared host, waits for a
+# pool thread to get a CPU in such short calls made whole runs' frame
+# times differ.  The particle filter's 4000 rows, one call a frame, are
+# scored on every CPU.
+_MIN_THREADED_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -131,10 +154,31 @@ class PoseScorer:
             return loglik, n_scored
         cos_t = np.cos(thetas).astype(np.float32)[:, None]
         sin_t = np.sin(thetas).astype(np.float32)[:, None]
-        for sl, shared in _blocks(thetas):
-            # a shared heading is scored as one (1, 1) row for the block
-            hd = slice(sl.start, sl.start + 1) if shared else sl
-            loglik[sl], n_scored[sl] = self._score_block(cos_t[hd], sin_t[hd], ys[sl])
+        starts, lengths, long = runs = _heading_runs(thetas)
+        distinct = n - int(lengths[long].sum())  # rows outside shared blocks
+        threaded = _WORKERS > 1 and distinct >= _MIN_THREADED_ROWS
+        blocks = list(_blocks(runs, n, _THREADED_CHUNK if threaded else _CHUNK))
+        chunks = [sl for sl, shared in blocks if not shared]
+
+        def write(sl):
+            loglik[sl], n_scored[sl] = self._score_block(cos_t[sl], sin_t[sl], ys[sl])
+
+        # chunks of distinct headings are pulled one at a time by the calling
+        # thread and the pool's, so a thread that starts late takes fewer
+        queue = _ChunkQueue(chunks, write)
+        helpers = min(_WORKERS, len(chunks)) - 1
+        if threaded and helpers > 0:
+            pool = _scoring_pool()
+            for _ in range(helpers):
+                pool.submit(queue.work)
+        # a grid's shared-heading blocks are too small to gain from a thread
+        for sl, shared in blocks:
+            if shared:
+                # one (1, 1) heading row for the whole block
+                hd = slice(sl.start, sl.start + 1)
+                loglik[sl], n_scored[sl] = self._score_block(cos_t[hd], sin_t[hd], ys[sl])
+        queue.work()
+        queue.finish()
         return loglik, n_scored
 
     def _score_block(self, cos_t, sin_t, ys):
@@ -179,7 +223,9 @@ class PoseScorer:
         Returns what `score` returns, in the proposals' order, except that
         proposals that cannot be among the k best (stable index order
         breaking ties) may hold -inf and 0 points scored.  The proposals
-        are grouped into (heading-bin x y-bin) blocks (`_block_bounds`).
+        are grouped into (heading-bin x y-bin) blocks (`_proposal_blocks`),
+        each bounded by `_block_bounds`; a set with at least as many blocks
+        as proposals is scored whole.
         Blocks are scored in rounds, highest upper bound first, and a block
         is skipped once its bound lies strictly below the k-th best score
         found so far.  When no scored proposal scores a point, every
@@ -192,9 +238,17 @@ class PoseScorer:
         k = min(k, n)
         if k < 1:
             return self.score(ys, thetas)
+        res = self.template.config.resolution
+        q = np.hypot(self._qx32, self._qy32, dtype=np.float64)
+        r_max = float(np.max(q[self._z_keep], initial=0.0))
+        width = 2.0 * _ROT_SLACK * res / max(r_max, res)
+        block_of, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+        if middle.size * y_lo.size >= n:
+            # a block's bound costs about as much as one proposal's score
+            return self.score(ys, thetas)
+        bounds, magnitude = self._block_bounds(ys, r_max, y_lo, middle, wide)
         loglik = np.full(n, -np.inf)
         n_scored = np.zeros(n, dtype=np.int64)
-        block_of, bounds, magnitude = self._block_bounds(ys, thetas)
         # the blocks that hold proposals, highest bound first
         pending = np.flatnonzero(np.bincount(block_of, minlength=bounds.size))
         pending = pending[np.argsort(-bounds[pending], kind="stable")]
@@ -213,12 +267,14 @@ class PoseScorer:
             return self.score(ys, thetas)
         return loglik, n_scored
 
-    def _block_bounds(self, ys, thetas) -> tuple[np.ndarray, np.ndarray, float]:
-        """Each proposal's block, upper bounds on `score` over each block.
+    def _block_bounds(self, ys, r_max, y_lo, middle, wide) -> tuple[np.ndarray, float]:
+        """Upper bounds on `score` over each (heading bin x y-bin) block.
 
-        Returns the block of every proposal, the float64 sums of each
-        block's per-point bounds, and the largest |log| a bound term can
-        take.
+        Takes the proposals' ys, the frame's largest point range r_max, and
+        the y-bins' lowest ys, the heading bins' middles and whether any bin
+        is wide, as `_proposal_blocks` gives them.  Returns the float64 sums
+        of each block's per-point bounds and the largest |log| a bound term
+        can take.
 
         Heading bins are 2 * _ROT_SLACK voxels wide at the frame's largest
         point range r, and y-bins _Y_BIN voxels (`_proposal_blocks`).  A
@@ -239,11 +295,6 @@ class PoseScorer:
         cfg = self.template.config
         res = cfg.resolution
         nx, ny, nz = self._dims
-        q = np.hypot(self._qx32, self._qy32, dtype=np.float64)
-        r_max = float(np.max(q[self._z_keep], initial=0.0))
-
-        width = 2.0 * _ROT_SLACK * res / max(r_max, res)
-        block_of, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
 
         # float32 rounding the kernel's coordinates can gain, in voxels; far
         # above the float64 rounding of the bins' edges and centres
@@ -296,7 +347,7 @@ class PoseScorer:
             lin += ix[:, None, :]
             lin *= keep_x[:, None, :]
             bounds[hb] = pooled.take(lin).sum(axis=2, dtype=np.float64)
-        return block_of, bounds.ravel(), magnitude
+        return bounds.ravel(), magnitude
 
 
 def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
@@ -360,19 +411,106 @@ _ROUND = 32
 _MIN_RUN = 8
 
 
-def _blocks(thetas: np.ndarray):
-    """(slice, shared-heading) blocks of at most _CHUNK consecutive proposals.
+def _blocks(runs, n: int, rows: int):
+    """(slice, shared-heading) blocks of at most `rows` consecutive proposals.
 
-    Runs of _MIN_RUN or more equal headings (a theta-major grid) share
-    one heading row; the proposals between them are chunked as they come.
+    Takes the n proposals' `_heading_runs`.  Runs of _MIN_RUN or more
+    equal headings (a theta-major grid) share one heading row; the
+    proposals between them are chunked as they come.
     """
-    starts, lengths, long = _heading_runs(thetas)
+    starts, lengths, long = runs
     pos = 0
     for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
-        yield from _chunks(pos, start, False)
+        yield from _chunks(pos, start, False, rows)
         pos = start + length
-        yield from _chunks(start, pos, True)
-    yield from _chunks(pos, thetas.shape[0], False)
+        yield from _chunks(start, pos, True, rows)
+    yield from _chunks(pos, n, False, rows)
+
+
+# scoring threads, the calling thread included: the CPUs this process may
+# run on (CPU affinity is not available on every platform)
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+_pool = None  # the ThreadPoolExecutor, once started
+_pool_lock = threading.Lock()
+
+
+def _scoring_pool():
+    """The _WORKERS - 1 threads that score beside the caller, started on
+    first use."""
+    # imported here: concurrent.futures imports logging, 0.6 MB that a
+    # process scoring on one thread need not hold
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="rowloc-score")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads, only their executor
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+class _ChunkQueue:
+    """The distinct-heading chunks of one `score` call, taken one at a time.
+
+    `work` scores chunks until none is left; the calling thread and any
+    pool thread given the queue run it.  `finish`, on the calling thread,
+    waits only for the chunks other threads took, not for threads that
+    started too late to take one: on a busy host a pool thread may wait
+    milliseconds for a CPU.  `work` keeps any exception for `finish` to
+    raise, so the pool's futures hold none and are not read.  Pool threads
+    run only `write`, which calls `_score_block` and nothing a tracer may
+    wrap.
+    """
+
+    def __init__(self, chunks, write):
+        self._todo = iter(chunks)
+        self._write = write  # scores one chunk into the call's arrays
+        self._cond = threading.Condition()
+        self._busy = 0  # chunks taken and not yet written
+        self._error = None
+
+    def work(self) -> None:
+        while True:
+            with self._cond:
+                sl = next(self._todo, None) if self._error is None else None
+                if sl is None:
+                    return
+                self._busy += 1
+                write = self._write
+            try:
+                write(sl)
+            except BaseException as exc:
+                with self._cond:
+                    self._error = self._error or exc
+            finally:
+                with self._cond:
+                    self._busy -= 1
+                    self._cond.notify_all()
+
+    def finish(self) -> None:
+        """Wait until no chunk is being written; re-raise a thread's error.
+
+        After this no thread writes to the call's arrays: the queue is
+        emptied, so a pool thread that starts later takes nothing.
+        """
+        with self._cond:
+            self._todo = iter(())
+            self._cond.wait_for(lambda: self._busy == 0)
+            self._write = None
+        if self._error is not None:
+            raise self._error
 
 
 def _heading_runs(thetas: np.ndarray):
@@ -385,9 +523,9 @@ def _heading_runs(thetas: np.ndarray):
     return starts, lengths, lengths >= _MIN_RUN
 
 
-def _chunks(start: int, end: int, shared: bool):
-    for lo in range(start, end, _CHUNK):
-        yield slice(lo, min(lo + _CHUNK, end)), shared
+def _chunks(start: int, end: int, shared: bool, rows: int):
+    for lo in range(start, end, rows):
+        yield slice(lo, min(lo + rows, end)), shared
 
 
 def _log_table(template: Template, p_floor: float, log_no_info: float) -> np.ndarray:

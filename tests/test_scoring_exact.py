@@ -5,12 +5,22 @@ packs the rest into chunks; neither may change a single log-likelihood
 bit or points-scored count.  The reference below scores one proposal at
 a time with the scorer's float32 arithmetic written out step by step.
 
+Chunks of distinct headings are scored on as many threads as the
+process has CPUs; neither the scores nor the particle filter's estimates
+and particles may depend on the number of threads.
+
 Grid search and uniform sampling score only the blocks of proposals
 whose upper bound reaches the k-th best score; their estimates must
 equal, bit for bit, the ones built from scoring every proposal.
 """
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -18,19 +28,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowloc import mcl, measurement
-from rowloc.geometry import Box3, PointCloud, PreprocessedFrame, rotation_from_euler
+from conftest import camera_cloud_at, make_wall_cloud_T
+from rowloc import geometry, mcl, measurement
+from rowloc.geometry import (
+    Box3,
+    PointCloud,
+    PreprocessConfig,
+    PreprocessedFrame,
+    rotation_from_euler,
+)
 from rowloc.mcl import (
     FLAG_EMPTY_MEASUREMENT,
     MclConfig,
+    OdometryDelta,
     UniformPrior,
     _empty_estimate,
     _make_estimate,
+    init_particles,
     localize_grid,
+    localize_pf,
     localize_uniform,
 )
-from rowloc.measurement import _ROT_SLACK, _ROUND, _Y_BIN, PoseScorer, _prunable
-from rowloc.template import Template, TemplateConfig
+from rowloc.measurement import (
+    _MIN_RUN,
+    _ROT_SLACK,
+    _ROUND,
+    _THREADED_CHUNK,
+    _Y_BIN,
+    PoseScorer,
+    _prunable,
+)
+from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 
 F32 = np.float32
 
@@ -123,6 +151,276 @@ def test_score_equals_per_proposal_reference(scene):
     want_ns = np.array([e[1] for e in expected], dtype=np.int64)
     np.testing.assert_array_equal(ll.view(np.int64), want_ll.view(np.int64))
     np.testing.assert_array_equal(ns, want_ns)
+
+
+@contextmanager
+def scoring_workers(n, min_rows=1):
+    """Score on n threads, the caller's included, every call with min_rows
+    or more distinct-heading rows; a pool started meanwhile is shut down
+    after."""
+    with mock.patch.object(measurement, "_WORKERS", n), \
+            mock.patch.object(measurement, "_MIN_THREADED_ROWS", min_rows), \
+            mock.patch.object(measurement, "_pool", None):
+        try:
+            yield
+        finally:
+            if measurement._pool is not None:
+                measurement._pool.shutdown()
+
+
+@st.composite
+def worker_scenes(draw):
+    """A scene with runs of equal headings, distinct headings filling 1 to
+    11 threaded chunks, consecutive duplicates (as resampled particles
+    are), or one proposal."""
+    frame, template, p_floor, ys, thetas = draw(scenes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["runs", "distinct", "duplicates", "one"]))
+    if kind == "distinct":
+        n = draw(st.integers(1, 10 * _THREADED_CHUNK + 1))
+        ys, thetas = rng.uniform(-1.0, 1.0, n), rng.uniform(-0.8, 0.8, n)
+    elif kind == "duplicates":
+        n = draw(st.integers(2, 6 * _THREADED_CHUNK))
+        src = np.sort(rng.integers(0, max(1, n // draw(st.sampled_from([2, _MIN_RUN]))), n))
+        ys, thetas = rng.uniform(-1.0, 1.0, n)[src], rng.uniform(-0.8, 0.8, n)[src]
+    elif kind == "one":
+        ys, thetas = ys[:1], thetas[:1]
+    return frame, template, p_floor, ys, thetas, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(worker_scenes())
+def test_score_does_not_depend_on_the_worker_count(scene):
+    frame, template, p_floor, ys, thetas, kind = scene
+    got = {}
+    for n in (1, 2, 3):
+        with scoring_workers(n):
+            ll, ns = PoseScorer(frame, template, p_floor).score(ys, thetas)
+            if n == 1:
+                assert measurement._pool is None
+            elif kind == "distinct" and ys.size > _THREADED_CHUNK and frame.cloud_V.points.size:
+                assert measurement._pool is not None
+        got[n] = ll.view(np.int64).tolist(), ns.tolist()
+    assert got[2] == got[1]
+    assert got[3] == got[1]
+
+
+@pytest.fixture(scope="module")
+def wall_run():
+    """A template taught on a wall scene, and frames from poses near it."""
+    cloud_T = make_wall_cloud_T()
+    poses = [(0.3 * math.sin(i), 0.1 * math.cos(1.7 * i)) for i in range(11)]
+    clouds = [camera_cloud_at(cloud_T, y, th) for y, th in poses]
+    pre = PreprocessConfig(leaf_size=0.1)
+    truths = [GroundTruthPose(y=y, theta=th) for y, th in poses[:6]]
+    template = build_template(clouds[:6], truths, TemplateConfig(), pre)
+    return template, clouds[6:], MclConfig(pre_cfg=pre, n_particles=700)
+
+
+def run_pf(template, clouds, cfg):
+    """Five filter steps: each step's estimate and resampled particles."""
+    particles = init_particles(cfg, seed=3)
+    u = OdometryDelta(np.array([0.2, 0.0, 0.0]), np.diag([0.02**2, 0.02**2, 0.01**2]))
+    out = []
+    for i, cloud in enumerate(clouds):
+        est, particles = localize_pf(cloud, particles, u, template, cfg, seed=40 + i)
+        out.append((estimate_bits(est), particles.poses.view(np.int64).tolist(),
+                    particles.weights.view(np.int64).tolist()))
+    return out
+
+
+def test_particle_filter_does_not_depend_on_the_worker_count(wall_run):
+    template, clouds, cfg = wall_run
+    with scoring_workers(1):
+        one = run_pf(template, clouds, cfg)
+        assert measurement._pool is None
+    with scoring_workers(3):
+        three = run_pf(template, clouds, cfg)
+        assert measurement._pool is not None
+    assert len(one) == 5
+    assert three == one
+
+
+def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
+    """More threads than CPUs, switching every microsecond: each chunk is
+    taken by one thread only, so no row is lost or scored twice."""
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    poses = mcl.sample_uniform(cfg.prior, 40 * _THREADED_CHUNK + 5, seed=7)
+    want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
+    rows = []
+    score_block = PoseScorer._score_block
+
+    def counted(self, cos_t, sin_t, ys):
+        rows.append(len(ys))
+        return score_block(self, cos_t, sin_t, ys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with scoring_workers(4), mock.patch.object(PoseScorer, "_score_block", counted):
+            for _ in range(5):
+                rows.clear()
+                got = scorer.score(poses[:, 0], poses[:, 1])
+                assert sum(rows) == len(poses)
+                assert [a.tobytes() for a in got] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_call_with_few_rows_is_scored_on_the_calling_thread(wall_run):
+    """Below _MIN_THREADED_ROWS distinct-heading rows (a round of top-k
+    pruning) no pool thread scores; at it, one does."""
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    few = measurement._MIN_THREADED_ROWS - 1
+    poses = mcl.sample_uniform(cfg.prior, few + 1, seed=8)
+    threads = set()
+    score_block = PoseScorer._score_block
+
+    def recorded(self, cos_t, sin_t, ys):
+        threads.add(threading.current_thread())
+        return score_block(self, cos_t, sin_t, ys)
+
+    with scoring_workers(2, measurement._MIN_THREADED_ROWS), \
+            mock.patch.object(PoseScorer, "_score_block", recorded):
+        scorer.score(poses[:few, 0], poses[:few, 1])
+        assert measurement._pool is None
+        assert threads == {threading.main_thread()}
+        for _ in range(20):
+            scorer.score(poses[:, 0], poses[:, 1])
+        assert measurement._pool is not None
+        assert threads - {threading.main_thread()}, "no chunk was scored on a pool thread"
+
+
+def test_score_does_not_wait_for_a_pool_thread_that_takes_no_chunk(wall_run):
+    """A pool thread that gets no CPU until the call is over takes no chunk,
+    and the call returns without it; it takes none of a later call."""
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    poses = mcl.sample_uniform(cfg.prior, 10 * _THREADED_CHUNK + 3, seed=9)
+    want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
+    release = threading.Event()
+    # a call that waited for the held thread would return only once this
+    # timer lets it go, after the check below
+    timer = threading.Timer(30.0, release.set)
+    with scoring_workers(2):
+        # the pool's one thread is held until the calls below are over
+        measurement._scoring_pool().submit(release.wait)
+        timer.start()
+        try:
+            for _ in range(3):
+                got = scorer.score(poses[:, 0], poses[:, 1])
+                assert [a.tobytes() for a in got] == want
+            assert not release.is_set(), "score waited for a thread that took no chunk"
+        finally:
+            timer.cancel()
+            release.set()
+        measurement._pool.shutdown()  # runs the three late tasks
+        assert [a.tobytes() for a in got] == want
+
+
+def wide_prior(cfg):
+    """cfg with a prior so wide that uniform sampling scores every proposal."""
+    return MclConfig(prior=UniformPrior(-2.5, 2.5, -3.1, 3.1), pre_cfg=cfg.pre_cfg,
+                     n_particles=cfg.n_particles)
+
+
+def test_traced_callables_run_on_the_main_thread(wall_run):
+    """Worker threads run only `_score_block`: a tracer's span stack, kept
+    by the callables it wraps, sees one thread."""
+    template, clouds, cfg = wall_run
+    threads = {}
+
+    def recorded(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        return mock.patch.object(owner, name, wrapper)
+
+    traced = [
+        (geometry, "voxel_downsample"), (geometry, "ransac_ground_plane"),
+        (mcl, "preprocess"), (mcl, "PoseScorer"), (PoseScorer, "score"),
+        (PoseScorer, "score_top_k"), (mcl, "sample_uniform"), (mcl, "sample_motion_model"),
+        (mcl, "covariance_top_fraction"), (mcl, "resample"), (mcl, "localize_uniform"),
+        (mcl, "localize_grid"), (mcl, "localize_pf"),
+    ]
+    with scoring_workers(2), recorded(PoseScorer, "_score_block"):
+        patches = [recorded(owner, name) for owner, name in traced]
+        for patch in patches:
+            patch.start()
+        try:
+            particles = init_particles(cfg, seed=3)
+            u = OdometryDelta(np.zeros(3), np.diag([0.02**2, 0.02**2, 0.01**2]))
+            mcl.localize_pf(clouds[0], particles, u, template, cfg, seed=4)
+            mcl.localize_uniform(clouds[1], template, cfg, seed=5)
+            mcl.localize_uniform(clouds[1], template, wide_prior(cfg), seed=5)
+            mcl.localize_grid(clouds[2], template, cfg)
+        finally:
+            for patch in patches:
+                patch.stop()
+    main = threading.main_thread()
+    assert {name for _, name in traced} <= threads.keys()
+    for owner, name in traced:
+        assert threads[name] == {main}, name
+    assert threads["_score_block"] - {main}, "no chunk was scored on a worker thread"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_worker_count_is_the_cpus_the_process_may_use():
+    assert measurement._WORKERS == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork here")
+def test_a_forked_child_scores_on_threads_of_its_own(wall_run):
+    """A child forked after the pool started has none of its threads; it
+    must start its own rather than wait on theirs."""
+    template, clouds, cfg = wall_run
+    poses = init_particles(cfg, seed=3).poses
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+
+    def child():
+        got = scorer.score(poses[:, 0], poses[:, 1])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    with scoring_workers(2):
+        want = scorer.score(poses[:, 0], poses[:, 1])
+        assert measurement._pool is not None
+        with warnings.catch_warnings():
+            # Python 3.12 warns on forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+        proc.join(timeout=60)
+        alive = proc.is_alive()
+        if alive:
+            proc.kill()
+            proc.join(timeout=10)
+    assert not alive, "the forked child never finished scoring"
+    assert proc.exitcode == 0
+
+
+def test_a_sparse_proposal_set_is_scored_whole(wall_run):
+    """With at least one (heading bin x y-bin) block per proposal, as a
+    wide prior gives 500 proposals, bounding costs more than scoring:
+    every proposal is scored and no bound is computed."""
+    template, clouds, cfg = wall_run
+    wide = wide_prior(cfg)
+    poses = mcl.sample_uniform(wide.prior, 500, seed=6)
+    frame = geometry.preprocess(clouds[0], cfg.pre_cfg)
+    want = exhaustive_estimate(frame, template, wide, poses)
+    with mock.patch.object(PoseScorer, "_block_bounds", side_effect=AssertionError) as bounds:
+        got = pruned_uniform_estimate(frame, template, wide, poses)
+        ll, ns = PoseScorer(frame, template, wide.p_floor).score_top_k(
+            poses[:, 0], poses[:, 1], mcl._top_count(500, mcl.TOP_FRACTION))
+    bounds.assert_not_called()
+    assert estimate_bits(got) == estimate_bits(want)
+    ref_ll, ref_ns = PoseScorer(frame, template, wide.p_floor).score(poses[:, 0], poses[:, 1])
+    assert ll.tobytes() == ref_ll.tobytes() and ns.tobytes() == ref_ns.tobytes()
 
 
 def test_scorers_of_one_template_share_its_log_table():
