@@ -20,21 +20,36 @@ grid search's pose.
 Exactness contract: `PoseScorer.score` returns, bit for bit, what
 scoring each proposal on its own would return.  Runs of consecutive
 proposals with one heading (a theta-major grid) share that heading's
-rotation, x index and x/z masks; other proposals are scored in chunks.
-The float32 arithmetic per point and proposal is the same either way,
-and each row is summed alone, so neither the log-likelihoods nor the
-points-scored counts depend on how proposals are grouped.  Nor do they
-depend on which thread scores a row: in a call with _MIN_THREADED_ROWS
-or more rows of distinct headings (the particle filter's), their chunks
-are scored by one thread per CPU the process may run on
-(`os.sched_getaffinity`), the calling thread and a pool's, each taking
-the next chunk left until none is.  Worker threads run only
-`_score_block`; `score` itself, the shared-heading blocks of a grid and
-the bound pass of `score_top_k` stay on the calling thread, and so do
-calls with fewer rows, such as the rounds of `score_top_k`.  With one
-CPU, or one chunk, no thread is started.  The log of the template grid
-is computed once per (template, p_floor) and kept on the template,
-whose grid is read-only.
+rotation, x index and x/z masks: a call's shared cells are scored
+_CHUNK at a time, each reading the terms of its run's heading row.
+Other proposals are scored in chunks.  The float32 arithmetic per point
+and proposal is the same either way, and each row is summed alone, so
+neither the log-likelihoods nor the points-scored counts depend on how
+proposals are grouped.  Nor do they depend on which thread scores a
+row: in a call with _MIN_THREADED_ROWS or more rows of distinct headings
+(the particle filter's), their chunks are scored by one thread per CPU
+the process may run on (`os.sched_getaffinity`), the calling thread and
+a pool's, each taking the next chunk left until none is.  Worker
+threads run only `_score_block`; `score` itself, the shared-heading
+cells of a grid and the bound pass of `score_top_k` stay on the calling
+thread, and so do calls with fewer rows, such as the rounds of
+`score_top_k`.  With one CPU, or one chunk, no thread is started.  The
+log of the template grid is computed once per (template, p_floor) and
+kept on the template, whose grid is read-only.
+
+Exact sums.  Every entry of the log table is a float32, so it is an
+integer multiple of u, the float32 ulp of its smallest nonzero |entry|.
+Every partial sum of N entries, each at most M in magnitude, is then a
+multiple of u no larger than N * M in magnitude.  When N * M <= 2**53 * u
+each is a float64, so a float64 sum of N entries is exact in any order
+(`_exact_sum_limit`, computed once per log table).  For a frame whose N
+points pass this guard, the points outside the template's z range, which
+read the no-info slot for every proposal, leave the kernel: their logs
+are added as one constant, n_out * table[0], exact by the same argument.
+Otherwise every point stays and the z mask is applied per proposal, as
+scoring one proposal on its own does.  The max-pooled tables of
+`score_top_k` hold only entries of the log table, so the guard covers
+the sums of its bounds too.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -54,6 +69,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,7 +84,10 @@ from .template import Template
 
 DEFAULT_P_FLOOR = 1e-4
 
-# particles per scoring chunk; bounds the (chunk x n_points) temporaries
+# rows per kernel call, distinct headings or a call's shared-heading
+# cells; bounds the (chunk x points) temporaries.  The points are the
+# frame's n_points, less those outside the z range when the frame passes
+# the exact-sum guard (n_points * M <= 2**53 * u, `_exact_sum_limit`)
 _CHUNK = 128
 # particles per chunk in a call scored on several threads, each of which
 # holds its chunk's temporaries at once: two hold what one did
@@ -118,9 +137,10 @@ class PoseScorer:
 
         R_level = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
         leveled = frame.cloud_V.points @ R_level.T
-        self._qx32 = leveled[:, 0].astype(np.float32)
-        self._qy32 = leveled[:, 1].astype(np.float32)
+        qx32 = leveled[:, 0].astype(np.float32)
+        qy32 = leveled[:, 1].astype(np.float32)
         qz = leveled[:, 2] + frame.height  # z in {T}, pose-independent
+        # every point, scored or not: the particle filter's floor counts them
         self.n_points = qz.shape[0]
 
         cfg = template.config
@@ -128,7 +148,7 @@ class PoseScorer:
         hi = cfg.template_range.max_corner
         res = cfg.resolution
         self._dims = cfg.dims
-        self._table = _log_table(template, self.p_floor, self.log_no_info)
+        self._table, exact_limit = _log_table(template, self.p_floor, self.log_no_info)
 
         # the float32 hot path works in grid coordinates (voxels from the
         # grid origin), where template_range is [0, _fx_hi] x [0, _fy_hi]
@@ -139,9 +159,21 @@ class PoseScorer:
         self._fy_hi = np.float32((hi[1] - lo[1]) / res)
 
         # z index and mask never depend on the proposal
-        iz, self._z_keep = cfg.voxel_index(qz[:, None], axes=(2,))
+        iz, z_keep = cfg.voxel_index(qz[:, None], axes=(2,))
         # +1: slot 0 of the log table holds the no-info log
-        self._iz32 = iz[:, 0].astype(np.int32) + np.int32(1)
+        iz32 = iz[:, 0].astype(np.int32) + np.int32(1)
+        # float64 sums of this frame's logs are exact in any order
+        self._exact_sums = self.n_points <= exact_limit
+        n_out = self.n_points - int(np.count_nonzero(z_keep))
+        self._z_keep = None  # the z mask of the kernel's points, if one is out
+        self._z_out_log = 0.0  # the logs of points left out of the kernel
+        if self._exact_sums and n_out:
+            # they read the no-info slot for every proposal
+            qx32, qy32, iz32 = qx32[z_keep], qy32[z_keep], iz32[z_keep]
+            self._z_out_log = n_out * float(self._table[0])
+        elif n_out:
+            self._z_keep = z_keep
+        self._qx32, self._qy32, self._iz32 = qx32, qy32, iz32
 
     def score(self, ys: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log-likelihoods, points-scored) for parallel arrays of proposals."""
@@ -154,14 +186,17 @@ class PoseScorer:
             return loglik, n_scored
         cos_t = np.cos(thetas).astype(np.float32)[:, None]
         sin_t = np.sin(thetas).astype(np.float32)[:, None]
-        starts, lengths, long = runs = _heading_runs(thetas)
-        distinct = n - int(lengths[long].sum())  # rows outside shared blocks
-        threaded = _WORKERS > 1 and distinct >= _MIN_THREADED_ROWS
-        blocks = list(_blocks(runs, n, _THREADED_CHUNK if threaded else _CHUNK))
-        chunks = [sl for sl, shared in blocks if not shared]
+        starts, lengths, long = _heading_runs(thetas)
+        in_run = np.repeat(long, lengths)
+        distinct = np.flatnonzero(~in_run)
+        threaded = _WORKERS > 1 and distinct.size >= _MIN_THREADED_ROWS
+        rows = _THREADED_CHUNK if threaded else _CHUNK
+        chunks = [distinct[lo : lo + rows] for lo in range(0, distinct.size, rows)]
 
-        def write(sl):
-            loglik[sl], n_scored[sl] = self._score_block(cos_t[sl], sin_t[sl], ys[sl])
+        def write(cells):
+            loglik[cells], n_scored[cells] = self._score_block(
+                cos_t[cells], sin_t[cells], ys[cells]
+            )
 
         # chunks of distinct headings are pulled one at a time by the calling
         # thread and the pool's, so a thread that starts late takes fewer
@@ -171,49 +206,62 @@ class PoseScorer:
             pool = _scoring_pool()
             for _ in range(helpers):
                 pool.submit(queue.work)
-        # a grid's shared-heading blocks are too small to gain from a thread
-        for sl, shared in blocks:
-            if shared:
-                # one (1, 1) heading row for the whole block
-                hd = slice(sl.start, sl.start + 1)
-                loglik[sl], n_scored[sl] = self._score_block(cos_t[hd], sin_t[hd], ys[sl])
+        # a grid's shared-heading cells are too few to gain from a thread:
+        # _CHUNK at a time, each reads the heading row of its run
+        shared = np.flatnonzero(in_run)
+        run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
+        heads = starts[long]
+        for lo in range(0, shared.size, _CHUNK):
+            cells = shared[lo : lo + _CHUNK]
+            run = run_of[lo : lo + _CHUNK]
+            hd = heads[run[0] : run[-1] + 1]
+            loglik[cells], n_scored[cells] = self._score_block(
+                cos_t[hd], sin_t[hd], ys[cells], run - run[0]
+            )
         queue.work()
         queue.finish()
         return loglik, n_scored
 
-    def _score_block(self, cos_t, sin_t, ys):
-        """Score ys against (m, 1) headings, or one (1, 1) heading for all.
+    def _score_block(self, cos_t, sin_t, ys, row=None):
+        """Score ys against (h, 1) heading rows: ys[i] against heading row
+        row[i], or against heading row i when `row` is None.
 
-        Heading-only terms (rotated x, x index, x/z masks) are computed
-        per heading row and broadcast over the y offsets.
+        Heading-only terms (rotated x and y, x index, x/z masks) are
+        computed once per heading row and gathered for each y offset.
         """
         # work directly in grid coordinates (voxels from the grid origin)
         fx = cos_t * self._qx32 - sin_t * self._qy32
         fx -= self._lo_x
         fx *= self._inv_res
-        fy = sin_t * self._qx32 + cos_t * self._qy32
-        fy = fy + ys.astype(np.float32)[:, None]
-        fy -= self._lo_y
-        fy *= self._inv_res
-
         keep_x = (fx >= 0) & (fx <= self._fx_hi)
-        keep_x &= self._z_keep
-        keep = (fy >= 0) & (fy <= self._fy_hi)
-        keep &= keep_x
+        if self._z_keep is not None:
+            keep_x &= self._z_keep
 
         nx, ny, nz = self._dims
         # truncation equals floor on kept points; the rest are sent to slot 0
+        # below, so only the upper faces need a clamp
         ix = fx.astype(np.int32)
-        np.clip(ix, 0, np.int32(nx - 1), out=ix)
+        np.minimum(ix, np.int32(nx - 1), out=ix)
         ix *= np.int32(ny * nz)
         ix += self._iz32
+        fy = sin_t * self._qx32 + cos_t * self._qy32
+        if row is not None:
+            fy, keep_x, ix = fy[row], keep_x[row], ix[row]
+        fy += ys.astype(np.float32)[:, None]
+        fy -= self._lo_y
+        fy *= self._inv_res
+
+        keep = (fy >= 0) & (fy <= self._fy_hi)
+        keep &= keep_x
         lin = fy.astype(np.int32)
-        np.clip(lin, 0, np.int32(ny - 1), out=lin)
+        np.minimum(lin, np.int32(ny - 1), out=lin)
         lin *= np.int32(nz)
         lin += ix
         lin *= keep  # points outside template_range read the no-info slot 0
-        logs = self._table.take(lin)
-        return logs.sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
+        sums = self._table.take(lin).sum(axis=1, dtype=np.float64)
+        if self._z_out_log:
+            sums += self._z_out_log
+        return sums, np.count_nonzero(keep, axis=1)
 
     def score_top_k(
         self, ys: np.ndarray, thetas: np.ndarray, k: int
@@ -240,7 +288,9 @@ class PoseScorer:
             return self.score(ys, thetas)
         res = self.template.config.resolution
         q = np.hypot(self._qx32, self._qy32, dtype=np.float64)
-        r_max = float(np.max(q[self._z_keep], initial=0.0))
+        if self._z_keep is not None:
+            q = q[self._z_keep]
+        r_max = float(np.max(q, initial=0.0))
         width = 2.0 * _ROT_SLACK * res / max(r_max, res)
         block_of, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
         if middle.size * y_lo.size >= n:
@@ -327,11 +377,13 @@ class PoseScorer:
             fx -= self._lo_x
             fx *= self._inv_res
             keep_x = (fx >= -slack32) & (fx <= self._fx_hi + slack32)
-            keep_x &= self._z_keep
+            if self._z_keep is not None:
+                keep_x &= self._z_keep
             if wide:
                 fx -= slack32
             # clamped before the cast: the first index the window reads
-            np.clip(fx, 0, np.float32(nx - 1), out=fx)
+            np.maximum(fx, np.float32(0), out=fx)
+            np.minimum(fx, np.float32(nx - 1), out=fx)
             ix = fx.astype(np.int32)
             ix *= np.int32(ny * nz)
             ix += self._iz32
@@ -341,12 +393,15 @@ class PoseScorer:
             fy *= self._inv_res
             if wide:
                 fy -= slack32
-            np.clip(fy, 0, np.float32(ny - 1), out=fy)
+            np.maximum(fy, np.float32(0), out=fy)
+            np.minimum(fy, np.float32(ny - 1), out=fy)
             lin = fy.astype(np.int32)
             lin *= np.int32(nz)
             lin += ix[:, None, :]
             lin *= keep_x[:, None, :]
             bounds[hb] = pooled.take(lin).sum(axis=2, dtype=np.float64)
+        if self._z_out_log:
+            bounds += self._z_out_log
         return bounds.ravel(), magnitude
 
 
@@ -405,26 +460,9 @@ _SPAN_ULPS = 64
 _ROUND = 32
 
 
-# runs of at least this many equal headings are scored as a shared-heading
-# block; shorter runs (duplicated PF particles) stay in the chunks, which
-# keeps the number of kernel calls per score() low
+# runs of at least this many equal headings share their heading's row;
+# shorter runs (duplicated PF particles) stay in the chunks
 _MIN_RUN = 8
-
-
-def _blocks(runs, n: int, rows: int):
-    """(slice, shared-heading) blocks of at most `rows` consecutive proposals.
-
-    Takes the n proposals' `_heading_runs`.  Runs of _MIN_RUN or more
-    equal headings (a theta-major grid) share one heading row; the
-    proposals between them are chunked as they come.
-    """
-    starts, lengths, long = runs
-    pos = 0
-    for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
-        yield from _chunks(pos, start, False, rows)
-        pos = start + length
-        yield from _chunks(start, pos, True, rows)
-    yield from _chunks(pos, n, False, rows)
 
 
 # scoring threads, the calling thread included: the CPUs this process may
@@ -523,25 +561,42 @@ def _heading_runs(thetas: np.ndarray):
     return starts, lengths, lengths >= _MIN_RUN
 
 
-def _chunks(start: int, end: int, shared: bool, rows: int):
-    for lo in range(start, end, rows):
-        yield slice(lo, min(lo + rows, end)), shared
-
-
-def _log_table(template: Template, p_floor: float, log_no_info: float) -> np.ndarray:
-    """The no-info log, then the flat float32 log(max(grid, p_floor)).
+def _log_table(template: Template, p_floor: float, log_no_info: float):
+    """The no-info log, then the flat float32 log(max(grid, p_floor)); and
+    its `_exact_sum_limit`.
 
     Built once per (template, p_floor) and kept on the template, whose
     grid is read-only, so every scorer of that template reuses it.
     """
-    table = template._log_tables.get(p_floor)
-    if table is None:
+    cached = template._log_tables.get(p_floor)
+    if cached is None:
         flat = np.ascontiguousarray(template.grid.reshape(-1), dtype=np.float64)
         logs = np.log(np.maximum(flat, p_floor)).astype(np.float32)
         table = np.concatenate(([np.float32(log_no_info)], logs))
         table.flags.writeable = False
-        template._log_tables[p_floor] = table
-    return table
+        cached = table, _exact_sum_limit(table)
+        template._log_tables[p_floor] = cached
+    return cached
+
+
+def _exact_sum_limit(table: np.ndarray) -> float:
+    """The most float32 entries of `table` that float64 sums exactly in
+    any order: the largest N with N * M <= 2**53 * u.
+
+    M is the largest |entry| and u the float32 ulp of the smallest nonzero
+    |entry|, of which every entry is a multiple (module docstring).  Found
+    by reductions over the table, without a float64 copy of it.  inf when
+    every entry is 0; 0 when one is not finite.
+    """
+    big = max(-float(table.min()), float(table.max()))
+    if big == 0.0:
+        return math.inf
+    if not math.isfinite(big):
+        return 0
+    neg = float(table.max(where=table < 0, initial=-np.inf))
+    pos = float(table.min(where=table > 0, initial=np.inf))
+    u = float(np.spacing(np.float32(min(-neg, pos))))
+    return math.floor(Fraction(2.0**53 * u) / Fraction(big))
 
 
 def _pooled_table(

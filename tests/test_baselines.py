@@ -73,7 +73,8 @@ def test_baseline2_pair_parallel_for_random_inputs(wall_cloud_T):
     for seed in range(5):
         cloud_C = camera_cloud_at(wall_cloud_T, 0.1 * seed - 0.2, 0.03 * seed - 0.06)
         _, _, pair = baseline2(cloud_C, PARAMS, seed=seed)
-        d = abs(float(np.cross(pair.left.direction, pair.right.direction)))
+        a, b = pair.left.direction, pair.right.direction
+        d = abs(float(a[0] * b[1] - a[1] * b[0]))  # the 2-D cross product
         assert d < 1e-9
 
 

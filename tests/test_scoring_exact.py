@@ -12,6 +12,12 @@ and particles may depend on the number of threads.
 Grid search and uniform sampling score only the blocks of proposals
 whose upper bound reaches the k-th best score; their estimates must
 equal, bit for bit, the ones built from scoring every proposal.
+
+When a frame's float64 sums of logs are exact in any order (the
+exact-sum guard), the scorer adds the logs of points outside the z range
+as one constant; otherwise it keeps every point.  Templates built from
+frame counts take the first path, the random grids of `scenes()` the
+second, and both must match the reference.
 """
 
 import math
@@ -50,12 +56,15 @@ from rowloc.mcl import (
     localize_uniform,
 )
 from rowloc.measurement import (
+    _CHUNK,
     _MIN_RUN,
     _ROT_SLACK,
     _ROUND,
     _THREADED_CHUNK,
     _Y_BIN,
     PoseScorer,
+    _exact_sum_limit,
+    _proposal_blocks,
     _prunable,
 )
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
@@ -103,6 +112,20 @@ def reference_score(frame, template, p_floor, y, theta):
 
 # extents that are not multiples of the resolution
 TEMPLATE_RANGE = Box3.from_ranges((-0.05, 4.0), (-2.07, 2.0), (0.0, 2.0))
+ROW_RANGE = Box3.from_ranges((0.0, 4.0), (-1.0, 1.0), (0.0, 2.0))
+# the float32 frequency next below 1: its log, about -2**-24, has a float32
+# ulp of 2**-47, so float64 sums of more than 64 / max|log| <= 13 logs of a
+# table holding it need not be exact in every order
+NEAR_ONE = F32(1.0 - 2.0**-24)
+
+
+def heading_runs(draw):
+    """Runs of equal headings (some past the chunk size) between distinct ones."""
+    runs = draw(st.lists(
+        st.tuples(st.integers(1, 140), st.floats(-0.8, 0.8, allow_subnormal=False)),
+        min_size=1, max_size=8,
+    ))
+    return np.concatenate([np.full(k, th) for k, th in runs])
 
 
 @st.composite
@@ -117,9 +140,11 @@ def scenes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = rng.uniform(0.0, 1.0, cfg.dims).astype(F32)
     grid[rng.uniform(size=cfg.dims) < 0.3] = 0.0  # empty voxels pay the floor
+    grid.flat[rng.integers(0, grid.size, 3)] = NEAR_ONE
     template = Template(cfg, grid, 10)
 
-    n = draw(st.one_of(st.just(0), st.integers(1, 80)))  # the empty cloud too
+    # the empty cloud too; every other cloud is too large for exact sums
+    n = draw(st.one_of(st.just(0), st.integers(14, 80)))
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(n, 3))
     if n and draw(st.booleans()):
         # snap some coordinates onto voxel faces and the grid's outer faces
@@ -128,12 +153,7 @@ def scenes(draw):
     tilt = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.03, -0.02, 0.9)]))
     frame = PreprocessedFrame(PointCloud(pts, "V"), *tilt)
 
-    # runs of equal headings (some past the chunk size) between distinct ones
-    runs = draw(st.lists(
-        st.tuples(st.integers(1, 140), st.floats(-0.8, 0.8, allow_subnormal=False)),
-        min_size=1, max_size=8,
-    ))
-    thetas = np.concatenate([np.full(k, th) for k, th in runs])
+    thetas = heading_runs(draw)
     ys = rng.uniform(-1.0, 1.0, thetas.size)
     on_face = rng.uniform(size=ys.size) < 0.2
     ys[on_face] = np.round(ys[on_face] / res) * res
@@ -141,16 +161,186 @@ def scenes(draw):
     return frame, template, p_floor, ys, thetas
 
 
-@settings(max_examples=60, deadline=None)
-@given(scenes())
-def test_score_equals_per_proposal_reference(scene):
-    frame, template, p_floor, ys, thetas = scene
-    ll, ns = PoseScorer(frame, template, p_floor).score(ys, thetas)
+def assert_scores_equal_reference(scorer, frame, ys, thetas):
+    template, p_floor = scorer.template, scorer.p_floor
+    ll, ns = scorer.score(ys, thetas)
     expected = [reference_score(frame, template, p_floor, y, th) for y, th in zip(ys, thetas)]
     want_ll = np.array([e[0] for e in expected])
     want_ns = np.array([e[1] for e in expected], dtype=np.int64)
     np.testing.assert_array_equal(ll.view(np.int64), want_ll.view(np.int64))
     np.testing.assert_array_equal(ns, want_ns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes())
+def test_score_equals_per_proposal_reference(scene):
+    frame, template, p_floor, ys, thetas = scene
+    scorer = PoseScorer(frame, template, p_floor)
+    if scorer.n_points:
+        # too many points for exact sums: every point is scored as it is
+        assert not scorer._exact_sums
+        assert scorer._qx32.size == scorer.n_points
+    assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+@st.composite
+def frequency_scenes(draw):
+    """A template of frame-count frequencies k / n_frames, as
+    `build_template` makes them, and a cloud with points on and beyond
+    the z faces, or wholly outside the z range."""
+    res = draw(st.sampled_from([0.1, 0.25, 0.3]))
+    cfg = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=draw(st.floats(1e-3, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_frames = draw(st.sampled_from([1, 3, 10, 100, 300]))
+    counts = rng.integers(0, n_frames + 1, cfg.dims)
+    counts[rng.uniform(size=cfg.dims) < 0.5] = 0
+    freq = np.where(cfg.in_row_mask(), counts / float(n_frames), cfg.no_info_frequency)
+    template = Template(cfg, freq, n_frames)
+
+    n = draw(st.integers(1, 300))
+    pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(n, 3))
+    lo_z, hi_z = TEMPLATE_RANGE.min_corner[2], TEMPLATE_RANGE.max_corner[2]
+    kind = draw(st.sampled_from(["mixed", "z-faces", "all-outside-z"]))
+    if kind == "z-faces":
+        # on each z face, and one float64 step inside and outside each
+        faces = [lo_z, hi_z, np.nextafter(lo_z, -1.0), np.nextafter(hi_z, 3.0),
+                 np.nextafter(lo_z, 1.0), np.nextafter(hi_z, 1.0)]
+        pick = rng.uniform(size=n) < 0.6
+        pts[pick, 2] = rng.choice(faces, int(pick.sum()))
+    elif kind == "all-outside-z":
+        pts[:, 2] = np.where(rng.uniform(size=n) < 0.5, rng.uniform(-0.5, -1e-9, n),
+                             rng.uniform(hi_z + 1e-9, 2.5, n))
+    tilt = (0.0, 0.0, 0.0)  # level at height 0: the scorer's z is the point's own
+    if kind == "mixed":
+        tilt = draw(st.sampled_from([tilt, (0.03, -0.02, 0.9)]))
+    frame = PreprocessedFrame(PointCloud(pts, "V"), *tilt)
+
+    thetas = heading_runs(draw)
+    ys = rng.uniform(-1.0, 1.0, thetas.size)
+    p_floor = draw(st.sampled_from([1e-4, 1e-2]))
+    return frame, template, p_floor, ys, thetas, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(frequency_scenes())
+def test_score_with_out_of_z_points_summed_as_one_constant_equals_reference(scene):
+    frame, template, p_floor, ys, thetas, kind = scene
+    scorer = PoseScorer(frame, template, p_floor)
+    assert scorer._exact_sums
+    assert scorer._z_keep is None
+    qz = (frame.cloud_V.points @ rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation.T
+          )[:, 2] + frame.height
+    lo_z, hi_z = TEMPLATE_RANGE.min_corner[2], TEMPLATE_RANGE.max_corner[2]
+    assert scorer._qx32.size == np.count_nonzero((qz >= lo_z) & (qz <= hi_z))
+    if kind == "all-outside-z":
+        assert scorer._qx32.size == 0
+    assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+def test_exact_sum_guard_at_its_boundary():
+    # M = 1; the smallest nonzero |entry| 2**-20 has the float32 ulp
+    # u = 2**-43, so N * M = 2**53 * u at N = 1024
+    table = np.array([-0.25, -1.0, -(2.0**-20), 0.0, 0.75], dtype=F32)
+    assert _exact_sum_limit(table) == 1024
+    assert _exact_sum_limit(-table) == 1024
+    assert _exact_sum_limit(np.zeros(3, dtype=F32)) == math.inf
+    assert _exact_sum_limit(np.array([-np.inf, -1.0], dtype=F32)) == 0
+
+    # a template built so: 1024 points pass, one more fails
+    cfg = TemplateConfig(resolution=0.25, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=math.exp(-1.0))
+    grid = np.full(cfg.dims, math.exp(-0.25), dtype=F32)
+    grid[0, 0, 0] = math.exp(-(2.0**-20))
+    template = Template(cfg, grid, 10)
+    limit = measurement._log_table(template, math.exp(-1.0), math.log(cfg.no_info_frequency))[1]
+    assert limit == 1024
+    for n, exact in ((1024, True), (1025, False)):
+        pts = np.tile([[1.0, 0.0, 3.0]], (n, 1))  # above the z range
+        pts[:10, 2] = 1.0
+        scorer = PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template,
+                            math.exp(-1.0))
+        assert scorer._exact_sums is exact
+        assert scorer._qx32.size == (10 if exact else n)
+
+
+def test_block_bounds_are_the_scores_on_a_constant_grid():
+    """Every voxel and the no-info slot hold one log, so each block's bound
+    sums what each of its proposals sums, the points outside the z range
+    included: bit for bit the same exact sum."""
+    cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.5)
+    template = Template(cfg, np.full(cfg.dims, 0.5, dtype=F32), 10)
+    rng = np.random.default_rng(2)
+    pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(50, 3))
+    scorer = PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template)
+    assert scorer._exact_sums and scorer._qx32.size < 50
+    poses = mcl.sample_uniform(MclConfig().prior, 400, seed=1)
+    ys, thetas = poses[:, 0], poses[:, 1]
+    ll, _ = scorer.score(ys, thetas)
+    assert np.all(ll == 50 * float(F32(math.log(0.5))))
+    res = cfg.resolution
+    r_max = float(np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64).max())
+    width = 2.0 * _ROT_SLACK * res / max(r_max, res)
+    _, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+    bounds, _ = scorer._block_bounds(ys, r_max, y_lo, middle, wide)
+    assert bounds.tobytes() == np.full(bounds.size, ll[0]).tobytes()
+
+
+def test_a_frequency_next_below_one_keeps_every_point():
+    cfg = TemplateConfig(resolution=0.25, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.02)
+    rng = np.random.default_rng(5)
+    grid = np.full(cfg.dims, 0.5, dtype=F32)
+    grid[rng.uniform(size=cfg.dims) < 0.5] = NEAR_ONE
+    template = Template(cfg, grid, 10)
+    pts = rng.uniform([-0.5, -2.5, -0.5], [4.5, 2.5, 2.5], size=(40, 3))
+    pts[:5, 2] = [0.0, 2.0, -0.1, 2.1, 2.5]
+    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    scorer = PoseScorer(frame, template)
+    assert not scorer._exact_sums
+    assert scorer._qx32.size == 40 and scorer._z_keep is not None
+    thetas = np.repeat(rng.uniform(-0.5, 0.5, 6), [1, 20, 1, 1, 9, 3])
+    ys = rng.uniform(-1.0, 1.0, thetas.size)
+    assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
+    """A grid call's shared-heading runs (past _CHUNK, and of just
+    _MIN_RUN) fill kernel calls of _CHUNK cells across runs, between
+    distinct-heading chunks, and score as the reference does."""
+    cfg = TemplateConfig(resolution=0.1, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.05)
+    rng = np.random.default_rng(11)
+    counts = rng.integers(0, 11, cfg.dims)
+    template = Template(cfg, counts / 10.0, 10)
+    pts = rng.uniform([-0.5, -2.5, -0.5], [4.5, 2.5, 2.5], size=(120, 3))
+    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.02, 0.01, 0.3)
+    # (cells, shared): runs of one heading, or as many distinct headings
+    segments = [(_CHUNK + 45, True), (_MIN_RUN, True), (2, False), (_MIN_RUN, True),
+                (2 * _CHUNK + 3, True), (2 * _THREADED_CHUNK + 5, False), (_MIN_RUN, True),
+                (_MIN_RUN - 1, False)]
+    thetas = np.concatenate([
+        np.full(k, rng.uniform(-0.6, 0.6)) if shared else rng.uniform(-0.6, 0.6, k)
+        for k, shared in segments
+    ])
+    ys = rng.uniform(-1.0, 1.0, thetas.size)
+    n_shared = sum(k for k, shared in segments if shared)
+    calls = []
+    score_block = PoseScorer._score_block
+
+    def recorded(self, cos_t, sin_t, ys, row=None):
+        if row is not None:
+            calls.append(len(ys))
+        return score_block(self, cos_t, sin_t, ys, row)
+
+    scorer = PoseScorer(frame, template)
+    assert scorer._exact_sums
+    with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+        assert (measurement._pool is not None) == (workers > 1)
+    assert calls == [_CHUNK] * (n_shared // _CHUNK) + [n_shared % _CHUNK]
 
 
 @contextmanager
@@ -478,9 +668,6 @@ def estimate_bits(est):
     return floats.view(np.int64).tolist(), cov.view(np.int64).tolist(), est.n_points, est.flags
 
 
-ROW_RANGE = Box3.from_ranges((0.0, 4.0), (-1.0, 1.0), (0.0, 2.0))
-
-
 def uniform_proposals(draw, rng, frame, template, cfg):
     """A uniform proposal set: random, with duplicates, one pose, or on bin edges."""
     kind = draw(st.sampled_from(["random", "duplicates", "one", "bin-edges"]))
@@ -498,7 +685,9 @@ def uniform_proposals(draw, rng, frame, template, cfg):
         # on the edges of the heading bins and y-bins the scorer cuts
         scorer = PoseScorer(frame, template, cfg.p_floor)
         res = template.config.resolution
-        r = np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64)[scorer._z_keep]
+        r = np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64)
+        if scorer._z_keep is not None:
+            r = r[scorer._z_keep]
         width = 2.0 * _ROT_SLACK * res / max(float(r.max(initial=0.0)), res)
         edge = rng.uniform(size=n) < 0.5
         thetas[edge] = thetas.min() + rng.integers(0, 8, edge.sum()) * width
