@@ -35,7 +35,6 @@ from .mcl import (
     localize_pf,
     localize_uniform,
 )
-from .measurement import LogLikelihood, likelihood_field, measurement_log_likelihood
 from .template import (
     GroundTruthPose,
     Template,
@@ -48,7 +47,6 @@ from .template import (
 __all__ = [
     "Box3",
     "GroundTruthPose",
-    "LogLikelihood",
     "MclConfig",
     "OdometryDelta",
     "ParticleSet",
@@ -65,13 +63,11 @@ __all__ = [
     "build_template",
     "cutoff_filter",
     "invert",
-    "likelihood_field",
     "load_template",
     "localize_grid",
     "localize_pf",
     "localize_uniform",
     "make_pose_transform",
-    "measurement_log_likelihood",
     "preprocess",
     "ransac_ground_plane",
     "rotation_from_euler",

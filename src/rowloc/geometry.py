@@ -26,7 +26,11 @@ class DegenerateInputError(ValueError):
 
 
 class LowConfidenceFitError(RuntimeError):
-    """Raised when a RANSAC fit falls below the inlier-ratio floor."""
+    """Nothing raises this: `ransac_ground_plane` has no inlier floor.
+
+    It stays only because `perfbench/workloads.py` imports it, and goes
+    with that import.
+    """
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,6 @@ def ransac_ground_plane(
     iters: int = 200,
     inlier_tol: float = 0.05,
     seed: int = 0,
-    min_inlier_ratio: float = 0.0,
     max_tilt: float = 0.6,
 ) -> tuple[Plane, float, float, float]:
     """Fit the ground plane by RANSAC and recover (roll, pitch, height).
@@ -340,14 +343,9 @@ def ransac_ground_plane(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_pts, size=(iters, 3))
     min_nz = math.cos(max_tilt)
-    best_k, best_count = _best_plane_hypothesis(pts, idx, min_nz, inlier_tol)
+    best_k, _ = _best_plane_hypothesis(pts, idx, min_nz, inlier_tol)
     if best_k < 0:
         raise DegenerateInputError("no admissible (near-horizontal) plane hypothesis found")
-    if best_count < min_inlier_ratio * n_pts:
-        raise LowConfidenceFitError(
-            f"best plane has {best_count}/{n_pts} inliers, "
-            f"below floor {min_inlier_ratio:.2f}"
-        )
     best_plane, _ = _plane_hypothesis(pts, idx[best_k], min_nz, inlier_tol)
     inliers = pts[np.abs(best_plane.distance(pts)) <= inlier_tol]
     plane = _lsq_plane(inliers)
@@ -362,9 +360,8 @@ class PreprocessConfig:
     """The downsampling leaf (m) of the preprocessing pipeline.
 
     The ground fit runs with `ransac_ground_plane`'s defaults: 200
-    hypotheses from a fixed seed, a 0.05 m inlier band and no inlier floor.
-    So `preprocess` is deterministic, and it never raises
-    `LowConfidenceFitError`.
+    hypotheses from a fixed seed and a 0.05 m inlier band.  So
+    `preprocess` is deterministic.
     """
 
     leaf_size: float = 0.05

@@ -347,21 +347,16 @@ def write_manifest(out_dir, cfg: ExperimentConfig, runner: str, extra: dict | No
     Path(out_dir, "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _maybe_dir(out_dir):
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _write_run(out_dir, cfg: ExperimentConfig, runner: str, tables: dict, extra=None) -> None:
     """Write each table {file name: (header, rows)} and the run manifest
     into out_dir; nothing when out_dir is None."""
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        for name, (header, rows) in tables.items():
-            _write_csv(out_dir / name, header, rows)
-        write_manifest(out_dir, cfg, runner, extra)
+    if out_dir is None:
+        return
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
+    write_manifest(out_dir, cfg, runner, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +439,11 @@ def run_cross_template_matrix(cfg: ExperimentConfig, k_rows: int, out_dir=None) 
             m = results_metrics(res)
             mae_y[k, j] = m["y"].mae
             mae_theta[k, j] = m["theta"].mae
-    out_dir = _maybe_dir(out_dir)
-    if out_dir:
-        np.savetxt(out_dir / "mae_y.csv", mae_y, delimiter=",")
-        np.savetxt(out_dir / "mae_theta.csv", mae_theta, delimiter=",")
-        write_manifest(out_dir, cfg, "run_cross_template_matrix", {"k_rows": k_rows})
+    header = ",".join(["template_row"] + [f"eval_row_{j}" for j in range(k_rows)])
+    _write_run(out_dir, cfg, "run_cross_template_matrix",
+               {"mae_y.csv": (header, [(k, *row) for k, row in enumerate(mae_y)]),
+                "mae_theta.csv": (header, [(k, *row) for k, row in enumerate(mae_theta)])},
+               {"k_rows": k_rows})
     return {"mae_y": mae_y, "mae_theta": mae_theta}
 
 
@@ -590,9 +585,7 @@ def run_curvature_sweep(
             straight = make_dataset(scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51))
             template = template_from_dataset(straight, cfg)
             for radius in radii:
-                ds = make_dataset(
-                    scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51), curvature_radius=radius
-                )
+                ds = make_dataset(scene, cfg.trajectory, sensor, derive_seed(cfg.seed, 51), radius)
                 yield (rng_m, radius), template, _frames(cfg, _eval_subset(ds, cfg), (52, int(rng_m)))
 
     out = {key: results_metrics(res) for key, res in _sweep(cfg, cases()).items()}

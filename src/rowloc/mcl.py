@@ -26,6 +26,9 @@ FLAG_REINITIALIZED = "reinitialized"
 TOP_FRACTION = 0.01
 # the covariance reported when the measurement is empty
 MAX_COVARIANCE = np.diag([0.8**2, 0.6**2])
+# grid search's cell size in y (m) and theta (rad)
+GRID_Y_STEP = 0.02
+GRID_THETA_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -236,30 +239,21 @@ def _localize_proposals(
 
 
 def localize_uniform(
-    cloud_C: PointCloud,
-    template: Template,
-    cfg: MclConfig,
-    seed: int,
-    n: int | None = None,
+    cloud_C: PointCloud, template: Template, cfg: MclConfig, seed: int
 ) -> PoseEstimate:
-    """Draw n uniform proposals and return the best-scoring pose, with
-    top-k pruning (`_localize_proposals`)."""
-    n = n if n is not None else cfg.n_particles
-    return _localize_proposals(cloud_C, template, cfg, sample_uniform(cfg.prior, n, seed))
+    """Draw cfg.n_particles uniform proposals and return the best-scoring
+    pose, with top-k pruning (`_localize_proposals`)."""
+    poses = sample_uniform(cfg.prior, cfg.n_particles, seed)
+    return _localize_proposals(cloud_C, template, cfg, poses)
 
 
-def localize_grid(
-    cloud_C: PointCloud,
-    template: Template,
-    cfg: MclConfig,
-    y_step: float = 0.02,
-    theta_step: float = 0.01,
-) -> PoseEstimate:
-    """Grid search over the prior box (deterministic oracle), theta-major,
-    with top-k pruning (`_localize_proposals`)."""
+def localize_grid(cloud_C: PointCloud, template: Template, cfg: MclConfig) -> PoseEstimate:
+    """Grid search over the prior box in GRID_Y_STEP x GRID_THETA_STEP
+    cells (deterministic oracle), theta-major, with top-k pruning
+    (`_localize_proposals`)."""
     p = cfg.prior
-    ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
-    thetas = np.arange(p.theta_min, p.theta_max + 1e-12, theta_step)
+    ys = np.arange(p.y_min, p.y_max + 1e-12, GRID_Y_STEP)
+    thetas = np.arange(p.theta_min, p.theta_max + 1e-12, GRID_THETA_STEP)
     tt, yy = np.meshgrid(thetas, ys, indexing="ij")
     return _localize_proposals(cloud_C, template, cfg, np.column_stack([yy.ravel(), tt.ravel()]))
 

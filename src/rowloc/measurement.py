@@ -13,9 +13,7 @@ not counted.  Every preprocessed point thus contributes to every
 proposal's score.  Without the constant penalty, proposals that rotate
 informative points out of the box would shed their negative log terms
 and beat the true pose on raw sum.  Uniform, particle-filter and grid
-estimation, `measurement_log_likelihood` and `likelihood_field` all
-score this way, so a field over grid search's (y, theta) grid peaks at
-grid search's pose.
+estimation all score this way.
 
 Exactness contract: `PoseScorer.score` returns, bit for bit, what
 scoring each proposal on its own would return.  Runs of consecutive
@@ -58,9 +56,8 @@ best proposals, their order, ties broken by index, and whether any
 proposal scores a point all match scoring every proposal.  A proposal
 set with at least as many (heading bin x y-bin) blocks as proposals is
 scored whole, with no bound computed.  Uniform sampling and grid search
-use it.  Particle-filter proposals, whose weights need every score,
-`measurement_log_likelihood` and `likelihood_field`, which returns every
-cell, are scored exhaustively.
+use it.  Particle-filter proposals, whose weights need every score, are
+scored exhaustively.
 """
 
 from __future__ import annotations
@@ -68,18 +65,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (
-    PointCloud,
-    PreprocessConfig,
-    PreprocessedFrame,
-    preprocess,
-    rotation_from_euler,
-)
+from .geometry import PreprocessedFrame, rotation_from_euler
 from .template import Template
 
 DEFAULT_P_FLOOR = 1e-4
@@ -99,21 +89,6 @@ _THREADED_CHUNK = 64
 # times differ.  The particle filter's 4000 rows, one call a frame, are
 # scored on every CPU.
 _MIN_THREADED_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class LogLikelihood:
-    value: float
-    n_points_scored: int
-
-    @property
-    def empty(self) -> bool:
-        return self.n_points_scored == 0
-
-    @property
-    def mean(self) -> float:
-        """Per-point mean log-likelihood, for comparing unequal clouds."""
-        return self.value / self.n_points_scored if self.n_points_scored else 0.0
 
 
 class PoseScorer:
@@ -636,51 +611,3 @@ def _pooled_table(
         cached = pooled, float(np.abs(pooled).max())
         template._pooled_tables[key] = cached
     return cached
-
-
-def measurement_log_likelihood(
-    cloud_C: PointCloud,
-    template: Template,
-    y: float,
-    theta: float,
-    pre_cfg: PreprocessConfig = PreprocessConfig(),
-    p_floor: float = DEFAULT_P_FLOOR,
-) -> LogLikelihood:
-    """Log of Eq.-style product likelihood at a single (y, theta) proposal.
-
-    Raises `DegenerateInputError` when the frame has no usable ground (no
-    points, or no ground plane fit); the `localize_*` estimators return a
-    flagged estimate for such a frame.
-    """
-    frame = preprocess(cloud_C, pre_cfg)
-    scorer = PoseScorer(frame, template, p_floor)
-    ll, ns = scorer.score(np.array([y]), np.array([theta]))
-    if ns[0] == 0:
-        return LogLikelihood(0.0, 0)
-    return LogLikelihood(float(ll[0]), int(ns[0]))
-
-
-def likelihood_field(
-    cloud_C: PointCloud,
-    template: Template,
-    y_values: np.ndarray,
-    theta_values: np.ndarray,
-    pre_cfg: PreprocessConfig = PreprocessConfig(),
-    p_floor: float = DEFAULT_P_FLOOR,
-) -> np.ndarray:
-    """Log-likelihood over a (theta, y) grid; preprocessing runs once.
-
-    Returns an array of shape (len(theta_values), len(y_values)).  Raises
-    `DegenerateInputError` when the frame has no usable ground (no points,
-    or no ground plane fit); the `localize_*` estimators return a flagged
-    estimate for such a frame.
-    """
-    y_values = np.asarray(y_values, dtype=np.float64)
-    theta_values = np.asarray(theta_values, dtype=np.float64)
-    if y_values.size == 0 or theta_values.size == 0:
-        raise ValueError("grids must be non-empty")
-    frame = preprocess(cloud_C, pre_cfg)
-    scorer = PoseScorer(frame, template, p_floor)
-    tt, yy = np.meshgrid(theta_values, y_values, indexing="ij")
-    ll, _ = scorer.score(yy.ravel(), tt.ravel())
-    return ll.reshape(theta_values.size, y_values.size)

@@ -121,13 +121,9 @@ class OrchardScene:
     points: np.ndarray  # (N, 3)
     tags: np.ndarray  # (N,) TAG_* values
     plant_index: np.ndarray  # (N,) int, -1 for ground
-    curvature_radius: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64).reshape(-1, 3))
-
-    def canopy_mask(self) -> np.ndarray:
-        return self.tags != TAG_GROUND
 
 
 def _clumped_unit(rng: np.random.Generator, n: int, amplitude: float) -> np.ndarray:
@@ -373,19 +369,14 @@ def _bend_points(points: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def bend_row(obj, radius: float, row_length: float | None = None):
-    """Bend a straight scene or cloud onto a circle of the given radius."""
-    if isinstance(obj, OrchardScene):
-        length = obj.spec.row_length
-    else:
-        length = row_length if row_length is not None else 0.0
+def bend_row(scene: OrchardScene, radius: float) -> OrchardScene:
+    """Bend a straight scene onto a circle of the given radius."""
     if math.isinf(radius):
-        return obj
+        return scene
+    length = scene.spec.row_length
     if radius <= length / math.pi:
         raise ValueError(f"radius {radius} too small for a {length} m row")
-    if isinstance(obj, OrchardScene):
-        return replace(obj, points=_bend_points(obj.points, radius), curvature_radius=radius)
-    return PointCloud(_bend_points(obj.points, radius), obj.frame)
+    return replace(scene, points=_bend_points(scene.points, radius))
 
 
 def bent_pose(pose: Pose6D, radius: float) -> Pose6D:

@@ -47,6 +47,15 @@ def camera_cloud_at(cloud_T: PointCloud, y: float, theta: float, z: float = 1.0)
     return transform_cloud(invert(T), cloud_T, frame="C")
 
 
+def grid_poses(cfg, y_step, theta_step):
+    """The (n, 2) cells (y, theta) of a grid search over cfg's prior box, theta-major."""
+    p = cfg.prior
+    ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
+    thetas = np.arange(p.theta_min, p.theta_max + 1e-12, theta_step)
+    tt, yy = np.meshgrid(thetas, ys, indexing="ij")
+    return np.column_stack([yy.ravel(), tt.ravel()])
+
+
 @pytest.fixture(scope="session")
 def wall_cloud_T():
     return make_wall_cloud_T()

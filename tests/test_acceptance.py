@@ -97,10 +97,9 @@ def test_criterion_1_sampled_matches_grid_search(vineyard_run):
     t0 = time.perf_counter()
     agree = 0
     for i in range(len(sub.clouds)):
-        eu = localize_uniform(
-            sub.clouds[i], template, cfg.mcl_cfg, derive_seed(cfg.seed, 100, i), n=50_000
-        )
-        eg = localize_grid(sub.clouds[i], template, cfg.mcl_cfg, y_step=0.02, theta_step=0.01)
+        eu = localize_uniform(sub.clouds[i], template, replace(cfg.mcl_cfg, n_particles=50_000),
+                              derive_seed(cfg.seed, 100, i))
+        eg = localize_grid(sub.clouds[i], template, cfg.mcl_cfg)
         if (
             abs(eu.pose.y - eg.pose.y) <= 0.02 + 1e-9
             and abs(eu.pose.theta - eg.pose.theta) <= 0.01 + 1e-9

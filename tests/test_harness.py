@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rowloc import harness
+from rowloc import harness, mcl
 from rowloc.geometry import (
     Box3,
     DegenerateInputError,
     PointCloud,
     PreprocessConfig,
+    preprocess,
 )
 from rowloc.harness import (
     ALL_METHODS,
@@ -30,10 +31,12 @@ from rowloc.harness import (
     run_voxel_sweep,
     template_from_dataset,
 )
-from rowloc.measurement import likelihood_field
+from rowloc.measurement import PoseScorer
 from rowloc.mcl import FLAG_EMPTY_MEASUREMENT, MclConfig, localize_grid
 from rowloc.synth import SensorSpec, TrajectorySpec, generate_scene, vineyard_preset
 from rowloc.template import TemplateConfig, default_row_range
+
+from conftest import grid_poses
 
 
 def _fast_config() -> ExperimentConfig:
@@ -94,27 +97,26 @@ def test_run_accuracy_outputs_and_determinism(cfg, tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
-def test_likelihood_field_peaks_at_grid_search_pose():
+def test_grid_search_pose_is_the_best_scoring_cell():
     # the row edges y = +-1.5 cut through the voxels of a grid from y = -3.07
     box = Box3.from_ranges((0.0, 9.95), (-3.07, 3.0), (0.0, 2.97))
     tpl_cfg = TemplateConfig(resolution=0.1, template_range=box, row_range=default_row_range(3.0, box))
     cfg = replace(_fast_config(), seed=7, n_eval_frames=15, template_cfg=tpl_cfg)
     ds = harness.render_run(cfg, harness.ACCURACY_TAG)
     template = template_from_dataset(ds, cfg)
-    p = cfg.mcl_cfg.prior
-    ys = np.arange(p.y_min, p.y_max + 1e-12, 0.02)
-    thetas = np.arange(p.theta_min, p.theta_max + 1e-12, 0.01)
+    poses = grid_poses(cfg.mcl_cfg, mcl.GRID_Y_STEP, mcl.GRID_THETA_STEP)
     n_scored = 0
     for cloud in harness._eval_subset(ds, cfg).clouds:
         est = localize_grid(cloud, template, cfg.mcl_cfg)
         try:
-            field = likelihood_field(cloud, template, ys, thetas, pre_cfg=cfg.mcl_cfg.pre_cfg)
+            frame = preprocess(cloud, cfg.mcl_cfg.pre_cfg)
         except DegenerateInputError:
-            # the field raises on a frame with no usable ground; grid search flags it
+            # no usable ground: grid search flags the frame
             assert FLAG_EMPTY_MEASUREMENT in est.flags
             continue
-        k, j = np.unravel_index(np.argmax(field), field.shape)
-        assert (ys[j], thetas[k]) == (est.pose.y, est.pose.theta)
+        ll, _ = PoseScorer(frame, template, cfg.mcl_cfg.p_floor).score(poses[:, 0], poses[:, 1])
+        best = np.argmax(ll)
+        assert (poses[best, 0], poses[best, 1]) == (est.pose.y, est.pose.theta)
         n_scored += 1
     assert n_scored == 14
 
@@ -190,7 +192,13 @@ def test_run_cross_template_matrix(cfg, tmp_path):
     assert out["mae_y"].shape == (2, 2)
     assert out["mae_theta"].shape == (2, 2)
     assert np.all(np.isfinite(out["mae_y"]))
-    assert (tmp_path / "mae_y.csv").exists()
+    for name in ("mae_y", "mae_theta"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "template_row,eval_row_0,eval_row_1"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["0", "1"]
+        back = np.array([[float(v) for v in row[1:]] for row in rows])
+        assert back.tobytes() == out[name].tobytes()
     with pytest.raises(ValueError):
         run_cross_template_matrix(cfg, k_rows=1)
 

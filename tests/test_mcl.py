@@ -172,8 +172,8 @@ def wall_template_and_run():
 
 def test_localize_uniform_single_sample_returns_it(wall_template_and_run):
     template, poses, clouds = wall_template_and_run
-    cfg = MclConfig(pre_cfg=PRE)
-    est = localize_uniform(clouds[10], template, cfg, seed=8, n=1)
+    cfg = MclConfig(pre_cfg=PRE, n_particles=1)
+    est = localize_uniform(clouds[10], template, cfg, seed=8)
     expected = sample_uniform(cfg.prior, 1, seed=8)[0]
     assert est.pose.y == expected[0]
     assert est.pose.theta == expected[1]

@@ -3,19 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rowloc.geometry import Box3, PointCloud, PreprocessConfig, PreprocessedFrame
-from rowloc.measurement import (
-    DEFAULT_P_FLOOR,
-    LogLikelihood,
-    PoseScorer,
-    likelihood_field,
-    measurement_log_likelihood,
-)
+from rowloc.geometry import Box3, PointCloud, PreprocessConfig, PreprocessedFrame, preprocess
+from rowloc.measurement import DEFAULT_P_FLOOR, PoseScorer
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 from rowloc.synth import SensorSpec, render_frame, generate_scene, vineyard_preset
 from rowloc.geometry import Pose6D
-
-from conftest import camera_cloud_at, make_wall_cloud_T
 
 
 SMALL_CFG = TemplateConfig(
@@ -149,30 +141,11 @@ def test_true_pose_beats_offset_pose_on_most_frames():
     for i in range(100):
         pose = Pose6D(x=8.0 + 0.1 * i, z=1.0)
         cloud = render_frame(scene, pose, sensor, seed=900 + i)
-        ll_true = measurement_log_likelihood(cloud, template, 0.0, 0.0, pre_cfg=pre)
-        ll_off = measurement_log_likelihood(cloud, template, 0.5, 0.0, pre_cfg=pre)
-        if ll_true.value > ll_off.value:
+        ll, _ = PoseScorer(preprocess(cloud, pre), template).score(
+            np.array([0.0, 0.5]), np.array([0.0, 0.0]))
+        if ll[0] > ll[1]:
             wins += 1
     assert wins >= 95
-
-
-def test_likelihood_field_matches_pointwise_scoring(centered_wall_cloud_C):
-    template = _build_wall_template()
-    ys = np.array([-0.2, 0.0, 0.2])
-    thetas = np.array([-0.1, 0.0, 0.1])
-    field = likelihood_field(centered_wall_cloud_C, template, ys, thetas)
-    assert field.shape == (3, 3)
-    for i, th in enumerate(thetas):
-        for j, y in enumerate(ys):
-            single = measurement_log_likelihood(centered_wall_cloud_C, template, float(y), float(th))
-            assert field[i, j] == pytest.approx(single.value, abs=1e-9)
-
-
-def _build_wall_template():
-    wall = make_wall_cloud_T(row_spacing=2.84, length=15.0, step=0.12)
-    cloud_C = camera_cloud_at(wall, 0.0, 0.0)
-    truths = [GroundTruthPose(y=0.0, theta=0.0)]
-    return build_template([cloud_C], truths, TemplateConfig(), PreprocessConfig(leaf_size=0.05))
 
 
 def test_mirror_symmetric_scene_gives_symmetric_scores():
@@ -195,11 +168,3 @@ def test_empty_measurement_contract():
     scorer = PoseScorer(_frame(np.zeros((0, 3))), template)
     ll, ns = scorer.score(np.array([0.0, 0.1]), np.array([0.0, 0.0]))
     assert np.all(ll == 0.0) and np.all(ns == 0)
-    assert LogLikelihood(0.0, 0).empty
-    assert LogLikelihood(-3.0, 2).mean == pytest.approx(-1.5)
-
-
-def test_field_grids_must_be_nonempty(centered_wall_cloud_C):
-    template = _build_wall_template()
-    with pytest.raises(ValueError):
-        likelihood_field(centered_wall_cloud_C, template, np.array([]), np.array([0.0]))

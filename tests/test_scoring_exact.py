@@ -27,6 +27,7 @@ import sys
 import threading
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import camera_cloud_at, make_wall_cloud_T
+from conftest import camera_cloud_at, grid_poses, make_wall_cloud_T
 from rowloc import geometry, mcl, measurement
 from rowloc.geometry import (
     Box3,
@@ -632,15 +633,6 @@ def test_scorers_of_one_template_share_its_log_table():
     assert np.all(template.grid == F32(0.5))
 
 
-def grid_poses(cfg, y_step, theta_step):
-    """`localize_grid`'s cells, theta-major."""
-    p = cfg.prior
-    ys = np.arange(p.y_min, p.y_max + 1e-12, y_step)
-    thetas = np.arange(p.theta_min, p.theta_max + 1e-12, theta_step)
-    tt, yy = np.meshgrid(thetas, ys, indexing="ij")
-    return np.column_stack([yy.ravel(), tt.ravel()])
-
-
 def exhaustive_estimate(frame, template, cfg, poses):
     """The estimate built from scoring every proposal."""
     ll, ns = PoseScorer(frame, template, cfg.p_floor).score(poses[:, 0], poses[:, 1])
@@ -649,17 +641,21 @@ def exhaustive_estimate(frame, template, cfg, poses):
     return _make_estimate(poses, ll, ns, cfg)
 
 
-def pruned_grid_estimate(frame, template, cfg, y_step, theta_step):
-    """`localize_grid` on an already preprocessed frame."""
-    with mock.patch.object(mcl, "preprocess", lambda cloud, pre_cfg: frame):
-        return localize_grid(frame.cloud_V, template, cfg, y_step, theta_step)
+def pruned_grid_estimate(frame, template, cfg, steps=(mcl.GRID_Y_STEP, mcl.GRID_THETA_STEP)):
+    """`localize_grid` on an already preprocessed frame, with cells of
+    steps = (y step, theta step)."""
+    with mock.patch.object(mcl, "preprocess", lambda cloud, pre_cfg: frame), \
+            mock.patch.object(mcl, "GRID_Y_STEP", steps[0]), \
+            mock.patch.object(mcl, "GRID_THETA_STEP", steps[1]):
+        return localize_grid(frame.cloud_V, template, cfg)
 
 
 def pruned_uniform_estimate(frame, template, cfg, poses):
     """`localize_uniform` on an already preprocessed frame, drawing `poses`."""
     with mock.patch.object(mcl, "preprocess", lambda cloud, pre_cfg: frame), \
             mock.patch.object(mcl, "sample_uniform", lambda prior, n, seed: poses):
-        return localize_uniform(frame.cloud_V, template, cfg, seed=0, n=len(poses))
+        return localize_uniform(frame.cloud_V, template, replace(cfg, n_particles=len(poses)),
+                                seed=0)
 
 
 def estimate_bits(est):
@@ -738,7 +734,7 @@ def assert_pruned_search_equals_exhaustive(scene):
     frame, template, cfg, search = scene
     if isinstance(search, tuple):
         want = exhaustive_estimate(frame, template, cfg, grid_poses(cfg, *search))
-        got = pruned_grid_estimate(frame, template, cfg, *search)
+        got = pruned_grid_estimate(frame, template, cfg, search)
     else:
         want = exhaustive_estimate(frame, template, cfg, search)
         got = pruned_uniform_estimate(frame, template, cfg, search)
@@ -772,7 +768,7 @@ def test_grid_search_scores_every_cell_when_its_top_cells_score_no_point():
     mcl_cfg = MclConfig(prior=UniformPrior(-0.5, 0.5, 0.0, 0.6))
     want = exhaustive_estimate(frame, template, mcl_cfg, grid_poses(mcl_cfg, 0.02, 0.01))
     assert want.n_points == 0 and FLAG_EMPTY_MEASUREMENT not in want.flags
-    got = pruned_grid_estimate(frame, template, mcl_cfg, 0.02, 0.01)
+    got = pruned_grid_estimate(frame, template, mcl_cfg)
     assert estimate_bits(got) == estimate_bits(want)
 
 
@@ -789,7 +785,7 @@ def test_grid_search_skips_cells_on_a_peaked_frame(monkeypatch):
     scored = []
     score = PoseScorer.score
     monkeypatch.setattr(PoseScorer, "score", lambda s, ys, th: scored.append(len(ys)) or score(s, ys, th))
-    est = pruned_grid_estimate(frame, template, MclConfig(), 0.02, 0.01)
+    est = pruned_grid_estimate(frame, template, MclConfig())
     assert est.n_points == 200
     assert 0 < sum(scored) < 0.5 * 81 * 121
 

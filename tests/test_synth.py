@@ -293,15 +293,21 @@ def test_truncate_matches_membership_oracle():
         truncate_row_end(cloud, -1.0)
 
 
+def _scene_of(points, row_length):
+    """A scene of the given points (tagged ground) on a row of the given length."""
+    n = len(points)
+    return OrchardScene(vineyard_preset(row_length=row_length), points,
+                        np.full(n, TAG_GROUND), np.full(n, -1))
+
+
 def test_bend_infinite_radius_is_identity():
-    cloud = _template_frame_cloud()
-    assert bend_row(cloud, math.inf, row_length=20.0) is cloud
+    scene = _scene_of(_template_frame_cloud().points, 20.0)
+    assert bend_row(scene, math.inf) is scene
 
 
 def test_bend_quarter_arc_point():
     R = 40.0
-    pt = PointCloud(np.array([[math.pi * R / 2.0, 0.0, 0.3]]), "T")
-    bent = bend_row(pt, R, row_length=20.0)
+    bent = bend_row(_scene_of(np.array([[math.pi * R / 2.0, 0.0, 0.3]]), 20.0), R)
     center = np.array([0.0, R])
     assert np.linalg.norm(bent.points[0, :2] - center) == pytest.approx(R, abs=1e-9)
     np.testing.assert_allclose(bent.points[0], [R, R, 0.3], atol=1e-9)
@@ -311,7 +317,7 @@ def test_bend_preserves_arc_spacing():
     R = 135.0
     xs = np.linspace(0.0, 40.0, 200)
     pts = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-    bent = bend_row(PointCloud(pts, "T"), R, row_length=40.0).points
+    bent = bend_row(_scene_of(pts, 40.0), R).points
     chord = np.linalg.norm(np.diff(bent[:, :2], axis=0), axis=1)
     arc = 2.0 * R * np.arcsin(chord / (2.0 * R))
     np.testing.assert_allclose(arc, np.diff(xs), atol=1e-9)
