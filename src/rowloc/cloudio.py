@@ -28,7 +28,7 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
         f.write(data.tobytes())
 
 
-def load_cloud_binary(path, frame: str = "C") -> PointCloud:
+def load_cloud_binary(path) -> PointCloud:
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != BINARY_MAGIC:
         raise CloudFormatError(f"{path}: missing {BINARY_MAGIC!r} magic")
@@ -37,4 +37,4 @@ def load_cloud_binary(path, frame: str = "C") -> PointCloud:
     if len(raw) != expected:
         raise CloudFormatError(f"{path}: expected {expected} bytes for {count} points, got {len(raw)}")
     pts = np.frombuffer(raw, dtype="<f4", offset=8).reshape(count, 3)
-    return PointCloud(pts.astype(np.float64), frame)
+    return PointCloud(pts.astype(np.float64), "C")

@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+from .baselines import BaselineParams
 from .geometry import Box3, PreprocessConfig
 from .harness import METHODS, ControllerGains, ExperimentConfig
 from .mcl import MclConfig, UniformPrior
@@ -124,9 +125,11 @@ def experiment_config_from_kv(kv: dict[str, str]) -> ExperimentConfig:
         if v is not None:
             gains = replace(gains, **{name: _f(v)})
 
+    # one leaf for every method, so baselines and template methods see the
+    # same preprocessed frame
     cfg = ExperimentConfig(
-        scene=scene, sensor=sensor, trajectory=traj,
-        template_cfg=tpl, mcl_cfg=mcl, gains=gains,
+        scene=scene, sensor=sensor, trajectory=traj, template_cfg=tpl, mcl_cfg=mcl,
+        baseline_params=BaselineParams(pre_cfg=pre), gains=gains,
     )
     for name, conv in (("method", str), ("n_template_frames", int),
                        ("n_eval_frames", int), ("seed", int)):

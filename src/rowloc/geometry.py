@@ -88,10 +88,6 @@ class RigidTransform:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return pts @ self.rotation.T + self.translation
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
 
 @dataclass(frozen=True)
 class Plane:

@@ -163,17 +163,12 @@ def make_dataset(
     sensor: SensorSpec,
     seed: int,
     curvature_radius: float = math.inf,
-    n_frames: int | None = None,
 ) -> Dataset:
     """Render a trajectory sweep of the scene (optionally on a bent row)."""
     sim_scene = bend_row(scene, curvature_radius)
     poses_t = sinusoidal_trajectory(trajectory, scene.spec.row_length, scene.spec, sensor)
-    straight_poses = [p for p, _ in poses_t]
-    if n_frames is not None and n_frames < len(straight_poses):
-        idx = np.linspace(0, len(straight_poses) - 1, n_frames).astype(int)
-        straight_poses = [straight_poses[i] for i in idx]
     clouds, poses, truth = [], [], []
-    for i, sp in enumerate(straight_poses):
+    for i, (sp, _) in enumerate(poses_t):
         world_pose = bent_pose(sp, curvature_radius)
         clouds.append(render_frame(sim_scene, world_pose, sensor, derive_seed(seed, 1, i)))
         poses.append(world_pose)

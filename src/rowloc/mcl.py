@@ -94,10 +94,6 @@ class PoseEstimate:
     n_points: int
     flags: tuple[str, ...] = ()
 
-    @property
-    def low_confidence(self) -> bool:
-        return FLAG_LOW_CONFIDENCE in self.flags
-
 
 @dataclass(frozen=True)
 class MclConfig:

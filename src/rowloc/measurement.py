@@ -27,13 +27,16 @@ proposals are grouped.  Nor do they depend on which thread scores a
 row: in a call with _MIN_THREADED_ROWS or more rows of distinct headings
 (the particle filter's), their chunks are scored by one thread per CPU
 the process may run on (`os.sched_getaffinity`), the calling thread and
-a pool's, each taking the next chunk left until none is.  Worker
-threads run only `_score_block`; `score` itself, the shared-heading
-cells of a grid and the bound pass of `score_top_k` stay on the calling
-thread, and so do calls with fewer rows, such as the rounds of
-`score_top_k`.  With one CPU, or one chunk, no thread is started.  The
-log of the template grid is computed once per (template, p_floor) and
-kept on the template, whose grid is read-only.
+a pool's, each taking the next chunk left until none is.  When the
+calling thread finds none left, it cancels the pool tasks no thread has
+started and waits for the others, raising their errors; so no thread
+writes to a call's arrays after it returns.  Worker threads run only
+`_score_block`; `score` itself, the shared-heading cells of a grid and
+the bound pass of `score_top_k` stay on the calling thread, and so do
+calls with fewer rows, such as the rounds of `score_top_k`.  With one
+CPU, or one chunk, no thread is started.  The log of the template grid
+is computed once per (template, p_floor) and kept on the template, whose
+grid is read-only.
 
 Exact sums.  Every entry of the log table is a float32, so it is an
 integer multiple of u, the float32 ulp of its smallest nonzero |entry|.
@@ -65,6 +68,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -166,35 +170,47 @@ class PoseScorer:
         distinct = np.flatnonzero(~in_run)
         threaded = _WORKERS > 1 and distinct.size >= _MIN_THREADED_ROWS
         rows = _THREADED_CHUNK if threaded else _CHUNK
-        chunks = [distinct[lo : lo + rows] for lo in range(0, distinct.size, rows)]
+        # chunks of distinct headings are popped one at a time (deque.popleft
+        # is thread-safe) by the calling thread and the pool's, so a thread
+        # that starts late takes fewer
+        todo = deque(distinct[lo : lo + rows] for lo in range(0, distinct.size, rows))
 
-        def write(cells):
-            loglik[cells], n_scored[cells] = self._score_block(
-                cos_t[cells], sin_t[cells], ys[cells]
-            )
+        def work():
+            while True:
+                try:
+                    cells = todo.popleft()
+                except IndexError:
+                    return
+                loglik[cells], n_scored[cells] = self._score_block(
+                    cos_t[cells], sin_t[cells], ys[cells]
+                )
 
-        # chunks of distinct headings are pulled one at a time by the calling
-        # thread and the pool's, so a thread that starts late takes fewer
-        queue = _ChunkQueue(chunks, write)
-        helpers = min(_WORKERS, len(chunks)) - 1
-        if threaded and helpers > 0:
-            pool = _scoring_pool()
-            for _ in range(helpers):
-                pool.submit(queue.work)
-        # a grid's shared-heading cells are too few to gain from a thread:
-        # _CHUNK at a time, each reads the heading row of its run
-        shared = np.flatnonzero(in_run)
-        run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
-        heads = starts[long]
-        for lo in range(0, shared.size, _CHUNK):
-            cells = shared[lo : lo + _CHUNK]
-            run = run_of[lo : lo + _CHUNK]
-            hd = heads[run[0] : run[-1] + 1]
-            loglik[cells], n_scored[cells] = self._score_block(
-                cos_t[hd], sin_t[hd], ys[cells], run - run[0]
-            )
-        queue.work()
-        queue.finish()
+        helpers = min(_WORKERS, len(todo)) - 1 if threaded else 0
+        futures = [_scoring_pool().submit(work) for _ in range(helpers)]
+        try:
+            # a grid's shared-heading cells are too few to gain from a
+            # thread: _CHUNK at a time, each reads the heading row of its run
+            shared = np.flatnonzero(in_run)
+            run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
+            heads = starts[long]
+            for lo in range(0, shared.size, _CHUNK):
+                cells = shared[lo : lo + _CHUNK]
+                run = run_of[lo : lo + _CHUNK]
+                hd = heads[run[0] : run[-1] + 1]
+                loglik[cells], n_scored[cells] = self._score_block(
+                    cos_t[hd], sin_t[hd], ys[cells], run - run[0]
+                )
+            work()
+        finally:
+            # a task no pool thread has started is cancelled, not waited
+            # for: on a busy host a pool thread may wait milliseconds for a
+            # CPU.  Every started one is waited for, so no thread writes to
+            # this call's arrays once it returns, and its error is raised here
+            started = [f for f in futures if not f.cancel()]
+            for f in started:
+                f.exception()  # waits for every one before any error is raised
+            for f in started:
+                f.result()
         return loglik, n_scored
 
     def _score_block(self, cos_t, sin_t, ys, row=None):
@@ -472,58 +488,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-class _ChunkQueue:
-    """The distinct-heading chunks of one `score` call, taken one at a time.
-
-    `work` scores chunks until none is left; the calling thread and any
-    pool thread given the queue run it.  `finish`, on the calling thread,
-    waits only for the chunks other threads took, not for threads that
-    started too late to take one: on a busy host a pool thread may wait
-    milliseconds for a CPU.  `work` keeps any exception for `finish` to
-    raise, so the pool's futures hold none and are not read.  Pool threads
-    run only `write`, which calls `_score_block` and nothing a tracer may
-    wrap.
-    """
-
-    def __init__(self, chunks, write):
-        self._todo = iter(chunks)
-        self._write = write  # scores one chunk into the call's arrays
-        self._cond = threading.Condition()
-        self._busy = 0  # chunks taken and not yet written
-        self._error = None
-
-    def work(self) -> None:
-        while True:
-            with self._cond:
-                sl = next(self._todo, None) if self._error is None else None
-                if sl is None:
-                    return
-                self._busy += 1
-                write = self._write
-            try:
-                write(sl)
-            except BaseException as exc:
-                with self._cond:
-                    self._error = self._error or exc
-            finally:
-                with self._cond:
-                    self._busy -= 1
-                    self._cond.notify_all()
-
-    def finish(self) -> None:
-        """Wait until no chunk is being written; re-raise a thread's error.
-
-        After this no thread writes to the call's arrays: the queue is
-        emptied, so a pool thread that starts later takes nothing.
-        """
-        with self._cond:
-            self._todo = iter(())
-            self._cond.wait_for(lambda: self._busy == 0)
-            self._write = None
-        if self._error is not None:
-            raise self._error
 
 
 def _heading_runs(thetas: np.ndarray):

@@ -106,6 +106,14 @@ def test_non_finite_leaf_size_fails_at_load():
         experiment_config_from_kv({"preprocess.leaf_size": "nan"})
 
 
+def test_leaf_size_reaches_the_baselines_too():
+    cfg = experiment_config_from_kv({"preprocess.leaf_size": "0.1"})
+    assert cfg.mcl_cfg.pre_cfg.leaf_size == 0.1
+    assert cfg.baseline_params.pre_cfg == cfg.mcl_cfg.pre_cfg
+    default = experiment_config_from_kv({})
+    assert default.baseline_params.pre_cfg == default.mcl_cfg.pre_cfg
+
+
 def test_no_info_frequency_auto_and_fixed():
     auto = experiment_config_from_kv({"template.no_info_frequency": "auto"})
     assert auto.template_cfg.no_info_frequency is None

@@ -73,10 +73,11 @@ def test_controller_gains_validation():
 
 def test_degrade_in_template_frame_identity_round_trip(cfg):
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 10))
-    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 11), n_frames=3)
-    out = degrade_in_template_frame(ds, 1, lambda c: c)
-    assert out.frame == ds.clouds[1].frame
-    np.testing.assert_allclose(out.points, ds.clouds[1].points, atol=1e-9)
+    ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 11))
+    i = (len(ds.clouds) - 1) // 2  # a frame mid-row
+    out = degrade_in_template_frame(ds, i, lambda c: c)
+    assert out.frame == ds.clouds[i].frame
+    np.testing.assert_allclose(out.points, ds.clouds[i].points, atol=1e-9)
 
 
 def test_run_accuracy_outputs_and_determinism(cfg, tmp_path):

@@ -7,6 +7,7 @@ from rowloc.geometry import PointCloud, Pose6D, PreprocessConfig
 from rowloc.baselines import baseline1, baseline2, baseline2_refine_offset
 from rowloc.mcl import (
     FLAG_EMPTY_MEASUREMENT,
+    FLAG_LOW_CONFIDENCE,
     FLAG_REINITIALIZED,
     MAX_COVARIANCE,
     MclConfig,
@@ -204,7 +205,7 @@ def test_localize_empty_cloud_is_flagged(wall_template_and_run):
     cfg = MclConfig(pre_cfg=PRE)
     est = localize_uniform(PointCloud(np.zeros((0, 3))), template, cfg, seed=11)
     assert FLAG_EMPTY_MEASUREMENT in est.flags
-    assert est.low_confidence
+    assert FLAG_LOW_CONFIDENCE in est.flags
     np.testing.assert_array_equal(est.covariance, MAX_COVARIANCE)
 
 

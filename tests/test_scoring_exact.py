@@ -25,6 +25,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -507,8 +508,73 @@ def test_score_does_not_wait_for_a_pool_thread_that_takes_no_chunk(wall_run):
         finally:
             timer.cancel()
             release.set()
-        measurement._pool.shutdown()  # runs the three late tasks
+        measurement._pool.shutdown()  # the three late tasks were cancelled: none runs
         assert [a.tobytes() for a in got] == want
+
+
+def pool_thread_takes_a_chunk(scored):
+    """A `_score_block` that runs scored(self, cos_t, sin_t, ys, on_pool)
+    and, on the calling thread, waits until a pool thread has taken a
+    chunk, so one surely does."""
+    pool_took_one = threading.Event()
+
+    def score_block(self, cos_t, sin_t, ys):
+        on_pool = threading.current_thread() is not threading.main_thread()
+        if on_pool:
+            pool_took_one.set()
+        else:
+            pool_took_one.wait(10.0)
+        return scored(self, cos_t, sin_t, ys, on_pool)
+
+    return mock.patch.object(PoseScorer, "_score_block", score_block)
+
+
+def test_an_error_on_a_pool_thread_is_raised_by_score(wall_run):
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    poses = mcl.sample_uniform(cfg.prior, 10 * _THREADED_CHUNK, seed=10)
+    score_block = PoseScorer._score_block
+
+    class PoolThreadError(Exception):
+        pass
+
+    def failing(self, cos_t, sin_t, ys, on_pool):
+        if on_pool:
+            raise PoolThreadError
+        return score_block(self, cos_t, sin_t, ys)
+
+    with scoring_workers(2), pool_thread_takes_a_chunk(failing):
+        with pytest.raises(PoolThreadError):
+            scorer.score(poses[:, 0], poses[:, 1])
+
+
+def test_score_returns_after_every_chunk_a_pool_thread_took(wall_run):
+    """A pool thread slowed inside `_score_block` has finished each chunk
+    it took when `score` returns: no thread writes to the call's arrays
+    after it."""
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    poses = mcl.sample_uniform(cfg.prior, 10 * _THREADED_CHUNK, seed=11)
+    want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
+    events = []  # ("start" or "end", on a pool thread) of each call
+    score_block = PoseScorer._score_block
+
+    def slowed(self, cos_t, sin_t, ys, on_pool):
+        events.append(("start", on_pool))
+        if on_pool:
+            time.sleep(0.2)
+        out = score_block(self, cos_t, sin_t, ys)
+        events.append(("end", on_pool))
+        return out
+
+    with scoring_workers(2), pool_thread_takes_a_chunk(slowed):
+        got = scorer.score(poses[:, 0], poses[:, 1])
+        at_return = list(events)
+    # the pool is shut down: every task has finished
+    assert ("start", True) in at_return
+    assert at_return == events, "a pool thread scored after score returned"
+    assert at_return.count(("start", True)) == at_return.count(("end", True))
+    assert [a.tobytes() for a in got] == want
 
 
 def wide_prior(cfg):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import rowloc
 
-TOTAL = 117
+TOTAL = 115
 
 
 def _public(name: str) -> bool:
