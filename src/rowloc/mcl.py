@@ -45,6 +45,9 @@ class UniformPrior:
     theta_max: float = 0.6
 
     def __post_init__(self):
+        bounds = (self.y_min, self.y_max, self.theta_min, self.theta_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"prior bounds must be finite, got {bounds}")
         if self.y_min > self.y_max or self.theta_min > self.theta_max:
             raise ValueError("prior interval minimum exceeds maximum")
 
@@ -104,6 +107,13 @@ class MclConfig:
     # std thresholds above which the estimate is flagged low-confidence
     low_conf_std_y: float = 0.2
     low_conf_std_theta: float = 0.15
+
+    def __post_init__(self):
+        if self.n_particles < 1:
+            raise ValueError(f"need n_particles >= 1, got {self.n_particles}")
+        # its log is every empty voxel's score
+        if not 0.0 < self.p_floor <= 1.0:
+            raise ValueError(f"p_floor must be in (0, 1], got {self.p_floor}")
 
 
 def sample_uniform(prior: UniformPrior, n: int, seed: int) -> np.ndarray:

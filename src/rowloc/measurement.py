@@ -56,8 +56,13 @@ the sums of its bounds too.
 proposals it scores hold exactly what `score` returns for them, and
 every proposal it skips scores strictly below the k-th best, so the k
 best proposals, their order, ties broken by index, and whether any
-proposal scores a point all match scoring every proposal.  A proposal
-set with at least as many (heading bin x y-bin) blocks as proposals is
+proposal scores a point all match scoring every proposal.  Bounds come
+at two levels, as in the multi-resolution search of Olson (ICRA 2009)
+and Hess et al. (ICRA 2016): coarse blocks of _COARSE_HEADINGS heading
+bins x _COARSE_Y y-bins are bounded first, and fine (heading bin x
+y-bin) blocks only inside the coarse blocks that are not pruned.  The
+k-th best is taken over the proposals scored so far, the others holding
+-inf.  A proposal set with at least as many fine blocks as proposals is
 scored whole, with no bound computed.  Uniform sampling and grid search
 use it.  Particle-filter proposals, whose weights need every score, are
 scored exhaustively.
@@ -262,14 +267,22 @@ class PoseScorer:
         Returns what `score` returns, in the proposals' order, except that
         proposals that cannot be among the k best (stable index order
         breaking ties) may hold -inf and 0 points scored.  The proposals
-        are grouped into (heading-bin x y-bin) blocks (`_proposal_blocks`),
-        each bounded by `_block_bounds`; a set with at least as many blocks
-        as proposals is scored whole.
-        Blocks are scored in rounds, highest upper bound first, and a block
-        is skipped once its bound lies strictly below the k-th best score
-        found so far.  When no scored proposal scores a point, every
-        proposal is scored, so "no proposal scores a point" is decided
-        exactly too.
+        are grouped into fine (heading-bin x y-bin) blocks
+        (`_proposal_blocks`), and those into coarse blocks of
+        `_coarse_groups` heading groups x _COARSE_Y y-bins; a set with at
+        least as many fine blocks as proposals is scored whole.
+
+        Every coarse block that holds proposals is bounded first
+        (`_block_bounds`).  The fine blocks of the best ones, holding
+        _FIRST_SPLIT * _ROUND fine blocks, are bounded, and fine blocks are
+        scored in rounds of _ROUND, highest bound first.  Once the k-th best
+        score is known, a coarse block whose bound lies strictly below it is
+        skipped and the fine blocks of the others are bounded too.  A fine
+        block is skipped once its bound lies strictly below the k-th best
+        score found so far.  The k-th best is taken over the scored
+        proposals only: the others hold -inf, and every score is finite.
+        When no scored proposal scores a point, every proposal is scored,
+        so "no proposal scores a point" is decided exactly too.
         """
         ys = np.asarray(ys, dtype=np.float64)
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -277,123 +290,168 @@ class PoseScorer:
         k = min(k, n)
         if k < 1:
             return self.score(ys, thetas)
-        res = self.template.config.resolution
+        cfg = self.template.config
+        res = cfg.resolution
         q = np.hypot(self._qx32, self._qy32, dtype=np.float64)
         if self._z_keep is not None:
             q = q[self._z_keep]
         r_max = float(np.max(q, initial=0.0))
         width = 2.0 * _ROT_SLACK * res / max(r_max, res)
-        block_of, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
-        if middle.size * y_lo.size >= n:
+        block_of, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+        n_y = y_lo.size
+        if middle.size * n_y >= n:
             # a block's bound costs about as much as one proposal's score
             return self.score(ys, thetas)
-        bounds, magnitude = self._block_bounds(ys, r_max, y_lo, middle, wide)
+        # float32 rounding the kernel's coordinates can gain, in voxels; far
+        # above the float64 rounding of the bins' edges and centres
+        nx, ny, _ = self._dims
+        lo = cfg.template_range.min_corner
+        margin = _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
+            max(nx, ny) + (abs(lo[0]) + abs(lo[1]) + r_max + float(np.max(np.abs(ys)))) / res
+        )
+
+        # coarse block c * n_cy + j is coarse y-bin j of heading group c
+        group, centres = _coarse_groups(middle, n_shared, width)
+        cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, _COARSE_Y))
+        n_cy = cy_lo.size
+        # the fine blocks that hold proposals, and the coarse block of each
+        fine = np.flatnonzero(np.bincount(block_of, minlength=middle.size * n_y))
+        fine_coarse = group[fine // n_y] * n_cy + fine % n_y // _COARSE_Y
+        fine_in = np.bincount(fine_coarse, minlength=centres.size * n_cy)
+        # the coarse blocks that hold proposals, highest bound first
+        rest = np.flatnonzero(fine_in)
+        slack, pooled, coarse_magnitude = self._bound_table(
+            margin, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN
+        )
+        coarse = np.full(fine_in.size, -np.inf)
+        coarse[rest] = self._block_bounds(centres, cy_lo, rest, slack, pooled)
+        rest = rest[np.argsort(-coarse[rest], kind="stable")]
+
+        slack, pooled, magnitude = self._bound_table(
+            margin, _ROT_SLACK if n_shared < middle.size else 0.0, _Y_BIN
+        )
+        bounds = np.full(middle.size * n_y, -np.inf)
+
+        def split(coarse_blocks):
+            """Bound the fine blocks of `coarse_blocks` that hold proposals,
+            and return them."""
+            mask = np.zeros(coarse.size, dtype=bool)
+            mask[coarse_blocks] = True
+            blocks = fine[mask[fine_coarse]]
+            if blocks.size:
+                bounds[blocks] = self._block_bounds(middle, y_lo, blocks, slack, pooled)
+            return blocks
+
         loglik = np.full(n, -np.inf)
         n_scored = np.zeros(n, dtype=np.int64)
-        # the blocks that hold proposals, highest bound first
-        pending = np.flatnonzero(np.bincount(block_of, minlength=bounds.size))
-        pending = pending[np.argsort(-bounds[pending], kind="stable")]
+        found = np.empty(0)  # the log-likelihoods scored so far, all finite
+        kth = -np.inf  # until k proposals are scored, when nothing can be pruned yet
         chosen = np.zeros(bounds.size, dtype=bool)
-        while pending.size:
-            # -inf until k proposals are scored, when nothing can be pruned yet
-            kth = np.partition(loglik, n - k)[n - k]
+        first = np.searchsorted(np.cumsum(fine_in[rest]), _FIRST_SPLIT * _ROUND) + 1
+        pending = split(rest[:first])
+        rest = rest[first:]
+        while pending.size or rest.size:
+            if rest.size and (kth > -np.inf or not pending.size):
+                # the other coarse blocks, once the k-th best is known
+                rest = rest[~_prunable(coarse[rest], self.n_points, coarse_magnitude, kth)]
+                pending = np.concatenate((pending, split(rest)))
+                rest = rest[:0]
+            pending = pending[np.argsort(-bounds[pending], kind="stable")]
             pending = pending[~_prunable(bounds[pending], self.n_points, magnitude, kth)]
-            chosen[:] = False
-            chosen[pending[:_ROUND]] = True
-            # in the proposals' order, so a grid's runs of one heading stay runs
-            cells = np.flatnonzero(chosen[block_of])
-            loglik[cells], n_scored[cells] = self.score(ys[cells], thetas[cells])
+            if pending.size:
+                chosen[:] = False
+                chosen[pending[:_ROUND]] = True
+                # in the proposals' order, so a grid's runs of one heading stay runs
+                cells = np.flatnonzero(chosen[block_of])
+                loglik[cells], n_scored[cells] = self.score(ys[cells], thetas[cells])
+                found = np.concatenate((found, loglik[cells]))
+                if found.size >= k:
+                    kth = np.partition(found, found.size - k)[found.size - k]
             pending = pending[_ROUND:]
         if not np.any(n_scored):
             return self.score(ys, thetas)
         return loglik, n_scored
 
-    def _block_bounds(self, ys, r_max, y_lo, middle, wide) -> tuple[np.ndarray, float]:
-        """Upper bounds on `score` over each (heading bin x y-bin) block.
+    def _bound_table(self, margin, rot_slack, y_bin) -> tuple[float, np.ndarray, float]:
+        """(slack, pooled table, its largest |log|) for blocks whose headings
+        lie within rot_slack voxels of their middle's, at the frame's largest
+        point range, and whose ys span y_bin voxels; `margin` is the float32
+        rounding a coordinate can gain, in voxels.
 
-        Takes the proposals' ys, the frame's largest point range r_max, and
-        the y-bins' lowest ys, the heading bins' middles and whether any bin
-        is wide, as `_proposal_blocks` gives them.  Returns the float64 sums
-        of each block's per-point bounds and the largest |log| a bound term
-        can take.
-
-        Heading bins are 2 * _ROT_SLACK voxels wide at the frame's largest
-        point range r, and y-bins _Y_BIN voxels (`_proposal_blocks`).  A
-        bin's bound is read at one heading, its middle, where a point lies
-        at most S = r * (half the bin's width) / res <= _ROT_SLACK voxels,
-        plus float32 rounding, in x and in y from where any of the bin's
-        headings puts it.  For one heading the kernel's float32 y
-        coordinate is monotone in y.  So over a block a point reads x
-        indices within S of its x at the middle heading, and y indices from
-        S below its y at the y-bin's lowest y to _Y_BIN + S above it, or
-        the no-info slot where it leaves the box.  The pooled table holds
-        the maximum over that window, the no-info log included at the
-        box's faces the window can cross; a point whose x range misses the
-        box, or outside the z range, reads the no-info slot.  A bin of one
-        heading has S = 0: its coordinates are the kernel's, bit for bit,
-        and its x window is 1.
+        A block's bound is read at its middle heading, where a point lies at
+        most rot_slack voxels, plus the margin, in x and in y from where any
+        of the block's headings puts it.  For one heading the kernel's
+        float32 y coordinate is monotone in y.  So over a block a point reads
+        x indices within slack = rot_slack + margin of its x at the middle
+        heading, and y indices from slack below its y at the block's lowest y
+        to y_bin + slack above it, or the no-info slot where it leaves the
+        box; the pooled table holds the maximum over that window
+        (`_pooled_table`).  A block of one heading has rot_slack 0: its
+        coordinates are the kernel's, bit for bit, and its x window is 1.
         """
-        cfg = self.template.config
-        res = cfg.resolution
-        nx, ny, nz = self._dims
-
-        # float32 rounding the kernel's coordinates can gain, in voxels; far
-        # above the float64 rounding of the bins' edges and centres
-        lo = cfg.template_range.min_corner
-        margin = _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
-            max(nx, ny)
-            + (abs(lo[0]) + abs(lo[1]) + r_max + float(np.max(np.abs(ys)))) / res
-        )
-        if wide:
-            slack = _ROT_SLACK + margin
+        if rot_slack:
+            slack = rot_slack + margin
             x_window = math.floor(2.0 * slack) + 2
         else:
             slack, x_window = 0.0, 1
-        y_window = math.floor(_Y_BIN + 2.0 * slack + margin) + 2
+        y_window = math.floor(y_bin + 2.0 * slack + margin) + 2
         pooled, magnitude = _pooled_table(
             self.template, self._table, self.p_floor, x_window, y_window
         )
+        return slack, pooled, magnitude
 
+    def _block_bounds(self, middle, y_lo, blocks, slack, pooled) -> np.ndarray:
+        """Upper bounds on `score` over (heading x y) blocks: for each block
+        b of `blocks`, heading b // n and y-bin b % n of n = y_lo.size, the
+        float64 sum of its points' pooled logs.
+
+        The block holds headings around middle[b // n] and ys from
+        y_lo[b % n] up, and reads `pooled` from `slack` voxels below each
+        point's coordinates at that heading and y (`_bound_table`).  A
+        point whose x window misses the box, or outside the z range, reads
+        the pooled table's no-info tail.
+        """
+        nx, ny, nz = self._dims
+        rows, cols = np.divmod(blocks, y_lo.size)
+        heads, rows = np.unique(rows, return_inverse=True)
         slack32 = np.float32(slack)
-        cos_m = np.cos(middle).astype(np.float32)[:, None]
-        sin_m = np.sin(middle).astype(np.float32)[:, None]
+        cos_m = np.cos(middle[heads]).astype(np.float32)[:, None]
+        sin_m = np.sin(middle[heads]).astype(np.float32)[:, None]
+        # the kernel's fx at each middle heading, in its op order
+        fx = cos_m * self._qx32 - sin_m * self._qy32
+        fx -= self._lo_x
+        fx *= self._inv_res
+        off = (fx < -slack32) | (fx > self._fx_hi + slack32)
+        if self._z_keep is not None:
+            off |= ~self._z_keep
+        if slack:
+            fx -= slack32
+        # clamped before the cast: the first index the window reads
+        np.clip(fx, 0, nx - 1, out=fx)
+        ix = fx.astype(np.int32)
+        ix *= np.int32(ny * nz)
+        ix += self._iz32
+        ix[off] = self._table.size  # the first slot of the no-info tail
+        fy0 = sin_m * self._qx32 + cos_m * self._qy32
         y_lo32 = y_lo.astype(np.float32)[:, None]
-        bounds = np.empty((middle.size, y_lo.size))
-        # bins per pass, so the temporaries stay near `score`'s chunks
-        step = max(1, _CHUNK // y_lo.size)
-        for first in range(0, middle.size, step):
-            hb = slice(first, first + step)
-            # the kernel's fx at each bin's middle heading, in its op order
-            fx = cos_m[hb] * self._qx32 - sin_m[hb] * self._qy32
-            fx -= self._lo_x
-            fx *= self._inv_res
-            keep_x = (fx >= -slack32) & (fx <= self._fx_hi + slack32)
-            if self._z_keep is not None:
-                keep_x &= self._z_keep
-            if wide:
-                fx -= slack32
-            # clamped before the cast: the first index the window reads
-            np.maximum(fx, np.float32(0), out=fx)
-            np.minimum(fx, np.float32(nx - 1), out=fx)
-            ix = fx.astype(np.int32)
-            ix *= np.int32(ny * nz)
-            ix += self._iz32
-            # and its fy at each y-bin's lowest y
-            fy = (sin_m[hb] * self._qx32 + cos_m[hb] * self._qy32)[:, None, :] + y_lo32
+        bounds = np.empty(blocks.size)
+        for lo in range(0, blocks.size, _CHUNK):
+            row, col = rows[lo : lo + _CHUNK], cols[lo : lo + _CHUNK]
+            # and its fy at each lowest y
+            fy = fy0[row]
+            fy += y_lo32[col]
             fy -= self._lo_y
             fy *= self._inv_res
-            if wide:
+            if slack:
                 fy -= slack32
-            np.maximum(fy, np.float32(0), out=fy)
-            np.minimum(fy, np.float32(ny - 1), out=fy)
+            np.clip(fy, 0, ny - 1, out=fy)
             lin = fy.astype(np.int32)
             lin *= np.int32(nz)
-            lin += ix[:, None, :]
-            lin *= keep_x[:, None, :]
-            bounds[hb] = pooled.take(lin).sum(axis=2, dtype=np.float64)
+            lin += ix[row]
+            bounds[lo : lo + _CHUNK] = pooled.take(lin).sum(axis=1, dtype=np.float64)
         if self._z_out_log:
             bounds += self._z_out_log
-        return bounds.ravel(), magnitude
+        return bounds
 
 
 def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
@@ -403,26 +461,48 @@ def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
     each heading of a theta-major grid is, is a heading bin of its own,
     whose middle is that heading.  The other proposals fall into bins
     `heading_width` wide from their lowest heading, whose middle is the
-    bin's centre.  y-bins are `y_width` wide from the lowest y.  Block
-    b * n + j is y-bin j of heading bin b, for n y-bins.  Returns each
-    proposal's block, the lowest y in each y-bin, each heading bin's
-    middle, and whether any bin is `heading_width` wide.
+    bin's centre; these wide bins follow the runs' bins.  y-bins are
+    `y_width` wide from the lowest y.  Block b * n + j is y-bin j of
+    heading bin b, for n y-bins.  Returns each proposal's block, the
+    lowest y in each y-bin, each heading bin's middle, and the number of
+    runs' bins.
     """
     starts, run_len, shared = _heading_runs(thetas)
     hbin = np.repeat(np.cumsum(shared) - 1, run_len)
     middle = thetas[starts[shared]]
-    wide = not shared.all()
-    if wide:
+    n_shared = middle.size
+    if not shared.all():
         in_wide = ~np.repeat(shared, run_len)
         lowest = thetas[in_wide].min()
         wbin = np.floor((thetas[in_wide] - lowest) / heading_width).astype(np.int64)
-        hbin[in_wide] = middle.size + wbin
+        hbin[in_wide] = n_shared + wbin
         centres = lowest + (np.arange(wbin.max() + 1) + 0.5) * heading_width
         middle = np.concatenate((middle, centres))
     ybin = np.floor((ys - ys.min()) / y_width).astype(np.int64)
     y_lo = np.full(ybin.max() + 1, np.inf)
     np.minimum.at(y_lo, ybin, ys)
-    return hbin * y_lo.size + ybin, y_lo, middle, wide
+    return hbin * y_lo.size + ybin, y_lo, middle, n_shared
+
+
+def _coarse_groups(middle, n_shared: int, heading_width: float):
+    """Group `_proposal_blocks`' heading bins into coarse heading groups.
+
+    A group's headings lie within half its width, _COARSE_HEADINGS *
+    heading_width, of its middle.  The runs' bins, the first n_shared,
+    group by their heading, in groups that wide from the lowest; the wide
+    bins, heading_width wide from the lowest wide heading, group by
+    _COARSE_HEADINGS consecutive bins.  Returns each heading bin's group
+    and each group's middle.
+    """
+    width = _COARSE_HEADINGS * heading_width
+    runs = middle[:n_shared]
+    lowest = runs.min() if n_shared else 0.0
+    used, run_group = np.unique(np.floor((runs - lowest) / width), return_inverse=True)
+    wide_group = used.size + np.arange(middle.size - n_shared) // _COARSE_HEADINGS
+    # each wide group's lowest heading: its first bin's, half a bin below its centre
+    wide_lo = middle[n_shared::_COARSE_HEADINGS] - 0.5 * heading_width
+    centres = np.concatenate((lowest + (used + 0.5) * width, wide_lo + 0.5 * width))
+    return np.concatenate((run_group.reshape(-1), wide_group)), centres
 
 
 def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray:
@@ -447,8 +527,15 @@ _ROT_SLACK = 0.75
 _Y_BIN = 2.9
 # float32 roundings a coordinate can gain, in units of eps * magnitude
 _SPAN_ULPS = 64
-# blocks scored per round before the k-th best is updated
+# fine blocks scored per round before the k-th best is updated
 _ROUND = 32
+# a coarse block: heading groups _COARSE_HEADINGS heading bins wide, so
+# _COARSE_HEADINGS * _ROT_SLACK voxels of rotation slack, x _COARSE_Y y-bins
+_COARSE_HEADINGS = 2
+_COARSE_Y = 2
+# the best coarse blocks, holding this many rounds' fine blocks, are split
+# before any score is known; the others once the first round has scored
+_FIRST_SPLIT = 3
 
 
 # runs of at least this many equal headings share their heading's row;
@@ -549,23 +636,25 @@ def _pooled_table(
     (iy >= ny - y_window) also takes the no-info log: a block whose first
     y index lies there may place the point outside the box, below y = 0 or
     past the upper face, for some of its proposals.  So does a window of
-    more than one x voxel at the x faces.  Slot 0 keeps the no-info log.
+    more than one x voxel at the x faces.  Slot 0 keeps the no-info log,
+    and so do the (ny - 1) * nz + 1 slots after the grid, a tail that a
+    point's x index sent to its first slot reads at any y index.
     Built once per (template, p_floor, windows) and kept on the template.
     """
     key = (p_floor, x_window, y_window)
     cached = template._pooled_tables.get(key)
     if cached is None:
-        nx, ny, _ = template.config.dims
+        nx, ny, nz = template.config.dims
         logs = table[1:].reshape(template.config.dims)
-        pooled = table.copy()
-        view = pooled[1:].reshape(logs.shape)
+        no_info = table[0]
+        pooled = np.concatenate((table, np.full((ny - 1) * nz + 1, no_info)))
+        view = pooled[1 : table.size].reshape(logs.shape)
         for s in range(1, min(y_window, ny)):
             np.maximum(view[:, :-s], logs[:, s:], out=view[:, :-s])
         if x_window > 1:
             y_pooled = view.copy()
             for s in range(1, min(x_window, nx)):
                 np.maximum(view[:-s], y_pooled[s:], out=view[:-s])
-        no_info = table[0]
         faces = [view[:, :1], view[:, max(ny - y_window, 0) :]]
         if x_window > 1:
             faces += [view[:1], view[max(nx - x_window, 0) :]]

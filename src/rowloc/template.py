@@ -7,6 +7,7 @@ outside the in-row region hold a fixed "no information" frequency.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -62,10 +63,14 @@ class TemplateConfig:
     no_info_frequency: float | None = None
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be finite and positive, got {self.resolution}")
         if self.row_range is None:
             object.__setattr__(self, "row_range", default_row_range(3.0, self.template_range))
+        for name in ("template_range", "row_range"):
+            box = getattr(self, name)
+            if not (np.all(np.isfinite(box.min_corner)) and np.all(np.isfinite(box.max_corner))):
+                raise ValueError(f"{name} corners must be finite, got {box}")
         if not self.template_range.contains_box(self.row_range):
             raise ValueError("row_range must lie inside template_range")
         if self.no_info_frequency is not None and not 0.0 <= self.no_info_frequency <= 1.0:
@@ -236,17 +241,18 @@ def load_template(path) -> Template:
     if version != TEMPLATE_VERSION:
         raise TemplateFormatError(f"{path}: unsupported version {version}")
     resolution = fields[2]
-    trange = Box3(np.array(fields[3:6]), np.array(fields[6:9]))
-    rrange = Box3(np.array(fields[9:12]), np.array(fields[12:15]))
     no_info = fields[15]
     n_frames = fields[16]
     dims = fields[17:20]
-    cfg = TemplateConfig(
-        resolution=resolution,
-        template_range=trange,
-        row_range=rrange,
-        no_info_frequency=no_info,
-    )
+    try:
+        cfg = TemplateConfig(
+            resolution=resolution,
+            template_range=Box3(np.array(fields[3:6]), np.array(fields[6:9])),
+            row_range=Box3(np.array(fields[9:12]), np.array(fields[12:15])),
+            no_info_frequency=no_info,
+        )
+    except ValueError as e:
+        raise TemplateFormatError(f"{path}: {e}") from e
     if cfg.dims != tuple(dims):
         raise TemplateFormatError(f"{path}: header dims {dims} inconsistent with extent {cfg.dims}")
     count = dims[0] * dims[1] * dims[2]
@@ -254,4 +260,7 @@ def load_template(path) -> Template:
     if len(raw) != expected:
         raise TemplateFormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
     grid = np.frombuffer(raw, dtype="<f4", offset=fixed.size).reshape(dims)
+    # frequencies; NaN fails both comparisons
+    if not (grid.min() >= 0.0 and grid.max() <= 1.0):
+        raise TemplateFormatError(f"{path}: grid holds values outside [0, 1]")
     return Template(cfg, grid, n_frames)

@@ -106,6 +106,22 @@ def test_non_finite_leaf_size_fails_at_load():
         experiment_config_from_kv({"preprocess.leaf_size": "nan"})
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("mcl.n_particles", "0", "n_particles"),
+    ("mcl.p_floor", "nan", "p_floor"),
+    ("mcl.p_floor", "0", "p_floor"),
+    ("mcl.p_floor", "inf", "p_floor"),
+    ("mcl.p_floor", "1.5", "p_floor"),
+    ("mcl.prior.y_min", "nan", "prior bounds"),
+    ("mcl.prior.theta_max", "inf", "prior bounds"),
+    ("mcl.prior.theta_min", "-inf", "prior bounds"),
+])
+def test_a_bad_estimator_value_fails_at_load(key, value, match):
+    # each used to load and fail, or give NaN scores, only at the first frame
+    with pytest.raises(ValueError, match=match):
+        experiment_config_from_kv({key: value})
+
+
 def test_leaf_size_reaches_the_baselines_too():
     cfg = experiment_config_from_kv({"preprocess.leaf_size": "0.1"})
     assert cfg.mcl_cfg.pre_cfg.leaf_size == 0.1

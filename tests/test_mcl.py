@@ -66,6 +66,27 @@ def test_sample_uniform_deterministic_and_validated():
         UniformPrior(y_min=1.0, y_max=-1.0)
 
 
+@pytest.mark.parametrize("bound", ["y_min", "y_max", "theta_min", "theta_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_uniform_prior_rejects_a_non_finite_bound(bound, value):
+    with pytest.raises(ValueError, match="finite"):
+        UniformPrior(**{bound: value})
+
+
+@pytest.mark.parametrize("p_floor", [math.nan, 0.0, -1e-4, 1.5, math.inf])
+def test_mcl_config_rejects_a_p_floor_outside_zero_one(p_floor):
+    with pytest.raises(ValueError, match="p_floor"):
+        MclConfig(p_floor=p_floor)
+    assert MclConfig(p_floor=1.0).p_floor == 1.0
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_mcl_config_needs_a_particle(n):
+    with pytest.raises(ValueError, match="n_particles"):
+        MclConfig(n_particles=n)
+    assert MclConfig(n_particles=1).n_particles == 1
+
+
 def test_motion_model_noise_free_composition():
     poses = np.array([[0.1, 0.2], [-0.3, -0.4]])
     u = OdometryDelta(np.array([0.5, 0.1, 0.05]), np.zeros((3, 3)))

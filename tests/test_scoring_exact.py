@@ -10,7 +10,8 @@ process has CPUs; neither the scores nor the particle filter's estimates
 and particles may depend on the number of threads.
 
 Grid search and uniform sampling score only the blocks of proposals
-whose upper bound reaches the k-th best score; their estimates must
+whose upper bound reaches the k-th best score, bounding fine blocks only
+inside the coarse blocks whose bound reaches it; their estimates must
 equal, bit for bit, the ones built from scoring every proposal.
 
 When a frame's float64 sums of logs are exact in any order (the
@@ -59,12 +60,16 @@ from rowloc.mcl import (
 )
 from rowloc.measurement import (
     _CHUNK,
+    _COARSE_HEADINGS,
+    _COARSE_Y,
+    _FIRST_SPLIT,
     _MIN_RUN,
     _ROT_SLACK,
     _ROUND,
     _THREADED_CHUNK,
     _Y_BIN,
     PoseScorer,
+    _coarse_groups,
     _exact_sum_limit,
     _proposal_blocks,
     _prunable,
@@ -267,9 +272,9 @@ def test_exact_sum_guard_at_its_boundary():
 
 
 def test_block_bounds_are_the_scores_on_a_constant_grid():
-    """Every voxel and the no-info slot hold one log, so each block's bound
-    sums what each of its proposals sums, the points outside the z range
-    included: bit for bit the same exact sum."""
+    """Every voxel and the no-info slot hold one log, so each block's bound,
+    fine or coarse, sums what each of its proposals sums, the points outside
+    the z range included: bit for bit the same exact sum."""
     cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=0.5)
     template = Template(cfg, np.full(cfg.dims, 0.5, dtype=F32), 10)
@@ -284,9 +289,18 @@ def test_block_bounds_are_the_scores_on_a_constant_grid():
     res = cfg.resolution
     r_max = float(np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64).max())
     width = 2.0 * _ROT_SLACK * res / max(r_max, res)
-    _, y_lo, middle, wide = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
-    bounds, _ = scorer._block_bounds(ys, r_max, y_lo, middle, wide)
-    assert bounds.tobytes() == np.full(bounds.size, ll[0]).tobytes()
+    _, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+    group, centres = _coarse_groups(middle, n_shared, width)
+    coarse_y_lo = np.minimum.reduceat(y_lo, np.arange(0, y_lo.size, _COARSE_Y))
+    # fine blocks, then coarse ones; a margin of 0.01 voxels
+    for heads, lows, rot_slack, y_bin in (
+        (middle, y_lo, _ROT_SLACK, _Y_BIN),
+        (centres, coarse_y_lo, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN),
+    ):
+        slack, pooled, _ = scorer._bound_table(0.01, rot_slack, y_bin)
+        bounds = scorer._block_bounds(heads, lows, np.arange(heads.size * lows.size), slack,
+                                      pooled)
+        assert bounds.tobytes() == np.full(bounds.size, ll[0]).tobytes()
 
 
 def test_a_frequency_next_below_one_keeps_every_point():
@@ -733,7 +747,8 @@ def estimate_bits(est):
 def uniform_proposals(draw, rng, frame, template, cfg):
     """A uniform proposal set: random, with duplicates, one pose, or on bin edges."""
     kind = draw(st.sampled_from(["random", "duplicates", "one", "bin-edges"]))
-    n = 1 if kind == "one" else draw(st.integers(2, 300))
+    # up to 300, or sets with more coarse blocks than the first split holds
+    n = 1 if kind == "one" else draw(st.one_of(st.integers(2, 300), st.integers(2000, 2600)))
     p = cfg.prior
     ys = rng.uniform(p.y_min, p.y_max, n)
     thetas = rng.uniform(p.theta_min, p.theta_max, n)
@@ -761,15 +776,23 @@ def uniform_proposals(draw, rng, frame, template, cfg):
 @st.composite
 def search_scenes(draw):
     """A frame, a template, a config and a grid search or a uniform proposal set."""
-    res = draw(st.sampled_from([0.1, 0.25, 0.3]))
+    kind = draw(st.sampled_from(["random", "peaked", "constant", "walls"]))
+    # walls 0.2 m wide or less: a y window far from them reads no wall
+    res = 0.1 if kind == "walls" else draw(st.sampled_from([0.1, 0.25, 0.3]))
     no_info = draw(st.floats(1e-5, 0.5))
     cfg = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=no_info)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "peaked", "constant"]))
+    walls = np.array([-1.0, 1.0])
     if kind == "constant":
         # in the box or out of it, every point reads the same log: all proposals tie
         grid = np.full(cfg.dims, no_info, dtype=F32)
+    elif kind == "walls":
+        # a row's two sides, hot voxels in a cold grid: a peaked search,
+        # where most blocks, coarse and fine, are pruned
+        grid = np.zeros(cfg.dims, dtype=F32)
+        iy, _ = cfg.voxel_index(walls[:, None], axes=(1,))
+        grid[:, iy[:, 0], :] = 0.9
     else:
         grid = rng.uniform(0.0, 1.0, cfg.dims).astype(F32)
         grid[rng.uniform(size=cfg.dims) < (0.3 if kind == "random" else 0.97)] = 0.0
@@ -777,7 +800,15 @@ def search_scenes(draw):
 
     n = draw(st.one_of(st.just(1), st.integers(2, 60)))
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(n, 3))
-    if draw(st.booleans()):
+    if kind == "walls":
+        # on the walls, seen from a pose (y, theta) inside every prior drawn below
+        y, theta = rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)
+        wx = rng.uniform(0.2, 3.8, n)
+        wy = rng.choice(walls, n) + rng.uniform(-0.04, 0.04, n) - y
+        pts[:, 0] = math.cos(theta) * wx + math.sin(theta) * wy
+        pts[:, 1] = -math.sin(theta) * wx + math.cos(theta) * wy
+        pts[:, 2] = rng.uniform(0.1, 1.9, n)
+    elif draw(st.booleans()):
         # near the box's y faces, so blocks straddle them
         pts[:, 1] = rng.choice([-2.07, 2.0], n) + rng.uniform(-0.9, 0.9, n)
     tilt = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.03, -0.02, 0.9)]))
@@ -790,8 +821,9 @@ def search_scenes(draw):
         p_floor=draw(st.sampled_from([1e-4, 1e-2])),
     )
     if draw(st.booleans()):
+        # up to 301 headings: more coarse blocks than the first split holds
         steps = (draw(st.sampled_from([0.02, 0.05, 0.013])),
-                 draw(st.sampled_from([0.01, 0.03, 0.1])))
+                 draw(st.sampled_from([0.01, 0.03, 0.1, 0.004])))
         return frame, template, mcl_cfg, steps
     return frame, template, mcl_cfg, uniform_proposals(draw, rng, frame, template, mcl_cfg)
 
@@ -851,9 +883,65 @@ def test_grid_search_skips_cells_on_a_peaked_frame(monkeypatch):
     scored = []
     score = PoseScorer.score
     monkeypatch.setattr(PoseScorer, "score", lambda s, ys, th: scored.append(len(ys)) or score(s, ys, th))
+    bounded = []  # (headings, blocks) of each bound pass
+    block_bounds = PoseScorer._block_bounds
+
+    def recorded(self, middle, y_lo, blocks, slack, pooled):
+        bounded.append((middle.size, blocks.size))
+        return block_bounds(self, middle, y_lo, blocks, slack, pooled)
+
+    monkeypatch.setattr(PoseScorer, "_block_bounds", recorded)
     est = pruned_grid_estimate(frame, template, MclConfig())
     assert est.n_points == 200
     assert 0 < sum(scored) < 0.5 * 81 * 121
+    # 121 headings, each a heading bin, and 1.6 m of ys in 6 y-bins; the
+    # coarse pass comes first, over fewer heading groups
+    assert bounded[0][0] < 121
+    assert len(bounded) > 1 and all(headings == 121 for headings, _ in bounded[1:])
+    assert 0 < sum(blocks for _, blocks in bounded[1:]) < 121 * 6
+
+
+def test_no_block_is_pruned_when_every_bound_ties_the_kth_best():
+    """Every log is 0 (frequencies and no-info 1), so every score and every
+    bound, coarse and fine, is 0: the pruning slack is 0 too, and each bound
+    only ties the k-th best.  Every proposal must be scored, for the first k
+    by index are the top k."""
+    cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=1.0)
+    template = Template(cfg, np.ones(cfg.dims, dtype=F32), 10)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(40, 3))
+    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    mcl_cfg = MclConfig()
+    poses = mcl.sample_uniform(mcl_cfg.prior, 2500, seed=12)
+    ll, ns = PoseScorer(frame, template).score_top_k(poses[:, 0], poses[:, 1], 25)
+    assert ll.tobytes() == np.zeros(2500).tobytes()
+    assert np.all(ns > 0)
+    want = exhaustive_estimate(frame, template, mcl_cfg, poses)
+    assert estimate_bits(pruned_uniform_estimate(frame, template, mcl_cfg, poses)) == \
+        estimate_bits(want)
+    grid = grid_poses(mcl_cfg, mcl.GRID_Y_STEP, mcl.GRID_THETA_STEP)
+    assert estimate_bits(pruned_grid_estimate(frame, template, mcl_cfg)) == \
+        estimate_bits(exhaustive_estimate(frame, template, mcl_cfg, grid))
+
+
+def test_a_block_below_the_best_score_of_the_rounds_before_it_is_skipped(monkeypatch):
+    """One point; 20 proposals place it in a hot plane of voxels, 20 more,
+    1.2 m away in y, in warm ones.  In rounds of one block the hot block is
+    scored first, and its best score, the k-th best (k = 1), lies above the
+    warm block's bound: the warm block is skipped."""
+    monkeypatch.setattr(measurement, "_ROUND", 1)
+    cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.5)
+    grid = np.full(cfg.dims, 0.5, dtype=F32)
+    grid[:, 20, :] = 0.9  # y from -0.07 to 0.03
+    template = Template(cfg, grid, 10)
+    frame = PreprocessedFrame(PointCloud(np.array([[2.0, 0.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
+    # one heading, a bin of its own; y-bins 0 and 4
+    ys = np.concatenate([np.linspace(-0.06, 0.02, 20), np.linspace(1.14, 1.2, 20)])
+    ll, ns = PoseScorer(frame, template).score_top_k(ys, np.zeros(40), 1)
+    assert ll[0] == pytest.approx(math.log(0.9)) and np.all(ll[:20] == ll[0])
+    assert np.all(ll[20:] == -np.inf) and not np.any(ns[20:])
 
 
 SLACK_BOX = Box3.from_ranges((-2.0, 4.0), (-3.0, 3.0), (0.0, 2.0))
@@ -866,30 +954,50 @@ def test_rotation_slack_covers_a_far_point_at_a_heading_bin_edge(axis, corner):
     at the edges of its heading bin (and, for y, at the ends of its y-bin).
     At the bin's middle heading the point lies in a cold voxel; rotated to
     one edge heading it crosses voxel faces into the first or the last
-    voxel of the block's pooled window, which is hot.  A bound read without
-    the rotation slack, or through a window one voxel short, misses it and
-    prunes the block behind the warm proposals of the other blocks."""
+    voxel that proposals of the block reach, the first or the last of its
+    pooled window, which is hot.  A bound read without the rotation slack,
+    or through a window one voxel short, misses it and prunes the block
+    behind the warm proposals of the other blocks."""
+    assert_far_point_at_a_block_edge_is_found("fine", axis, corner)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("corner", ["low", "high"])
+def test_coarse_rotation_slack_covers_a_far_point_at_a_heading_group_edge(axis, corner):
+    """As above for a coarse block, of _COARSE_HEADINGS heading bins and
+    _COARSE_Y y-bins: its proposals sit at the edges of its heading group
+    (and, for y, at the ends of its coarse y-bin)."""
+    assert_far_point_at_a_block_edge_is_found("coarse", axis, corner)
+
+
+def assert_far_point_at_a_block_edge_is_found(level, axis, corner):
     res = 0.1
     cfg = TemplateConfig(resolution=res, template_range=SLACK_BOX, no_info_frequency=0.5)
     lo = cfg.template_range.min_corner
     r = 3.0
     width = 2.0 * _ROT_SLACK * res / r  # the heading bins of a frame whose largest range is r
-    th_lo, th_hi = 0.0, 0.998 * width
+    # the fine bins the block spans in heading and in y
+    n_th, n_y = (1, 1) if level == "fine" else (_COARSE_HEADINGS, _COARSE_Y)
+    slack = n_th * _ROT_SLACK
+    th_lo, th_hi = 0.0, 0.998 * n_th * width
     th_mid = 0.5 * (th_lo + th_hi)
     if axis == "y":
         # the point on the x axis: its y moves by r per radian at heading 0
-        total = _Y_BIN + 2.0 * _ROT_SLACK  # the y indices a full block can reach
-        frac = 1.0 - 0.5 * (math.ceil(total) - total)
+        total = n_y * _Y_BIN + 2.0 * slack  # the y indices a full block can reach
         k_lo = 15
-        y0 = (k_lo + frac + _ROT_SLACK) * res + lo[1] - r * math.sin(th_mid)
-        block = [(y0, th_lo), (y0 + 0.997 * _Y_BIN * res, th_hi)]
-        point = (r, 0.0)
     else:
         # the point on the y axis, nearly: its x moves by r per radian
-        total = 2.0 * _ROT_SLACK
-        frac = 1.0 - 0.5 * (math.ceil(total) - total)
+        total = 2.0 * slack
         k_lo = 18
-        a = ((k_lo + frac + _ROT_SLACK) * res + lo[0] + r * math.sin(th_mid)) / math.cos(th_mid)
+    # the block's voxel span, a fraction frac above k_lo to frac + total, reaches
+    # floor(total) + 1 voxels past k_lo when total is not whole, else total
+    frac = 1.0 - 0.5 * (math.ceil(total) - total) if total % 1.0 else 0.5
+    if axis == "y":
+        y0 = (k_lo + frac + slack) * res + lo[1] - r * math.sin(th_mid)
+        block = [(y0, th_lo), (y0 + 0.997 * n_y * _Y_BIN * res, th_hi)]
+        point = (r, 0.0)
+    else:
+        a = ((k_lo + frac + slack) * res + lo[0] + r * math.sin(th_mid)) / math.cos(th_mid)
         point = (a, math.sqrt(r * r - a * a))
         y0 = -1.5
         block = [(y0, th_hi), (y0, th_lo)]  # x falls as the heading grows
@@ -903,7 +1011,7 @@ def test_rotation_slack_covers_a_far_point_at_a_heading_bin_edge(axis, corner):
         return qx * math.sin(t) + qy * math.cos(t) + y
 
     index = [math.floor((coord(y, t) - lo[ax]) / res) for y, t in block]
-    assert index == [k_lo, k_lo + math.floor(total) + 1]
+    assert index == [k_lo, k_lo + math.floor(frac + total)]
 
     grid = np.full(cfg.dims, 0.5, dtype=F32)  # warm, as is the no-info slot
     cold = [slice(None)] * 3
@@ -951,19 +1059,27 @@ def test_rotation_slack_covers_a_point_crossing_the_x_face(crossing):
 def assert_hot_block_is_found(template, point, block, width, y0):
     """Pruned and exhaustive search agree on `block` and warm filler blocks.
 
-    The fillers, more blocks than one round scores, all read warm logs;
-    one of `block`'s proposals reads the hot log 0.9 and is the best.
+    The fillers, three proposals each in more fine blocks than the first
+    coarse blocks split hold, all read warm logs; one of `block`'s
+    proposals reads the hot log 0.9 and is the best.  There are fewer
+    fine blocks than proposals, so the search bounds blocks.
     """
     frame = PreprocessedFrame(PointCloud(np.array([[*point, 1.0]]), "V"), 0.0, 0.0, 0.0)
     res = template.config.resolution
-    fill_th = 0.3 + 1.2 * width * np.arange(5)
-    fill_y = y0 + 1.2 * _Y_BIN * res * np.arange(math.ceil((_ROUND + 8) / 5))
-    tt, yy = np.meshgrid(fill_th, fill_y, indexing="ij")
-    poses = np.vstack([np.array(block), np.column_stack([yy.ravel(), tt.ravel()])])
+    n_fill = _FIRST_SPLIT * _ROUND + 14
+    fill_th = 0.3 + 1.2 * width * np.arange(10)
+    fill_y = y0 + 1.2 * _Y_BIN * res * np.arange(math.ceil(n_fill / 10))
+    tt, yy = np.meshgrid(fill_th, fill_y)  # no run of one heading
+    fill = np.column_stack([yy.ravel(), tt.ravel()])
+    copies = [fill + j * np.array([0.05 * _Y_BIN * res, 0.05 * width]) for j in range(3)]
+    poses = np.vstack([np.array(block), *copies])
     mcl_cfg = MclConfig()
     want = exhaustive_estimate(frame, template, mcl_cfg, poses)
     assert want.loglik == pytest.approx(math.log(0.9))
-    got = pruned_uniform_estimate(frame, template, mcl_cfg, poses)
+    with mock.patch.object(PoseScorer, "_block_bounds", autospec=True,
+                           side_effect=PoseScorer._block_bounds) as bounds:
+        got = pruned_uniform_estimate(frame, template, mcl_cfg, poses)
+    assert bounds.called
     assert estimate_bits(got) == estimate_bits(want)
 
 

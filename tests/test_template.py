@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from rowloc.geometry import (
     transform_cloud,
 )
 from rowloc.template import (
+    TEMPLATE_HEADER,
+    TEMPLATE_MAGIC,
+    TEMPLATE_VERSION,
     GroundTruthPose,
     Template,
     TemplateConfig,
@@ -68,6 +73,22 @@ def test_config_validation():
         TemplateConfig(no_info_frequency=1.5)
     with pytest.raises(ValueError):
         TemplateConfig(row_range=Box3.from_ranges((0, 30), (-1, 1), (0, 2)))
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf])
+def test_config_rejects_a_non_finite_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        TemplateConfig(resolution=resolution)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_box_corners(bad):
+    # a row range given, so none is derived from the bad box
+    with pytest.raises(ValueError, match="template_range corners must be finite"):
+        TemplateConfig(template_range=Box3.from_ranges((0.0, bad), (-5.0, 5.0), (0.0, 4.0)),
+                       row_range=Box3.from_ranges((0.0, 8.0), (-1.0, 1.0), (0.0, 2.0)))
+    with pytest.raises(ValueError, match="row_range corners must be finite"):
+        TemplateConfig(row_range=Box3.from_ranges((0.0, 8.0), (-1.0, bad), (0.0, 2.0)))
 
 
 def test_default_row_range_limits_y_to_half_spacing():
@@ -297,3 +318,42 @@ def test_grid_shape_must_match_config():
     cfg = TemplateConfig(resolution=0.5)
     with pytest.raises(ValueError):
         Template(cfg, np.zeros((3, 3, 3), dtype=np.float32), 1)
+
+
+def _write_template(path, resolution=0.5, corners=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                    dims=(2, 2, 2), grid=None):
+    """A template file with the given header fields; its row range is its
+    grid box and its grid `grid`, or all 0.5."""
+    grid = np.full(dims, 0.5, dtype="<f4") if grid is None else np.asarray(grid, dtype="<f4")
+    header = TEMPLATE_HEADER.pack(TEMPLATE_MAGIC, TEMPLATE_VERSION, resolution,
+                                  *corners[0], *corners[1], *corners[0], *corners[1],
+                                  0.1, 3, *dims)
+    path.write_bytes(header + grid.tobytes())
+
+
+# each header's dims read (1, 1, 1), as a cast of a NaN or infinite extent
+# over the resolution clamps them to
+@pytest.mark.parametrize("resolution", [math.nan, math.inf])
+def test_load_rejects_a_non_finite_resolution(tmp_path, resolution):
+    path = tmp_path / "t.rstp"
+    _write_template(path, resolution=resolution, dims=(1, 1, 1))
+    with pytest.raises(TemplateFormatError, match="resolution"):
+        load_template(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_load_rejects_non_finite_box_corners(tmp_path, bad):
+    path = tmp_path / "t.rstp"
+    _write_template(path, corners=((0.0, 0.0, 0.0), (bad, 1.0, 1.0)), dims=(1, 1, 1))
+    with pytest.raises(TemplateFormatError, match="corners"):
+        load_template(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.25, 1.5])
+def test_load_rejects_grid_values_outside_the_unit_interval(tmp_path, value):
+    path = tmp_path / "t.rstp"
+    grid = np.full((2, 2, 2), 0.5)
+    grid[1, 0, 1] = value
+    _write_template(path, grid=grid)
+    with pytest.raises(TemplateFormatError, match=r"outside \[0, 1\]"):
+        load_template(path)
