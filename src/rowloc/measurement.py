@@ -52,6 +52,20 @@ scoring one proposal on its own does.  The max-pooled tables of
 `score_top_k` hold only entries of the log table, so the guard covers
 the sums of its bounds too.
 
+Interior points.  In a frame that passes the guard, a `score` call
+finds once, in float64, the kernel points that every one of its
+distinct-heading proposals places inside the template's box
+(`_interior`): about the call's middle heading a point at range r moves
+at most r times half the heading span, plus half the ys' span in y, and
+the kernel's float32 coordinates lie within a rounding margin
+(`_margin`) of the exact ones.  Those points are scored in a kernel with
+no box test, clamp or count, each row counting all of them; the rest,
+the edge points, in the masked kernel.  A row's two partial sums, the
+interior and the edge one, are added once both passes are done, which
+is exact in any order only under the guard.  So a frame that fails it,
+a call with no certified point and a grid's shared-heading cells keep
+the one masked pass.
+
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
 every proposal it skips scores strictly below the k-th best, so the k
@@ -83,20 +97,22 @@ from .template import Template
 
 DEFAULT_P_FLOOR = 1e-4
 
-# rows per kernel call, distinct headings or a call's shared-heading
-# cells; bounds the (chunk x points) temporaries.  The points are the
+# rows per kernel call of a call's shared-heading cells, and the size of
+# its distinct-heading chunks: _CHUNK rows times the kernel's points, which
+# bounds the (chunk x points) temporaries.  A chunk of interior or edge
+# points holds as many lookups, in more rows.  The kernel's points are the
 # frame's n_points, less those outside the z range when the frame passes
 # the exact-sum guard (n_points * M <= 2**53 * u, `_exact_sum_limit`)
 _CHUNK = 128
-# particles per chunk in a call scored on several threads, each of which
-# holds its chunk's temporaries at once: two hold what one did
+# the same for a call scored on several threads, each of which holds its
+# chunk's temporaries at once: two hold what one did
 _THREADED_CHUNK = 64
 # fewest distinct-heading rows a `score` call shares with the pool.  The
 # rounds of top-k pruning stay below it (uniform sampling: two a frame,
-# at most about 430 rows and 4-10 ms each); on a shared host, waits for a
+# at most about 400 rows and 1.5-5 ms each); on a shared host, waits for a
 # pool thread to get a CPU in such short calls made whole runs' frame
 # times differ.  The particle filter's 4000 rows, one call a frame, are
-# scored on every CPU.
+# scored on every CPU, its interior and edge chunks from one queue.
 _MIN_THREADED_ROWS = 1024
 
 
@@ -158,6 +174,12 @@ class PoseScorer:
         elif n_out:
             self._z_keep = z_keep
         self._qx32, self._qy32, self._iz32 = qx32, qy32, iz32
+        self._points = qx32, qy32, iz32  # `_score_block`'s default points
+        # the kernel's points' float64 ranges, and the largest of those it
+        # may score: the rotation slack of the bounds and of `_interior`
+        self._ranges = np.hypot(qx32, qy32, dtype=np.float64)
+        scored = self._ranges if self._z_keep is None else self._ranges[self._z_keep]
+        self._r_max = float(np.max(scored, initial=0.0))
 
     def score(self, ys: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log-likelihoods, points-scored) for parallel arrays of proposals."""
@@ -175,19 +197,37 @@ class PoseScorer:
         distinct = np.flatnonzero(~in_run)
         threaded = _WORKERS > 1 and distinct.size >= _MIN_THREADED_ROWS
         rows = _THREADED_CHUNK if threaded else _CHUNK
-        # chunks of distinct headings are popped one at a time (deque.popleft
-        # is thread-safe) by the calling thread and the pool's, so a thread
-        # that starts late takes fewer
-        todo = deque(distinct[lo : lo + rows] for lo in range(0, distinct.size, rows))
+        # passes over the distinct headings, as (points, masked,
+        # log-likelihoods, counts): one masked pass over every point or, when
+        # `_interior` certifies points, an unmasked pass over those and a
+        # masked one over the rest, into arrays of their own added below
+        passes = [(self._points, True, loglik, n_scored)]
+        edge = None
+        inside = self._interior(ys[distinct], thetas[distinct]) if distinct.size else None
+        if inside is not None and inside.any():
+            passes = [(self._subset(inside), False, loglik, n_scored)]
+            if not inside.all():
+                edge = np.zeros(n), np.zeros(n, dtype=np.int64)
+                passes.append((self._subset(~inside), True, *edge))
+        # chunks of about rows x (kernel points) lookups, popped one at a
+        # time (deque.popleft is thread-safe) by the calling thread and the
+        # pool's, so a thread that starts late takes fewer
+        todo = deque()
+        for points, masked, ll, ns in passes:
+            step = max(rows, rows * self._qx32.size // max(points[0].size, 1))
+            todo.extend(
+                (distinct[lo : lo + step], points, masked, ll, ns)
+                for lo in range(0, distinct.size, step)
+            )
 
         def work():
             while True:
                 try:
-                    cells = todo.popleft()
+                    cells, points, masked, ll, ns = todo.popleft()
                 except IndexError:
                     return
-                loglik[cells], n_scored[cells] = self._score_block(
-                    cos_t[cells], sin_t[cells], ys[cells]
+                ll[cells], ns[cells] = self._score_block(
+                    cos_t[cells], sin_t[cells], ys[cells], None, points, masked
                 )
 
         helpers = min(_WORKERS, len(todo)) - 1 if threaded else 0
@@ -216,48 +256,108 @@ class PoseScorer:
                 f.exception()  # waits for every one before any error is raised
             for f in started:
                 f.result()
+        if edge is not None:
+            loglik += edge[0]
+            n_scored += edge[1]
+        if self._z_out_log:
+            loglik += self._z_out_log
         return loglik, n_scored
 
-    def _score_block(self, cos_t, sin_t, ys, row=None):
+    def _subset(self, mask):
+        return self._qx32[mask], self._qy32[mask], self._iz32[mask]
+
+    def _interior(self, ys, thetas):
+        """A mask of the kernel's points that every proposal (ys, thetas)
+        places strictly inside the box with fx < nx - 1 and fy < ny - 1, so
+        that the kernel keeps them and trunc(fx) <= nx - 1, trunc(fy) <=
+        ny - 1 without a clamp; None for a frame that fails the exact-sum
+        guard, whose row sums must keep the reference order.
+
+        About the middle heading, a point at range r moves at most
+        r * (half the heading span), in x and in y, plus half the ys' span
+        in y; the kernel's float32 coordinates lie within `_margin` voxels
+        of the exact ones.  A point is certified when its exact coordinates
+        at the middle heading and y lie more than that slack inside.
+        """
+        if not self._exact_sums:
+            return None
+        cfg = self.template.config
+        res = cfg.resolution
+        lo = cfg.template_range.min_corner
+        nx, ny, _ = self._dims
+        t_lo, t_hi = float(thetas.min()), float(thetas.max())
+        t_mid = 0.5 * (t_lo + t_hi)
+        y_lo, y_hi = float(ys.min()), float(ys.max())
+        y_mid = 0.5 * (y_lo + y_hi)
+        margin = self._margin(ys)
+        slack_x = self._ranges * (max(t_hi - t_mid, t_mid - t_lo) / res) + margin
+        slack_y = slack_x + max(y_hi - y_mid, y_mid - y_lo) / res
+        c, s = np.cos(t_mid), np.sin(t_mid)
+        qx = self._qx32.astype(np.float64)
+        qy = self._qy32.astype(np.float64)
+        fx = (c * qx - s * qy - lo[0]) / res
+        fy = (s * qx + c * qy + (y_mid - lo[1])) / res
+        inside = (fx > slack_x) & (fx + slack_x < min(float(self._fx_hi), nx - 1))
+        inside &= (fy > slack_y) & (fy + slack_y < min(float(self._fy_hi), ny - 1))
+        return inside
+
+    def _margin(self, ys) -> float:
+        """The float32 rounding the kernel's coordinates can gain for the
+        proposals at `ys`, in voxels: _SPAN_ULPS float32 roundings of the
+        largest magnitude that enters them.  Far above the float64 rounding
+        of the bins' edges and centres and of `_interior`'s coordinates."""
+        cfg = self.template.config
+        lo = cfg.template_range.min_corner
+        nx, ny, _ = self._dims
+        big = abs(lo[0]) + abs(lo[1]) + self._r_max + float(np.max(np.abs(ys)))
+        return _SPAN_ULPS * float(np.finfo(np.float32).eps) * (max(nx, ny) + big / cfg.resolution)
+
+    def _score_block(self, cos_t, sin_t, ys, row=None, points=None, masked=True):
         """Score ys against (h, 1) heading rows: ys[i] against heading row
-        row[i], or against heading row i when `row` is None.
+        row[i], or against heading row i when `row` is None; the kernel's
+        points, or `points` (`_points`' form).
 
         Heading-only terms (rotated x and y, x index, x/z masks) are
         computed once per heading row and gathered for each y offset.
+        Unmasked, every point is taken to lie inside the box for every
+        row (`_interior`): no mask, clamp or count, and each row scores
+        every point.
         """
+        qx, qy, iz = self._points if points is None else points
         # work directly in grid coordinates (voxels from the grid origin)
-        fx = cos_t * self._qx32 - sin_t * self._qy32
+        fx = cos_t * qx - sin_t * qy
         fx -= self._lo_x
         fx *= self._inv_res
-        keep_x = (fx >= 0) & (fx <= self._fx_hi)
-        if self._z_keep is not None:
-            keep_x &= self._z_keep
-
         nx, ny, nz = self._dims
-        # truncation equals floor on kept points; the rest are sent to slot 0
-        # below, so only the upper faces need a clamp
         ix = fx.astype(np.int32)
-        np.minimum(ix, np.int32(nx - 1), out=ix)
+        if masked:
+            keep_x = (fx >= 0) & (fx <= self._fx_hi)
+            if self._z_keep is not None:
+                keep_x &= self._z_keep
+            # truncation equals floor on kept points; the rest are sent to
+            # slot 0 below, so only the upper faces need a clamp
+            np.minimum(ix, np.int32(nx - 1), out=ix)
         ix *= np.int32(ny * nz)
-        ix += self._iz32
-        fy = sin_t * self._qx32 + cos_t * self._qy32
+        ix += iz
+        fy = sin_t * qx + cos_t * qy
         if row is not None:
             fy, keep_x, ix = fy[row], keep_x[row], ix[row]
         fy += ys.astype(np.float32)[:, None]
         fy -= self._lo_y
         fy *= self._inv_res
 
+        lin = fy.astype(np.int32)
+        if not masked:
+            lin *= np.int32(nz)
+            lin += ix
+            return self._table.take(lin).sum(axis=1, dtype=np.float64), qx.size
         keep = (fy >= 0) & (fy <= self._fy_hi)
         keep &= keep_x
-        lin = fy.astype(np.int32)
         np.minimum(lin, np.int32(ny - 1), out=lin)
         lin *= np.int32(nz)
         lin += ix
         lin *= keep  # points outside template_range read the no-info slot 0
-        sums = self._table.take(lin).sum(axis=1, dtype=np.float64)
-        if self._z_out_log:
-            sums += self._z_out_log
-        return sums, np.count_nonzero(keep, axis=1)
+        return self._table.take(lin).sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
 
     def score_top_k(
         self, ys: np.ndarray, thetas: np.ndarray, k: int
@@ -290,25 +390,14 @@ class PoseScorer:
         k = min(k, n)
         if k < 1:
             return self.score(ys, thetas)
-        cfg = self.template.config
-        res = cfg.resolution
-        q = np.hypot(self._qx32, self._qy32, dtype=np.float64)
-        if self._z_keep is not None:
-            q = q[self._z_keep]
-        r_max = float(np.max(q, initial=0.0))
-        width = 2.0 * _ROT_SLACK * res / max(r_max, res)
+        res = self.template.config.resolution
+        width = 2.0 * _ROT_SLACK * res / max(self._r_max, res)
         block_of, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
         n_y = y_lo.size
         if middle.size * n_y >= n:
             # a block's bound costs about as much as one proposal's score
             return self.score(ys, thetas)
-        # float32 rounding the kernel's coordinates can gain, in voxels; far
-        # above the float64 rounding of the bins' edges and centres
-        nx, ny, _ = self._dims
-        lo = cfg.template_range.min_corner
-        margin = _SPAN_ULPS * float(np.finfo(np.float32).eps) * (
-            max(nx, ny) + (abs(lo[0]) + abs(lo[1]) + r_max + float(np.max(np.abs(ys)))) / res
-        )
+        margin = self._margin(ys)
 
         # coarse block c * n_cy + j is coarse y-bin j of heading group c
         group, centres = _coarse_groups(middle, n_shared, width)

@@ -19,6 +19,15 @@ exact-sum guard), the scorer adds the logs of points outside the z range
 as one constant; otherwise it keeps every point.  Templates built from
 frame counts take the first path, the random grids of `scenes()` the
 second, and both must match the reference.
+
+In a frame that passes the guard, a call's points that every one of its
+distinct-heading proposals keeps inside the box are scored without the
+box test, and the other (edge) points with it; each row adds its two
+partial sums.  A concentrated particle set takes this split; a wide
+heading span, a frame that fails the guard and a grid's runs of one
+heading do not.  Points one float32 step either side of the certified
+slack, and points that an extreme particle or float32 rounding moves
+out of the box, must score as the reference does.
 """
 
 import math
@@ -34,7 +43,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import camera_cloud_at, grid_poses, make_wall_cloud_T
@@ -346,10 +355,10 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
     calls = []
     score_block = PoseScorer._score_block
 
-    def recorded(self, cos_t, sin_t, ys, row=None):
+    def recorded(self, cos_t, sin_t, ys, row=None, *rest):
         if row is not None:
             calls.append(len(ys))
-        return score_block(self, cos_t, sin_t, ys, row)
+        return score_block(self, cos_t, sin_t, ys, row, *rest)
 
     scorer = PoseScorer(frame, template)
     assert scorer._exact_sums
@@ -449,17 +458,18 @@ def test_particle_filter_does_not_depend_on_the_worker_count(wall_run):
 
 def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
     """More threads than CPUs, switching every microsecond: each chunk is
-    taken by one thread only, so no row is lost or scored twice."""
+    taken by one thread only, so no row is lost or scored twice, in each
+    pass over the points (all of them, or the interior and edge ones)."""
     template, clouds, cfg = wall_run
     scorer = mcl._scorer_for(clouds[0], template, cfg)
     poses = mcl.sample_uniform(cfg.prior, 40 * _THREADED_CHUNK + 5, seed=7)
     want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
-    rows = []
+    rows = {}  # rows scored in each pass, keyed by whether its points are masked
     score_block = PoseScorer._score_block
 
-    def counted(self, cos_t, sin_t, ys):
-        rows.append(len(ys))
-        return score_block(self, cos_t, sin_t, ys)
+    def counted(self, cos_t, sin_t, ys, row, points, masked):
+        rows[masked] = rows.get(masked, 0) + len(ys)
+        return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -468,7 +478,8 @@ def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
             for _ in range(5):
                 rows.clear()
                 got = scorer.score(poses[:, 0], poses[:, 1])
-                assert sum(rows) == len(poses)
+                # the wall scene's near points are interior for every pose of the prior
+                assert rows == {False: len(poses), True: len(poses)}
                 assert [a.tobytes() for a in got] == want
     finally:
         sys.setswitchinterval(interval)
@@ -484,9 +495,9 @@ def test_a_call_with_few_rows_is_scored_on_the_calling_thread(wall_run):
     threads = set()
     score_block = PoseScorer._score_block
 
-    def recorded(self, cos_t, sin_t, ys):
+    def recorded(self, *args):
         threads.add(threading.current_thread())
-        return score_block(self, cos_t, sin_t, ys)
+        return score_block(self, *args)
 
     with scoring_workers(2, measurement._MIN_THREADED_ROWS), \
             mock.patch.object(PoseScorer, "_score_block", recorded):
@@ -527,18 +538,18 @@ def test_score_does_not_wait_for_a_pool_thread_that_takes_no_chunk(wall_run):
 
 
 def pool_thread_takes_a_chunk(scored):
-    """A `_score_block` that runs scored(self, cos_t, sin_t, ys, on_pool)
-    and, on the calling thread, waits until a pool thread has taken a
-    chunk, so one surely does."""
+    """A `_score_block` that runs scored(self, args, on_pool), args being
+    its own, and, on the calling thread, waits until a pool thread has
+    taken a chunk, so one surely does."""
     pool_took_one = threading.Event()
 
-    def score_block(self, cos_t, sin_t, ys):
+    def score_block(self, *args):
         on_pool = threading.current_thread() is not threading.main_thread()
         if on_pool:
             pool_took_one.set()
         else:
             pool_took_one.wait(10.0)
-        return scored(self, cos_t, sin_t, ys, on_pool)
+        return scored(self, args, on_pool)
 
     return mock.patch.object(PoseScorer, "_score_block", score_block)
 
@@ -552,10 +563,10 @@ def test_an_error_on_a_pool_thread_is_raised_by_score(wall_run):
     class PoolThreadError(Exception):
         pass
 
-    def failing(self, cos_t, sin_t, ys, on_pool):
+    def failing(self, args, on_pool):
         if on_pool:
             raise PoolThreadError
-        return score_block(self, cos_t, sin_t, ys)
+        return score_block(self, *args)
 
     with scoring_workers(2), pool_thread_takes_a_chunk(failing):
         with pytest.raises(PoolThreadError):
@@ -573,11 +584,11 @@ def test_score_returns_after_every_chunk_a_pool_thread_took(wall_run):
     events = []  # ("start" or "end", on a pool thread) of each call
     score_block = PoseScorer._score_block
 
-    def slowed(self, cos_t, sin_t, ys, on_pool):
+    def slowed(self, args, on_pool):
         events.append(("start", on_pool))
         if on_pool:
             time.sleep(0.2)
-        out = score_block(self, cos_t, sin_t, ys)
+        out = score_block(self, *args)
         events.append(("end", on_pool))
         return out
 
@@ -744,11 +755,14 @@ def estimate_bits(est):
     return floats.view(np.int64).tolist(), cov.view(np.int64).tolist(), est.n_points, est.flags
 
 
-def uniform_proposals(draw, rng, frame, template, cfg):
-    """A uniform proposal set: random, with duplicates, one pose, or on bin edges."""
-    kind = draw(st.sampled_from(["random", "duplicates", "one", "bin-edges"]))
+def uniform_proposals(draw, rng, frame, template, cfg, big=False):
+    """A uniform proposal set: random, with duplicates, one pose, or on bin
+    edges; `big`, only sets of 2000 or more."""
+    kind = draw(st.sampled_from([k for k in ("random", "duplicates", "one", "bin-edges")
+                                 if not (big and k == "one")]))
     # up to 300, or sets with more coarse blocks than the first split holds
-    n = 1 if kind == "one" else draw(st.one_of(st.integers(2, 300), st.integers(2000, 2600)))
+    sizes = [st.integers(2, 300)] * (not big) + [st.integers(2000, 2600)]
+    n = 1 if kind == "one" else draw(st.one_of(*sizes))
     p = cfg.prior
     ys = rng.uniform(p.y_min, p.y_max, n)
     thetas = rng.uniform(p.theta_min, p.theta_max, n)
@@ -774,22 +788,22 @@ def uniform_proposals(draw, rng, frame, template, cfg):
 
 
 @st.composite
-def search_scenes(draw):
+def search_scenes(draw, kinds=("random", "peaked", "constant", "walls")):
     """A frame, a template, a config and a grid search or a uniform proposal set."""
-    kind = draw(st.sampled_from(["random", "peaked", "constant", "walls"]))
+    kind = draw(st.sampled_from(kinds))
     # walls 0.2 m wide or less: a y window far from them reads no wall
-    res = 0.1 if kind == "walls" else draw(st.sampled_from([0.1, 0.25, 0.3]))
+    res = 0.1 if kind in ("walls", "one-wall") else draw(st.sampled_from([0.1, 0.25, 0.3]))
     no_info = draw(st.floats(1e-5, 0.5))
     cfg = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=no_info)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    walls = np.array([-1.0, 1.0])
+    walls = np.array([0.0]) if kind == "one-wall" else np.array([-1.0, 1.0])
     if kind == "constant":
         # in the box or out of it, every point reads the same log: all proposals tie
         grid = np.full(cfg.dims, no_info, dtype=F32)
-    elif kind == "walls":
-        # a row's two sides, hot voxels in a cold grid: a peaked search,
-        # where most blocks, coarse and fine, are pruned
+    elif kind in ("walls", "one-wall"):
+        # a row's two sides, or one wall, hot voxels in a cold grid: a
+        # peaked search, where most blocks, coarse and fine, are pruned
         grid = np.zeros(cfg.dims, dtype=F32)
         iy, _ = cfg.voxel_index(walls[:, None], axes=(1,))
         grid[:, iy[:, 0], :] = 0.9
@@ -798,9 +812,9 @@ def search_scenes(draw):
         grid[rng.uniform(size=cfg.dims) < (0.3 if kind == "random" else 0.97)] = 0.0
     template = Template(cfg, grid, 10)
 
-    n = draw(st.one_of(st.just(1), st.integers(2, 60)))
+    n = draw(st.integers(20, 60) if kind == "one-wall" else st.one_of(st.just(1), st.integers(2, 60)))
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(n, 3))
-    if kind == "walls":
+    if kind in ("walls", "one-wall"):
         # on the walls, seen from a pose (y, theta) inside every prior drawn below
         y, theta = rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)
         wx = rng.uniform(0.2, 3.8, n)
@@ -814,7 +828,9 @@ def search_scenes(draw):
     tilt = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.03, -0.02, 0.9)]))
     frame = PreprocessedFrame(PointCloud(pts, "V"), *tilt)
 
-    y_half = draw(st.sampled_from([0.8, 0.37]))
+    # one wall, seen over 1.5 m of ys either side: no coarse y window
+    # (about 1 m) far from the pose reaches it
+    y_half = 1.5 if kind == "one-wall" else draw(st.sampled_from([0.8, 0.37]))
     theta_half = draw(st.sampled_from([0.6, 0.21]))
     mcl_cfg = MclConfig(
         prior=UniformPrior(-y_half, y_half, -theta_half, theta_half),
@@ -825,7 +841,9 @@ def search_scenes(draw):
         steps = (draw(st.sampled_from([0.02, 0.05, 0.013])),
                  draw(st.sampled_from([0.01, 0.03, 0.1, 0.004])))
         return frame, template, mcl_cfg, steps
-    return frame, template, mcl_cfg, uniform_proposals(draw, rng, frame, template, mcl_cfg)
+    # one wall: sets large enough to be bounded, not scored whole
+    return frame, template, mcl_cfg, uniform_proposals(draw, rng, frame, template, mcl_cfg,
+                                                       big=kind == "one-wall")
 
 
 def assert_pruned_search_equals_exhaustive(scene):
@@ -853,6 +871,35 @@ def test_pruned_search_equals_exhaustive_when_pruning_starts_after_one_block(sce
     block on, so nearly every block's bound decides whether it is scored."""
     with mock.patch.object(measurement, "_ROUND", 1):
         assert_pruned_search_equals_exhaustive(scene)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_scenes(kinds=("one-wall",)))
+def test_pruned_search_prunes_coarse_blocks_of_a_one_wall_scene(scene):
+    """One hot wall, seen over a wide prior: most coarse blocks lie too far
+    from the pose to reach it, and are pruned once the first rounds have
+    scored, leaving their fine blocks unbounded."""
+    searches, bounded = [], []
+    score_top_k, block_bounds = PoseScorer.score_top_k, PoseScorer._block_bounds
+
+    def searched(self, ys, thetas, k):
+        searches.append((self, ys, thetas))
+        return score_top_k(self, ys, thetas, k)
+
+    def recorded(self, middle, y_lo, blocks, slack, pooled):
+        bounded.append(blocks.size)
+        return block_bounds(self, middle, y_lo, blocks, slack, pooled)
+
+    with mock.patch.object(PoseScorer, "score_top_k", searched), \
+            mock.patch.object(PoseScorer, "_block_bounds", recorded):
+        assert_pruned_search_equals_exhaustive(scene)
+    (scorer, ys, thetas), = searches
+    res = scorer.template.config.resolution
+    width = 2.0 * _ROT_SLACK * res / max(scorer._r_max, res)
+    block_of = _proposal_blocks(ys, thetas, width, _Y_BIN * res)[0]
+    # the first pass bounds the coarse blocks; a pruned one's fine blocks are never bounded
+    if bounded and sum(bounded[1:]) < np.unique(block_of).size:
+        event("a coarse block was pruned")
 
 
 def test_grid_search_scores_every_cell_when_its_top_cells_score_no_point():
@@ -1092,3 +1139,338 @@ def test_a_block_whose_bound_ties_the_kth_best_is_scored():
     # a slack of 2 * 1 * 2**-52 * (1 * 2**50) = 0.5 lifts the bound to the k-th best exactly
     assert not _prunable(np.array([-1.0]), 1, 2.0**50, -0.5)[0]
     assert _prunable(np.array([-1.0]), 1, 2.0**50, np.nextafter(-0.5, 0.0))[0]
+
+
+@contextmanager
+def recorded_passes():
+    """Record (masked, points) of each distinct-heading `_score_block`
+    call: an unmasked one scores interior points only."""
+    calls = []
+    score_block = PoseScorer._score_block
+
+    def recorded(self, cos_t, sin_t, ys, row=None, points=None, masked=True):
+        if row is None:
+            calls.append((masked, (self._qx32 if points is None else points[0]).size))
+        return score_block(self, cos_t, sin_t, ys, row, points, masked)
+
+    with mock.patch.object(PoseScorer, "_score_block", recorded):
+        yield calls
+
+
+def sensor_points(template_xy, y0, theta0):
+    """The sensor-frame (x, y) of template-frame points seen from pose (y0, theta0)."""
+    c, s = math.cos(theta0), math.sin(theta0)
+    dx, dy = template_xy[:, 0], template_xy[:, 1] - y0
+    return np.column_stack([c * dx + s * dy, -s * dx + c * dy])
+
+
+@st.composite
+def particle_scenes(draw):
+    """A frame that passes the exact-sum guard and a particle set
+    concentrated about a pose (y0, theta0), as the particle filter's is.
+
+    The cloud is placed about that pose: points deep inside the box,
+    which every particle keeps inside; points near each x and y face, on
+    either side; far points, past the box for every particle; and z
+    values on both sides of the z range.
+    """
+    res = draw(st.sampled_from([0.1, 0.25, 0.3]))
+    cfg = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=draw(st.floats(1e-3, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_frames = draw(st.sampled_from([1, 10, 300]))
+    counts = rng.integers(0, n_frames + 1, cfg.dims)
+    counts[rng.uniform(size=cfg.dims) < 0.4] = 0
+    template = Template(cfg, counts / float(n_frames), n_frames)
+
+    y0, theta0 = rng.uniform(-0.3, 0.3), rng.uniform(-0.15, 0.15)
+    lo, hi = TEMPLATE_RANGE.min_corner, TEMPLATE_RANGE.max_corner
+    n_deep, n_face, n_far = (draw(st.integers(1, 60)), draw(st.integers(0, 20)),
+                             draw(st.integers(1, 10)))
+    # at least 1 m inside each face: no particle below takes one out
+    deep = rng.uniform([1.0, -0.8], [2.8, 0.8], (n_deep, 2))
+    face = rng.uniform([lo[0], lo[1]], [hi[0], hi[1]], (4 * n_face, 2))
+    near = rng.uniform(-0.4, 0.4, 4 * n_face)
+    for k, (axis, at) in enumerate([(0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1])]):
+        face[k * n_face : (k + 1) * n_face, axis] = at + near[k * n_face : (k + 1) * n_face]
+    far = np.column_stack([rng.uniform(6.0, 30.0, n_far), rng.uniform(-10.0, 10.0, n_far)])
+    xy = sensor_points(np.vstack([deep, face, far]), y0, theta0)
+    z = rng.uniform(0.1, 1.9, len(xy))
+    z[rng.uniform(size=len(xy)) < 0.15] = rng.choice([-0.3, 2.3])
+    z[: n_deep] = rng.uniform(0.1, 1.9, n_deep)
+    z[-n_far:] = rng.uniform(0.1, 1.9, n_far)  # in the z range: edge points of the kernel
+    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
+
+    n = draw(st.one_of(st.integers(1, 40), st.integers(2 * _THREADED_CHUNK, 5 * _THREADED_CHUNK)))
+    sigma_y = draw(st.sampled_from([0.0, 0.005, 0.02, 0.05]))
+    sigma_theta = draw(st.sampled_from([0.002, 0.01, 0.03]))
+    ys = y0 + sigma_y * np.clip(rng.standard_normal(n), -3.0, 3.0)
+    thetas = theta0 + sigma_theta * np.clip(rng.standard_normal(n), -3.0, 3.0)
+    if draw(st.booleans()):
+        # resampled: copies of one particle follow each other
+        src = np.sort(rng.integers(0, n, n))
+        ys, thetas = ys[src], thetas[src]
+    return frame, template, draw(st.sampled_from([1e-4, 1e-2])), ys, thetas
+
+
+@settings(max_examples=80, deadline=None)
+@given(particle_scenes(), st.sampled_from([1, 2]))
+def test_interior_and_edge_passes_equal_per_proposal_reference(scene, workers):
+    """A concentrated particle set certifies the deep points and leaves the
+    far ones at the edge, so every call with distinct headings takes the
+    split: an interior pass and an edge pass, summed per row."""
+    frame, template, p_floor, ys, thetas = scene
+    scorer = PoseScorer(frame, template, p_floor)
+    assert scorer._exact_sums
+    with scoring_workers(workers), recorded_passes() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    starts, lengths, long = measurement._heading_runs(thetas)
+    if not long.all():
+        assert {masked for masked, _ in calls} == {False, True}
+        event("split into interior and edge passes")
+    else:
+        assert not calls  # a grid's runs of one heading keep the masked pass
+        event("runs of one heading only")
+
+
+def interior_frame(points_xy, far=True):
+    """A level frame of points at z = 1, and one far point past the box
+    that fixes the largest range, so the rounding margin does not move."""
+    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
+    if far:
+        pts = np.vstack([pts, [30.0, 0.0]])
+    return PreprocessedFrame(PointCloud(np.column_stack([pts, np.ones(len(pts))]), "V"),
+                             0.0, 0.0, 0.0)
+
+
+def interior_template():
+    cfg = TemplateConfig(resolution=0.1, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.05)
+    rng = np.random.default_rng(21)
+    return Template(cfg, rng.integers(0, 11, cfg.dims) / 10.0, 10)
+
+
+# a particle set about heading 0.2 and y 0.1, with every corner of its
+# (heading, y) span, no two consecutive headings equal
+SPREAD_THETAS = 0.2 + 0.03 * np.array([-1.0, 1.0, -1.0, 1.0, 0.0, 0.5, -0.5, 0.25, -0.25])
+SPREAD_YS = 0.1 + 0.1 * np.array([-1.0, 1.0, 1.0, -1.0, 0.0, -0.5, 0.5, 0.8, -0.3])
+# for each face: the axis of the coordinate moved, the other coordinate,
+# and the sensor-frame values it moves between (outside, inside)
+FACE_SEARCH = {
+    "low-x": (0, 1.2, (-0.5, 1.5)),
+    "high-x": (0, -1.0, (5.0, 3.0)),
+    "low-y": (1, 2.0, (-3.5, -1.5)),
+    "high-y": (1, 2.0, (2.5, 0.5)),
+}
+
+
+def f32_key(x):
+    """float32 values in order as integers."""
+    i = int(np.array([x], dtype=F32).view(np.uint32)[0])
+    return i if i < 2**31 else -(i - 2**31)
+
+
+def f32_of(k):
+    return np.array([k if k >= 0 else 2**31 - k], dtype=np.uint32).view(F32)[0]
+
+
+def certified_flip(template, face, ys, thetas):
+    """The two sensor-frame points, one float32 step apart on the face's
+    axis, between which `_interior` stops certifying: (edge, interior)."""
+    axis, other, (out, inside) = FACE_SEARCH[face]
+
+    def point(v):
+        return (v, other) if axis == 0 else (other, v)
+
+    def certified(v):
+        scorer = PoseScorer(interior_frame([point(v)]), template)
+        return bool(scorer._interior(ys, thetas)[0])
+
+    a, b = f32_key(out), f32_key(inside)
+    assert not certified(f32_of(a)) and certified(f32_of(b))
+    while abs(b - a) > 1:
+        mid = (a + b) // 2
+        if certified(f32_of(mid)):
+            b = mid
+        else:
+            a = mid
+    return point(float(f32_of(a))), point(float(f32_of(b)))
+
+
+@pytest.mark.parametrize("face", list(FACE_SEARCH))
+def test_points_one_float32_step_either_side_of_the_certified_slack(face):
+    """At each face the certified region ends where `_interior`'s slack
+    says, one float32 step from an edge point; the upper faces' limits
+    are the last voxel's lower face, nx - 1 and ny - 1, inside the box.
+    Both points score as the reference does."""
+    template = interior_template()
+    cfg = template.config
+    edge, inner = certified_flip(template, face, SPREAD_YS, SPREAD_THETAS)
+    # where the flip lies, in voxels: the slack from the limit at the middle pose
+    axis = FACE_SEARCH[face][0]
+    nx, ny, _ = cfg.dims
+    limit = {"low-x": 0.0, "high-x": nx - 1, "low-y": 0.0, "high-y": ny - 1}[face]
+    t_mid, y_mid = 0.2, 0.1
+    qx, qy = (float(F32(v)) for v in inner)
+    c, s = math.cos(t_mid), math.sin(t_mid)
+    lo = cfg.template_range.min_corner
+    at = ((c * qx - s * qy - lo[0]) if axis == 0 else (s * qx + c * qy + y_mid - lo[1]))
+    scorer = PoseScorer(interior_frame([inner]), template)
+    slack = math.hypot(qx, qy) * 0.03 / cfg.resolution + scorer._margin(SPREAD_YS)
+    if axis == 1:
+        slack += 0.1 / cfg.resolution
+    assert abs(abs(at / cfg.resolution - limit) - slack) < 1e-5
+    for pt, certified in ((edge, False), (inner, True)):
+        frame = interior_frame([pt])
+        scorer = PoseScorer(frame, template)
+        assert scorer._interior(SPREAD_YS, SPREAD_THETAS).tolist() == [certified, False]
+        with recorded_passes() as calls:
+            assert_scores_equal_reference(scorer, frame, SPREAD_YS, SPREAD_THETAS)
+        assert calls == ([(True, 2)] if not certified else [(False, 1), (True, 1)])
+
+
+# a box whose upper x and y faces lie 0.001 m past the last voxels' lower
+# faces, the limits of `_interior`
+TIGHT_RANGE = Box3.from_ranges((-0.05, 3.951), (-2.07, 1.931), (0.0, 2.0))
+
+
+@pytest.mark.parametrize("face, depth", [("low-x", 0.5), ("high-x", 0.25), ("low-y", 0.7),
+                                         ("high-y", 0.7)])
+def test_a_point_an_extreme_particle_moves_out_of_the_box_is_an_edge_point(face, depth):
+    """At the middle pose the point lies inside the box's face by `depth`
+    times its slack: r times half the heading span, plus half the ys'
+    span at the y faces.  A particle at a corner of the span moves it out
+    of the box, so the reference's box test scores it for some particles
+    only; the slack keeps it at the edge.  The depths are such that a
+    slack without its rotation term, or without the ys' span at the y
+    faces, would certify the point."""
+    cfg = TemplateConfig(resolution=0.1, template_range=TIGHT_RANGE, row_range=TIGHT_RANGE,
+                         no_info_frequency=0.05)
+    template = Template(cfg, np.random.default_rng(25).integers(0, 11, cfg.dims) / 10.0, 10)
+    lo, hi = TIGHT_RANGE.min_corner, TIGHT_RANGE.max_corner
+    axis = 0 if face.endswith("x") else 1
+    at = (lo if face.startswith("low") else hi)[axis]
+    inward = 1.0 if face.startswith("low") else -1.0
+    # the other coordinate, at the middle pose, far from its own faces
+    other = -1.7 if axis == 0 else 3.5
+    xy = [other, other]
+    xy[axis] = at
+    # the slack of a point on the face, near enough the point's own
+    r = float(np.hypot(*sensor_points(np.array([xy]), 0.1, 0.2)[0]))
+    xy[axis] = at + inward * depth * (r * 0.03 + (0.1 if axis == 1 else 0.0))
+    frame = interior_frame(sensor_points(np.array([xy]), 0.1, 0.2))
+    scorer = PoseScorer(frame, template)
+    assert scorer._interior(SPREAD_YS, SPREAD_THETAS).tolist() == [False, False]
+    kept = [reference_score(frame, template, scorer.p_floor, y, th)[1]
+            for y, th in zip(SPREAD_YS, SPREAD_THETAS)]
+    assert 0 in kept and 1 in kept, "no particle takes the point out of the box"
+    assert_scores_equal_reference(scorer, frame, SPREAD_YS, SPREAD_THETAS)
+
+
+def float32_crossing(face):
+    """A sensor-frame point and a heading (at y 0.37) whose exact template
+    coordinate lies inside the box's low x or y face by less than the
+    kernel's float32 rounding, which puts it outside."""
+    lo = TEMPLATE_RANGE.min_corner
+    inv_res, y = F32(1.0 / 0.1), 0.37
+    for theta in np.linspace(0.05, 0.6, 23):
+        c, s = math.cos(theta), math.sin(theta)
+        c32, s32 = F32(c), F32(s)
+        if face == "low-x":
+            other = F32(1.3)
+            start = F32((lo[0] + s * float(other)) / c)
+        else:
+            other = F32(2.5)
+            start = F32((lo[1] - y - s * float(other)) / c)
+        for k in range(-300, 300):
+            v = f32_of(f32_key(start) + k)
+            if face == "low-x":
+                exact = c * float(v) - s * float(other) - lo[0]
+                kernel = (c32 * v - s32 * other - F32(lo[0])) * inv_res
+                pt = (float(v), float(other))
+            else:
+                exact = s * float(other) + c * float(v) + y - lo[1]
+                kernel = (s32 * other + c32 * v + F32(y) - F32(lo[1])) * inv_res
+                pt = (float(other), float(v))
+            if exact > 0 and kernel < 0:
+                return pt, theta, y
+    raise AssertionError("no point found")
+
+
+@pytest.mark.parametrize("face", ["low-x", "low-y"])
+def test_a_point_float32_rounding_moves_out_of_the_box_is_an_edge_point(face):
+    """Exactly, one proposal keeps the point inside the box, by less than
+    a float32 rounding; the kernel's float32 coordinate lies outside, so
+    the reference does not score it.  The rounding margin keeps it at the
+    edge; without it the unmasked kernel would read and count a voxel."""
+    pt, theta, y = float32_crossing(face)
+    template = interior_template()
+    frame = interior_frame([pt, (2.0, 0.0)])  # and one interior point
+    scorer = PoseScorer(frame, template)
+    ys, thetas = np.array([y]), np.array([theta])
+    assert reference_score(frame, template, scorer.p_floor, y, theta)[1] == 1
+    assert scorer._interior(ys, thetas).tolist() == [False, True, False]
+    with recorded_passes() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    assert calls == [(False, 1), (True, 2)]
+
+
+def test_far_points_need_a_wider_slack_than_near_ones():
+    """Two points the same distance inside the box's low y face at the
+    middle pose: the near one is interior, the far one, whose heading
+    slack is r times wider, is not."""
+    cfg = TemplateConfig(resolution=0.1, template_range=Box3.from_ranges((0.0, 30.0),
+                         (-5.0, 5.0), (0.0, 4.0)), row_range=ROW_RANGE, no_info_frequency=0.05)
+    rng = np.random.default_rng(22)
+    template = Template(cfg, rng.integers(0, 11, cfg.dims) / 10.0, 10)
+    thetas = 0.01 * np.array([-1.0, 1.0, 0.0, 0.5, -0.5])
+    ys = np.zeros(5)
+    # 0.1 m inside the face at heading 0: 0.05 rad x 2 m = 0.02 m of rotation
+    # slack, 0.01 rad x 25 m = 0.25 m
+    frame = interior_frame([(2.0, -4.9), (25.0, -4.9)], far=False)
+    scorer = PoseScorer(frame, template)
+    assert scorer._interior(ys, thetas).tolist() == [True, False]
+    kept = [reference_score(frame, template, scorer.p_floor, y, th)[1] for y, th in zip(ys, thetas)]
+    assert kept == [1, 2, 2, 2, 1]  # the far point leaves the box at heading -0.01
+    assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+def test_a_wide_heading_span_certifies_no_point():
+    """Particles spread over +-0.6 rad: a point 2.5 m or more off moves
+    1.5 m or more, past the box's far x face from any point 2.5 m to
+    3.5 m along it, so nothing is certified and the call keeps the one
+    masked pass."""
+    template = interior_template()
+    rng = np.random.default_rng(23)
+    frame = interior_frame(rng.uniform([2.5, -0.8], [3.5, 0.8], (30, 2)))
+    scorer = PoseScorer(frame, template)
+    thetas = rng.uniform(-0.6, 0.6, 300)
+    ys = rng.uniform(-0.3, 0.3, 300)
+    assert not scorer._interior(ys, thetas).any()
+    with recorded_passes() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    assert {c for c in calls} == {(True, 31)}
+
+
+def test_a_frame_that_fails_the_guard_is_not_split():
+    """Logs of a frequency next below one need not sum exactly in every
+    order: the interior and edge partial sums would not add up to the
+    reference's, so the call keeps the one masked pass, every point of it
+    masked, even though a tight particle set leaves most points inside."""
+    cfg = TemplateConfig(resolution=0.1, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.02)
+    rng = np.random.default_rng(24)
+    grid = rng.integers(1, 11, cfg.dims) / 10.0
+    grid[rng.uniform(size=cfg.dims) < 0.5] = NEAR_ONE
+    template = Template(cfg, grid, 10)
+    pts = np.vstack([rng.uniform([1.0, -0.8], [2.8, 0.8], (60, 2)), [[30.0, 0.0], [2.0, 5.0]]])
+    frame = PreprocessedFrame(PointCloud(np.column_stack([pts, rng.uniform(-0.3, 2.3, 62)]), "V"),
+                              0.0, 0.0, 0.0)
+    scorer = PoseScorer(frame, template)
+    assert not scorer._exact_sums and scorer._z_keep is not None
+    thetas = 0.01 * np.clip(rng.standard_normal(300), -3, 3)
+    ys = 0.02 * np.clip(rng.standard_normal(300), -3, 3)
+    assert scorer._interior(ys, thetas) is None
+    with recorded_passes() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    assert {c for c in calls} == {(True, 62)}
