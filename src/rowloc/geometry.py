@@ -193,17 +193,51 @@ def cutoff_filter(cloud: PointCloud, box: Box3) -> PointCloud:
     return PointCloud(cloud.points[box.contains(cloud.points)], cloud.frame)
 
 
+def _packed_key(rows: np.ndarray) -> np.ndarray | None:
+    """One int64 per row of an (N, k) int64 array, ordered as the rows
+    are lexicographically; None if N = 0 or the columns' spans multiply
+    past int64.
+
+    Each column is offset by its minimum and the columns are read as the
+    digits of a mixed-radix number whose radices are the column spans.
+    """
+    if rows.shape[0] == 0:
+        return None
+    lo = rows.min(axis=0)
+    spans = [h - l + 1 for h, l in zip(rows.max(axis=0).tolist(), lo.tolist())]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        return None
+    # every partial key is below the product of the spans read so far, so
+    # no step overflows (a column minus its minimum fits: its span does)
+    key = rows[:, 0] - lo[0]
+    for c in range(1, rows.shape[1]):
+        key *= spans[c]
+        key += rows[:, c] - lo[c]
+    return key
+
+
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of an (N, k) integer array.
+    """Group the equal rows of an (N, k) int64 array.
 
     Returns (inverse, first): inverse[i] is the group of row i, with groups
     in the lexicographic order np.unique(rows, axis=0) gives them, and
     first[g] is the index of a row of group g.
+
+    The rows are packed into one int64 key each (`_packed_key`) and sorted
+    once, stably, so the order is np.lexsort's; rows whose key would not
+    fit in int64 are lexsorted column by column.
     """
-    order = np.lexsort(rows.T[::-1])  # stable, first column most significant
-    ordered = rows[order]
+    key = _packed_key(rows)
+    if key is None:  # too wide to pack: sort on the columns, compare whole rows
+        order = np.lexsort(rows.T[::-1])  # stable, first column most significant
+        ordered = rows[order]
+        differs = np.any(ordered[1:] != ordered[:-1], axis=1)
+    else:
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        differs = ordered[1:] != ordered[:-1]
     starts = np.ones(rows.shape[0], dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    starts[1:] = differs
     inverse = np.empty(rows.shape[0], dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return inverse, order[starts]
@@ -233,7 +267,10 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 
 
 def _plane_from_points(p0, p1, p2) -> Plane | None:
-    n = np.cross(p1 - p0, p2 - p0)
+    # u x v in np.cross's own operation order, on floats: the same bits in
+    # a fraction of np.cross's time
+    (u0, u1, u2), (v0, v1, v2) = (p1 - p0).tolist(), (p2 - p0).tolist()
+    n = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
     norm = np.linalg.norm(n)
     if norm < 1e-12:
         return None
@@ -279,32 +316,40 @@ def _best_plane_hypothesis(
 ) -> tuple[int, int]:
     """(index, inlier count) of the first hypothesis in idx with the most
     inliers, as a loop over _plane_hypothesis picks it; (-1, -1) if none is
-    admissible.  pts must be finite."""
+    admissible.  pts must be finite.
+
+    Every hypothesis's normal is computed up front, and one that is surely
+    tilted past min_nz is dropped before any point distance is computed:
+    the loop rejects it whatever its count.  The rest keep their order, so
+    the first largest count is the loop's.  A hypothesis within the screen
+    margin of a threshold stays in, to be re-decided by the scalar code.
+    """
+    p = pts[idx]  # (hypotheses, 3 points, 3)
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    n = u[:, [1, 2, 0]] * v[:, [2, 0, 1]] - u[:, [2, 0, 1]] * v[:, [1, 2, 0]]  # u x v
+    norm = np.sqrt(np.einsum("ij,ij->i", n, n))
+    n /= np.where(norm > 0.0, norm, 1.0)[:, None]
+    eps = hyp.SCREEN_EPS
+    nz = np.abs(n[:, 2])
+    unsure = ~np.isfinite(norm) | (norm <= 1e-12 + eps) | (np.abs(nz - min_nz) <= eps)
+    kept = np.flatnonzero((nz >= min_nz) | unsure)
+    planes = np.column_stack([n, -np.einsum("ij,ij->i", n, p[:, 0])])[kept]
+    unsure = unsure[kept]
 
     def exact(k):
-        found = _plane_hypothesis(pts, idx[k], min_nz, inlier_tol)
+        found = _plane_hypothesis(pts, idx[kept[k]], min_nz, inlier_tol)
         return -1 if found is None else found[1]
 
     margin = hyp.margin(pts)
-    eps = hyp.SCREEN_EPS
     pts_h = hyp.homogeneous(pts)
 
     def screen(a, b):
-        p = pts[idx[a:b]]  # (m, 3 points, 3)
-        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        n = u[:, [1, 2, 0]] * v[:, [2, 0, 1]] - u[:, [2, 0, 1]] * v[:, [1, 2, 0]]  # u x v
-        norm = np.sqrt(np.einsum("ij,ij->i", n, n))
-        n /= np.where(norm > 0.0, norm, 1.0)[:, None]
-        dist = np.column_stack([n, -np.einsum("ij,ij->i", n, p[:, 0])]) @ pts_h.T
-        lo, hi = hyp.count_bounds(dist, inlier_tol, margin)
-        nz = np.abs(n[:, 2])
-        unsure = ~np.isfinite(norm) | (norm <= 1e-12 + eps) | (np.abs(nz - min_nz) <= eps)
-        tilted = (nz < min_nz) & ~unsure
-        lo[tilted | unsure] = -1
-        hi[tilted] = -1
+        lo, hi = hyp.count_bounds(planes[a:b] @ pts_h.T, inlier_tol, margin)
+        lo[unsure[a:b]] = -1
         return lo, hi
 
-    return hyp.first_max(idx.shape[0], screen, exact)
+    k, count = hyp.first_max(kept.shape[0], screen, exact)
+    return (int(kept[k]) if k >= 0 else -1), count
 
 
 def ransac_ground_plane(
@@ -323,11 +368,13 @@ def ransac_ground_plane(
     cloud with a non-finite point raises DegenerateInputError (`preprocess`
     drops such points first).
 
-    Exactness: hypotheses are scored in blocks with array operations, and
-    those counts are only a screen.  A hypothesis with a point distance,
-    |n_z| or cross-product norm within 1e-9 of its threshold is re-decided
-    by the per-hypothesis code (`_plane_hypothesis`), and the winner is the
-    first index with the largest exact count.  The chosen plane, and so the
+    Exactness: the normals of all hypotheses are computed at once, and a
+    tilted one is rejected before any point distance is computed.  The
+    others are scored in blocks with array operations, and those counts are
+    only a screen.  A hypothesis with a point distance, |n_z| or
+    cross-product norm within 1e-9 of its threshold is re-decided by the
+    per-hypothesis code (`_plane_hypothesis`), and the winner is the first
+    index with the largest exact count.  The chosen plane, and so the
     result, is bit-identical to a loop over the hypotheses one at a time.
     """
     pts = cloud.points

@@ -146,6 +146,13 @@ def _cloud(kind, n, seed, tol, dim=3):
         pts[:, :dim - 1] = rng.integers(-20, 21, (n, dim - 1)) * 0.25
         pts[:, dim - 1] = rng.choice([0.0, tol, -tol, 2.0 * tol], n)
         return pts
+    if kind == "walls":  # mostly two vertical walls: most triples are tilted
+        m = n - n // 8
+        wall = np.column_stack([rng.uniform(0, 10, m), rng.choice([-1.5, 1.5], m),
+                                rng.uniform(0, 2, m)])
+        ground = np.column_stack([rng.uniform(0, 10, n - m), rng.uniform(-1.5, 1.5, n - m),
+                                  rng.normal(-1.0, 0.01, n - m)])
+        return np.vstack([wall, ground])[:, :dim]
     if kind == "scene":  # ground plus walls, slightly tilted
         ground = np.column_stack([rng.uniform(0, 10, n), rng.uniform(-2, 2, n),
                                   rng.normal(-1.0, 0.01, n)])
@@ -156,13 +163,14 @@ def _cloud(kind, n, seed, tol, dim=3):
 
 
 KINDS = st.sampled_from(["random", "duplicates", "collinear", "on_tol", "scene"])
+PLANE_KINDS = st.sampled_from(["random", "duplicates", "collinear", "on_tol", "scene", "walls"])
 
 
 # -- ground plane -------------------------------------------------------------
 
 
 @SETTINGS
-@given(kind=KINDS, n=st.integers(3, 120), seed=st.integers(0, 2**31),
+@given(kind=PLANE_KINDS, n=st.integers(3, 120), seed=st.integers(0, 2**31),
        iters=st.integers(1, 3 * hyp.BLOCK + 5), tol=st.sampled_from([0.05, 0.01, 0.5]),
        max_tilt=st.sampled_from([0.6, 0.2, 1.5]))
 def test_ground_plane_matches_per_hypothesis_loop(kind, n, seed, iters, tol, max_tilt):
@@ -191,6 +199,50 @@ def test_ground_plane_points_at_the_tolerance_are_rechecked(monkeypatch):
     assert _bits(got) == _bits(reference_ground_plane(pts, 150, tol, 3)[2:])
 
 
+def _one_wall(n, seed):
+    """n points on the vertical plane y = 1.5: every triple is tilted or degenerate."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0, 10, n), np.full(n, 1.5), rng.uniform(0, 2, n)])
+
+
+def _tilted_dropped(pts, iters, seed, max_tilt=0.6):
+    """Hypotheses the per-hypothesis loop rejects as tilted, by index; the
+    hypotheses that reach the distance screen are the others."""
+    idx = np.random.default_rng(seed).integers(0, pts.shape[0], size=(iters, 3))
+    min_nz = math.cos(max_tilt)
+    tilted = []
+    for k, i in enumerate(idx):
+        plane = geometry._plane_from_points(*pts[i])
+        if plane is not None:
+            # far from the threshold, so the screen cannot be unsure of it
+            assert abs(abs(plane.normal[2]) - min_nz) > 1e-6
+            if abs(plane.normal[2]) < min_nz:
+                tilted.append(k)
+    return tilted
+
+
+@pytest.mark.parametrize("pts, iters", [
+    (_cloud("walls", 400, 11, 0.05), 200),
+    (_cloud("walls", 60, 12, 0.05), 3 * hyp.BLOCK + 5),
+    (_one_wall(300, 13), 200),  # every hypothesis tilted: nothing to count
+])
+def test_tilted_hypotheses_reach_no_distance_count(monkeypatch, pts, iters):
+    rows = []
+    original = hyp.count_bounds
+    monkeypatch.setattr(hyp, "count_bounds",
+                        lambda dist, *a: rows.append(dist.shape[0]) or original(dist, *a))
+    got = _outcome(ransac_ground_plane, PointCloud(pts), iters=iters, seed=5)
+    monkeypatch.undo()
+    tilted = _tilted_dropped(pts, iters, 5)
+    assert len(tilted) >= iters // 4  # the walls make many triples tilted
+    assert sum(rows) == iters - len(tilted)
+    want = _outcome(reference_ground_plane, pts, iters, seed=5)
+    if isinstance(want[0], type):
+        assert got[0] is want[0] is DegenerateInputError
+    else:
+        assert _bits(got) == _bits(want[2:])
+
+
 @pytest.mark.parametrize("pts, exc", [
     (np.zeros((2, 3)), DegenerateInputError),  # too few points
     (np.zeros((5, 3)), DegenerateInputError),  # every hypothesis degenerate
@@ -198,6 +250,7 @@ def test_ground_plane_points_at_the_tolerance_are_rechecked(monkeypatch):
     (np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1.0]]), DegenerateInputError),  # a vertical wall
     (np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]]), None),  # three points: one plane
     (np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.inf]]), ValueError),
+    (_one_wall(200, 3), DegenerateInputError),  # every hypothesis tilted
 ])
 def test_ground_plane_edge_cases_match(pts, exc):
     got = _outcome(ransac_ground_plane, PointCloud(pts), iters=50, seed=1)
@@ -213,6 +266,37 @@ def test_ground_plane_edge_cases_match(pts, exc):
         assert _bits(got) == _bits(want[2:])
     else:
         assert isinstance(got[0], type) and issubclass(got[0], exc) and got[0] is want[0]
+
+
+def reference_plane_from_points(p0, p1, p2):
+    """`_plane_from_points` with the normal taken by np.cross."""
+    n = np.cross(p1 - p0, p2 - p0)
+    norm = np.linalg.norm(n)
+    if norm < 1e-12:
+        return None
+    n = n / norm
+    return geometry.Plane(n, float(n @ p0))
+
+
+@pytest.mark.parametrize("triples", [
+    np.random.default_rng(1).normal(0.0, 1.0, (500, 3, 3)),
+    # small integers: exact zeros and cancellations, so the sign of a zero shows
+    np.random.default_rng(9).integers(-2, 3, (500, 3, 3)).astype(np.float64),
+    np.random.default_rng(2).normal(0.0, 1e100, (200, 3, 3)),  # u x v overflows
+    np.random.default_rng(3).normal(5e7, 1e3, (200, 3, 3)),  # large, nearly equal
+    np.random.default_rng(4).normal(0.0, 1e-6, (200, 3, 3)),  # norm near the 1e-12 floor
+    np.random.default_rng(5).normal(0.0, 1e-9, (200, 3, 3)),  # every one below it
+    # collinear: p2 on the line through p0 and p1
+    np.stack([np.zeros((200, 3)), np.ones((200, 3)),
+              np.random.default_rng(6).uniform(-3, 3, (200, 1)) * np.ones(3)], axis=1),
+    np.random.default_rng(7).normal(0.0, 1.0, (200, 1, 3))[:, [0, 0, 0]],  # duplicates
+    np.random.default_rng(8).normal(0.0, 1.0, (200, 2, 3))[:, [0, 1, 0]],
+])
+def test_plane_from_points_matches_np_cross(triples):
+    with np.errstate(all="ignore"):
+        for p in triples:
+            want = _outcome(reference_plane_from_points, *p)
+            assert _bits(_outcome(geometry._plane_from_points, *p)) == _bits(want)
 
 
 # -- baseline line RANSAC -----------------------------------------------------
@@ -382,3 +466,55 @@ def test_group_rows_matches_unique(n, k, seed, span):
     uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
     np.testing.assert_array_equal(rows[first], uniq)
     np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+
+
+def _wide(lo, hi, n, k, seed):
+    """(2n, k) int64 rows drawn from [lo, hi] with repeats; the first and
+    last rows hold lo and hi, so each column spans hi - lo + 1."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(lo, hi, (n, k), dtype=np.int64, endpoint=True)
+    rows = rows[rng.integers(0, n, 2 * n)]
+    rows[0], rows[-1] = lo, hi
+    return rows
+
+
+I64 = np.iinfo(np.int64)
+GROUP_CASES = [  # (rows, packed into one key)
+    *[(np.zeros((0, k), dtype=np.int64), False) for k in range(1, 5)],
+    *[(np.full((1, k), -7, dtype=np.int64), True) for k in range(1, 5)],
+    *[(_wide(-5, 3, 40, k, k), True) for k in range(1, 5)],
+    (_wide(-2**40, 2**40, 50, 2, 1), False),  # a span product of 2**82
+    (_wide(-2**62, 2**62 - 2, 50, 1, 2), True),  # span 2**63 - 1: the largest that fits
+    (_wide(-2**62, 2**62 - 1, 50, 1, 3), False),  # span 2**63
+    (_wide(I64.min, I64.max, 50, 1, 4), False),  # span 2**64
+    (np.column_stack([_wide(-2**50, 2**50, 30, 1, 5), _wide(0, 3, 30, 2, 6)]), True),
+    (np.column_stack([_wide(I64.min, I64.min + 1, 30, 1, 7),
+                      _wide(I64.max - 2, I64.max, 30, 3, 8)]), True),
+]
+
+
+@pytest.mark.parametrize("rows, packed", GROUP_CASES)
+def test_group_rows_matches_unique_on_both_branches(rows, packed):
+    assert (geometry._packed_key(rows) is not None) == packed
+    inverse, first = group_rows(rows)
+    uniq, want_first, want_inverse = np.unique(rows, axis=0, return_index=True,
+                                               return_inverse=True)
+    np.testing.assert_array_equal(rows[first], uniq)
+    np.testing.assert_array_equal(first, want_first)  # each group's first row
+    np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+
+
+@pytest.mark.parametrize("extent, leaf, packed", [
+    # over 2**22 cells on two axes, 2**18 on the third: the span product fits
+    ((4.3e6, 4.3e6, 2.6e5), 1.0, True),
+    ((4e7, 4e7, 4e7), 0.5, False),  # 8e7 cells an axis: past int64
+])
+def test_voxel_downsample_beyond_21_bits_an_axis(extent, leaf, packed):
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-0.5, 0.5, (300, 3)) * extent
+    pts = np.vstack([pts, pts[:100] + 0.1 * leaf])  # some cells hold two points
+    cells = np.floor(pts / leaf).astype(np.int64)
+    assert (np.ptp(cells, axis=0) > 2**21).sum() >= 2
+    assert (geometry._packed_key(cells) is not None) == packed
+    got = voxel_downsample(PointCloud(pts), leaf)
+    assert got.points.tobytes() == reference_voxel_downsample(pts, leaf).tobytes()

@@ -466,9 +466,11 @@ def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
     want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
     rows = {}  # rows scored in each pass, keyed by whether its points are masked
     score_block = PoseScorer._score_block
+    lock = threading.Lock()  # the count itself must not lose an update
 
     def counted(self, cos_t, sin_t, ys, row, points, masked):
-        rows[masked] = rows.get(masked, 0) + len(ys)
+        with lock:
+            rows[masked] = rows.get(masked, 0) + len(ys)
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     interval = sys.getswitchinterval()
