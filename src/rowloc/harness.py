@@ -248,33 +248,56 @@ def evaluate_frames(
     seed_tag: int = 0,
     odometry: list[OdometryDelta] | None = None,
 ) -> list[FrameResult]:
-    """Localize every frame with the chosen method."""
+    """Localize every frame with the chosen method.
+
+    Raises ValueError before localizing any frame when the method is
+    unknown or its inputs do not match: a template method without a
+    template, truth of another length than clouds, or template-pf without
+    an odometry delta between each pair of frames.
+    """
+    return list(_frame_results(clouds, truth, template, cfg, method, seed_tag, odometry))
+
+
+def _frame_results(clouds, truth, template, cfg, method, seed_tag, odometry):
+    """`evaluate_frames`'s results as an iterator, one FrameResult per frame.
+
+    The inputs are checked here, before any frame is localized; the frames
+    are localized as the iterator is drawn from.
+    """
     method = method or cfg.method
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method in TEMPLATE_METHODS and template is None:
         raise ValueError(f"method {method} needs a template")
+    if len(truth) != len(clouds):
+        raise ValueError(f"{len(clouds)} clouds vs {len(truth)} truth poses")
     if method != "template-pf":
         tag = _ESTIMATORS[method][1]
-        return [
+        return (
             _localize_frame(method, cloud, template, cfg, derive_seed(cfg.seed, tag, seed_tag, i),
                             i, truth[i])
             for i, cloud in enumerate(clouds)
-        ]
-
+        )
     if odometry is None:
         raise ValueError("template-pf needs odometry deltas")
+    if len(odometry) < len(clouds) - 1:
+        raise ValueError(f"{len(clouds)} clouds need {len(clouds) - 1} odometry deltas, "
+                         f"got {len(odometry)}")
+    return _pf_results(clouds, truth, template, cfg, seed_tag, odometry)
+
+
+def _pf_results(clouds, truth, template, cfg, seed_tag, odometry):
+    """The particle filter's FrameResults, frame by frame, on inputs
+    `_frame_results` has checked."""
     particles = init_particles(cfg.mcl_cfg, derive_seed(cfg.seed, 2, seed_tag))
     zero_u = OdometryDelta(np.zeros(3), cfg.odometry_sigma)
-    results = []
     for i, cloud in enumerate(clouds):
         u = zero_u if i == 0 else odometry[i - 1]
         est, particles = localize_pf(
             cloud, particles, u, template, cfg.mcl_cfg, derive_seed(cfg.seed, 3, seed_tag, i)
         )
-        results.append(FrameResult(i, *_from_estimate(est), float(truth[i][0]),
-                                   float(truth[i][1]), method))
-    return results
+        yield FrameResult(i, *_from_estimate(est), float(truth[i][0]), float(truth[i][1]),
+                          "template-pf")
 
 
 def results_metrics(results: list[FrameResult]) -> dict[str, ErrorMetrics]:
@@ -648,7 +671,12 @@ def comparison_prefilter_box() -> Box3:
 
 
 def run_compare(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """All methods on identical pre-filtered frames, split by heading regime."""
+    """All methods on identical pre-filtered frames, split by heading regime.
+
+    The frames go through the methods frame by frame: frame i is localized
+    by every method before frame i + 1.  Each method's seeds depend only on
+    its seed tag and the frame, so its rows are `evaluate_frames`'s.
+    """
     ds = render_run(cfg, 80)
     template = template_from_dataset(ds, cfg)
     eval_ds = _eval_subset(ds, cfg)
@@ -659,14 +687,17 @@ def run_compare(cfg: ExperimentConfig, out_dir=None) -> dict:
     ]
     odo = _dataset_odometry(eval_ds, cfg)
 
-    all_results: dict[str, list[FrameResult]] = {}
+    # each cloud goes through every method in turn, so it is preprocessed
+    # once (`preprocess` remembers its last call)
+    streams = [
+        _frame_results(filtered, eval_ds.local_truth, template, cfg, method, 100 + m_i, odo)
+        for m_i, method in enumerate(ALL_METHODS)
+    ]
+    per_frame = list(zip(*streams))
+    all_results = {method: [row[m_i] for row in per_frame]
+                   for m_i, method in enumerate(ALL_METHODS)}
     tables: dict[str, dict] = {}
-    for m_i, method in enumerate(ALL_METHODS):
-        res = evaluate_frames(
-            filtered, eval_ds.local_truth, template, cfg,
-            method=method, seed_tag=100 + m_i, odometry=odo,
-        )
-        all_results[method] = res
+    for method, res in all_results.items():
         overall = results_metrics(res)
         large = [r for r in res if abs(r.theta_true) > HEADING_SPLIT]
         small = [r for r in res if abs(r.theta_true) <= HEADING_SPLIT]

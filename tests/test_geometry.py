@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from rowloc import geometry
 from rowloc.geometry import (
     Box3,
     DegenerateInputError,
@@ -220,3 +223,127 @@ def test_preprocess_pipeline_on_synthetic_frame():
     assert frame.roll == pytest.approx(0.05, abs=0.01)
     assert frame.pitch == pytest.approx(-0.03, abs=0.01)
     assert frame.height == pytest.approx(1.0, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# preprocess's memo of its last call
+
+
+@pytest.fixture
+def ransac_calls(monkeypatch):
+    """The clouds geometry.ransac_ground_plane is called with, from an empty memo."""
+    calls = []
+    original = geometry.ransac_ground_plane
+    monkeypatch.setattr(geometry, "ransac_ground_plane",
+                        lambda cloud, *a, **k: calls.append(cloud) or original(cloud, *a, **k))
+    monkeypatch.setattr(geometry, "_last_call", None)
+    return calls
+
+
+def _uncached(cloud, cfg=PreprocessConfig()):
+    """preprocess(cloud, cfg) from an empty memo; the memo is left as it was."""
+    saved = geometry._last_call
+    geometry._last_call = None
+    try:
+        return preprocess(cloud, cfg)
+    finally:
+        geometry._last_call = saved
+
+
+def _bits(frame):
+    pts = frame.cloud_V.points
+    return pts.shape, pts.tobytes(), np.array([frame.roll, frame.pitch, frame.height]).tobytes()
+
+
+def _scene(seed=11):
+    return _tilted_ground_scene(np.random.default_rng(seed), 0.05, -0.03, 1.0)
+
+
+def test_preprocess_repeat_call_is_a_hit(ransac_calls):
+    cloud = _scene()
+    first = preprocess(cloud)
+    assert preprocess(cloud) is first
+    assert preprocess(PointCloud(cloud.points.copy(), "C")) is first  # equal bytes, new array
+    assert len(ransac_calls) == 1
+
+
+def test_preprocess_sees_an_in_place_edit(ransac_calls):
+    cloud = _scene()
+    before = _bits(preprocess(cloud))
+    cloud.points[:, 2] -= 0.25  # the caller's array: the ground drops 0.25 m
+    edited = preprocess(cloud)
+    assert len(ransac_calls) == 2
+    assert _bits(edited) == _bits(_uncached(cloud))
+    assert _bits(edited) != before
+
+
+def test_preprocess_memo_keys_on_the_config_value(ransac_calls):
+    cloud = _scene()
+    first = preprocess(cloud, PreprocessConfig(0.05))
+    assert preprocess(cloud, PreprocessConfig(leaf_size=0.05)) is first
+    assert len(ransac_calls) == 1
+    coarse = preprocess(cloud, PreprocessConfig(0.2))
+    assert len(ransac_calls) == 2
+    assert _bits(coarse) == _bits(_uncached(cloud, PreprocessConfig(0.2)))
+    assert _bits(coarse) != _bits(first)
+
+
+def test_preprocess_memo_compares_bytes_not_values(ransac_calls):
+    pts = _scene().points
+    pos, neg, nan, other_nan = (pts.copy() for _ in range(4))
+    pos[0, 1], neg[0, 1] = 0.0, -0.0
+    nan[::7, 0] = np.nan
+    other_nan[::7, 0] = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    assert np.array_equal(pos, neg) and np.array_equal(nan, other_nan, equal_nan=True)
+    assert pos.tobytes() != neg.tobytes() and nan.tobytes() != other_nan.tobytes()
+    clouds = [PointCloud(a) for a in (pos, neg, pos, nan, other_nan, nan)]
+    expected = [_bits(_uncached(c)) for c in clouds]
+    ransac_calls.clear()
+    assert [_bits(preprocess(c)) for c in clouds] == expected
+    assert len(ransac_calls) == len(clouds)  # every call a miss
+
+
+def test_preprocess_returns_read_only_points(ransac_calls):
+    cloud = _scene()
+    for frame in (preprocess(cloud), preprocess(cloud)):
+        assert not frame.cloud_V.points.flags.writeable
+        with pytest.raises(ValueError):
+            frame.cloud_V.points[0, 0] = 1.0
+    assert cloud.points.flags.writeable  # the caller's array is never frozen
+
+
+def test_preprocess_caches_nothing_from_a_call_that_raises(ransac_calls):
+    cloud = _scene()
+    good = preprocess(cloud)
+    collinear = PointCloud(np.column_stack([np.linspace(0, 5, 50), np.zeros(50), np.zeros(50)]))
+    for _ in range(2):
+        with pytest.raises(DegenerateInputError):
+            preprocess(collinear)
+    assert len(ransac_calls) == 3
+    assert preprocess(cloud) is good  # the last successful call is still remembered
+    assert len(ransac_calls) == 3
+
+
+def test_preprocess_memo_shared_by_threads(ransac_calls):
+    clouds = [_scene(11), _scene(12)]
+    expected = [_bits(_uncached(c)) for c in clouds]
+    got = [[], []]
+
+    def run(t):
+        for j in range(30):
+            k = (t + j) % 2
+            got[t].append((k, _bits(preprocess(clouds[k]))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for t in range(2):
+        assert len(got[t]) == 30
+        assert all(bits == expected[k] for k, bits in got[t])

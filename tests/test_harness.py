@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rowloc import harness, mcl
+from rowloc import geometry, harness, mcl
+from rowloc.baselines import BaselineParams
 from rowloc.geometry import (
     Box3,
     DegenerateInputError,
     PointCloud,
+    cutoff_filter,
     PreprocessConfig,
     preprocess,
 )
@@ -18,8 +20,10 @@ from rowloc.harness import (
     ControllerGains,
     ExperimentConfig,
     closed_loop_sim,
+    comparison_prefilter_box,
     degrade_in_template_frame,
     derive_seed,
+    evaluate_frames,
     make_dataset,
     run_accuracy,
     run_compare,
@@ -133,6 +137,50 @@ def test_run_compare_covers_all_methods(cfg, tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,regime,axis,mae,sd,p95,n"
     assert len(summary) > len(ALL_METHODS)
+
+
+def test_run_compare_runs_frame_by_frame_with_evaluate_frames_rows(cfg, monkeypatch):
+    # the baselines preprocess with the template methods' leaf, and the
+    # evaluated frames stop short of the row end, where the filtered cloud
+    # is empty (a frame that fails preprocessing is retried by each method)
+    cfg = replace(cfg, baseline_params=BaselineParams(pre_cfg=cfg.mcl_cfg.pre_cfg),
+                  eval_end_margin=3.0)
+    ransac_calls = []
+    original = geometry.ransac_ground_plane
+    monkeypatch.setattr(geometry, "ransac_ground_plane",
+                        lambda *a, **k: ransac_calls.append(1) or original(*a, **k))
+    monkeypatch.setattr(geometry, "_last_call", None)
+    out = run_compare(cfg)
+    ds = harness.render_run(cfg, 80)
+    eval_ds = harness._eval_subset(ds, cfg)
+    assert len(ransac_calls) == cfg.n_template_frames + len(eval_ds.clouds)
+
+    box = comparison_prefilter_box()
+    clouds = [degrade_in_template_frame(eval_ds, i, lambda c: cutoff_filter(c, box))
+              for i in range(len(eval_ds.clouds))]
+    template = harness.template_from_dataset(ds, cfg)
+    odo = harness._dataset_odometry(eval_ds, cfg)
+    for i, method in enumerate(ALL_METHODS):
+        expected = evaluate_frames(clouds, eval_ds.local_truth, template, cfg, method=method,
+                                   seed_tag=100 + i, odometry=odo)
+        assert repr(out["results"][method]) == repr(expected)
+
+
+@pytest.mark.parametrize("method", ["template-uniform", "template-pf", "baseline2"])
+def test_evaluate_frames_checks_lengths_before_any_frame(cfg, monkeypatch, method):
+    def localized(*a, **k):
+        raise AssertionError("a frame was localized")
+
+    monkeypatch.setattr(harness, "_localize_frame", localized)
+    monkeypatch.setattr(harness, "localize_pf", localized)
+    clouds = [PointCloud(np.zeros((5, 3)))] * 3
+    odo = [mcl.OdometryDelta(np.zeros(3), cfg.odometry_sigma)] * 2
+    with pytest.raises(ValueError, match="truth"):
+        evaluate_frames(clouds, np.zeros((2, 2)), object(), cfg, method=method, odometry=odo)
+    if method == "template-pf":
+        with pytest.raises(ValueError, match="odometry"):
+            evaluate_frames(clouds, np.zeros((3, 2)), object(), cfg, method=method,
+                            odometry=odo[:1])
 
 
 def test_run_gap_sweep_smoke(cfg, tmp_path):
