@@ -289,10 +289,11 @@ def localize_pf(
     # Lost track: no particle sees a single point (the set has drifted off
     # the row), or every particle scored at the probability floor (shed
     # points pay the no-info penalty, so subtract that baseline).  Either
-    # way the weights carry no information; restart from the prior.
+    # way the weights carry no information; restart from the prior.  Both
+    # sides are exact sums of the scorer's rounded logs (measurement.py).
     no_points = not np.any(n_scored)
     floor_ll = n_scored * scorer.log_floor + (scorer.n_points - n_scored) * scorer.log_no_info
-    if no_points or np.all(logliks <= floor_ll + 1e-9):
+    if no_points or np.all(logliks <= floor_ll):
         n = len(prev)
         reinit = init_particles(cfg, int(rng.integers(0, 2**32)), n)
         flags = (FLAG_EMPTY_MEASUREMENT,) if no_points else ()

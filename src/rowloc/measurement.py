@@ -38,33 +38,33 @@ CPU, or one chunk, no thread is started.  The log of the template grid
 is computed once per (template, p_floor) and kept on the template, whose
 grid is read-only.
 
-Exact sums.  Every entry of the log table is a float32, so it is an
-integer multiple of u, the float32 ulp of its smallest nonzero |entry|.
-Every partial sum of N entries, each at most M in magnitude, is then a
-multiple of u no larger than N * M in magnitude.  When N * M <= 2**53 * u
-each is a float64, so a float64 sum of N entries is exact in any order
-(`_exact_sum_limit`, computed once per log table).  For a frame whose N
-points pass this guard, the points outside the template's z range, which
-read the no-info slot for every proposal, leave the kernel: their logs
-are added as one constant, n_out * table[0], exact by the same argument.
-Otherwise every point stays and the z mask is applied per proposal, as
-scoring one proposal on its own does.  The max-pooled tables of
-`score_top_k` hold only entries of the log table, so the guard covers
-the sums of its bounds too.
+Exact sums by construction.  Every entry of the log table, the no-info
+slot included, is rounded to a multiple of 2**-q, with q the largest
+value for which every |log| * 2**q < 2**24, log(p_floor) included
+(`_log_table`; q = 20 at p_floor 1e-4).  Each entry is then an integer
+below 2**24 times 2**-q, exact in float32, and every partial sum of up to
+_MAX_POINTS = 2**29 entries is an integer below 2**53 times 2**-q, exact
+in float64: a frame's float64 sums are exact in any order.  A frame with
+more points is refused.  So the points outside the template's z range,
+which read the no-info slot for every proposal, leave the kernel: their
+logs are added as one constant, n_out * table[0].  The max-pooled tables
+of `score_top_k` hold only entries of the log table, so the sums of its
+bounds are exact too, and a computed bound is never below a computed
+score.  `PoseScorer.log_floor` and `log_no_info` are rounded alike, so a
+proposal that scores every point at the floor sums to exactly
+`n_scored * log_floor + (n_points - n_scored) * log_no_info`.
 
-Interior points.  In a frame that passes the guard, a `score` call
-finds once, in float64, the kernel points that every one of its
-distinct-heading proposals places inside the template's box
-(`_interior`): about the call's middle heading a point at range r moves
-at most r times half the heading span, plus half the ys' span in y, and
-the kernel's float32 coordinates lie within a rounding margin
-(`_margin`) of the exact ones.  Those points are scored in a kernel with
-no box test, clamp or count, each row counting all of them; the rest,
-the edge points, in the masked kernel.  A row's two partial sums, the
-interior and the edge one, are added once both passes are done, which
-is exact in any order only under the guard.  So a frame that fails it,
-a call with no certified point and a grid's shared-heading cells keep
-the one masked pass.
+Interior points.  A `score` call finds once, in float64, the kernel
+points that every one of its distinct-heading proposals places inside
+the template's box (`_interior`): about the call's middle heading a
+point at range r moves at most r times half the heading span, plus half
+the ys' span in y, and the kernel's float32 coordinates lie within a
+rounding margin (`_margin`) of the exact ones.  Those points are scored
+in a kernel with no box test, clamp or count, each row counting all of
+them; the rest, the edge points, in the masked kernel.  A row's two
+partial sums, the interior and the edge one, are added once both passes
+are done, exact as every sum is.  A call with no certified point and a
+grid's shared-heading cells keep the one masked pass.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -88,7 +88,6 @@ import math
 import os
 import threading
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,13 +95,15 @@ from .geometry import PreprocessedFrame, rotation_from_euler
 from .template import Template
 
 DEFAULT_P_FLOOR = 1e-4
+# the most points a frame may hold: float64 sums of that many fixed-point
+# logs are exact in any order (module docstring)
+_MAX_POINTS = 2**29
 
 # rows per kernel call of a call's shared-heading cells, and the size of
 # its distinct-heading chunks: _CHUNK rows times the kernel's points, which
 # bounds the (chunk x points) temporaries.  A chunk of interior or edge
 # points holds as many lookups, in more rows.  The kernel's points are the
-# frame's n_points, less those outside the z range when the frame passes
-# the exact-sum guard (n_points * M <= 2**53 * u, `_exact_sum_limit`)
+# frame's points inside the template's z range
 _CHUNK = 128
 # the same for a call scored on several threads, each of which holds its
 # chunk's temporaries at once: two hold what one did
@@ -122,6 +123,9 @@ class PoseScorer:
     The roll/pitch/height leveling is applied to the cloud once; each
     proposal then costs one planar rotation plus a grid gather, and
     consecutive proposals that share a heading share its rotation.
+
+    Raises ValueError for a frame of more than _MAX_POINTS points, past
+    which float64 sums of its logs need not be exact.
     """
 
     def __init__(
@@ -130,25 +134,27 @@ class PoseScorer:
         template: Template,
         p_floor: float = DEFAULT_P_FLOOR,
     ):
+        # every point, scored or not: the particle filter's floor counts them
+        self.n_points = frame.cloud_V.points.shape[0]
+        if self.n_points > _MAX_POINTS:
+            raise ValueError(f"a frame holds at most {_MAX_POINTS} points, got {self.n_points}")
         self.template = template
         self.p_floor = float(p_floor)
-        self.log_floor = math.log(self.p_floor)
-        self.log_no_info = math.log(max(template.no_info_frequency, self.p_floor))
+        # the logs of p_floor and of the no-info frequency, as the table rounds them
+        self._table, self.log_floor = _log_table(template, self.p_floor)
+        self.log_no_info = float(self._table[0])
 
         R_level = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
         leveled = frame.cloud_V.points @ R_level.T
         qx32 = leveled[:, 0].astype(np.float32)
         qy32 = leveled[:, 1].astype(np.float32)
         qz = leveled[:, 2] + frame.height  # z in {T}, pose-independent
-        # every point, scored or not: the particle filter's floor counts them
-        self.n_points = qz.shape[0]
 
         cfg = template.config
         lo = cfg.template_range.min_corner
         hi = cfg.template_range.max_corner
         res = cfg.resolution
         self._dims = cfg.dims
-        self._table, exact_limit = _log_table(template, self.p_floor, self.log_no_info)
 
         # the float32 hot path works in grid coordinates (voxels from the
         # grid origin), where template_range is [0, _fx_hi] x [0, _fy_hi]
@@ -162,24 +168,16 @@ class PoseScorer:
         iz, z_keep = cfg.voxel_index(qz[:, None], axes=(2,))
         # +1: slot 0 of the log table holds the no-info log
         iz32 = iz[:, 0].astype(np.int32) + np.int32(1)
-        # float64 sums of this frame's logs are exact in any order
-        self._exact_sums = self.n_points <= exact_limit
+        # the points outside the z range read the no-info slot for every
+        # proposal: they leave the kernel, their logs added as one constant
         n_out = self.n_points - int(np.count_nonzero(z_keep))
-        self._z_keep = None  # the z mask of the kernel's points, if one is out
-        self._z_out_log = 0.0  # the logs of points left out of the kernel
-        if self._exact_sums and n_out:
-            # they read the no-info slot for every proposal
-            qx32, qy32, iz32 = qx32[z_keep], qy32[z_keep], iz32[z_keep]
-            self._z_out_log = n_out * float(self._table[0])
-        elif n_out:
-            self._z_keep = z_keep
-        self._qx32, self._qy32, self._iz32 = qx32, qy32, iz32
-        self._points = qx32, qy32, iz32  # `_score_block`'s default points
-        # the kernel's points' float64 ranges, and the largest of those it
-        # may score: the rotation slack of the bounds and of `_interior`
-        self._ranges = np.hypot(qx32, qy32, dtype=np.float64)
-        scored = self._ranges if self._z_keep is None else self._ranges[self._z_keep]
-        self._r_max = float(np.max(scored, initial=0.0))
+        self._z_out_log = n_out * self.log_no_info
+        self._qx32, self._qy32, self._iz32 = qx32[z_keep], qy32[z_keep], iz32[z_keep]
+        self._points = self._qx32, self._qy32, self._iz32  # `_score_block`'s default points
+        # the kernel's points' float64 ranges, and the largest: the rotation
+        # slack of the bounds and of `_interior`
+        self._ranges = np.hypot(self._qx32, self._qy32, dtype=np.float64)
+        self._r_max = float(np.max(self._ranges, initial=0.0))
 
     def score(self, ys: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log-likelihoods, points-scored) for parallel arrays of proposals."""
@@ -270,17 +268,15 @@ class PoseScorer:
         """A mask of the kernel's points that every proposal (ys, thetas)
         places strictly inside the box with fx < nx - 1 and fy < ny - 1, so
         that the kernel keeps them and trunc(fx) <= nx - 1, trunc(fy) <=
-        ny - 1 without a clamp; None for a frame that fails the exact-sum
-        guard, whose row sums must keep the reference order.
+        ny - 1 without a clamp.
 
         About the middle heading, a point at range r moves at most
         r * (half the heading span), in x and in y, plus half the ys' span
         in y; the kernel's float32 coordinates lie within `_margin` voxels
         of the exact ones.  A point is certified when its exact coordinates
-        at the middle heading and y lie more than that slack inside.
+        at the middle heading and y lie more than that slack inside.  Its
+        rows' interior and edge sums add up exactly (module docstring).
         """
-        if not self._exact_sums:
-            return None
         cfg = self.template.config
         res = cfg.resolution
         lo = cfg.template_range.min_corner
@@ -304,7 +300,7 @@ class PoseScorer:
     def _margin(self, ys) -> float:
         """The float32 rounding the kernel's coordinates can gain for the
         proposals at `ys`, in voxels: _SPAN_ULPS float32 roundings of the
-        largest magnitude that enters them.  Far above the float64 rounding
+        largest |value| that enters them.  Far above the float64 rounding
         of the bins' edges and centres and of `_interior`'s coordinates."""
         cfg = self.template.config
         lo = cfg.template_range.min_corner
@@ -332,8 +328,6 @@ class PoseScorer:
         ix = fx.astype(np.int32)
         if masked:
             keep_x = (fx >= 0) & (fx <= self._fx_hi)
-            if self._z_keep is not None:
-                keep_x &= self._z_keep
             # truncation equals floor on kept points; the rest are sent to
             # slot 0 below, so only the upper faces need a clamp
             np.minimum(ix, np.int32(nx - 1), out=ix)
@@ -409,14 +403,14 @@ class PoseScorer:
         fine_in = np.bincount(fine_coarse, minlength=centres.size * n_cy)
         # the coarse blocks that hold proposals, highest bound first
         rest = np.flatnonzero(fine_in)
-        slack, pooled, coarse_magnitude = self._bound_table(
+        slack, pooled = self._bound_table(
             margin, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN
         )
         coarse = np.full(fine_in.size, -np.inf)
         coarse[rest] = self._block_bounds(centres, cy_lo, rest, slack, pooled)
         rest = rest[np.argsort(-coarse[rest], kind="stable")]
 
-        slack, pooled, magnitude = self._bound_table(
+        slack, pooled = self._bound_table(
             margin, _ROT_SLACK if n_shared < middle.size else 0.0, _Y_BIN
         )
         bounds = np.full(middle.size * n_y, -np.inf)
@@ -442,11 +436,11 @@ class PoseScorer:
         while pending.size or rest.size:
             if rest.size and (kth > -np.inf or not pending.size):
                 # the other coarse blocks, once the k-th best is known
-                rest = rest[~_prunable(coarse[rest], self.n_points, coarse_magnitude, kth)]
+                rest = rest[coarse[rest] >= kth]
                 pending = np.concatenate((pending, split(rest)))
                 rest = rest[:0]
             pending = pending[np.argsort(-bounds[pending], kind="stable")]
-            pending = pending[~_prunable(bounds[pending], self.n_points, magnitude, kth)]
+            pending = pending[bounds[pending] >= kth]
             if pending.size:
                 chosen[:] = False
                 chosen[pending[:_ROUND]] = True
@@ -461,10 +455,10 @@ class PoseScorer:
             return self.score(ys, thetas)
         return loglik, n_scored
 
-    def _bound_table(self, margin, rot_slack, y_bin) -> tuple[float, np.ndarray, float]:
-        """(slack, pooled table, its largest |log|) for blocks whose headings
-        lie within rot_slack voxels of their middle's, at the frame's largest
-        point range, and whose ys span y_bin voxels; `margin` is the float32
+    def _bound_table(self, margin, rot_slack, y_bin) -> tuple[float, np.ndarray]:
+        """(slack, pooled table) for blocks whose headings lie within
+        rot_slack voxels of their middle's, at the frame's largest point
+        range, and whose ys span y_bin voxels; `margin` is the float32
         rounding a coordinate can gain, in voxels.
 
         A block's bound is read at its middle heading, where a point lies at
@@ -484,10 +478,7 @@ class PoseScorer:
         else:
             slack, x_window = 0.0, 1
         y_window = math.floor(y_bin + 2.0 * slack + margin) + 2
-        pooled, magnitude = _pooled_table(
-            self.template, self._table, self.p_floor, x_window, y_window
-        )
-        return slack, pooled, magnitude
+        return slack, _pooled_table(self.template, self._table, self.p_floor, x_window, y_window)
 
     def _block_bounds(self, middle, y_lo, blocks, slack, pooled) -> np.ndarray:
         """Upper bounds on `score` over (heading x y) blocks: for each block
@@ -511,8 +502,6 @@ class PoseScorer:
         fx -= self._lo_x
         fx *= self._inv_res
         off = (fx < -slack32) | (fx > self._fx_hi + slack32)
-        if self._z_keep is not None:
-            off |= ~self._z_keep
         if slack:
             fx -= slack32
         # clamped before the cast: the first index the window reads
@@ -594,27 +583,13 @@ def _coarse_groups(middle, n_shared: int, heading_width: float):
     return np.concatenate((run_group.reshape(-1), wide_group)), centres
 
 
-def _prunable(bounds, n_points: int, magnitude: float, kth: float) -> np.ndarray:
-    """Blocks whose every proposal scores strictly below `kth`.
-
-    A float64 sum of N terms errs by at most (N - 1) * 2**-53 * sum|term|
-    in any summation order.  Each score term is at most its bound term b,
-    so a proposal's computed score is at most its block's computed bound
-    plus about 2 * N * 2**-53 * sum|b|.  The slack is twice that, with
-    sum|b| at most N * `magnitude`.  A block whose bound only ties `kth`
-    may hold a proposal that ties the k-th best, which stable index order
-    can rank in the top k, so the comparison is strict.
-    """
-    return bounds + 2.0 * n_points * 2.0**-52 * (n_points * magnitude) < kth
-
-
 # the rotation slack of a heading bin, in voxels at the frame's largest
 # point range: wider bins cost fewer bounds but read a wider pooled window
 _ROT_SLACK = 0.75
 # the width of a y-bin, in voxels; it and its sum with 2 * _ROT_SLACK are
 # kept off whole numbers, so the pooled windows do not hang on rounding
 _Y_BIN = 2.9
-# float32 roundings a coordinate can gain, in units of eps * magnitude
+# float32 roundings a coordinate can gain, in units of eps * |value|
 _SPAN_ULPS = 64
 # fine blocks scored per round before the k-th best is updated
 _ROUND = 32
@@ -676,48 +651,40 @@ def _heading_runs(thetas: np.ndarray):
     return starts, lengths, lengths >= _MIN_RUN
 
 
-def _log_table(template: Template, p_floor: float, log_no_info: float):
-    """The no-info log, then the flat float32 log(max(grid, p_floor)); and
-    its `_exact_sum_limit`.
+def _log_table(template: Template, p_floor: float) -> tuple[np.ndarray, float]:
+    """The flat float32 table of the no-info log, then log(max(grid,
+    p_floor)); and log(p_floor).  Each is rounded to the nearest multiple
+    of 2**-q, q the largest value with every |log| * 2**q < 2**24
+    (module docstring).
 
     Built once per (template, p_floor) and kept on the template, whose
     grid is read-only, so every scorer of that template reuses it.
     """
     cached = template._log_tables.get(p_floor)
     if cached is None:
-        flat = np.ascontiguousarray(template.grid.reshape(-1), dtype=np.float64)
-        logs = np.log(np.maximum(flat, p_floor)).astype(np.float32)
-        table = np.concatenate(([np.float32(log_no_info)], logs))
+        # the no-info frequency, the grid, then p_floor, logged in one pass
+        logs = np.empty(template.grid.size + 2)
+        logs[0] = template.no_info_frequency
+        logs[1:-1] = template.grid.reshape(-1)
+        logs[-1] = p_floor
+        np.maximum(logs, p_floor, out=logs)
+        np.log(logs, out=logs)
+        q = 24 - math.frexp(max(-float(logs.min()), float(logs.max())))[1]
+        # scaling by a power of two is exact
+        logs *= 2.0**q
+        np.rint(logs, out=logs)
+        logs *= 2.0**-q
+        table = logs[:-1].astype(np.float32)
         table.flags.writeable = False
-        cached = table, _exact_sum_limit(table)
+        cached = table, float(logs[-1])
         template._log_tables[p_floor] = cached
     return cached
 
 
-def _exact_sum_limit(table: np.ndarray) -> float:
-    """The most float32 entries of `table` that float64 sums exactly in
-    any order: the largest N with N * M <= 2**53 * u.
-
-    M is the largest |entry| and u the float32 ulp of the smallest nonzero
-    |entry|, of which every entry is a multiple (module docstring).  Found
-    by reductions over the table, without a float64 copy of it.  inf when
-    every entry is 0; 0 when one is not finite.
-    """
-    big = max(-float(table.min()), float(table.max()))
-    if big == 0.0:
-        return math.inf
-    if not math.isfinite(big):
-        return 0
-    neg = float(table.max(where=table < 0, initial=-np.inf))
-    pos = float(table.min(where=table > 0, initial=np.inf))
-    u = float(np.spacing(np.float32(min(-neg, pos))))
-    return math.floor(Fraction(2.0**53 * u) / Fraction(big))
-
-
 def _pooled_table(
     template: Template, table: np.ndarray, p_floor: float, x_window: int, y_window: int
-) -> tuple[np.ndarray, float]:
-    """The log table max-pooled over x and y windows, and its largest |log|.
+) -> np.ndarray:
+    """The log table max-pooled over x and y windows.
 
     Voxel (ix, iy, iz) holds the max of the logs at ix .. ix + x_window - 1
     and iy .. iy + y_window - 1 (fewer at the grid's upper faces).  A
@@ -750,6 +717,5 @@ def _pooled_table(
         for face in faces:
             np.maximum(face, no_info, out=face)
         pooled.flags.writeable = False
-        cached = pooled, float(np.abs(pooled).max())
-        template._pooled_tables[key] = cached
+        cached = template._pooled_tables[key] = pooled
     return cached

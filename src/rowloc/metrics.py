@@ -32,7 +32,7 @@ def compute_metrics(errors) -> ErrorMetrics:
 
 
 def accumulated_error_distribution(errors, thresholds) -> np.ndarray:
-    """Fraction of |error| <= t for each threshold t; nondecreasing in t."""
+    """The share of |error| <= t for each threshold t; nondecreasing in t."""
     e = np.abs(np.asarray(errors, dtype=np.float64))
     if e.size == 0:
         raise ValueError("cannot compute a distribution of an empty error list")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rowloc.geometry import PointCloud, Pose6D, PreprocessConfig
+from rowloc import mcl
+from rowloc.geometry import Box3, PointCloud, Pose6D, PreprocessConfig, PreprocessedFrame
 from rowloc.baselines import baseline1, baseline2, baseline2_refine_offset
 from rowloc.mcl import (
     FLAG_EMPTY_MEASUREMENT,
@@ -33,7 +34,7 @@ from rowloc.synth import (
     sinusoidal_trajectory,
     vineyard_preset,
 )
-from rowloc.template import GroundTruthPose, TemplateConfig, build_template
+from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 
 PRE = PreprocessConfig(leaf_size=0.08)
 
@@ -282,6 +283,28 @@ def test_particle_filter_recovers_after_drifting_off_the_row(wall_template_and_r
     assert all(FLAG_EMPTY_MEASUREMENT not in flags[i] for i in later)
     assert np.mean([y_err[i] for i in later]) <= b1_y
     assert np.mean([theta_err[i] for i in later]) <= b1_theta
+
+
+@pytest.mark.parametrize("p_floor", [1e-4, 2e-4, 1e-5])
+def test_particle_filter_restarts_when_every_particle_scores_at_the_floor(monkeypatch, p_floor):
+    """An all-zero template: every point a particle places in the box pays
+    the floor, and every other point the no-info log, so the weights carry
+    no information and the filter restarts.  The scores must equal the
+    floor baseline exactly at every p_floor, not only where the rounding
+    of the two logs happens to fall below it."""
+    box = Box3.from_ranges((0.0, 4.0), (-2.0, 2.0), (0.0, 2.0))
+    tcfg = TemplateConfig(template_range=box, row_range=box, no_info_frequency=0.02)
+    template = Template(tcfg, np.zeros(tcfg.dims, dtype=np.float32), 10)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], (200, 3))
+    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    monkeypatch.setattr(mcl, "preprocess", lambda cloud, pre_cfg: frame)
+    cfg = MclConfig(p_floor=p_floor, n_particles=50)
+    prev = ParticleSet(np.zeros((50, 2)), np.full(50, 1.0 / 50))
+    u = OdometryDelta(np.zeros(3), np.diag([0.05**2, 0.05**2, 0.02**2]))
+    est, _ = localize_pf(frame.cloud_V, prev, u, template, cfg, seed=4)
+    assert FLAG_REINITIALIZED in est.flags
+    assert FLAG_EMPTY_MEASUREMENT not in est.flags
 
 
 def _with_bad_rows(points, kind, rng):

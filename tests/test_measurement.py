@@ -57,7 +57,8 @@ def test_point_outside_template_range_pays_the_no_info_penalty():
     pts = np.array([[4.03, 0.47, 0.91], [1.23, 0.47, -0.02]])
     scorer = PoseScorer(_frame(pts), _template_with({}))
     ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
-    assert ll[0] == 2 * np.float64(np.float32(math.log(0.02)))
+    assert ll[0] == 2 * scorer.log_no_info
+    assert scorer.log_no_info == pytest.approx(math.log(0.02), abs=2.0**-21)
     assert ns[0] == 0
 
 
@@ -66,7 +67,9 @@ def test_point_in_an_out_of_row_voxel_reads_the_grid():
     template = _template_with({_voxel_of(p): 0.5})
     scorer = PoseScorer(_frame(p), template)
     ll, ns = scorer.score(np.array([0.0]), np.array([0.0]))
-    assert ll[0] == np.float32(math.log(0.5))
+    # log(0.5) rounded to a multiple of 2**-20, not the no-info log
+    assert ll[0] == round(math.log(0.5) * 2**20) / 2**20
+    assert ll[0] != scorer.log_no_info
     assert ns[0] == 1
 
 

@@ -14,20 +14,18 @@ whose upper bound reaches the k-th best score, bounding fine blocks only
 inside the coarse blocks whose bound reaches it; their estimates must
 equal, bit for bit, the ones built from scoring every proposal.
 
-When a frame's float64 sums of logs are exact in any order (the
-exact-sum guard), the scorer adds the logs of points outside the z range
-as one constant; otherwise it keeps every point.  Templates built from
-frame counts take the first path, the random grids of `scenes()` the
-second, and both must match the reference.
+Every log the scorer sums is rounded to a multiple of 2**-q, so float64
+sums of a frame's logs are exact in any order: the scorer adds the logs
+of points outside the z range as one constant, and no block bound falls
+below a score of its block.  The reference rounds its logs on its own.
 
-In a frame that passes the guard, a call's points that every one of its
-distinct-heading proposals keeps inside the box are scored without the
-box test, and the other (edge) points with it; each row adds its two
-partial sums.  A concentrated particle set takes this split; a wide
-heading span, a frame that fails the guard and a grid's runs of one
-heading do not.  Points one float32 step either side of the certified
-slack, and points that an extreme particle or float32 rounding moves
-out of the box, must score as the reference does.
+A call's points that every one of its distinct-heading proposals keeps
+inside the box are scored without the box test, and the other (edge)
+points with it; each row adds its two partial sums.  A concentrated
+particle set takes this split; a wide heading span and a grid's runs of
+one heading do not.  Points one float32 step either side of the
+certified slack, and points that an extreme particle or float32 rounding
+moves out of the box, must score as the reference does.
 """
 
 import math
@@ -79,13 +77,22 @@ from rowloc.measurement import (
     _Y_BIN,
     PoseScorer,
     _coarse_groups,
-    _exact_sum_limit,
     _proposal_blocks,
-    _prunable,
 )
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 
 F32 = np.float32
+
+
+def fixed_point(logs, template, p_floor):
+    """float64 logs rounded to the nearest multiple of 2**-q, q the largest
+    value at which |log(p_floor)| * 2**q lies below 2**24.  Every frequency
+    lies in [0, 1], so no |log| of the table is larger."""
+    assert template.grid.max() <= 1.0 and template.no_info_frequency <= 1.0
+    q = 60
+    while abs(math.log(p_floor)) * 2.0**q >= 2.0**24:
+        q -= 1
+    return np.rint(np.asarray(logs) * 2.0**q) / 2.0**q
 
 
 def reference_score(frame, template, p_floor, y, theta):
@@ -114,24 +121,26 @@ def reference_score(frame, template, p_floor, y, theta):
     on_grid = (fx >= 0) & (fx <= F32(nx)) & (fy >= 0) & (fy <= F32(ny))
     on_grid &= (qz >= lo[2]) & (qz <= hi[2])
 
-    log_no_info = F32(math.log(max(template.no_info_frequency, p_floor)))
-    logs = np.full(qx.shape[0], log_no_info, dtype=F32)
+    log_no_info = fixed_point(math.log(max(template.no_info_frequency, p_floor)), template,
+                              p_floor)
+    logs = np.full(qx.shape[0], log_no_info)
     sel = keep & on_grid
     ix = np.minimum(np.floor(fx[sel]).astype(np.int64), nx - 1)
     iy = np.minimum(np.floor(fy[sel]).astype(np.int64), ny - 1)
     iz = np.clip(np.floor((qz[sel] - lo[2]) / res).astype(np.int64), 0, nz - 1)
     iz[qz[sel] == hi[2]] = nz - 1
     freq = template.grid[ix, iy, iz].astype(np.float64)
-    logs[sel] = np.log(np.maximum(freq, p_floor)).astype(F32)
-    return logs.sum(dtype=np.float64), int(np.count_nonzero(keep))
+    logs[sel] = fixed_point(np.log(np.maximum(freq, p_floor)), template, p_floor)
+    # every log is exact in float32, and the float64 sum is exact in any order
+    assert np.all(logs.astype(F32) == logs)
+    return logs.sum(), int(np.count_nonzero(keep))
 
 
 # extents that are not multiples of the resolution
 TEMPLATE_RANGE = Box3.from_ranges((-0.05, 4.0), (-2.07, 2.0), (0.0, 2.0))
 ROW_RANGE = Box3.from_ranges((0.0, 4.0), (-1.0, 1.0), (0.0, 2.0))
 # the float32 frequency next below 1: its log, about -2**-24, has a float32
-# ulp of 2**-47, so float64 sums of more than 64 / max|log| <= 13 logs of a
-# table holding it need not be exact in every order
+# ulp of 2**-47, far below any multiple of 2**-q that the table holds
 NEAR_ONE = F32(1.0 - 2.0**-24)
 
 
@@ -159,7 +168,7 @@ def scenes(draw):
     grid.flat[rng.integers(0, grid.size, 3)] = NEAR_ONE
     template = Template(cfg, grid, 10)
 
-    # the empty cloud too; every other cloud is too large for exact sums
+    # the empty cloud too
     n = draw(st.one_of(st.just(0), st.integers(14, 80)))
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(n, 3))
     if n and draw(st.booleans()):
@@ -192,10 +201,6 @@ def assert_scores_equal_reference(scorer, frame, ys, thetas):
 def test_score_equals_per_proposal_reference(scene):
     frame, template, p_floor, ys, thetas = scene
     scorer = PoseScorer(frame, template, p_floor)
-    if scorer.n_points:
-        # too many points for exact sums: every point is scored as it is
-        assert not scorer._exact_sums
-        assert scorer._qx32.size == scorer.n_points
     assert_scores_equal_reference(scorer, frame, ys, thetas)
 
 
@@ -243,8 +248,6 @@ def frequency_scenes(draw):
 def test_score_with_out_of_z_points_summed_as_one_constant_equals_reference(scene):
     frame, template, p_floor, ys, thetas, kind = scene
     scorer = PoseScorer(frame, template, p_floor)
-    assert scorer._exact_sums
-    assert scorer._z_keep is None
     qz = (frame.cloud_V.points @ rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation.T
           )[:, 2] + frame.height
     lo_z, hi_z = TEMPLATE_RANGE.min_corner[2], TEMPLATE_RANGE.max_corner[2]
@@ -252,32 +255,6 @@ def test_score_with_out_of_z_points_summed_as_one_constant_equals_reference(scen
     if kind == "all-outside-z":
         assert scorer._qx32.size == 0
     assert_scores_equal_reference(scorer, frame, ys, thetas)
-
-
-def test_exact_sum_guard_at_its_boundary():
-    # M = 1; the smallest nonzero |entry| 2**-20 has the float32 ulp
-    # u = 2**-43, so N * M = 2**53 * u at N = 1024
-    table = np.array([-0.25, -1.0, -(2.0**-20), 0.0, 0.75], dtype=F32)
-    assert _exact_sum_limit(table) == 1024
-    assert _exact_sum_limit(-table) == 1024
-    assert _exact_sum_limit(np.zeros(3, dtype=F32)) == math.inf
-    assert _exact_sum_limit(np.array([-np.inf, -1.0], dtype=F32)) == 0
-
-    # a template built so: 1024 points pass, one more fails
-    cfg = TemplateConfig(resolution=0.25, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
-                         no_info_frequency=math.exp(-1.0))
-    grid = np.full(cfg.dims, math.exp(-0.25), dtype=F32)
-    grid[0, 0, 0] = math.exp(-(2.0**-20))
-    template = Template(cfg, grid, 10)
-    limit = measurement._log_table(template, math.exp(-1.0), math.log(cfg.no_info_frequency))[1]
-    assert limit == 1024
-    for n, exact in ((1024, True), (1025, False)):
-        pts = np.tile([[1.0, 0.0, 3.0]], (n, 1))  # above the z range
-        pts[:10, 2] = 1.0
-        scorer = PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template,
-                            math.exp(-1.0))
-        assert scorer._exact_sums is exact
-        assert scorer._qx32.size == (10 if exact else n)
 
 
 def test_block_bounds_are_the_scores_on_a_constant_grid():
@@ -290,11 +267,11 @@ def test_block_bounds_are_the_scores_on_a_constant_grid():
     rng = np.random.default_rng(2)
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(50, 3))
     scorer = PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template)
-    assert scorer._exact_sums and scorer._qx32.size < 50
+    assert scorer._qx32.size < 50
     poses = mcl.sample_uniform(MclConfig().prior, 400, seed=1)
     ys, thetas = poses[:, 0], poses[:, 1]
     ll, _ = scorer.score(ys, thetas)
-    assert np.all(ll == 50 * float(F32(math.log(0.5))))
+    assert np.all(ll == 50 * scorer.log_no_info)
     res = cfg.resolution
     r_max = float(np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64).max())
     width = 2.0 * _ROT_SLACK * res / max(r_max, res)
@@ -306,13 +283,16 @@ def test_block_bounds_are_the_scores_on_a_constant_grid():
         (middle, y_lo, _ROT_SLACK, _Y_BIN),
         (centres, coarse_y_lo, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN),
     ):
-        slack, pooled, _ = scorer._bound_table(0.01, rot_slack, y_bin)
+        slack, pooled = scorer._bound_table(0.01, rot_slack, y_bin)
         bounds = scorer._block_bounds(heads, lows, np.arange(heads.size * lows.size), slack,
                                       pooled)
         assert bounds.tobytes() == np.full(bounds.size, ll[0]).tobytes()
 
 
-def test_a_frequency_next_below_one_keeps_every_point():
+def test_a_frequency_next_below_one_has_a_log_of_exactly_zero():
+    """NEAR_ONE's log, about -2**-24, rounds to 0 at q = 20; the points
+    outside the z range leave the kernel, and every score is the
+    reference's."""
     cfg = TemplateConfig(resolution=0.25, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=0.02)
     rng = np.random.default_rng(5)
@@ -323,11 +303,26 @@ def test_a_frequency_next_below_one_keeps_every_point():
     pts[:5, 2] = [0.0, 2.0, -0.1, 2.1, 2.5]
     frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
     scorer = PoseScorer(frame, template)
-    assert not scorer._exact_sums
-    assert scorer._qx32.size == 40 and scorer._z_keep is not None
+    assert math.log(NEAR_ONE) != 0.0
+    assert np.all(scorer._table[1:].reshape(cfg.dims)[grid == NEAR_ONE] == 0.0)
+    in_z = (pts[:, 2] >= 0.0) & (pts[:, 2] <= 2.0)
+    assert scorer._qx32.size == np.count_nonzero(in_z) < 40
     thetas = np.repeat(rng.uniform(-0.5, 0.5, 6), [1, 20, 1, 1, 9, 3])
     ys = rng.uniform(-1.0, 1.0, thetas.size)
     assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+def test_a_frame_past_the_point_limit_is_refused(monkeypatch):
+    """Past _MAX_POINTS points float64 sums of the logs need not be exact."""
+    monkeypatch.setattr(measurement, "_MAX_POINTS", 10)
+    cfg = TemplateConfig(resolution=0.25, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
+                         no_info_frequency=0.02)
+    template = Template(cfg, np.full(cfg.dims, 0.5, dtype=F32), 10)
+    pts = np.tile([[1.0, 0.0, 1.0]], (11, 1))
+    assert PoseScorer(PreprocessedFrame(PointCloud(pts[:10], "V"), 0.0, 0.0, 0.0),
+                      template).n_points == 10
+    with pytest.raises(ValueError, match="at most 10 points, got 11"):
+        PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -361,7 +356,6 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
         return score_block(self, cos_t, sin_t, ys, row, *rest)
 
     scorer = PoseScorer(frame, template)
-    assert scorer._exact_sums
     with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
         assert_scores_equal_reference(scorer, frame, ys, thetas)
         assert (measurement._pool is not None) == (workers > 1)
@@ -779,8 +773,6 @@ def uniform_proposals(draw, rng, frame, template, cfg, big=False):
         scorer = PoseScorer(frame, template, cfg.p_floor)
         res = template.config.resolution
         r = np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64)
-        if scorer._z_keep is not None:
-            r = r[scorer._z_keep]
         width = 2.0 * _ROT_SLACK * res / max(float(r.max(initial=0.0)), res)
         edge = rng.uniform(size=n) < 0.5
         thetas[edge] = thetas.min() + rng.integers(0, 8, edge.sum()) * width
@@ -875,6 +867,60 @@ def test_pruned_search_equals_exhaustive_when_pruning_starts_after_one_block(sce
         assert_pruned_search_equals_exhaustive(scene)
 
 
+def every_block_bound(scorer, ys, thetas):
+    """(fine, coarse): the bound of the block that holds each proposal,
+    its fine block and its coarse one, each block grouped and bounded as
+    `score_top_k` does, none pruned."""
+    res = scorer.template.config.resolution
+    width = 2.0 * _ROT_SLACK * res / max(scorer._r_max, res)
+    block_of, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+    n_y = y_lo.size
+    group, centres = _coarse_groups(middle, n_shared, width)
+    cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, _COARSE_Y))
+    coarse_of = group[block_of // n_y] * cy_lo.size + block_of % n_y // _COARSE_Y
+    margin = scorer._margin(ys)
+    levels = [(middle, y_lo, block_of, _ROT_SLACK if n_shared < middle.size else 0.0, _Y_BIN),
+              (centres, cy_lo, coarse_of, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN)]
+    out = []
+    for heads, lows, blocks, rot_slack, y_bin in levels:
+        used, of = np.unique(blocks, return_inverse=True)
+        slack, pooled = scorer._bound_table(margin, rot_slack, y_bin)
+        out.append(scorer._block_bounds(heads, lows, used, slack, pooled)[of.reshape(-1)])
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(search_scenes(), st.floats(0.1, 3.9), st.floats(-1.9, 1.9))
+def test_every_block_bound_is_at_least_each_of_its_proposals_scores(scene, lat_x, lat_y):
+    """Every fine and coarse block's bound is at least the score of each
+    proposal it holds, compared exactly: sums of the fixed-point logs are
+    exact, so pruning needs no slack.  Checked on the frame and on two
+    one-point frames, whose bounds no other point's window can lift: the
+    frame's farthest point in the z range, which takes the whole rotation
+    slack, and a point (lat_x, lat_y) inside the box, which moves in x as
+    the heading turns by about lat_y per radian."""
+    frame, template, cfg, search = scene
+    poses = grid_poses(cfg, *search) if isinstance(search, tuple) else search
+    ys, thetas = np.ascontiguousarray(poses[:, 0]), np.ascontiguousarray(poses[:, 1])
+    pts = frame.cloud_V.points
+    leveled = pts @ rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation.T
+    z_lo, z_hi = TEMPLATE_RANGE.min_corner[2], TEMPLATE_RANGE.max_corner[2]
+    in_z = np.flatnonzero((leveled[:, 2] + frame.height >= z_lo) &
+                          (leveled[:, 2] + frame.height <= z_hi))
+    frames = [frame, PreprocessedFrame(PointCloud(np.array([[lat_x, lat_y, 1.0]]), "V"),
+                                       0.0, 0.0, 0.0)]
+    if in_z.size > 1:
+        far = in_z[np.argmax(np.hypot(leveled[in_z, 0], leveled[in_z, 1]))]
+        frames.append(replace(frame, cloud_V=PointCloud(pts[far : far + 1], "V")))
+    for f in frames:
+        scorer = PoseScorer(f, template, cfg.p_floor)
+        ll, _ = scorer.score(ys, thetas)
+        for level, bounds in zip(("fine", "coarse"), every_block_bound(scorer, ys, thetas)):
+            below = np.flatnonzero(bounds < ll)
+            assert not below.size, \
+                f"{below.size} {level} bounds below a score ({f.cloud_V.points.shape[0]} points)"
+
+
 @settings(max_examples=60, deadline=None)
 @given(search_scenes(kinds=("one-wall",)))
 def test_pruned_search_prunes_coarse_blocks_of_a_one_wall_scene(scene):
@@ -952,9 +998,8 @@ def test_grid_search_skips_cells_on_a_peaked_frame(monkeypatch):
 
 def test_no_block_is_pruned_when_every_bound_ties_the_kth_best():
     """Every log is 0 (frequencies and no-info 1), so every score and every
-    bound, coarse and fine, is 0: the pruning slack is 0 too, and each bound
-    only ties the k-th best.  Every proposal must be scored, for the first k
-    by index are the top k."""
+    bound, coarse and fine, is 0, and each bound only ties the k-th best.
+    Every proposal must be scored, for the first k by index are the top k."""
     cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=1.0)
     template = Template(cfg, np.ones(cfg.dims, dtype=F32), 10)
@@ -989,7 +1034,7 @@ def test_a_block_below_the_best_score_of_the_rounds_before_it_is_skipped(monkeyp
     # one heading, a bin of its own; y-bins 0 and 4
     ys = np.concatenate([np.linspace(-0.06, 0.02, 20), np.linspace(1.14, 1.2, 20)])
     ll, ns = PoseScorer(frame, template).score_top_k(ys, np.zeros(40), 1)
-    assert ll[0] == pytest.approx(math.log(0.9)) and np.all(ll[:20] == ll[0])
+    assert ll[0] == pytest.approx(math.log(0.9), abs=2.0**-21) and np.all(ll[:20] == ll[0])
     assert np.all(ll[20:] == -np.inf) and not np.any(ns[20:])
 
 
@@ -1124,23 +1169,12 @@ def assert_hot_block_is_found(template, point, block, width, y0):
     poses = np.vstack([np.array(block), *copies])
     mcl_cfg = MclConfig()
     want = exhaustive_estimate(frame, template, mcl_cfg, poses)
-    assert want.loglik == pytest.approx(math.log(0.9))
+    assert want.loglik == pytest.approx(math.log(0.9), abs=2.0**-21)
     with mock.patch.object(PoseScorer, "_block_bounds", autospec=True,
                            side_effect=PoseScorer._block_bounds) as bounds:
         got = pruned_uniform_estimate(frame, template, mcl_cfg, poses)
     assert bounds.called
     assert estimate_bits(got) == estimate_bits(want)
-
-
-def test_a_block_within_the_slack_of_the_kth_best_is_scored():
-    kth = -1234.5
-    assert not _prunable(np.array([np.nextafter(kth, -np.inf)]), 1000, 9.2, kth)[0]
-
-
-def test_a_block_whose_bound_ties_the_kth_best_is_scored():
-    # a slack of 2 * 1 * 2**-52 * (1 * 2**50) = 0.5 lifts the bound to the k-th best exactly
-    assert not _prunable(np.array([-1.0]), 1, 2.0**50, -0.5)[0]
-    assert _prunable(np.array([-1.0]), 1, 2.0**50, np.nextafter(-0.5, 0.0))[0]
 
 
 @contextmanager
@@ -1168,8 +1202,8 @@ def sensor_points(template_xy, y0, theta0):
 
 @st.composite
 def particle_scenes(draw):
-    """A frame that passes the exact-sum guard and a particle set
-    concentrated about a pose (y0, theta0), as the particle filter's is.
+    """A frame and a particle set concentrated about a pose (y0, theta0),
+    as the particle filter's is.
 
     The cloud is placed about that pose: points deep inside the box,
     which every particle keeps inside; points near each x and y face, on
@@ -1223,7 +1257,6 @@ def test_interior_and_edge_passes_equal_per_proposal_reference(scene, workers):
     split: an interior pass and an edge pass, summed per row."""
     frame, template, p_floor, ys, thetas = scene
     scorer = PoseScorer(frame, template, p_floor)
-    assert scorer._exact_sums
     with scoring_workers(workers), recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
     starts, lengths, long = measurement._heading_runs(thetas)
@@ -1452,27 +1485,3 @@ def test_a_wide_heading_span_certifies_no_point():
     with recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
     assert {c for c in calls} == {(True, 31)}
-
-
-def test_a_frame_that_fails_the_guard_is_not_split():
-    """Logs of a frequency next below one need not sum exactly in every
-    order: the interior and edge partial sums would not add up to the
-    reference's, so the call keeps the one masked pass, every point of it
-    masked, even though a tight particle set leaves most points inside."""
-    cfg = TemplateConfig(resolution=0.1, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
-                         no_info_frequency=0.02)
-    rng = np.random.default_rng(24)
-    grid = rng.integers(1, 11, cfg.dims) / 10.0
-    grid[rng.uniform(size=cfg.dims) < 0.5] = NEAR_ONE
-    template = Template(cfg, grid, 10)
-    pts = np.vstack([rng.uniform([1.0, -0.8], [2.8, 0.8], (60, 2)), [[30.0, 0.0], [2.0, 5.0]]])
-    frame = PreprocessedFrame(PointCloud(np.column_stack([pts, rng.uniform(-0.3, 2.3, 62)]), "V"),
-                              0.0, 0.0, 0.0)
-    scorer = PoseScorer(frame, template)
-    assert not scorer._exact_sums and scorer._z_keep is not None
-    thetas = 0.01 * np.clip(rng.standard_normal(300), -3, 3)
-    ys = 0.02 * np.clip(rng.standard_normal(300), -3, 3)
-    assert scorer._interior(ys, thetas) is None
-    with recorded_passes() as calls:
-        assert_scores_equal_reference(scorer, frame, ys, thetas)
-    assert {c for c in calls} == {(True, 62)}
