@@ -25,9 +25,9 @@ from . import _hypotheses as hyp
 from .geometry import (
     PointCloud,
     PreprocessConfig,
-    finite_points,
     preprocess,
     rotation_from_euler,
+    voxelizable_points,
 )
 
 
@@ -106,7 +106,7 @@ def _level_and_project(cloud_C: PointCloud, params: BaselineParams, raw: bool = 
     frame = preprocess(cloud_C, params.pre_cfg)
     R = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
     if raw:
-        pts = finite_points(cloud_C).points
+        pts = voxelizable_points(cloud_C, params.pre_cfg.leaf_size).points
     else:
         pts = frame.cloud_V.points
     leveled = pts @ R.T

@@ -2,13 +2,13 @@
 
 Subcommands map one-to-one onto the harness runners plus dataset and
 template utilities.  All outputs are CSV files and a JSON run manifest
-in the --out directory.
+in the --out directory.  A sweep's value flag that is left out passes
+no value, so the runner's own default applies.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -119,43 +119,53 @@ def cmd_eval_cross(args):
     print(np.array_str(out["mae_y"], precision=3))
 
 
+def _given(**values) -> dict:
+    """The keyword arguments the user gave a value for: the runner's own
+    defaults apply to the rest."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
 def cmd_eval_gaps(args):
     cfg = _sweep_config(args)
-    n_values = tuple(int(v) for v in args.n_values.split(",")) if args.n_values else tuple(range(0, 41, 4))
-    out = harness.run_gap_sweep(cfg, n_values=n_values, n_draws=args.draws, out_dir=args.out)
+    given = _given(n_values=args.n_values, n_draws=args.draws)
+    out = harness.run_gap_sweep(cfg, out_dir=args.out, **given)
     for n, c in out["curves"].items():
         print(f"n={n:3d}  y MAE {c['y'].mae:.3f}  std_y {c['std_y_mean']:.3f}")
 
 
 def cmd_eval_rowend(args):
     cfg = _sweep_config(args)
-    d_values = tuple(float(v) for v in args.distances.split(","))
-    out = harness.run_rowend_sweep(cfg, d_values=d_values, out_dir=args.out)
+    out = harness.run_rowend_sweep(cfg, out_dir=args.out, **_given(d_values=args.distances))
     for d, c in out["curves"].items():
         print(f"d={d:5.1f}  y MAE {c['y'].mae:.3f}  flag rate {out['flag_rates'][d]:.2f}")
 
 
 def cmd_eval_curvature(args):
     cfg = _sweep_config(args)
-    radii = tuple(math.inf if v == "inf" else float(v) for v in args.radii.split(","))
-    ranges = tuple(float(v) for v in args.ranges.split(","))
-    out = harness.run_curvature_sweep(cfg, radii=radii, sensor_ranges=ranges, out_dir=args.out)
+    given = _given(radii=args.radii, sensor_ranges=args.ranges)
+    out = harness.run_curvature_sweep(cfg, out_dir=args.out, **given)
     for (rng_m, radius), m in out.items():
         print(f"range {rng_m:4.0f} m  R={radius:7.1f}  y MAE {m['y'].mae:.3f}")
 
 
 def cmd_eval_voxel(args):
     cfg = _sweep_config(args)
-    sizes = tuple(float(v) for v in args.sizes.split(","))
-    out = harness.run_voxel_sweep(cfg, sizes=sizes, out_dir=args.out)
+    out = harness.run_voxel_sweep(cfg, out_dir=args.out, **_given(sizes=args.sizes))
     for size, m in out.items():
         print(f"voxel {size:5.2f} m  y MAE {m['y'].mae:.3f}  {m['file_size']} bytes")
 
 
 def cmd_eval_template_size(args):
     cfg = _sweep_config(args)
-    counts = tuple(int(v) for v in args.counts.split(","))
-    out = harness.run_template_size_sweep(cfg, counts=counts, out_dir=args.out)
+    out = harness.run_template_size_sweep(cfg, out_dir=args.out, **_given(counts=args.counts))
     for count, m in out.items():
         print(f"{count:4d} frames  y MAE {m['y'].mae:.3f}")
 
@@ -170,7 +180,7 @@ def cmd_eval_compare(args):
 
 def cmd_closed_loop(args):
     cfg = _sweep_config(args)
-    out = harness.closed_loop_sim(cfg, y0=args.y0, out_dir=args.out)
+    out = harness.closed_loop_sim(cfg, out_dir=args.out, **_given(y0=args.y0))
     print(
         f"offset tracking MAE {out['offset_metrics'].mae:.3f} m, "
         f"heading MAE {out['heading_metrics'].mae:.4f} rad"
@@ -210,29 +220,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-gaps", help="unit-tree gap robustness sweep")
     _add_common(p, method=True)
-    p.add_argument("--n-values", help="comma-separated removal counts")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--n-values", type=_ints, help="comma-separated removal counts")
+    p.add_argument("--draws", type=int, help="degraded draws per removal count")
     p.set_defaults(func=cmd_eval_gaps)
 
     p = sub.add_parser("eval-rowend", help="row-end truncation sweep")
     _add_common(p, method=True)
-    p.add_argument("--distances", default="20,15,10,5,3,2,1")
+    p.add_argument("--distances", type=_floats, help="comma-separated distances to the row end (m)")
     p.set_defaults(func=cmd_eval_rowend)
 
     p = sub.add_parser("eval-curvature", help="curved-row sweep")
     _add_common(p, method=True)
-    p.add_argument("--radii", default="135,200,300,500,inf")
-    p.add_argument("--ranges", default="10,20")
+    p.add_argument("--radii", type=_floats, help="comma-separated row radii (m), inf for straight")
+    p.add_argument("--ranges", type=_floats, help="comma-separated sensor ranges (m)")
     p.set_defaults(func=cmd_eval_curvature)
 
     p = sub.add_parser("eval-voxel", help="template voxel-size sweep")
     _add_common(p, method=True)
-    p.add_argument("--sizes", default="0.02,0.05,0.1,0.2,0.5,1.0")
+    p.add_argument("--sizes", type=_floats, help="comma-separated voxel sizes (m)")
     p.set_defaults(func=cmd_eval_voxel)
 
     p = sub.add_parser("eval-template-size", help="template data-size sweep")
     _add_common(p, method=True)
-    p.add_argument("--counts", default="1,5,10,20,100,200,300")
+    p.add_argument("--counts", type=_ints, help="comma-separated teaching frame counts")
     p.set_defaults(func=cmd_eval_template_size)
 
     p = sub.add_parser("eval-compare", help="baseline comparison tables")
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closed-loop", help="proportional line-following simulation")
     _add_common(p, method=True)
-    p.add_argument("--y0", type=float, default=0.3)
+    p.add_argument("--y0", type=float, help="starting lateral offset (m)")
     p.set_defaults(func=cmd_closed_loop)
 
     return parser

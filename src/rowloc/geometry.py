@@ -423,15 +423,19 @@ class PreprocessedFrame:
     height: float
 
 
-def finite_points(cloud: PointCloud) -> PointCloud:
-    """The cloud without rows holding a NaN or infinite coordinate.
+def voxelizable_points(cloud: PointCloud, leaf: float) -> PointCloud:
+    """The cloud without the rows a grid of `leaf` cells cannot index: a
+    NaN or infinite coordinate, or one 2**62 cells or more from the
+    origin, whose int64 cell index could overflow.
 
-    Returns the cloud itself when every point is finite.
+    Returns the cloud itself when every point is kept.
     """
-    finite = np.isfinite(cloud.points)
-    if finite.all():  # the common case; a whole-array test is ~20x cheaper
+    pts = cloud.points
+    bound = leaf * 2.0**62
+    # the common case, tested without a temporary; a NaN fails both tests
+    if pts.size == 0 or (-bound < pts.min() and pts.max() < bound):
         return cloud
-    return PointCloud(cloud.points[finite.all(axis=1)], cloud.frame)
+    return PointCloud(pts[np.all(np.abs(pts) < bound, axis=1)], cloud.frame)
 
 
 # preprocess's last successful call: ((cfg, points bytes), frame).  The points
@@ -440,8 +444,9 @@ _last_call = None
 
 
 def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) -> PreprocessedFrame:
-    """Drop non-finite points, downsample, tag the cloud {V} (it coincides
-    with {C}), and estimate (roll, pitch, height).
+    """Drop the points no voxel grid can index (`voxelizable_points`),
+    downsample, tag the cloud {V} (it coincides with {C}), and estimate
+    (roll, pitch, height).
 
     The last successful call is remembered: a call with an equal config and
     points equal byte for byte (so +0.0 and -0.0 differ, and a NaN matches
@@ -457,7 +462,8 @@ def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) 
     last = _last_call
     if last is not None and last[0] == key:
         return last[1]
-    cloud_V = voxel_downsample(finite_points(cloud_C), cfg.leaf_size).with_frame("V")
+    kept = voxelizable_points(cloud_C, cfg.leaf_size)
+    cloud_V = voxel_downsample(kept, cfg.leaf_size).with_frame("V")
     _, roll, pitch, height = ransac_ground_plane(cloud_V)
     cloud_V.points.flags.writeable = False  # a fresh array: voxel_downsample built it
     frame = PreprocessedFrame(cloud_V, roll, pitch, height)

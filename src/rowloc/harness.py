@@ -125,6 +125,16 @@ class ExperimentConfig:
     gains: ControllerGains = field(default_factory=ControllerGains)
     seed: int = 0
 
+    def __post_init__(self):
+        # checked here, before any scene is rendered or template built
+        if self.n_template_frames < 1:
+            raise ValueError(f"n_template_frames must be at least 1, got {self.n_template_frames}")
+        if self.n_eval_frames is not None and self.n_eval_frames < 1:
+            raise ValueError(f"n_eval_frames must be at least 1 or None, got {self.n_eval_frames}")
+        margin = self.eval_end_margin
+        if margin is not None and not (math.isfinite(margin) and margin >= 0):
+            raise ValueError(f"eval_end_margin must be finite and non-negative, got {margin}")
+
 
 @dataclass
 class Dataset:

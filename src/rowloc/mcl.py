@@ -1,9 +1,10 @@
 """Monte Carlo localization over (lateral offset, heading).
 
-Two sampling modes: uniform draws over a prior box, and an
-odometry-informed particle filter with systematic resampling.  The
-estimate is always the highest-weight proposal; confidence is the
-second-moment matrix of the top-1% proposals about that estimate.
+Three estimators: uniform draws over a prior box, grid search over that
+box (the deterministic oracle), and an odometry-informed particle filter
+with systematic resampling.  The estimate is always the highest-weight
+proposal; confidence is the second-moment matrix of the top-1% proposals
+about that estimate.
 """
 
 from __future__ import annotations

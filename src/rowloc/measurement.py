@@ -18,25 +18,24 @@ estimation all score this way.
 Exactness contract: `PoseScorer.score` returns, bit for bit, what
 scoring each proposal on its own would return.  Runs of consecutive
 proposals with one heading (a theta-major grid) share that heading's
-rotation, x index and x/z masks: a call's shared cells are scored
-_CHUNK at a time, each reading the terms of its run's heading row.
-Other proposals are scored in chunks.  The float32 arithmetic per point
-and proposal is the same either way, and each row is summed alone, so
-neither the log-likelihoods nor the points-scored counts depend on how
-proposals are grouped.  Nor do they depend on which thread scores a
-row: in a call with _MIN_THREADED_ROWS or more rows of distinct headings
-(the particle filter's), their chunks are scored by one thread per CPU
-the process may run on (`os.sched_getaffinity`), the calling thread and
-a pool's, each taking the next chunk left until none is.  When the
-calling thread finds none left, it cancels the pool tasks no thread has
-started and waits for the others, raising their errors; so no thread
-writes to a call's arrays after it returns.  Worker threads run only
-`_score_block`; `score` itself, the shared-heading cells of a grid and
-the bound pass of `score_top_k` stay on the calling thread, and so do
-calls with fewer rows, such as the rounds of `score_top_k`.  With one
-CPU, or one chunk, no thread is started.  The log of the template grid
-is computed once per (template, p_floor) and kept on the template, whose
-grid is read-only.
+rotation, x index and x/z masks: each of their cells reads the terms of
+its run's heading row.  Every proposal is scored in chunks, of shared or
+of distinct headings.  The float32 arithmetic per point and proposal is
+the same either way, and each row is summed alone, so neither the
+log-likelihoods nor the points-scored counts depend on how proposals are
+grouped.  Nor do they depend on which thread scores a row: in a call
+with _MIN_THREADED_ROWS or more rows of distinct headings (the particle
+filter's), its chunks are scored by one thread per CPU the process may
+run on (`os.sched_getaffinity`), the calling thread and a pool's, each
+taking the next chunk left until none is.  When the calling thread finds
+none left, it cancels the pool tasks no thread has started and waits for
+the others, raising their errors; so no thread writes to a call's arrays
+after it returns.  Worker threads run only `_score_block`; `score`
+itself and the bound pass of `score_top_k` stay on the calling thread,
+and so do calls with fewer rows, such as the rounds of `score_top_k`.
+With one CPU, or one chunk, no thread is started.  The log of the
+template grid is computed once per (template, p_floor) and kept on the
+template, whose grid is read-only.
 
 Exact sums by construction.  Every entry of the log table, the no-info
 slot included, is rounded to a multiple of 2**-q, with q the largest
@@ -46,8 +45,9 @@ below 2**24 times 2**-q, exact in float32, and every partial sum of up to
 _MAX_POINTS = 2**29 entries is an integer below 2**53 times 2**-q, exact
 in float64: a frame's float64 sums are exact in any order.  A frame with
 more points is refused.  So the points outside the template's z range,
-which read the no-info slot for every proposal, leave the kernel: their
-logs are added as one constant, n_out * table[0].  The max-pooled tables
+which read the no-info slot for every proposal, leave the kernel, and so
+do points _FAR voxels or more off: their logs are added as one constant,
+n_out * table[0].  The max-pooled tables
 of `score_top_k` hold only entries of the log table, so the sums of its
 bounds are exact too, and a computed bound is never below a computed
 score.  `PoseScorer.log_floor` and `log_no_info` are rounded alike, so a
@@ -55,16 +55,15 @@ proposal that scores every point at the floor sums to exactly
 `n_scored * log_floor + (n_points - n_scored) * log_no_info`.
 
 Interior points.  A `score` call finds once, in float64, the kernel
-points that every one of its distinct-heading proposals places inside
-the template's box (`_interior`): about the call's middle heading a
-point at range r moves at most r times half the heading span, plus half
-the ys' span in y, and the kernel's float32 coordinates lie within a
-rounding margin (`_margin`) of the exact ones.  Those points are scored
-in a kernel with no box test, clamp or count, each row counting all of
-them; the rest, the edge points, in the masked kernel.  A row's two
-partial sums, the interior and the edge one, are added once both passes
-are done, exact as every sum is.  A call with no certified point and a
-grid's shared-heading cells keep the one masked pass.
+points that every one of its proposals places inside the template's box
+(`_interior`): about the call's middle heading a point at range r moves
+at most r times half the heading span, plus half the ys' span in y, and
+the kernel's float32 coordinates lie within a rounding margin
+(`_margin`) of the exact ones.  Those points are scored in a kernel with
+no box test, clamp or count, each row counting all of them; the rest,
+the edge points, in the masked kernel.  A row's two partial sums, the
+interior and the edge one, are added once both passes are done, exact
+as every sum is.  A call with no certified point takes one masked pass.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -98,16 +97,16 @@ DEFAULT_P_FLOOR = 1e-4
 # the most points a frame may hold: float64 sums of that many fixed-point
 # logs are exact in any order (module docstring)
 _MAX_POINTS = 2**29
+# voxels from the sensor, on an axis, past which a point is scored as
+# outside the box without entering the kernel (`PoseScorer.__init__`)
+_FAR = 2**30
 
-# rows per kernel call of a call's shared-heading cells, and the size of
-# its distinct-heading chunks: _CHUNK rows times the kernel's points, which
-# bounds the (chunk x points) temporaries.  A chunk of interior or edge
-# points holds as many lookups, in more rows.  The kernel's points are the
-# frame's points inside the template's z range
+# the size of every chunk of a `score` call, on any thread: _CHUNK rows
+# times the kernel's points, which bounds the (chunk x points)
+# temporaries.  A chunk of interior or edge points holds as many lookups,
+# in more rows.  The kernel's points are the frame's points inside the
+# template's z range; `_block_bounds` takes _CHUNK blocks at a time
 _CHUNK = 128
-# the same for a call scored on several threads, each of which holds its
-# chunk's temporaries at once: two hold what one did
-_THREADED_CHUNK = 64
 # fewest distinct-heading rows a `score` call shares with the pool.  The
 # rounds of top-k pruning stay below it (uniform sampling: two a frame,
 # at most about 400 rows and 1.5-5 ms each); on a shared host, waits for a
@@ -146,9 +145,6 @@ class PoseScorer:
 
         R_level = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
         leveled = frame.cloud_V.points @ R_level.T
-        qx32 = leveled[:, 0].astype(np.float32)
-        qy32 = leveled[:, 1].astype(np.float32)
-        qz = leveled[:, 2] + frame.height  # z in {T}, pose-independent
 
         cfg = template.config
         lo = cfg.template_range.min_corner
@@ -164,16 +160,21 @@ class PoseScorer:
         self._fx_hi = np.float32((hi[0] - lo[0]) / res)
         self._fy_hi = np.float32((hi[1] - lo[1]) / res)
 
-        # z index and mask never depend on the proposal
-        iz, z_keep = cfg.voxel_index(qz[:, None], axes=(2,))
-        # +1: slot 0 of the log table holds the no-info log
-        iz32 = iz[:, 0].astype(np.int32) + np.int32(1)
         # the points outside the z range read the no-info slot for every
-        # proposal: they leave the kernel, their logs added as one constant
-        n_out = self.n_points - int(np.count_nonzero(z_keep))
-        self._z_out_log = n_out * self.log_no_info
-        self._qx32, self._qy32, self._iz32 = qx32[z_keep], qy32[z_keep], iz32[z_keep]
-        self._points = self._qx32, self._qy32, self._iz32  # `_score_block`'s default points
+        # proposal, and so do the far points, _FAR voxels or more off on an
+        # axis (rotation keeps their range, and a proposal's y moves them
+        # by far less): they leave the kernel, whose int32 indices they
+        # would overflow, their logs added as one constant.  z index and
+        # mask never depend on the proposal
+        near = np.flatnonzero(np.all(np.abs(leveled) < _FAR * res, axis=1))
+        iz, z_keep = cfg.voxel_index(leveled[near, 2:] + frame.height, axes=(2,))
+        kept = near[z_keep]
+        self._z_out_log = (self.n_points - kept.size) * self.log_no_info
+        self._qx32 = leveled[kept, 0].astype(np.float32)
+        self._qy32 = leveled[kept, 1].astype(np.float32)
+        # +1: slot 0 of the log table holds the no-info log
+        self._iz32 = iz[z_keep, 0].astype(np.int32) + np.int32(1)
+        self._points = self._qx32, self._qy32, self._iz32  # every kernel point
         # the kernel's points' float64 ranges, and the largest: the rotation
         # slack of the bounds and of `_interior`
         self._ranges = np.hypot(self._qx32, self._qy32, dtype=np.float64)
@@ -186,63 +187,58 @@ class PoseScorer:
         n = ys.shape[0]
         loglik = np.zeros(n)
         n_scored = np.zeros(n, dtype=np.int64)
-        if self.n_points == 0:
+        if self.n_points == 0 or n == 0:
             return loglik, n_scored
         cos_t = np.cos(thetas).astype(np.float32)[:, None]
         sin_t = np.sin(thetas).astype(np.float32)[:, None]
         starts, lengths, long = _heading_runs(thetas)
         in_run = np.repeat(long, lengths)
+        # a grid's shared-heading cells, the run of each and the runs' first cells
+        shared = np.flatnonzero(in_run)
+        run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
+        heads = starts[long]
         distinct = np.flatnonzero(~in_run)
         threaded = _WORKERS > 1 and distinct.size >= _MIN_THREADED_ROWS
-        rows = _THREADED_CHUNK if threaded else _CHUNK
-        # passes over the distinct headings, as (points, masked,
-        # log-likelihoods, counts): one masked pass over every point or, when
-        # `_interior` certifies points, an unmasked pass over those and a
-        # masked one over the rest, into arrays of their own added below
+        # passes as (points, masked, log-likelihoods, counts): one masked pass
+        # over every point or, when `_interior` certifies points, an unmasked
+        # pass over those and a masked one over the rest, into arrays of
+        # their own added below
         passes = [(self._points, True, loglik, n_scored)]
         edge = None
-        inside = self._interior(ys[distinct], thetas[distinct]) if distinct.size else None
-        if inside is not None and inside.any():
+        inside = self._interior(ys, thetas)
+        if inside.any():
             passes = [(self._subset(inside), False, loglik, n_scored)]
             if not inside.all():
                 edge = np.zeros(n), np.zeros(n, dtype=np.int64)
                 passes.append((self._subset(~inside), True, *edge))
-        # chunks of about rows x (kernel points) lookups, popped one at a
+        # chunks of about _CHUNK x (kernel points) lookups, popped one at a
         # time (deque.popleft is thread-safe) by the calling thread and the
-        # pool's, so a thread that starts late takes fewer
+        # pool's, so a thread that starts late takes fewer.  A shared-heading
+        # chunk reads the heading rows of its runs
         todo = deque()
         for points, masked, ll, ns in passes:
-            step = max(rows, rows * self._qx32.size // max(points[0].size, 1))
-            todo.extend(
-                (distinct[lo : lo + step], points, masked, ll, ns)
-                for lo in range(0, distinct.size, step)
-            )
+            step = max(_CHUNK, _CHUNK * self._qx32.size // max(points[0].size, 1))
+            for lo in range(0, shared.size, step):
+                cells, run = shared[lo : lo + step], run_of[lo : lo + step]
+                hd = heads[run[0] : run[-1] + 1]
+                todo.append((cells, cos_t[hd], sin_t[hd], run - run[0], points, masked, ll, ns))
+            for lo in range(0, distinct.size, step):
+                cells = distinct[lo : lo + step]
+                todo.append((cells, cos_t[cells], sin_t[cells], None, points, masked, ll, ns))
 
         def work():
             while True:
                 try:
-                    cells, points, masked, ll, ns = todo.popleft()
+                    cells, cos_c, sin_c, row, points, masked, ll, ns = todo.popleft()
                 except IndexError:
                     return
                 ll[cells], ns[cells] = self._score_block(
-                    cos_t[cells], sin_t[cells], ys[cells], None, points, masked
+                    cos_c, sin_c, ys[cells], row, points, masked
                 )
 
         helpers = min(_WORKERS, len(todo)) - 1 if threaded else 0
         futures = [_scoring_pool().submit(work) for _ in range(helpers)]
         try:
-            # a grid's shared-heading cells are too few to gain from a
-            # thread: _CHUNK at a time, each reads the heading row of its run
-            shared = np.flatnonzero(in_run)
-            run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
-            heads = starts[long]
-            for lo in range(0, shared.size, _CHUNK):
-                cells = shared[lo : lo + _CHUNK]
-                run = run_of[lo : lo + _CHUNK]
-                hd = heads[run[0] : run[-1] + 1]
-                loglik[cells], n_scored[cells] = self._score_block(
-                    cos_t[hd], sin_t[hd], ys[cells], run - run[0]
-                )
             work()
         finally:
             # a task no pool thread has started is cancelled, not waited
@@ -308,10 +304,10 @@ class PoseScorer:
         big = abs(lo[0]) + abs(lo[1]) + self._r_max + float(np.max(np.abs(ys)))
         return _SPAN_ULPS * float(np.finfo(np.float32).eps) * (max(nx, ny) + big / cfg.resolution)
 
-    def _score_block(self, cos_t, sin_t, ys, row=None, points=None, masked=True):
+    def _score_block(self, cos_t, sin_t, ys, row, points, masked):
         """Score ys against (h, 1) heading rows: ys[i] against heading row
-        row[i], or against heading row i when `row` is None; the kernel's
-        points, or `points` (`_points`' form).
+        row[i], or against heading row i when `row` is None, over `points`
+        (`_points`' form).
 
         Heading-only terms (rotated x and y, x index, x/z masks) are
         computed once per heading row and gathered for each y offset.
@@ -319,7 +315,7 @@ class PoseScorer:
         row (`_interior`): no mask, clamp or count, and each row scores
         every point.
         """
-        qx, qy, iz = self._points if points is None else points
+        qx, qy, iz = points
         # work directly in grid coordinates (voxels from the grid origin)
         fx = cos_t * qx - sin_t * qy
         fx -= self._lo_x
@@ -335,7 +331,9 @@ class PoseScorer:
         ix += iz
         fy = sin_t * qx + cos_t * qy
         if row is not None:
-            fy, keep_x, ix = fy[row], keep_x[row], ix[row]
+            fy, ix = fy[row], ix[row]
+            if masked:
+                keep_x = keep_x[row]
         fy += ys.astype(np.float32)[:, None]
         fy -= self._lo_y
         fy *= self._inv_res

@@ -1,4 +1,6 @@
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,3 +194,39 @@ def test_closed_loop_rejects_a_method_it_cannot_run(cfg_file, tmp_path):
               "--out", str(out_dir)])
     assert "template-uniform, template-grid" in str(exc.value.code)
     assert not out_dir.exists()
+
+
+# (command, harness runner, its output, value flags, the keywords they pass)
+SWEEP_COMMANDS = [
+    ("eval-gaps", "run_gap_sweep", {"curves": {}}, ["--n-values", "0,8", "--draws", "3"],
+     {"n_values": (0, 8), "n_draws": 3}),
+    ("eval-rowend", "run_rowend_sweep", {"curves": {}, "flag_rates": {}},
+     ["--distances", "5,1.5"], {"d_values": (5.0, 1.5)}),
+    ("eval-curvature", "run_curvature_sweep", {}, ["--radii", "200,inf", "--ranges", "10"],
+     {"radii": (200.0, math.inf), "sensor_ranges": (10.0,)}),
+    ("eval-voxel", "run_voxel_sweep", {}, ["--sizes", "0.2"], {"sizes": (0.2,)}),
+    ("eval-template-size", "run_template_size_sweep", {}, ["--counts", "5,10"],
+     {"counts": (5, 10)}),
+    ("closed-loop", "closed_loop_sim",
+     {"offset_metrics": SimpleNamespace(mae=0.0), "heading_metrics": SimpleNamespace(mae=0.0)},
+     ["--y0", "-0.2"], {"y0": -0.2}),
+]
+
+
+@pytest.mark.parametrize("command, runner, output, flags, passed", SWEEP_COMMANDS,
+                         ids=[c[0] for c in SWEEP_COMMANDS])
+def test_a_sweep_flag_left_out_leaves_the_runner_its_default(
+        monkeypatch, tmp_path, command, runner, output, flags, passed):
+    """Each sweep default has one home, the runner's signature: a value
+    flag left out passes no keyword, and one given passes its value."""
+    calls = []
+
+    def recorded(cfg, **kwargs):
+        calls.append(kwargs)
+        return output
+
+    monkeypatch.setattr(harness, runner, recorded)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == 0
+    assert main([command, "--out", str(out), *flags]) == 0
+    assert calls == [{"out_dir": out}, {"out_dir": out, **passed}]

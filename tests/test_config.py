@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ def test_a_bad_estimator_value_fails_at_load(key, value, match):
     # each used to load and fail, or give NaN scores, only at the first frame
     with pytest.raises(ValueError, match=match):
         experiment_config_from_kv({key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("run.n_template_frames", "0"),
+    ("run.n_eval_frames", "0"),
+    ("run.n_eval_frames", "-2"),
+])
+def test_a_bad_frame_count_fails_at_load(key, value):
+    # each used to fail only after the scene was rendered and, for the
+    # eval count, the template built
+    with pytest.raises(ValueError, match=key.split(".")[1]):
+        experiment_config_from_kv({key: value})
+
+
+@pytest.mark.parametrize("margin", [-1.0, math.nan, math.inf])
+def test_a_bad_eval_end_margin_fails_when_the_config_is_made(margin):
+    with pytest.raises(ValueError, match="eval_end_margin"):
+        replace(experiment_config_from_kv({}), eval_end_margin=margin)
+    assert replace(experiment_config_from_kv({}), eval_end_margin=0.0).eval_end_margin == 0.0
 
 
 def test_leaf_size_reaches_the_baselines_too():

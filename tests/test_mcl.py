@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,9 +309,11 @@ def test_particle_filter_restarts_when_every_particle_scores_at_the_floor(monkey
 
 
 def _with_bad_rows(points, kind, rng):
-    """(points with non-finite rows inserted, mask of the finite rows)."""
+    """(points with bad rows inserted, mask of the good rows)."""
     if kind == "inf":
         bad = np.array([[np.inf, 0.0, 1.0]])
+    elif kind in ("far", "farther"):  # finite, but past any int64 voxel index
+        bad = np.array([[1e20 if kind == "far" else 1e300, 0.0, 1.0]])
     else:  # NaN in one coordinate of 10% of the points
         bad = points[rng.choice(len(points), len(points) // 10, replace=False)].copy()
         bad[np.arange(len(bad)), rng.integers(0, 3, len(bad))] = np.nan
@@ -319,10 +322,11 @@ def _with_bad_rows(points, kind, rng):
     return out[order], order < len(points)
 
 
-@pytest.mark.parametrize("kind", ["inf", "nan10"])
+@pytest.mark.parametrize("kind", ["inf", "nan10", "far", "farther"])
 def test_non_finite_points_are_dropped_by_every_estimator(wall_template_and_run, kind):
     """Every estimator returns what it returns on the cloud without the bad
-    rows: a finite estimate, never an exception."""
+    rows: a finite estimate, never an exception or a warning.  Finite rows
+    too far off for a voxel index are bad rows too."""
     template, poses, clouds = wall_template_and_run
     cfg = MclConfig(pre_cfg=PRE, n_particles=500)
     rng = np.random.default_rng(21)
@@ -342,8 +346,10 @@ def test_non_finite_points_are_dropped_by_every_estimator(wall_template_and_run,
             "baseline2-refined": baseline2_refine_offset(cloud, pair),
         }
 
-    got, want = run(dirty), run(clean)
-    assert got == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = run(dirty)
+    assert got == run(clean)
     for est in got.values():
         values = (est.y, est.theta) if isinstance(est, PoseProposal) else np.atleast_1d(est)
         assert np.all(np.isfinite(values))

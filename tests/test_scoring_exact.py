@@ -19,13 +19,13 @@ sums of a frame's logs are exact in any order: the scorer adds the logs
 of points outside the z range as one constant, and no block bound falls
 below a score of its block.  The reference rounds its logs on its own.
 
-A call's points that every one of its distinct-heading proposals keeps
-inside the box are scored without the box test, and the other (edge)
-points with it; each row adds its two partial sums.  A concentrated
-particle set takes this split; a wide heading span and a grid's runs of
-one heading do not.  Points one float32 step either side of the
-certified slack, and points that an extreme particle or float32 rounding
-moves out of the box, must score as the reference does.
+A call's points that every one of its proposals keeps inside the box are
+scored without the box test, and the other (edge) points with it; each
+row adds its two partial sums.  A concentrated particle set and a narrow
+grid, whose runs of one heading read their heading's row, take this
+split; a wide heading span does not.  Points one float32 step either
+side of the certified slack, and points that an extreme particle or
+float32 rounding moves out of the box, must score as the reference does.
 """
 
 import math
@@ -73,7 +73,6 @@ from rowloc.measurement import (
     _MIN_RUN,
     _ROT_SLACK,
     _ROUND,
-    _THREADED_CHUNK,
     _Y_BIN,
     PoseScorer,
     _coarse_groups,
@@ -325,11 +324,28 @@ def test_a_frame_past_the_point_limit_is_refused(monkeypatch):
         PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template)
 
 
+@pytest.mark.parametrize("far", [3e8, -1e15])
+def test_a_point_too_far_for_an_int32_index_scores_as_outside_the_box(far):
+    """A point 2**30 voxels or more off on an axis would overflow the
+    kernel's int32 index: it leaves the kernel, read as no-info by every
+    proposal, as the reference's box test leaves it unscored."""
+    template = interior_template()
+    frame = interior_frame([(2.0, 0.0), (1.5, far), (far, 0.3)], far=False)
+    scorer = PoseScorer(frame, template)
+    assert scorer._qx32.size == 1
+    ys, thetas = np.linspace(-0.5, 0.5, 20), np.repeat([0.1, 0.3], 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+        assert_scores_equal_reference(scorer, frame, ys[::2], thetas[::2])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
     """A grid call's shared-heading runs (past _CHUNK, and of just
-    _MIN_RUN) fill kernel calls of _CHUNK cells across runs, between
-    distinct-heading chunks, and score as the reference does."""
+    _MIN_RUN) fill kernel calls of each pass's chunk across runs, beside
+    distinct-heading chunks: each shared cell is scored once a pass, and
+    scores as the reference does."""
     cfg = TemplateConfig(resolution=0.1, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=0.05)
     rng = np.random.default_rng(11)
@@ -339,27 +355,69 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
     frame = PreprocessedFrame(PointCloud(pts, "V"), 0.02, 0.01, 0.3)
     # (cells, shared): runs of one heading, or as many distinct headings
     segments = [(_CHUNK + 45, True), (_MIN_RUN, True), (2, False), (_MIN_RUN, True),
-                (2 * _CHUNK + 3, True), (2 * _THREADED_CHUNK + 5, False), (_MIN_RUN, True),
+                (2 * _CHUNK + 3, True), (2 * _CHUNK + 5, False), (_MIN_RUN, True),
                 (_MIN_RUN - 1, False)]
     thetas = np.concatenate([
         np.full(k, rng.uniform(-0.6, 0.6)) if shared else rng.uniform(-0.6, 0.6, k)
         for k, shared in segments
     ])
     ys = rng.uniform(-1.0, 1.0, thetas.size)
-    n_shared = sum(k for k, shared in segments if shared)
-    calls = []
+    in_run = np.concatenate([np.full(k, shared) for k, shared in segments])
+    calls = {}  # the ys of each shared-heading call, by (masked, points) of its pass
     score_block = PoseScorer._score_block
 
-    def recorded(self, cos_t, sin_t, ys, row=None, *rest):
+    def recorded(self, cos_t, sin_t, ys, row, points, masked):
         if row is not None:
-            calls.append(len(ys))
-        return score_block(self, cos_t, sin_t, ys, row, *rest)
+            calls.setdefault((masked, points[0].size), []).append(ys)
+        return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     scorer = PoseScorer(frame, template)
+    inside = scorer._interior(ys, thetas)
+    kernel = scorer._qx32.size
+    passes = [(True, kernel)] if not inside.any() else [
+        (masked, k) for masked, k in ((False, inside.sum()), (True, (~inside).sum())) if k
+    ]
     with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
         assert_scores_equal_reference(scorer, frame, ys, thetas)
         assert (measurement._pool is not None) == (workers > 1)
-    assert calls == [_CHUNK] * (n_shared // _CHUNK) + [n_shared % _CHUNK]
+    assert sorted(calls) == sorted(passes)
+    n_shared = int(in_run.sum())
+    for (masked, k), chunks in calls.items():
+        step = max(_CHUNK, _CHUNK * kernel // k)
+        want = [step] * (n_shared // step) + ([n_shared % step] if n_shared % step else [])
+        assert sorted(len(c) for c in chunks) == sorted(want)
+        np.testing.assert_array_equal(np.sort(np.concatenate(chunks)), np.sort(ys[in_run]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("far", [False, True])
+def test_a_grid_call_scores_its_certified_points_unmasked(workers, far):
+    """A theta-major grid about (y 0.1, heading 0.2), narrow enough that
+    every point but the far one is certified, scores its shared-heading
+    cells in an unmasked pass over the interior points, and (with the
+    far point) a masked pass over the edge point, as the reference does."""
+    template = interior_template()
+    rng = np.random.default_rng(24)
+    frame = interior_frame(sensor_points(rng.uniform([1.0, -0.8], [2.8, 0.8], (60, 2)),
+                                         0.1, 0.2), far=far)
+    headings = 0.2 + 0.01 * np.arange(-3, 4)
+    offsets = 0.1 + 0.005 * np.arange(-20, 21)
+    tt, yy = np.meshgrid(headings, offsets, indexing="ij")
+    ys, thetas = yy.ravel(), tt.ravel()
+    calls = []
+    score_block = PoseScorer._score_block
+
+    def recorded(self, cos_t, sin_t, ys, row, points, masked):
+        calls.append((row is not None, masked, points[0].size))
+        return score_block(self, cos_t, sin_t, ys, row, points, masked)
+
+    scorer = PoseScorer(frame, template)
+    assert scorer._interior(ys, thetas).tolist() == [True] * 60 + [False] * far
+    with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    # 287 cells: three chunks of the interior pass, one of the edge pass
+    want = [(True, False, 60)] * 3 + [(True, True, 1)] * far
+    assert sorted(calls) == sorted(want)
 
 
 @contextmanager
@@ -386,10 +444,10 @@ def worker_scenes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["runs", "distinct", "duplicates", "one"]))
     if kind == "distinct":
-        n = draw(st.integers(1, 10 * _THREADED_CHUNK + 1))
+        n = draw(st.integers(1, 10 * _CHUNK + 1))
         ys, thetas = rng.uniform(-1.0, 1.0, n), rng.uniform(-0.8, 0.8, n)
     elif kind == "duplicates":
-        n = draw(st.integers(2, 6 * _THREADED_CHUNK))
+        n = draw(st.integers(2, 6 * _CHUNK))
         src = np.sort(rng.integers(0, max(1, n // draw(st.sampled_from([2, _MIN_RUN]))), n))
         ys, thetas = rng.uniform(-1.0, 1.0, n)[src], rng.uniform(-0.8, 0.8, n)[src]
     elif kind == "one":
@@ -407,7 +465,7 @@ def test_score_does_not_depend_on_the_worker_count(scene):
             ll, ns = PoseScorer(frame, template, p_floor).score(ys, thetas)
             if n == 1:
                 assert measurement._pool is None
-            elif kind == "distinct" and ys.size > _THREADED_CHUNK and frame.cloud_V.points.size:
+            elif kind == "distinct" and ys.size > _CHUNK and frame.cloud_V.points.size:
                 assert measurement._pool is not None
         got[n] = ll.view(np.int64).tolist(), ns.tolist()
     assert got[2] == got[1]
@@ -456,7 +514,7 @@ def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
     pass over the points (all of them, or the interior and edge ones)."""
     template, clouds, cfg = wall_run
     scorer = mcl._scorer_for(clouds[0], template, cfg)
-    poses = mcl.sample_uniform(cfg.prior, 40 * _THREADED_CHUNK + 5, seed=7)
+    poses = mcl.sample_uniform(cfg.prior, 40 * _CHUNK + 5, seed=7)
     want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
     rows = {}  # rows scored in each pass, keyed by whether its points are masked
     score_block = PoseScorer._score_block
@@ -511,7 +569,7 @@ def test_score_does_not_wait_for_a_pool_thread_that_takes_no_chunk(wall_run):
     and the call returns without it; it takes none of a later call."""
     template, clouds, cfg = wall_run
     scorer = mcl._scorer_for(clouds[0], template, cfg)
-    poses = mcl.sample_uniform(cfg.prior, 10 * _THREADED_CHUNK + 3, seed=9)
+    poses = mcl.sample_uniform(cfg.prior, 10 * _CHUNK + 3, seed=9)
     want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
     release = threading.Event()
     # a call that waited for the held thread would return only once this
@@ -553,7 +611,7 @@ def pool_thread_takes_a_chunk(scored):
 def test_an_error_on_a_pool_thread_is_raised_by_score(wall_run):
     template, clouds, cfg = wall_run
     scorer = mcl._scorer_for(clouds[0], template, cfg)
-    poses = mcl.sample_uniform(cfg.prior, 10 * _THREADED_CHUNK, seed=10)
+    poses = mcl.sample_uniform(cfg.prior, 10 * _CHUNK, seed=10)
     score_block = PoseScorer._score_block
 
     class PoolThreadError(Exception):
@@ -575,7 +633,7 @@ def test_score_returns_after_every_chunk_a_pool_thread_took(wall_run):
     after it."""
     template, clouds, cfg = wall_run
     scorer = mcl._scorer_for(clouds[0], template, cfg)
-    poses = mcl.sample_uniform(cfg.prior, 10 * _THREADED_CHUNK, seed=11)
+    poses = mcl.sample_uniform(cfg.prior, 10 * _CHUNK, seed=11)
     want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
     events = []  # ("start" or "end", on a pool thread) of each call
     score_block = PoseScorer._score_block
@@ -1179,14 +1237,13 @@ def assert_hot_block_is_found(template, point, block, width, y0):
 
 @contextmanager
 def recorded_passes():
-    """Record (masked, points) of each distinct-heading `_score_block`
-    call: an unmasked one scores interior points only."""
+    """Record (masked, points) of each `_score_block` call: an unmasked
+    one scores interior points only."""
     calls = []
     score_block = PoseScorer._score_block
 
-    def recorded(self, cos_t, sin_t, ys, row=None, points=None, masked=True):
-        if row is None:
-            calls.append((masked, (self._qx32 if points is None else points[0]).size))
+    def recorded(self, cos_t, sin_t, ys, row, points, masked):
+        calls.append((masked, points[0].size))
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     with mock.patch.object(PoseScorer, "_score_block", recorded):
@@ -1237,7 +1294,7 @@ def particle_scenes(draw):
     z[-n_far:] = rng.uniform(0.1, 1.9, n_far)  # in the z range: edge points of the kernel
     frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
 
-    n = draw(st.one_of(st.integers(1, 40), st.integers(2 * _THREADED_CHUNK, 5 * _THREADED_CHUNK)))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(2 * _CHUNK, 5 * _CHUNK)))
     sigma_y = draw(st.sampled_from([0.0, 0.005, 0.02, 0.05]))
     sigma_theta = draw(st.sampled_from([0.002, 0.01, 0.03]))
     ys = y0 + sigma_y * np.clip(rng.standard_normal(n), -3.0, 3.0)
@@ -1253,19 +1310,15 @@ def particle_scenes(draw):
 @given(particle_scenes(), st.sampled_from([1, 2]))
 def test_interior_and_edge_passes_equal_per_proposal_reference(scene, workers):
     """A concentrated particle set certifies the deep points and leaves the
-    far ones at the edge, so every call with distinct headings takes the
-    split: an interior pass and an edge pass, summed per row."""
+    far ones at the edge, so every call takes the split, its runs of one
+    heading too: an interior pass and an edge pass, summed per row."""
     frame, template, p_floor, ys, thetas = scene
     scorer = PoseScorer(frame, template, p_floor)
     with scoring_workers(workers), recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
+    assert {masked for masked, _ in calls} == {False, True}
     starts, lengths, long = measurement._heading_runs(thetas)
-    if not long.all():
-        assert {masked for masked, _ in calls} == {False, True}
-        event("split into interior and edge passes")
-    else:
-        assert not calls  # a grid's runs of one heading keep the masked pass
-        event("runs of one heading only")
+    event("runs of one heading" if long.any() else "distinct headings only")
 
 
 def interior_frame(points_xy, far=True):
