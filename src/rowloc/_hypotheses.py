@@ -1,13 +1,16 @@
 """Exact first-best selection over blocks of RANSAC hypotheses.
 
-The hypothesis loops in geometry.py and baselines.py score their
-hypotheses with array operations, one block at a time, and treat the
-results as a screen.  Vectorized and per-hypothesis values of a point's
+The ground-plane and row-line searches (geometry.py, baselines.py) ask
+one question: which is the first hypothesis with the most points within a
+tolerance?  `first_max_inliers` answers it for both.  It scores the
+hypotheses with array operations, one block at a time, and treats the
+counts as a screen.  Vectorized and per-hypothesis values of a point's
 distance agree to a few ulps of the coordinate scale, so only a value
 within `margin` of a decision threshold can be decided differently; those
 hypotheses are re-decided by the per-hypothesis (scalar) code.  The
 hypothesis chosen is therefore the one the scalar loop chooses, bit for
-bit, including its first-wins tie rule.
+bit, including its first-wins tie rule.  baseline2's minimum-score pair
+search uses `count_bounds`, `margin` and `homogeneous` on its own.
 """
 
 from __future__ import annotations
@@ -47,19 +50,25 @@ def count_bounds(dist: np.ndarray, tol: float, margin: float) -> tuple[np.ndarra
     return _row_counts(a < tol - margin), _row_counts(a <= tol + margin)
 
 
-def first_max(n_hyp: int, screen, exact) -> tuple[int, int]:
-    """(index, count) of the first hypothesis with the largest count.
+def first_max_inliers(points: np.ndarray, planes: np.ndarray, unsure: np.ndarray,
+                      tol: float, exact) -> tuple[int, int]:
+    """(index, count) of the first hypothesis with the most points within
+    `tol`, as a loop over exact(k) that keeps a count only if it is
+    strictly greater picks it; (-1, -1) if every one is rejected.
 
-    screen(a, b) bounds the counts of hypotheses a..b-1 as int arrays
-    (lo, hi), with -1 for a rejected hypothesis; lo == hi means exact.
-    exact(k) is hypothesis k's count by the scalar code (-1: rejected).  It
-    runs only where the bounds differ and the hypothesis could still beat
-    the best so far.  A loop that keeps a count only if it is strictly
-    greater picks the same index.  Returns (-1, -1) if every one is rejected.
+    Row k of `planes` is hypothesis k's unit normal and -offset, so its
+    signed distances are planes[k] @ (p, 1).  unsure[k] marks a hypothesis
+    the caller's screen cannot admit for sure (near a degeneracy or tilt
+    threshold).  exact(k) is hypothesis k's count by the scalar code (-1:
+    rejected).  It runs only where the bounds differ, or k is unsure, and
+    the hypothesis could still beat the best so far.
     """
+    points_h = homogeneous(points)
+    m = margin(points)
     best_k, best = -1, -1
-    for a in range(0, n_hyp, BLOCK):
-        lo, hi = screen(a, min(a + BLOCK, n_hyp))
+    for a in range(0, planes.shape[0], BLOCK):
+        lo, hi = count_bounds(planes[a:a + BLOCK] @ points_h.T, tol, m)
+        lo[unsure[a:a + BLOCK]] = -1
         # hi <= best: it cannot beat an earlier hypothesis, whatever its count
         for u in np.flatnonzero((lo != hi) & (hi > best)):
             lo[u] = exact(a + int(u))

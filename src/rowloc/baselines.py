@@ -12,6 +12,10 @@ Both operate per frame with no temporal filtering.  Their hypothesis
 loops are scored in blocks with array operations and re-decided by the
 per-hypothesis code near every threshold (see _hypotheses.py), so they
 choose the same hypothesis as a loop over one hypothesis at a time.
+baseline1's line fits share the ground fit's search,
+`_hypotheses.first_max_inliers`; baseline2's minimum-score pair search
+has its own screen (`_pair_screen`).  Their draw counts and baseline2's
+inlier floor are the module constants below.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ MIN_SIDE_POINTS = 8
 # the density histogram's bin width (m); its bins span +-1 m about each line
 DENSITY_BIN = 0.05
 _DENSITY_BINS = np.arange(-1.0, 1.0 + DENSITY_BIN, DENSITY_BIN)
+# 2-point hypotheses of each of baseline1's line fits
+LINE_ITERS = 200
+# baseline2's pair hypotheses, and the fraction of each side's points a
+# pair's line must hold within line_inlier_tol
+PAIR_ITERS = 500
+MIN_INLIER_FRACTION = 0.3
 
 
 class SideMissingError(RuntimeError):
@@ -47,10 +57,7 @@ class SideMissingError(RuntimeError):
 @dataclass(frozen=True)
 class BaselineParams:
     pre_cfg: PreprocessConfig = PreprocessConfig()
-    ransac_iters: int = 200
     line_inlier_tol: float = 0.1
-    n_pair_hypotheses: int = 500
-    min_inlier_fraction: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -146,44 +153,39 @@ def _line_hypothesis(points: np.ndarray, i: int, j: int, tol: float):
 
 def _best_line_hypothesis(points: np.ndarray, pairs: np.ndarray, tol: float) -> tuple[int, int]:
     """(index, inlier count) of the first pair with the most inliers, as a
-    loop over _line_hypothesis picks it; (-1, -1) if every pair is degenerate."""
+    loop over _line_hypothesis picks it; (-1, -1) if every pair is degenerate.
+
+    A pair whose direction norm is within the screen margin of the 1e-9
+    cut, i == j among them, is re-decided by the scalar code."""
 
     def exact(k):
         mask = _line_hypothesis(points, pairs[k, 0], pairs[k, 1], tol)
         return -1 if mask is None else int(np.count_nonzero(mask))
 
-    margin = hyp.margin(points)
-    points_h = hyp.homogeneous(points)
-
-    def screen(a, b):
-        i, j = pairs[a:b, 0], pairs[a:b, 1]
-        d = points[j] - points[i]
-        norm = np.sqrt(np.einsum("ij,ij->i", d, d))
-        normal = np.column_stack([-d[:, 1], d[:, 0]]) / np.where(norm > 0.0, norm, 1.0)[:, None]
-        dist = np.column_stack([normal, -np.einsum("ij,ij->i", normal, points[i])]) @ points_h.T
-        lo, hi = hyp.count_bounds(dist, tol, margin)
-        lo[norm <= 1e-9 + hyp.SCREEN_EPS] = -1  # near-degenerate: decide exactly
-        lo[i == j] = hi[i == j] = -1
-        return lo, hi
-
-    return hyp.first_max(pairs.shape[0], screen, exact)
+    i, j = pairs[:, 0], pairs[:, 1]
+    d = points[j] - points[i]
+    norm = np.sqrt(np.einsum("ij,ij->i", d, d))
+    normal = np.column_stack([-d[:, 1], d[:, 0]]) / np.where(norm > 0.0, norm, 1.0)[:, None]
+    lines = np.column_stack([normal, -np.einsum("ij,ij->i", normal, points[i])])
+    unsure = norm <= 1e-9 + hyp.SCREEN_EPS
+    return hyp.first_max_inliers(points, lines, unsure, tol, exact)
 
 
-def _ransac_line(points: np.ndarray, params: BaselineParams, rng) -> Line2:
-    """RANSAC line over 2-point hypotheses, refit to the best one's inliers.
+def _ransac_line(points: np.ndarray, tol: float, rng) -> Line2:
+    """RANSAC line over LINE_ITERS 2-point hypotheses, refit to the best
+    one's inliers.
 
     Exactness: the hypotheses are screened in blocks; any with a point
-    distance within 1e-9 of line_inlier_tol, or a direction norm within
-    1e-9 of the 1e-9 cut, is re-decided by `_line_hypothesis`, and the
-    first pair with the largest exact count wins.  The line is the one a
-    loop over the pairs one at a time returns, bit for bit.  The points
-    must be finite, as every leveled, projected cloud is.
+    distance within 1e-9 of tol, or a direction norm within 1e-9 of the
+    1e-9 cut, is re-decided by `_line_hypothesis`, and the first pair with
+    the largest exact count wins.  The line is the one a loop over the
+    pairs one at a time returns, bit for bit.  The points must be finite,
+    as every leveled, projected cloud is.
     """
     n = points.shape[0]
     if n < 2:
         raise SideMissingError(f"need >= 2 points for a line, got {n}")
-    tol = params.line_inlier_tol
-    pairs = rng.integers(0, n, size=(params.ransac_iters, 2))
+    pairs = rng.integers(0, n, size=(LINE_ITERS, 2))
     best_k, best_count = _best_line_hypothesis(points, pairs, tol)
     if best_k < 0 or best_count < 2:
         raise SideMissingError("no valid line hypothesis found")
@@ -201,8 +203,8 @@ def baseline1(cloud_C: PointCloud, params: BaselineParams = BaselineParams(), se
     rng = np.random.default_rng(seed)
     xy = _level_and_project(cloud_C, params)
     left_pts, right_pts = _split_sides(xy)
-    left = _ransac_line(left_pts, params, rng)
-    right = _ransac_line(right_pts, params, rng)
+    left = _ransac_line(left_pts, params.line_inlier_tol, rng)
+    right = _ransac_line(right_pts, params.line_inlier_tol, rng)
     direction = left.direction + right.direction
     direction /= np.linalg.norm(direction)
     normal = np.array([-direction[1], direction[0]])
@@ -225,10 +227,12 @@ def _pair_draws(rng, n_left: int, n_right: int, n: int) -> np.ndarray:
     return rng.integers(0, highs)
 
 
-def _pair_hypothesis(left_pts, right_pts, it: int, i: int, j: int, k: int, params: BaselineParams):
+def _pair_hypothesis(left_pts, right_pts, it: int, i: int, j: int, k: int, tol: float,
+                     floor: float):
     """(score, pair) of pair hypothesis `it`, or None if it is degenerate or
-    a side misses the inlier floor: the per-hypothesis reference.  The score
-    is NaN when a side has no inliers and min_inlier_fraction is 0."""
+    a side holds fewer than `floor` of its points within `tol`: the
+    per-hypothesis reference.  The score is NaN when a side has no inliers
+    and the floor is 0."""
     # alternate which side supplies the direction
     src, other = (left_pts, right_pts) if it % 2 == 0 else (right_pts, left_pts)
     d = src[j] - src[i]
@@ -240,17 +244,17 @@ def _pair_hypothesis(left_pts, right_pts, it: int, i: int, j: int, k: int, param
     score = 0.0
     for line, pts in ((left_line, left_pts), (right_line, right_pts)):
         dist = line.distance(pts)
-        inl = np.abs(dist) <= params.line_inlier_tol
-        if np.count_nonzero(inl) < params.min_inlier_fraction * pts.shape[0]:
+        inl = np.abs(dist) <= tol
+        if np.count_nonzero(inl) < floor * pts.shape[0]:
             return None
         score += float(np.mean(dist[inl] ** 2))
     return score, RowLinePair(left_line, right_line)
 
 
-def _pair_screen(left_pts, right_pts, draws: np.ndarray, params: BaselineParams, margin: float):
+def _pair_screen(left_pts, right_pts, draws: np.ndarray, tol: float, floor: float,
+                 margin: float):
     """Screened score of every pair hypothesis (inf: rejected), and a mask of
     the hypotheses the screen cannot decide."""
-    tol = params.line_inlier_tol
     n_left = left_pts.shape[0]
     both = np.concatenate([left_pts, right_pts])
     sides = [(left_pts.shape[0], hyp.homogeneous(left_pts)),
@@ -277,7 +281,7 @@ def _pair_screen(left_pts, right_pts, draws: np.ndarray, params: BaselineParams,
             dist = np.column_stack([normal, -offset]) @ side_h.T
             lo, hi = hyp.count_bounds(dist, tol, margin)  # dist is now |dist|
             undecided |= lo != hi
-            ok &= (lo >= params.min_inlier_fraction * n_side) & (lo > 0)
+            ok &= (lo >= floor * n_side) & (lo > 0)
             dist *= dist <= tol
             total += np.einsum("ij,ij->i", dist, dist) / np.maximum(lo, 1)
         scores[a:b] = np.where(ok, total, math.inf)
@@ -285,19 +289,19 @@ def _pair_screen(left_pts, right_pts, draws: np.ndarray, params: BaselineParams,
     return scores, unsure
 
 
-def _best_pair_hypothesis(left_pts, right_pts, draws: np.ndarray, params: BaselineParams):
+def _best_pair_hypothesis(left_pts, right_pts, draws: np.ndarray, tol: float, floor: float):
     """(index, pair) of the first hypothesis with the smallest score, as a
     loop over _pair_hypothesis picks it; (-1, None) if none is valid."""
     found = {}
 
     def exact(k):
         if k not in found:
-            found[k] = _pair_hypothesis(left_pts, right_pts, k, *draws[k], params)
+            found[k] = _pair_hypothesis(left_pts, right_pts, k, *draws[k], tol, floor)
         hit = found[k]
         return hit[0] if hit is not None and hit[0] < math.inf else math.inf  # NaN never wins
 
     margin = hyp.margin(np.concatenate([left_pts, right_pts]))
-    scores, unsure = _pair_screen(left_pts, right_pts, draws, params, margin)
+    scores, unsure = _pair_screen(left_pts, right_pts, draws, tol, floor, margin)
     for u in np.flatnonzero(unsure):
         scores[u] = exact(int(u))
     best = scores.min() if scores.size else math.inf
@@ -308,7 +312,7 @@ def _best_pair_hypothesis(left_pts, right_pts, draws: np.ndarray, params: Baseli
     # sides) of its exact value, so only hypotheses this close to the best
     # can be the winner.
     rel = hyp.SCREEN_EPS + 2.0 * (left_pts.shape[0] + right_pts.shape[0] + 3) * np.finfo(float).eps
-    slack = 2.0 * (2.0 * params.line_inlier_tol * margin + margin**2)
+    slack = 2.0 * (2.0 * tol * margin + margin**2)
     near = np.flatnonzero(scores * (1.0 - rel) <= best * (1.0 + rel) + 2.0 * slack)
     k = min((int(c) for c in near), key=lambda c: (exact(c), c))
     return k, found[k][1]
@@ -317,21 +321,24 @@ def _best_pair_hypothesis(left_pts, right_pts, draws: np.ndarray, params: Baseli
 def baseline2(cloud_C: PointCloud, params: BaselineParams = BaselineParams(), seed: int = 0):
     """Parallel-line-pair fit -> (y, theta, RowLinePair).
 
-    Keeps the first pair hypothesis with the smallest mean squared inlier
-    distance.  Exactness: every hypothesis is scored in blocks with array
-    operations, and those scores are a screen.  A hypothesis with a point
-    distance within 1e-9 of line_inlier_tol, or a direction norm within
-    1e-9 of the 1e-9 cut, is re-decided by `_pair_hypothesis`, and so is
-    every hypothesis whose score lies within relative 1e-9 (plus the
-    distance margin's share) of the smallest.  The first of those with the
-    smallest exact score wins, so the pair is bit-identical to the one a
-    loop over the hypotheses one at a time returns.
+    Keeps the first of PAIR_ITERS pair hypotheses with the smallest mean
+    squared inlier distance, among those whose lines each hold at least
+    MIN_INLIER_FRACTION of their side's points.  Exactness: every
+    hypothesis is scored in blocks with array operations, and those scores
+    are a screen.  A hypothesis with a point distance within 1e-9 of
+    line_inlier_tol, or a direction norm within 1e-9 of the 1e-9 cut, is
+    re-decided by `_pair_hypothesis`, and so is every hypothesis whose
+    score lies within relative 1e-9 (plus the distance margin's share) of
+    the smallest.  The first of those with the smallest exact score wins,
+    so the pair is bit-identical to the one a loop over the hypotheses one
+    at a time returns.
     """
     rng = np.random.default_rng(seed)
     xy = _level_and_project(cloud_C, params)
     left_pts, right_pts = _split_sides(xy)
-    draws = _pair_draws(rng, left_pts.shape[0], right_pts.shape[0], params.n_pair_hypotheses)
-    _, best = _best_pair_hypothesis(left_pts, right_pts, draws, params)
+    draws = _pair_draws(rng, left_pts.shape[0], right_pts.shape[0], PAIR_ITERS)
+    _, best = _best_pair_hypothesis(left_pts, right_pts, draws, params.line_inlier_tol,
+                                    MIN_INLIER_FRACTION)
     if best is None:
         raise SideMissingError("no parallel line pair satisfied the inlier floor")
 

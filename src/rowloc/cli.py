@@ -55,13 +55,10 @@ def cmd_gen_scene(args):
     ds = harness.render_run(cfg, harness.ACCURACY_TAG)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ground_truth.csv", "w") as f:
-        f.write("frame,x,y,theta,alpha,beta,z\n")
-        for i, (pose, truth) in enumerate(zip(ds.poses, ds.local_truth)):
-            f.write(
-                f"{i},{float(pose.x)!r},{float(truth[0])!r},{float(truth[1])!r},"
-                f"{float(pose.roll)!r},{float(pose.pitch)!r},{float(pose.z)!r}\n"
-            )
+    rows = [(i, float(pose.x), float(truth[0]), float(truth[1]), float(pose.roll),
+             float(pose.pitch), float(pose.z))
+            for i, (pose, truth) in enumerate(zip(ds.poses, ds.local_truth))]
+    harness._write_csv(out / "ground_truth.csv", "frame,x,y,theta,alpha,beta,z", rows)
     for i, cloud in enumerate(ds.clouds):
         cloudio.save_cloud_binary(cloud, out / f"frame_{i:05d}.pc3d")
     harness.write_manifest(out, cfg, "gen_scene", {"n_frames": len(ds.clouds)})

@@ -59,6 +59,15 @@ def experiment_config_from_kv(kv: dict[str, str]) -> ExperimentConfig:
     def pop(key, default=None):
         return kv.pop(key, default)
 
+    def update(obj, prefix, fields):
+        """obj with each `prefix.name` key of `fields` ({name: converter})
+        popped, converted and set, in the order of `fields`."""
+        for name, conv in fields.items():
+            v = pop(f"{prefix}.{name}")
+            if v is not None:
+                obj = replace(obj, **{name: conv(v)})
+        return obj
+
     preset = pop("scene.preset", "vineyard")
     if preset == "vineyard":
         scene = vineyard_preset()
@@ -66,27 +75,15 @@ def experiment_config_from_kv(kv: dict[str, str]) -> ExperimentConfig:
         scene = apricot_preset()
     else:
         raise ConfigError(f"unknown scene.preset {preset!r}")
-    scene_fields = {
+    scene = update(scene, "scene", {
         "row_spacing": _f, "plant_spacing": _f, "row_length": _f, "profile": str,
         "canopy_height": _f, "canopy_thickness": _f, "foliage_density": _f,
         "ground_density": _f, "trunk_height": _f,
-    }
-    for name, conv in scene_fields.items():
-        v = pop(f"scene.{name}")
-        if v is not None:
-            scene = replace(scene, **{name: conv(v)})
-
-    sensor = SensorSpec()
-    for name in ("hfov", "vfov", "max_range", "noise_coeff", "noise_cap_fraction", "mount_height"):
-        v = pop(f"sensor.{name}")
-        if v is not None:
-            sensor = replace(sensor, **{name: _f(v)})
-
-    traj = TrajectorySpec()
-    for name in ("speed", "frame_rate", "amplitude", "wavelength", "vehicle_half_width"):
-        v = pop(f"trajectory.{name}")
-        if v is not None:
-            traj = replace(traj, **{name: _f(v)})
+    })
+    sensor = update(SensorSpec(), "sensor", dict.fromkeys(
+        ("hfov", "vfov", "max_range", "noise_coeff", "noise_cap_fraction", "mount_height"), _f))
+    traj = update(TrajectorySpec(), "trajectory", dict.fromkeys(
+        ("speed", "frame_rate", "amplitude", "wavelength", "vehicle_half_width"), _f))
 
     tpl = TemplateConfig(row_range=default_row_range(scene.row_spacing))
     v = pop("template.resolution")
@@ -103,27 +100,17 @@ def experiment_config_from_kv(kv: dict[str, str]) -> ExperimentConfig:
     if v is not None:
         tpl = replace(tpl, no_info_frequency=None if v == "auto" else _f(v))
 
-    prior = UniformPrior()
-    for name in ("y_min", "y_max", "theta_min", "theta_max"):
-        v = pop(f"mcl.prior.{name}")
-        if v is not None:
-            prior = replace(prior, **{name: _f(v)})
+    prior = update(UniformPrior(), "mcl.prior",
+                   dict.fromkeys(("y_min", "y_max", "theta_min", "theta_max"), _f))
     pre = PreprocessConfig()
     v = pop("preprocess.leaf_size")
     if v is not None:
         pre = replace(pre, leaf_size=_f(v))
-    mcl = MclConfig(prior=prior, pre_cfg=pre)
-    for name, conv in (("n_particles", int), ("p_floor", _f),
-                       ("low_conf_std_y", _f), ("low_conf_std_theta", _f)):
-        v = pop(f"mcl.{name}")
-        if v is not None:
-            mcl = replace(mcl, **{name: conv(v)})
-
-    gains = ControllerGains()
-    for name in ("k_y", "k_theta", "max_steer_rate"):
-        v = pop(f"controller.{name}")
-        if v is not None:
-            gains = replace(gains, **{name: _f(v)})
+    mcl = update(MclConfig(prior=prior, pre_cfg=pre), "mcl", {
+        "n_particles": int, "p_floor": _f, "low_conf_std_y": _f, "low_conf_std_theta": _f,
+    })
+    gains = update(ControllerGains(), "controller",
+                   dict.fromkeys(("k_y", "k_theta", "max_steer_rate"), _f))
 
     # one leaf for every method, so baselines and template methods see the
     # same preprocessed frame
@@ -131,11 +118,8 @@ def experiment_config_from_kv(kv: dict[str, str]) -> ExperimentConfig:
         scene=scene, sensor=sensor, trajectory=traj, template_cfg=tpl, mcl_cfg=mcl,
         baseline_params=BaselineParams(pre_cfg=pre), gains=gains,
     )
-    for name, conv in (("method", str), ("n_template_frames", int),
-                       ("n_eval_frames", int), ("seed", int)):
-        v = pop(f"run.{name}")
-        if v is not None:
-            cfg = replace(cfg, **{name: conv(v)})
+    cfg = update(cfg, "run",
+                 {"method": str, "n_template_frames": int, "n_eval_frames": int, "seed": int})
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown run.method {cfg.method!r}; known methods: {', '.join(METHODS)}")
 

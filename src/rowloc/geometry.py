@@ -20,6 +20,12 @@ import numpy as np
 
 from . import _hypotheses as hyp
 
+# ransac_ground_plane's hypothesis count, generator seed, and largest tilt
+# (rad) of an admissible plane from the sensor z-axis
+GROUND_ITERS = 200
+GROUND_SEED = 0
+GROUND_MAX_TILT = 0.6
+
 
 class DegenerateInputError(ValueError):
     """Raised when an input has too few / collinear points for a fit."""
@@ -334,44 +340,32 @@ def _best_plane_hypothesis(
     unsure = ~np.isfinite(norm) | (norm <= 1e-12 + eps) | (np.abs(nz - min_nz) <= eps)
     kept = np.flatnonzero((nz >= min_nz) | unsure)
     planes = np.column_stack([n, -np.einsum("ij,ij->i", n, p[:, 0])])[kept]
-    unsure = unsure[kept]
 
     def exact(k):
         found = _plane_hypothesis(pts, idx[kept[k]], min_nz, inlier_tol)
         return -1 if found is None else found[1]
 
-    margin = hyp.margin(pts)
-    pts_h = hyp.homogeneous(pts)
-
-    def screen(a, b):
-        lo, hi = hyp.count_bounds(planes[a:b] @ pts_h.T, inlier_tol, margin)
-        lo[unsure[a:b]] = -1
-        return lo, hi
-
-    k, count = hyp.first_max(kept.shape[0], screen, exact)
+    k, count = hyp.first_max_inliers(pts, planes, unsure[kept], inlier_tol, exact)
     return (int(kept[k]) if k >= 0 else -1), count
 
 
 def ransac_ground_plane(
-    cloud: PointCloud,
-    iters: int = 200,
-    inlier_tol: float = 0.05,
-    seed: int = 0,
-    max_tilt: float = 0.6,
+    cloud: PointCloud, inlier_tol: float = 0.05
 ) -> tuple[Plane, float, float, float]:
     """Fit the ground plane by RANSAC and recover (roll, pitch, height).
 
-    Keeps the 3-point hypothesis with the most inliers (ties: first
-    found), then refits by least squares over its inliers.  Hypotheses
-    tilted more than max_tilt radians from the sensor z-axis are
-    rejected so dense canopy walls cannot masquerade as the ground.  A
-    cloud with a non-finite point raises DegenerateInputError (`preprocess`
-    drops such points first).
+    Draws GROUND_ITERS 3-point hypotheses from a generator seeded with
+    GROUND_SEED, so the fit is deterministic.  Keeps the hypothesis with the
+    most inliers (ties: first found), then refits by least squares over its
+    inliers.  Hypotheses tilted more than GROUND_MAX_TILT radians from the
+    sensor z-axis are rejected so dense canopy walls cannot masquerade as
+    the ground.  A cloud with a non-finite point raises DegenerateInputError
+    (`preprocess` drops such points first).
 
     Exactness: the normals of all hypotheses are computed at once, and a
     tilted one is rejected before any point distance is computed.  The
-    others are scored in blocks with array operations, and those counts are
-    only a screen.  A hypothesis with a point distance, |n_z| or
+    others are scored in blocks by `_hypotheses.first_max_inliers`, whose
+    counts are only a screen.  A hypothesis with a point distance, |n_z| or
     cross-product norm within 1e-9 of its threshold is re-decided by the
     per-hypothesis code (`_plane_hypothesis`), and the winner is the first
     index with the largest exact count.  The chosen plane, and so the
@@ -379,13 +373,12 @@ def ransac_ground_plane(
     """
     pts = cloud.points
     n_pts = pts.shape[0]
-    if n_pts < 3 or iters < 1:
-        raise DegenerateInputError(f"need >= 3 points and >= 1 iteration, got {n_pts}")
+    if n_pts < 3:
+        raise DegenerateInputError(f"need >= 3 points, got {n_pts}")
     if not np.isfinite(pts).all():
         raise DegenerateInputError("cloud has a non-finite point")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n_pts, size=(iters, 3))
-    min_nz = math.cos(max_tilt)
+    idx = np.random.default_rng(GROUND_SEED).integers(0, n_pts, size=(GROUND_ITERS, 3))
+    min_nz = math.cos(GROUND_MAX_TILT)
     best_k, _ = _best_plane_hypothesis(pts, idx, min_nz, inlier_tol)
     if best_k < 0:
         raise DegenerateInputError("no admissible (near-horizontal) plane hypothesis found")
@@ -402,9 +395,9 @@ def ransac_ground_plane(
 class PreprocessConfig:
     """The downsampling leaf (m) of the preprocessing pipeline.
 
-    The ground fit runs with `ransac_ground_plane`'s defaults: 200
-    hypotheses from a fixed seed and a 0.05 m inlier band.  So
-    `preprocess` is deterministic.
+    The ground fit is `ransac_ground_plane` with its fixed draws
+    (GROUND_ITERS hypotheses from GROUND_SEED) and its 0.05 m inlier band.
+    So `preprocess` is deterministic.
     """
 
     leaf_size: float = 0.05

@@ -162,19 +162,16 @@ def resample(particles: ParticleSet, seed: int) -> ParticleSet:
 
 
 def covariance_top_fraction(
-    poses: np.ndarray,
-    weights: np.ndarray,
-    best: PoseProposal,
-    fraction: float = TOP_FRACTION,
+    poses: np.ndarray, weights: np.ndarray, best: PoseProposal
 ) -> np.ndarray:
     """Unweighted second moment about `best` of the top-weight particles.
 
-    Selects ceil(fraction * n) highest-weight particles, ties broken by
-    stable (index) order.
+    Selects the ceil(TOP_FRACTION * n) highest-weight particles (at least
+    one), ties broken by stable (index) order.
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
-    k = _top_count(poses.shape[0], fraction)
+    k = _top_count(poses.shape[0], TOP_FRACTION)
     order = np.argsort(-weights, kind="stable")[:k]
     dev = poses[order] - np.array([best.y, best.theta])
     return dev.T @ dev / k

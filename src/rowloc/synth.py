@@ -147,6 +147,22 @@ def _clumped_unit(rng: np.random.Generator, n: int, amplitude: float) -> np.ndar
     return out
 
 
+def _trunk(rng, spec: OrchardSpec, cx: float, cy: float, per_m: float, z_min: float):
+    """A trunk column at (cx, cy): a Poisson count of about per_m points per
+    meter of trunk height per unit of foliage density (at least 1; zero
+    density means no canopy and no trunk), jittered 0.03 m about the column
+    and uniform in height over [z_min, trunk_height)."""
+    density = max(spec.foliage_density, 1.0) if spec.foliage_density else 0.0
+    nt = rng.poisson(density * per_m * spec.trunk_height)
+    return np.column_stack(
+        [
+            np.full(nt, cx) + rng.normal(0, 0.03, nt),
+            np.full(nt, cy) + rng.normal(0, 0.03, nt),
+            rng.uniform(z_min, spec.trunk_height, nt),
+        ]
+    )
+
+
 def generate_scene(spec: OrchardSpec, seed: int) -> OrchardScene:
     """Sample the parametric world; deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -173,23 +189,11 @@ def generate_scene(spec: OrchardSpec, seed: int) -> OrchardScene:
                             ]
                         )
                     )
-                # trunk column at the plant head; zero density means no canopy at all
-                trunk_density = max(spec.foliage_density, 1.0) if spec.foliage_density else 0.0
-                nt = rng.poisson(trunk_density * 0.3 * spec.trunk_height)
-                if nt:
-                    cx = 0.5 * (x0 + x1)
-                    pts_list.append(
-                        np.column_stack(
-                            [
-                                np.full(nt, cx) + rng.normal(0, 0.03, nt),
-                                np.full(nt, y_center) + rng.normal(0, 0.03, nt),
-                                rng.uniform(0.01, spec.trunk_height, nt),
-                            ]
-                        )
-                    )
-                if not pts_list:
-                    continue
+                # trunk column at the plant head
+                pts_list.append(_trunk(rng, spec, 0.5 * (x0 + x1), y_center, 0.3, 0.01))
                 pts = np.vstack(pts_list)
+                if pts.shape[0] == 0:
+                    continue
                 chunks.append(pts)
                 tags.append(np.full(pts.shape[0], side_tag))
                 plants.append(np.full(pts.shape[0], k))
@@ -211,16 +215,7 @@ def generate_scene(spec: OrchardSpec, seed: int) -> OrchardScene:
                 pts = u * r[:, None] * np.array([rx, ry, rz])
                 pts += np.array([cx, y_center, cz])
                 # a sparse trunk column so winter-like scenes keep structure
-                trunk_density = max(spec.foliage_density, 1.0) if spec.foliage_density else 0.0
-                nt = rng.poisson(trunk_density * 0.1 * spec.trunk_height)
-                trunk = np.column_stack(
-                    [
-                        np.full(nt, cx) + rng.normal(0, 0.03, nt),
-                        np.full(nt, y_center) + rng.normal(0, 0.03, nt),
-                        rng.uniform(0.0, spec.trunk_height, nt),
-                    ]
-                )
-                pts = np.vstack([pts, trunk])
+                pts = np.vstack([pts, _trunk(rng, spec, cx, y_center, 0.1, 0.0)])
                 pts[:, 2] = np.maximum(pts[:, 2], 0.01)
                 chunks.append(pts)
                 tags.append(np.full(pts.shape[0], side_tag))

@@ -191,8 +191,8 @@ def build_template(
         cloud_T = cutoff_filter(cloud_T, cfg.row_range)
         if len(cloud_T) == 0:
             continue
-        idx, inside = cfg.voxel_index(cloud_T.points)
-        idx = idx[inside]
+        # row_range lies inside template_range, so every point is inside
+        idx, _ = cfg.voxel_index(cloud_T.points)
         idx = idx[group_rows(idx)[1]]  # each occupied voxel once
         np.add.at(counts, (idx[:, 0], idx[:, 1], idx[:, 2]), 1.0)
 

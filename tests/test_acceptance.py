@@ -370,7 +370,7 @@ def test_criterion_9_property_suites(vineyard_run, tmp_path):
         p = rng.normal(0, 0.3, (500, 2))
         ll = rng.normal(0, 1, 500)
         best = PoseProposal(float(p[0, 0]), float(p[0, 1]))
-        cov = covariance_top_fraction(p, ll, best, 0.01)
+        cov = covariance_top_fraction(p, ll, best)
         psd_ok = psd_ok and bool(np.all(np.linalg.eigvalsh(cov) >= -1e-12))
     checks.append(("covariance PSD", psd_ok, "50 random particle sets"))
 

@@ -99,6 +99,19 @@ def test_gen_build_localize_pipeline(cfg_file, tmp_path, capsys):
     float(first[1]), float(first[2]), float(first[7]), float(first[8])
 
 
+def test_gen_scene_ground_truth_bytes(cfg_file, tmp_path):
+    # the harness CSV writer gives the bytes of a per-row repr() format
+    assert main(["gen-scene", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    ds = harness.render_run(load_experiment_config(cfg_file), harness.ACCURACY_TAG)
+    want = "frame,x,y,theta,alpha,beta,z\n" + "".join(
+        f"{i},{float(pose.x)!r},{float(truth[0])!r},{float(truth[1])!r},"
+        f"{float(pose.roll)!r},{float(pose.pitch)!r},{float(pose.z)!r}\n"
+        for i, (pose, truth) in enumerate(zip(ds.poses, ds.local_truth))
+    )
+    assert len(ds.poses) > 1
+    assert (tmp_path / "ground_truth.csv").read_bytes() == want.encode()
+
+
 def test_eval_accuracy_subcommand(cfg_file, tmp_path, capsys):
     out_dir = tmp_path / "acc"
     assert main(["eval-accuracy", "--config", str(cfg_file), "--out", str(out_dir)]) == 0

@@ -200,7 +200,7 @@ def test_ransac_ground_plane_monte_carlo_success_rate():
         roll, pitch = rng.uniform(-0.2, 0.2, 2)
         height = rng.uniform(0.8, 1.4)
         cloud = _tilted_ground_scene(rng, roll, pitch, height)
-        _, r, p, h = ransac_ground_plane(cloud, seed=seed)
+        _, r, p, h = ransac_ground_plane(cloud)
         if abs(r - roll) < 0.01 and abs(p - pitch) < 0.01 and abs(h - height) < 0.02:
             ok += 1
     assert ok >= 95
@@ -211,7 +211,7 @@ def test_ransac_ground_plane_degenerate_inputs():
         ransac_ground_plane(PointCloud(np.zeros((2, 3))))
     collinear = np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)])
     with pytest.raises(DegenerateInputError):
-        ransac_ground_plane(PointCloud(collinear), iters=50, seed=1)
+        ransac_ground_plane(PointCloud(collinear))
 
 
 def test_preprocess_pipeline_on_synthetic_frame():

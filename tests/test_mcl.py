@@ -157,18 +157,27 @@ def test_resample_rejects_zero_total_weight():
         resample(ParticleSet(np.zeros((3, 2)), np.zeros(3)), seed=0)
 
 
+def _padded_to_top_two(poses, weights, n=200):
+    """poses and weights followed by zero-weight outliers at y = 10, n rows
+    in all: the top TOP_FRACTION of n is 2, the two best given poses."""
+    assert math.ceil(mcl.TOP_FRACTION * n) == 2
+    pad = n - poses.shape[0]
+    return (np.vstack([poses, np.tile([10.0, 0.0], (pad, 1))]),
+            np.concatenate([weights, np.zeros(pad)]))
+
+
 def test_covariance_top_fraction_two_point_example():
     delta = 0.4
-    poses = np.array([[0.0, 0.0], [delta, 0.0]])
-    cov = covariance_top_fraction(poses, np.array([0.5, 0.5]), PoseProposal(0.0, 0.0), 1.0)
+    poses, w = _padded_to_top_two(np.array([[0.0, 0.0], [delta, 0.0]]), np.array([0.5, 0.5]))
+    cov = covariance_top_fraction(poses, w, PoseProposal(0.0, 0.0))
     assert cov[0, 0] == pytest.approx(delta**2 / 2.0)
     assert cov[1, 1] == 0.0
 
 
 def test_covariance_top_fraction_selects_highest_weights():
-    poses = np.array([[0.0, 0.0], [10.0, 0.0], [0.1, 0.0]])
-    w = np.array([1.0, 0.01, 0.9])
-    cov = covariance_top_fraction(poses, w, PoseProposal(0.0, 0.0), fraction=0.5)
+    poses, w = _padded_to_top_two(np.array([[0.0, 0.0], [10.0, 0.0], [0.1, 0.0]]),
+                                  np.array([1.0, 0.01, 0.9]))
+    cov = covariance_top_fraction(poses, w, PoseProposal(0.0, 0.0))
     # the outlier carries negligible weight and is excluded from the top set
     assert cov[0, 0] == pytest.approx(0.1**2 / 2.0)
 

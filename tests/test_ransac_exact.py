@@ -5,7 +5,10 @@ score their hypotheses with array operations and re-decide only the
 hypotheses near a threshold one at a time.  The references below are the
 per-hypothesis loops those searches replaced; the chosen hypothesis index
 and the returned plane, line or pair must match them bit for bit.  The
-voxel grouping is checked against `np.unique(axis=0)` the same way.
+private searches take their draws, tolerance, tilt limit and inlier floor
+as arguments and are checked over many of each; the whole fits draw a
+fixed number of hypotheses from a fixed seed, and are checked at those.
+The voxel grouping is checked against `np.unique(axis=0)` the same way.
 """
 
 import math
@@ -34,13 +37,13 @@ SETTINGS = settings(max_examples=60, deadline=None)
 # -- per-hypothesis references ----------------------------------------------
 
 
-def reference_ground_plane(pts, iters=200, inlier_tol=0.05, seed=0, max_tilt=0.6):
-    """(chosen index, count, plane, roll, pitch, height) by one hypothesis at a time."""
-    n_pts = pts.shape[0]
-    if n_pts < 3 or iters < 1:
-        raise DegenerateInputError("too few points or iterations")
-    idx = np.random.default_rng(seed).integers(0, n_pts, size=(iters, 3))
-    min_nz = math.cos(max_tilt)
+def _plane_draws(n_pts, iters, seed):
+    return np.random.default_rng(seed).integers(0, n_pts, size=(iters, 3))
+
+
+def reference_plane_search(pts, idx, min_nz, inlier_tol):
+    """(chosen index, count, plane) by one hypothesis at a time; (-1, -1,
+    None) if every hypothesis is degenerate or tilted."""
     best_k, best_count, best_plane = -1, -1, None
     for k, (i0, i1, i2) in enumerate(idx):
         plane = geometry._plane_from_points(pts[i0], pts[i1], pts[i2])
@@ -49,6 +52,18 @@ def reference_ground_plane(pts, iters=200, inlier_tol=0.05, seed=0, max_tilt=0.6
         count = int(np.count_nonzero(np.abs(plane.distance(pts)) <= inlier_tol))
         if count > best_count:
             best_k, best_count, best_plane = k, count, plane
+    return best_k, best_count, best_plane
+
+
+def reference_ground_plane(pts, inlier_tol=0.05, iters=200, seed=0, max_tilt=0.6):
+    """(chosen index, count, plane, roll, pitch, height) by one hypothesis at a
+    time, at ransac_ground_plane's fixed draw count, seed and tilt limit."""
+    n_pts = pts.shape[0]
+    if n_pts < 3:
+        raise DegenerateInputError("too few points")
+    idx = _plane_draws(n_pts, iters, seed)
+    best_k, best_count, best_plane = reference_plane_search(pts, idx, math.cos(max_tilt),
+                                                            inlier_tol)
     if best_plane is None:
         raise DegenerateInputError("no admissible plane")
     plane = geometry._lsq_plane(pts[np.abs(best_plane.distance(pts)) <= inlier_tol])
@@ -77,10 +92,10 @@ def reference_line(points, pairs, tol):
     return best_k, best_count, baselines._refit_line(points[best_inliers])
 
 
-def reference_pair_search(left_pts, right_pts, params, rng):
+def reference_pair_search(left_pts, right_pts, n_hyp, tol, floor, rng):
     """(chosen index, pair) by one hypothesis at a time, drawing per iteration."""
     best_k, best, best_score = -1, None, math.inf
-    for it in range(params.n_pair_hypotheses):
+    for it in range(n_hyp):
         src, other = (left_pts, right_pts) if it % 2 == 0 else (right_pts, left_pts)
         i, j = rng.integers(0, src.shape[0], 2)
         k = rng.integers(0, other.shape[0])
@@ -92,8 +107,8 @@ def reference_pair_search(left_pts, right_pts, params, rng):
         score, ok = 0.0, True
         for line, pts in ((left_line, left_pts), (right_line, right_pts)):
             dist = line.distance(pts)
-            inl = np.abs(dist) <= params.line_inlier_tol
-            if np.count_nonzero(inl) < params.min_inlier_fraction * pts.shape[0]:
+            inl = np.abs(dist) <= tol
+            if np.count_nonzero(inl) < floor * pts.shape[0]:
                 ok = False
                 break
             score += float(np.mean(dist[inl] ** 2))
@@ -175,28 +190,31 @@ PLANE_KINDS = st.sampled_from(["random", "duplicates", "collinear", "on_tol", "s
        max_tilt=st.sampled_from([0.6, 0.2, 1.5]))
 def test_ground_plane_matches_per_hypothesis_loop(kind, n, seed, iters, tol, max_tilt):
     pts = _cloud(kind, n, seed, tol)
-    kw = dict(iters=iters, inlier_tol=tol, seed=seed, max_tilt=max_tilt)
-    want = _outcome(reference_ground_plane, pts, **kw)
-    got = _outcome(ransac_ground_plane, PointCloud(pts), **kw)
+    idx = _plane_draws(pts.shape[0], iters, seed)
+    min_nz = math.cos(max_tilt)
+    want_search = reference_plane_search(pts, idx, min_nz, tol)
+    assert geometry._best_plane_hypothesis(pts, idx, min_nz, tol) == want_search[:2]
+    want = _outcome(reference_ground_plane, pts, tol)
+    got = _outcome(ransac_ground_plane, PointCloud(pts), tol)
     if isinstance(want[0], type):
         assert got[0] is want[0]
         return
     assert _bits(got) == _bits(want[2:])
-    idx = np.random.default_rng(seed).integers(0, pts.shape[0], size=(iters, 3))
-    assert geometry._best_plane_hypothesis(pts, idx, math.cos(max_tilt), tol) == want[:2]
 
 
 def test_ground_plane_points_at_the_tolerance_are_rechecked(monkeypatch):
     tol = 0.05
     pts = _cloud("on_tol", 300, 7, tol)
+    idx = _plane_draws(300, 150, 3)
+    min_nz = math.cos(0.6)
     calls = []
     original = geometry._plane_hypothesis
     monkeypatch.setattr(geometry, "_plane_hypothesis",
                         lambda *a: calls.append(1) or original(*a))
-    got = ransac_ground_plane(PointCloud(pts), iters=150, inlier_tol=tol, seed=3)
-    assert len(calls) > 1  # the screen deferred, not only the final refit
+    got = geometry._best_plane_hypothesis(pts, idx, min_nz, tol)
+    assert len(calls) > 1  # the screen deferred
     monkeypatch.undo()
-    assert _bits(got) == _bits(reference_ground_plane(pts, 150, tol, 3)[2:])
+    assert got == reference_plane_search(pts, idx, min_nz, tol)[:2]
 
 
 def _one_wall(n, seed):
@@ -205,11 +223,9 @@ def _one_wall(n, seed):
     return np.column_stack([rng.uniform(0, 10, n), np.full(n, 1.5), rng.uniform(0, 2, n)])
 
 
-def _tilted_dropped(pts, iters, seed, max_tilt=0.6):
+def _tilted_dropped(pts, idx, min_nz):
     """Hypotheses the per-hypothesis loop rejects as tilted, by index; the
     hypotheses that reach the distance screen are the others."""
-    idx = np.random.default_rng(seed).integers(0, pts.shape[0], size=(iters, 3))
-    min_nz = math.cos(max_tilt)
     tilted = []
     for k, i in enumerate(idx):
         plane = geometry._plane_from_points(*pts[i])
@@ -227,20 +243,18 @@ def _tilted_dropped(pts, iters, seed, max_tilt=0.6):
     (_one_wall(300, 13), 200),  # every hypothesis tilted: nothing to count
 ])
 def test_tilted_hypotheses_reach_no_distance_count(monkeypatch, pts, iters):
+    idx = _plane_draws(pts.shape[0], iters, 5)
+    min_nz = math.cos(0.6)
     rows = []
     original = hyp.count_bounds
     monkeypatch.setattr(hyp, "count_bounds",
                         lambda dist, *a: rows.append(dist.shape[0]) or original(dist, *a))
-    got = _outcome(ransac_ground_plane, PointCloud(pts), iters=iters, seed=5)
+    got = geometry._best_plane_hypothesis(pts, idx, min_nz, 0.05)
     monkeypatch.undo()
-    tilted = _tilted_dropped(pts, iters, 5)
+    tilted = _tilted_dropped(pts, idx, min_nz)
     assert len(tilted) >= iters // 4  # the walls make many triples tilted
     assert sum(rows) == iters - len(tilted)
-    want = _outcome(reference_ground_plane, pts, iters, seed=5)
-    if isinstance(want[0], type):
-        assert got[0] is want[0] is DegenerateInputError
-    else:
-        assert _bits(got) == _bits(want[2:])
+    assert got == reference_plane_search(pts, idx, min_nz, 0.05)[:2]
 
 
 @pytest.mark.parametrize("pts, exc", [
@@ -253,19 +267,24 @@ def test_tilted_hypotheses_reach_no_distance_count(monkeypatch, pts, iters):
     (_one_wall(200, 3), DegenerateInputError),  # every hypothesis tilted
 ])
 def test_ground_plane_edge_cases_match(pts, exc):
-    got = _outcome(ransac_ground_plane, PointCloud(pts), iters=50, seed=1)
+    got = _outcome(ransac_ground_plane, PointCloud(pts))
     if not np.isfinite(pts).all():
         # rejected up front; the loop fails later, in Plane, with a bare
-        # ValueError, after _plane_from_points divides by an infinite norm
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            want = _outcome(reference_ground_plane, pts, iters=50, seed=1)
+        # ValueError, on a normal made of infinite or NaN components (whether
+        # numpy warns on the way depends on which triple comes first)
+        with np.errstate(all="ignore"):
+            want = _outcome(reference_ground_plane, pts)
         assert got[0] is DegenerateInputError and want[0] is exc
         return
-    want = _outcome(reference_ground_plane, pts, iters=50, seed=1)
+    want = _outcome(reference_ground_plane, pts)
     if exc is None:
         assert _bits(got) == _bits(want[2:])
     else:
         assert isinstance(got[0], type) and issubclass(got[0], exc) and got[0] is want[0]
+    idx = _plane_draws(pts.shape[0], 50, 1)
+    min_nz = math.cos(0.6)
+    want_search = reference_plane_search(pts, idx, min_nz, 0.05)
+    assert geometry._best_plane_hypothesis(pts, idx, min_nz, 0.05) == want_search[:2]
 
 
 def reference_plane_from_points(p0, p1, p2):
@@ -307,29 +326,31 @@ def test_plane_from_points_matches_np_cross(triples):
        iters=st.integers(1, 3 * hyp.BLOCK + 5), tol=st.sampled_from([0.1, 0.02, 1.0, -1.0]))
 def test_line_ransac_matches_per_hypothesis_loop(kind, n, seed, iters, tol):
     pts = _cloud(kind, n, seed, abs(tol), dim=2)
-    params = BaselineParams(ransac_iters=iters, line_inlier_tol=tol)
     pairs = np.random.default_rng(seed).integers(0, pts.shape[0], (iters, 2))
     want = _outcome(reference_line, pts, pairs, tol)
-    got = _outcome(baselines._ransac_line, pts, params, np.random.default_rng(seed))
+    if not isinstance(want[0], type):
+        assert baselines._best_line_hypothesis(pts, pairs, tol) == want[:2]
+    # the whole fit, at its fixed draw count of 200
+    pairs = np.random.default_rng(seed).integers(0, pts.shape[0], (200, 2))
+    want = _outcome(reference_line, pts, pairs, tol)
+    got = _outcome(baselines._ransac_line, pts, tol, np.random.default_rng(seed))
     if isinstance(want[0], type):
         assert got[0] is want[0] is SideMissingError
         return
     assert _bits(got) == _bits(want[2])
-    assert baselines._best_line_hypothesis(pts, pairs, tol) == want[:2]
 
 
 def test_line_ransac_points_at_the_tolerance_are_rechecked(monkeypatch):
     tol = 0.1
     pts = _cloud("on_tol", 200, 5, tol, dim=2)
-    params = BaselineParams(ransac_iters=150, line_inlier_tol=tol)
+    pairs = np.random.default_rng(4).integers(0, 200, (150, 2))
     calls = []
     original = baselines._line_hypothesis
     monkeypatch.setattr(baselines, "_line_hypothesis", lambda *a: calls.append(1) or original(*a))
-    got = baselines._ransac_line(pts, params, np.random.default_rng(4))
+    got = baselines._best_line_hypothesis(pts, pairs, tol)
     assert len(calls) > 1
     monkeypatch.undo()
-    pairs = np.random.default_rng(4).integers(0, 200, (150, 2))
-    assert _bits(got) == _bits(reference_line(pts, pairs, tol)[2])
+    assert got == reference_line(pts, pairs, tol)[:2]
 
 
 # -- baseline2 pair search ----------------------------------------------------
@@ -363,11 +384,11 @@ def _sides(kind, n_left, n_right, seed, tol):
        tol=st.sampled_from([0.1, 0.3, 2.0]), frac=st.sampled_from([0.3, 0.0, 0.9]))
 def test_pair_search_matches_per_hypothesis_loop(kind, n_left, n_right, seed, n_hyp, tol, frac):
     left, right = _sides(kind, n_left, n_right, seed, tol)
-    params = BaselineParams(n_pair_hypotheses=n_hyp, line_inlier_tol=tol, min_inlier_fraction=frac)
-    want_k, want = reference_pair_search(left, right, params, np.random.default_rng(seed))
+    want_k, want = reference_pair_search(left, right, n_hyp, tol, frac,
+                                         np.random.default_rng(seed))
     draws = baselines._pair_draws(np.random.default_rng(seed), left.shape[0], right.shape[0],
                                   n_hyp)
-    got_k, got = baselines._best_pair_hypothesis(left, right, draws, params)
+    got_k, got = baselines._best_pair_hypothesis(left, right, draws, tol, frac)
     assert got_k == want_k
     assert _bits(got) == _bits(want)
 
@@ -376,41 +397,72 @@ def test_pair_search_ties_go_to_the_first_hypothesis():
     # two points a side: many hypotheses repeat a pair with the same score
     left = np.array([[0.0, 1.5], [3.0, 1.6]])
     right = np.array([[0.0, -1.5], [3.0, -1.4]])
-    params = BaselineParams(n_pair_hypotheses=200, min_inlier_fraction=0.0, line_inlier_tol=0.5)
     for seed in range(20):
-        want = reference_pair_search(left, right, params, np.random.default_rng(seed))
+        want = reference_pair_search(left, right, 200, 0.5, 0.0, np.random.default_rng(seed))
         draws = baselines._pair_draws(np.random.default_rng(seed), 2, 2, 200)
-        got = baselines._best_pair_hypothesis(left, right, draws, params)
+        got = baselines._best_pair_hypothesis(left, right, draws, 0.5, 0.0)
         assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
 
 
 def test_pair_search_points_at_the_tolerance_are_rechecked(monkeypatch):
     tol = 0.3
     left, right = _sides("on_tol", 150, 150, 9, tol)
-    params = BaselineParams(n_pair_hypotheses=200, line_inlier_tol=tol)
     calls = []
     original = baselines._pair_hypothesis
     monkeypatch.setattr(baselines, "_pair_hypothesis", lambda *a: calls.append(1) or original(*a))
     draws = baselines._pair_draws(np.random.default_rng(2), 150, 150, 200)
-    got = baselines._best_pair_hypothesis(left, right, draws, params)
+    got = baselines._best_pair_hypothesis(left, right, draws, tol, 0.3)
     assert len(calls) > 1
     monkeypatch.undo()
-    want = reference_pair_search(left, right, params, np.random.default_rng(2))
+    want = reference_pair_search(left, right, 200, tol, 0.3, np.random.default_rng(2))
     assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
 
 
 def test_baseline2_matches_reference_on_wall_scenes():
-    params = BaselineParams(n_pair_hypotheses=300)
+    params = BaselineParams()
     wall = make_wall_cloud_T(step=0.2)
     for seed in range(4):
         cloud = camera_cloud_at(wall, 0.1 * seed - 0.15, 0.04 * seed - 0.06)
         y, theta, pair = baselines.baseline2(cloud, params, seed=seed)
         left, right = baselines._split_sides(baselines._level_and_project(cloud, params))
-        _, want = reference_pair_search(left, right, params, np.random.default_rng(seed))
+        _, want = reference_pair_search(left, right, 500, params.line_inlier_tol, 0.3,
+                                        np.random.default_rng(seed))
         assert _bits(pair) == _bits(want)
         want_y, want_theta = baselines._centerline_to_pose(
             want.left.direction, 0.5 * (want.left.offset + want.right.offset))
         assert _bits((y, theta)) == _bits((want_y, want_theta))
+
+
+def _recording(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_whole_fits_search_the_draws_of_the_references(monkeypatch):
+    # a draw count, seed, tilt limit or floor off by a little rarely changes
+    # the winner, so the whole-fit comparisons above cannot pin them
+    planes = _recording(monkeypatch, geometry, "_best_plane_hypothesis")
+    lines = _recording(monkeypatch, baselines, "_best_line_hypothesis")
+    pairs = _recording(monkeypatch, baselines, "_best_pair_hypothesis")
+    cloud = camera_cloud_at(make_wall_cloud_T(step=0.2), 0.05, 0.02)
+    ransac_ground_plane(cloud)
+    baselines.baseline1(cloud, BaselineParams(), seed=3)
+    baselines.baseline2(cloud, BaselineParams(), seed=3)
+    pts, idx, min_nz, tol = planes[0]
+    assert idx.tobytes() == _plane_draws(pts.shape[0], 200, 0).tobytes()
+    assert (min_nz, tol) == (math.cos(0.6), 0.05)
+    rng = np.random.default_rng(3)
+    assert len(lines) == 2  # left, then right
+    for points, drawn, tol in lines:
+        assert drawn.tobytes() == rng.integers(0, points.shape[0], (200, 2)).tobytes()
+        assert tol == 0.1
+    left, right, draws, tol, floor = pairs[0]
+    want = baselines._pair_draws(np.random.default_rng(3), left.shape[0], right.shape[0], 500)
+    assert draws.tobytes() == want.tobytes()
+    assert (tol, floor) == (0.1, 0.3)
 
 
 def test_baseline_error_paths():
@@ -420,16 +472,16 @@ def test_baseline_error_paths():
     with pytest.raises(DegenerateInputError):
         baselines.baseline1(PointCloud(np.zeros((2, 3))), params)
     wall = make_wall_cloud_T(step=0.2)
-    strict = BaselineParams(min_inlier_fraction=1.0, line_inlier_tol=1e-6)
+    strict = BaselineParams(line_inlier_tol=-1.0)  # no point is an inlier
     with pytest.raises(SideMissingError, match="inlier floor"):
         baselines.baseline2(camera_cloud_at(wall, 0.0, 0.3), strict)
     no_draws = np.zeros((0, 3), dtype=np.int64)
     assert baselines._best_pair_hypothesis(np.ones((3, 2)), -np.ones((3, 2)), no_draws,
-                                           params) == (-1, None)
+                                           0.1, 0.3) == (-1, None)
     with pytest.raises(SideMissingError):
-        baselines._ransac_line(np.ones((1, 2)), params, np.random.default_rng(0))
+        baselines._ransac_line(np.ones((1, 2)), 0.1, np.random.default_rng(0))
     with pytest.raises(SideMissingError, match="no valid line"):
-        baselines._ransac_line(np.ones((6, 2)), params, np.random.default_rng(0))
+        baselines._ransac_line(np.ones((6, 2)), 0.1, np.random.default_rng(0))
 
 
 # -- voxel grouping -----------------------------------------------------------

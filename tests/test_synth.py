@@ -5,6 +5,7 @@ import pytest
 
 from rowloc.geometry import PointCloud, Pose6D
 from rowloc.synth import (
+    GROUND_MARGIN,
     TAG_GROUND,
     TAG_LEFT,
     TAG_RIGHT,
@@ -71,6 +72,84 @@ def test_generate_scene_deterministic_and_structured():
     assert np.all(np.abs(left[:, 1] - 1.5) <= 0.31)  # slab + trunk jitter
     assert np.all(np.abs(right[:, 1] + 1.5) <= 0.31)
     assert np.all(a.points[:, 0] >= -0.2)
+
+
+def reference_generate_scene(spec, seed):
+    """(points, tags, plant index) drawn as generate_scene did with a trunk
+    column written out in each profile's loop: the draw order to keep."""
+    rng = np.random.default_rng(seed)
+    chunks, tags, plants = [], [], []
+    n_plants = int(math.ceil(spec.row_length / spec.plant_spacing))
+    trunk_density = max(spec.foliage_density, 1.0) if spec.foliage_density else 0.0
+    for side_tag, side_sign in ((TAG_LEFT, +1.0), (TAG_RIGHT, -1.0)):
+        y_center = side_sign * spec.row_spacing / 2.0
+        for k in range(n_plants):
+            if spec.profile == "wall":
+                x0 = k * spec.plant_spacing
+                x1 = min(x0 + spec.plant_spacing, spec.row_length)
+                n = rng.poisson(spec.foliage_density * (x1 - x0) * spec.canopy_height)
+                parts = []
+                if n:
+                    xs = x0 + (x1 - x0) * _clumped_unit(rng, n, spec.clump_amplitude)
+                    parts.append(np.column_stack([
+                        xs, y_center + rng.uniform(-0.5, 0.5, n) * spec.canopy_thickness,
+                        rng.uniform(0.0, spec.canopy_height, n)]))
+                nt = rng.poisson(trunk_density * 0.3 * spec.trunk_height)
+                if nt:
+                    cx = 0.5 * (x0 + x1)
+                    parts.append(np.column_stack([
+                        np.full(nt, cx) + rng.normal(0, 0.03, nt),
+                        np.full(nt, y_center) + rng.normal(0, 0.03, nt),
+                        rng.uniform(0.01, spec.trunk_height, nt)]))
+                if not parts:
+                    continue
+                pts = np.vstack(parts)
+            else:
+                rx, ry, rz = spec.blob_radii
+                cx = (k + 0.5) * spec.plant_spacing
+                if cx > spec.row_length:
+                    continue
+                n = rng.poisson(spec.foliage_density * 4.0 / 3.0 * math.pi * rx * ry * rz)
+                if n == 0:
+                    continue
+                u = rng.normal(size=(n, 3))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                r = rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
+                pts = u * r[:, None] * np.array([rx, ry, rz])
+                pts += np.array([cx, y_center, spec.trunk_height + rz])
+                nt = rng.poisson(trunk_density * 0.1 * spec.trunk_height)
+                trunk = np.column_stack([
+                    np.full(nt, cx) + rng.normal(0, 0.03, nt),
+                    np.full(nt, y_center) + rng.normal(0, 0.03, nt),
+                    rng.uniform(0.0, spec.trunk_height, nt)])
+                pts = np.vstack([pts, trunk])
+                pts[:, 2] = np.maximum(pts[:, 2], 0.01)
+            chunks.append(pts)
+            tags.append(np.full(pts.shape[0], side_tag))
+            plants.append(np.full(pts.shape[0], k))
+    half_width = spec.row_spacing / 2.0 + GROUND_MARGIN
+    n_ground = rng.poisson(spec.ground_density * spec.row_length * 2.0 * half_width)
+    chunks.append(np.column_stack([rng.uniform(0.0, spec.row_length, n_ground),
+                                   rng.uniform(-half_width, half_width, n_ground),
+                                   np.zeros(n_ground)]))
+    tags.append(np.full(n_ground, TAG_GROUND))
+    plants.append(np.full(n_ground, -1))
+    return np.vstack(chunks), np.concatenate(tags), np.concatenate(plants)
+
+
+@pytest.mark.parametrize("spec", [
+    vineyard_preset(row_length=12.0),
+    vineyard_preset(row_length=6.0, foliage_density=0.5),  # plants with no foliage or trunk
+    apricot_preset(row_length=15.0),
+    apricot_preset(row_length=9.0, foliage_density=0.3),
+])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_generate_scene_keeps_its_draw_order(spec, seed):
+    scene = generate_scene(spec, seed)
+    points, tags, plants = reference_generate_scene(spec, seed)
+    assert scene.points.tobytes() == points.tobytes()
+    np.testing.assert_array_equal(scene.tags, tags)
+    np.testing.assert_array_equal(scene.plant_index, plants)
 
 
 def test_blob_scene_points_near_tree_centers():
