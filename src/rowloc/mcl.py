@@ -172,7 +172,12 @@ def covariance_top_fraction(
     poses = np.atleast_2d(np.asarray(poses, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     k = _top_count(poses.shape[0], TOP_FRACTION)
-    order = np.argsort(-weights, kind="stable")[:k]
+    # the first k of the stable argsort of -weights: the candidates at or
+    # above the k-th highest weight, in index order, stably sorted
+    neg = -weights
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(~(neg > kth))
+    order = cand[np.argsort(neg[cand], kind="stable")[:k]]
     dev = poses[order] - np.array([best.y, best.theta])
     return dev.T @ dev / k
 

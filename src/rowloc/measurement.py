@@ -44,14 +44,15 @@ value for which every |log| * 2**q < 2**24, log(p_floor) included
 below 2**24 times 2**-q, exact in float32, and every partial sum of up to
 _MAX_POINTS = 2**29 entries is an integer below 2**53 times 2**-q, exact
 in float64: a frame's float64 sums are exact in any order.  A frame with
-more points is refused.  So the points outside the template's z range,
-which read the no-info slot for every proposal, leave the kernel, and so
-do points _FAR voxels or more off: their logs are added as one constant,
-n_out * table[0].  The max-pooled tables
-of `score_top_k` hold only entries of the log table, so the sums of its
-bounds are exact too, and a computed bound is never below a computed
-score.  `PoseScorer.log_floor` and `log_no_info` are rounded alike, so a
-proposal that scores every point at the floor sums to exactly
+more points is refused.  So a point whose log is the same for every
+proposal leaves the kernel, its log added as one constant: per frame,
+the points outside the template's z range and those _FAR voxels or more
+off, which read the no-info slot; per `score` call, the band points
+(below).  The max-pooled tables of `score_top_k` hold only entries of
+the log table, so the sums of its bounds are exact too, and a computed
+bound is never below a computed score.  `PoseScorer.log_floor` and
+`log_no_info` are rounded alike, so a proposal that scores every point
+at the floor sums to exactly
 `n_scored * log_floor + (n_points - n_scored) * log_no_info`.
 
 Interior points.  A `score` call finds once, in float64, the kernel
@@ -59,11 +60,16 @@ points that every one of its proposals places inside the template's box
 (`_interior`): about the call's middle heading a point at range r moves
 at most r times half the heading span, plus half the ys' span in y, and
 the kernel's float32 coordinates lie within a rounding margin
-(`_margin`) of the exact ones.  Those points are scored in a kernel with
-no box test, clamp or count, each row counting all of them; the rest,
-the edge points, in the masked kernel.  A row's two partial sums, the
-interior and the edge one, are added once both passes are done, exact
-as every sum is.  A call with no certified point takes one masked pass.
+(`_margin`) of the exact ones.  The band points among them lie, by the
+same slack, in a no-info y band for every proposal: the leading or
+trailing y slabs of the log table that hold only the no-info log, as the
+template's voxels outside its row range do (`_log_table`).  They enter
+no kernel and count as scored.  The other certified points, the interior
+ones, are scored in a kernel with no box test, clamp or count, each row
+counting all of them; the rest, the edge points, in the masked kernel.
+A row's two partial sums and the constant are added once both passes
+are done, exact as every sum is.  A call with no certified point takes
+one masked pass.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -140,7 +146,7 @@ class PoseScorer:
         self.template = template
         self.p_floor = float(p_floor)
         # the logs of p_floor and of the no-info frequency, as the table rounds them
-        self._table, self.log_floor = _log_table(template, self.p_floor)
+        self._table, self.log_floor, self._band = _log_table(template, self.p_floor)
         self.log_no_info = float(self._table[0])
 
         R_level = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
@@ -199,18 +205,17 @@ class PoseScorer:
         heads = starts[long]
         distinct = np.flatnonzero(~in_run)
         threaded = _WORKERS > 1 and distinct.size >= _MIN_THREADED_ROWS
-        # passes as (points, masked, log-likelihoods, counts): one masked pass
-        # over every point or, when `_interior` certifies points, an unmasked
-        # pass over those and a masked one over the rest, into arrays of
-        # their own added below
-        passes = [(self._points, True, loglik, n_scored)]
-        edge = None
-        inside = self._interior(ys, thetas)
-        if inside.any():
-            passes = [(self._subset(inside), False, loglik, n_scored)]
-            if not inside.all():
-                edge = np.zeros(n), np.zeros(n, dtype=np.int64)
-                passes.append((self._subset(~inside), True, *edge))
+        # passes as (points, masked, log-likelihoods, counts): an unmasked
+        # pass over the points `_interior` certifies, and a masked one over
+        # the edge points, the second into arrays of its own added below.
+        # The band points take neither
+        inside, band = self._interior(ys, thetas)
+        passes = []
+        for mask, masked in ((inside, False), (~(inside | band), True)):
+            if mask.any():
+                sums = (np.zeros(n), np.zeros(n, dtype=np.int64)) if passes else (loglik, n_scored)
+                points = self._points if mask.all() else self._subset(mask)
+                passes.append((points, masked, *sums))
         # chunks of about _CHUNK x (kernel points) lookups, popped one at a
         # time (deque.popleft is thread-safe) by the calling thread and the
         # pool's, so a thread that starts late takes fewer.  A shared-heading
@@ -250,21 +255,28 @@ class PoseScorer:
                 f.exception()  # waits for every one before any error is raised
             for f in started:
                 f.result()
-        if edge is not None:
-            loglik += edge[0]
-            n_scored += edge[1]
-        if self._z_out_log:
-            loglik += self._z_out_log
+        for _, _, ll, ns in passes[1:]:
+            loglik += ll
+            n_scored += ns
+        # the band points read the no-info log for every proposal, and count
+        n_band = np.count_nonzero(band)
+        constant = self._z_out_log + n_band * self.log_no_info
+        if constant:
+            loglik += constant
+        n_scored += n_band
         return loglik, n_scored
 
     def _subset(self, mask):
         return self._qx32[mask], self._qy32[mask], self._iz32[mask]
 
     def _interior(self, ys, thetas):
-        """A mask of the kernel's points that every proposal (ys, thetas)
-        places strictly inside the box with fx < nx - 1 and fy < ny - 1, so
-        that the kernel keeps them and trunc(fx) <= nx - 1, trunc(fy) <=
-        ny - 1 without a clamp.
+        """Masks (interior, band) of the kernel's points that every proposal
+        (ys, thetas) places strictly inside the box with fx < nx - 1 and
+        fy < ny - 1, so that the kernel keeps them and trunc(fx) <= nx - 1,
+        trunc(fy) <= ny - 1 without a clamp.  The band points are those of
+        them whose fy lies below ny_lo or above ny_hi for every proposal:
+        they read a no-info y slab (`_log_table`), and the interior ones
+        are the others.
 
         About the middle heading, a point at range r moves at most
         r * (half the heading span), in x and in y, plus half the ys' span
@@ -291,7 +303,9 @@ class PoseScorer:
         fy = (s * qx + c * qy + (y_mid - lo[1])) / res
         inside = (fx > slack_x) & (fx + slack_x < min(float(self._fx_hi), nx - 1))
         inside &= (fy > slack_y) & (fy + slack_y < min(float(self._fy_hi), ny - 1))
-        return inside
+        ny_lo, ny_hi = self._band
+        band = inside & ((fy + slack_y < ny_lo) | (fy - slack_y > ny_hi))
+        return inside & ~band, band
 
     def _margin(self, ys) -> float:
         """The float32 rounding the kernel's coordinates can gain for the
@@ -649,11 +663,13 @@ def _heading_runs(thetas: np.ndarray):
     return starts, lengths, lengths >= _MIN_RUN
 
 
-def _log_table(template: Template, p_floor: float) -> tuple[np.ndarray, float]:
+def _log_table(template: Template, p_floor: float) -> tuple[np.ndarray, float, tuple]:
     """The flat float32 table of the no-info log, then log(max(grid,
-    p_floor)); and log(p_floor).  Each is rounded to the nearest multiple
-    of 2**-q, q the largest value with every |log| * 2**q < 2**24
-    (module docstring).
+    p_floor)); log(p_floor); and the no-info y band (ny_lo, ny_hi).  Each
+    log is rounded to the nearest multiple of 2**-q, q the largest value
+    with every |log| * 2**q < 2**24 (module docstring).  Every (x, z) slab
+    of the table at a y index below ny_lo or from ny_hi up holds only the
+    no-info log; (ny, 0) when every slab does.
 
     Built once per (template, p_floor) and kept on the template, whose
     grid is read-only, so every scorer of that template reuses it.
@@ -674,7 +690,13 @@ def _log_table(template: Template, p_floor: float) -> tuple[np.ndarray, float]:
         logs *= 2.0**-q
         table = logs[:-1].astype(np.float32)
         table.flags.writeable = False
-        cached = table, float(logs[-1])
+        # a y slab holds only the no-info log when its least and largest
+        # entries do; reduced over x first, with no grid-sized temporary
+        slabs = table[1:].reshape(template.config.dims)
+        least, largest = slabs.min(axis=0).min(axis=1), slabs.max(axis=0).max(axis=1)
+        info = np.flatnonzero((least != table[0]) | (largest != table[0]))
+        band = (int(info[0]), int(info[-1]) + 1) if info.size else (slabs.shape[1], 0)
+        cached = table, float(logs[-1]), band
         template._log_tables[p_floor] = cached
     return cached
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowloc import mcl
 from rowloc.geometry import Box3, PointCloud, Pose6D, PreprocessConfig, PreprocessedFrame
@@ -180,6 +182,37 @@ def test_covariance_top_fraction_selects_highest_weights():
     cov = covariance_top_fraction(poses, w, PoseProposal(0.0, 0.0))
     # the outlier carries negligible weight and is excluded from the top set
     assert cov[0, 0] == pytest.approx(0.1**2 / 2.0)
+
+
+def reference_top_covariance(poses, weights, best):
+    """covariance_top_fraction by its definition: the first k of the
+    stable argsort of -weights, in that order."""
+    k = max(1, math.ceil(mcl.TOP_FRACTION * poses.shape[0]))
+    order = np.argsort(-weights, kind="stable")[:k]
+    dev = poses[order] - np.array([best.y, best.theta])
+    return dev.T @ dev / k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1200), st.integers(0, 2**32 - 1),
+       st.sampled_from(["ties", "tied-kth", "-inf", "all-equal", "all--inf", "distinct"]))
+def test_covariance_top_fraction_equals_the_stable_argsort_definition(n, seed, kind):
+    """The top set, its order, ties broken by index, and -inf weights are
+    those of a stable argsort, bit for bit."""
+    rng = np.random.default_rng(seed)
+    poses = rng.uniform(-2.0, 2.0, (n, 2))
+    weights = {
+        "ties": rng.choice([-5.0, -1.0, 0.0, 2.5], n),
+        # fewer than k above the k-th weight, which many share
+        "tied-kth": np.where(rng.uniform(size=n) < 0.004, 2.0, rng.choice([1.0, -3.0], n)),
+        "-inf": np.where(rng.uniform(size=n) < 0.7, -np.inf, rng.choice([-1.0, 3.0], n)),
+        "all-equal": np.full(n, -7.25),
+        "all--inf": np.full(n, -np.inf),
+        "distinct": rng.normal(size=n),
+    }[kind]
+    best = PoseProposal(float(poses[0, 0]), float(poses[0, 1]))
+    got = covariance_top_fraction(poses, weights, best)
+    assert got.tobytes() == reference_top_covariance(poses, weights, best).tobytes()
 
 
 def _wall_run(n_frames, amplitude=0.15, row_length=30.0, seed=6):

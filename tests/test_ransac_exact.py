@@ -217,6 +217,34 @@ def test_ground_plane_points_at_the_tolerance_are_rechecked(monkeypatch):
     assert got == reference_plane_search(pts, idx, min_nz, tol)[:2]
 
 
+def test_ground_plane_screen_margin_covers_rounding_at_large_coordinates():
+    """A plane through three points 1 km out, and 401 points whose scalar
+    distances from it step one float64 ulp of z at a time through the
+    tolerance.  The screen's matmul distances round differently from the
+    scalar code's at that scale, so without the margin some point's count
+    would be decided by the screen on the wrong side of the tolerance."""
+    tol = 0.05
+    rng = np.random.default_rng(0)
+    abc = np.column_stack([1e3 + rng.uniform(-20, 20, 3), rng.uniform(-20, 20, 3),
+                           rng.uniform(-1, 1, 3)])
+    plane = geometry._plane_from_points(*abc)
+    n = plane.normal
+    q = np.array([1e3 + rng.uniform(-20, 20), rng.uniform(-20, 20), 0.0])
+    q[2] = (plane.offset - n[0] * q[0] - n[1] * q[1]) / n[2]
+    at_tol = q + tol * n
+    steps = np.arange(-200, 201)
+    z = (np.float64(at_tol[2]).view(np.int64) + steps).view(np.float64)
+    pts = np.vstack([abc, np.column_stack([np.full(steps.size, at_tol[0]),
+                                           np.full(steps.size, at_tol[1]), z])])
+    dist = np.abs(plane.distance(pts[3:]))
+    assert dist.min() <= tol < dist.max()
+    assert np.all(np.abs(dist - tol) < hyp.margin(pts))
+    idx = np.array([[0, 1, 2]])
+    min_nz = math.cos(0.6)
+    assert geometry._best_plane_hypothesis(pts, idx, min_nz, tol) == \
+        reference_plane_search(pts, idx, min_nz, tol)[:2]
+
+
 def _one_wall(n, seed):
     """n points on the vertical plane y = 1.5: every triple is tilted or degenerate."""
     rng = np.random.default_rng(seed)

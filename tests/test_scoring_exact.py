@@ -26,6 +26,12 @@ grid, whose runs of one heading read their heading's row, take this
 split; a wide heading span does not.  Points one float32 step either
 side of the certified slack, and points that an extreme particle or
 float32 rounding moves out of the box, must score as the reference does.
+
+Certified points that every proposal places in a no-info y band, the
+leading or trailing y slabs of the log table that hold only the no-info
+log, enter no kernel: each adds that log once per row and counts as
+scored.  Points on and one float32 step either side of a band edge, and
+spans that carry points across it, must score as the reference does.
 """
 
 import math
@@ -372,7 +378,8 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     scorer = PoseScorer(frame, template)
-    inside = scorer._interior(ys, thetas)
+    inside, band = scorer._interior(ys, thetas)
+    assert not band.any()
     kernel = scorer._qx32.size
     passes = [(True, kernel)] if not inside.any() else [
         (masked, k) for masked, k in ((False, inside.sum()), (True, (~inside).sum())) if k
@@ -412,7 +419,7 @@ def test_a_grid_call_scores_its_certified_points_unmasked(workers, far):
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     scorer = PoseScorer(frame, template)
-    assert scorer._interior(ys, thetas).tolist() == [True] * 60 + [False] * far
+    assert scorer._interior(ys, thetas)[0].tolist() == [True] * 60 + [False] * far
     with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
         assert_scores_equal_reference(scorer, frame, ys, thetas)
     # 287 cells: three chunks of the interior pass, one of the edge pass
@@ -1372,7 +1379,7 @@ def certified_flip(template, face, ys, thetas):
 
     def certified(v):
         scorer = PoseScorer(interior_frame([point(v)]), template)
-        return bool(scorer._interior(ys, thetas)[0])
+        return bool(scorer._interior(ys, thetas)[0][0])
 
     a, b = f32_key(out), f32_key(inside)
     assert not certified(f32_of(a)) and certified(f32_of(b))
@@ -1411,7 +1418,7 @@ def test_points_one_float32_step_either_side_of_the_certified_slack(face):
     for pt, certified in ((edge, False), (inner, True)):
         frame = interior_frame([pt])
         scorer = PoseScorer(frame, template)
-        assert scorer._interior(SPREAD_YS, SPREAD_THETAS).tolist() == [certified, False]
+        assert scorer._interior(SPREAD_YS, SPREAD_THETAS)[0].tolist() == [certified, False]
         with recorded_passes() as calls:
             assert_scores_equal_reference(scorer, frame, SPREAD_YS, SPREAD_THETAS)
         assert calls == ([(True, 2)] if not certified else [(False, 1), (True, 1)])
@@ -1448,7 +1455,7 @@ def test_a_point_an_extreme_particle_moves_out_of_the_box_is_an_edge_point(face,
     xy[axis] = at + inward * depth * (r * 0.03 + (0.1 if axis == 1 else 0.0))
     frame = interior_frame(sensor_points(np.array([xy]), 0.1, 0.2))
     scorer = PoseScorer(frame, template)
-    assert scorer._interior(SPREAD_YS, SPREAD_THETAS).tolist() == [False, False]
+    assert scorer._interior(SPREAD_YS, SPREAD_THETAS)[0].tolist() == [False, False]
     kept = [reference_score(frame, template, scorer.p_floor, y, th)[1]
             for y, th in zip(SPREAD_YS, SPREAD_THETAS)]
     assert 0 in kept and 1 in kept, "no particle takes the point out of the box"
@@ -1497,7 +1504,7 @@ def test_a_point_float32_rounding_moves_out_of_the_box_is_an_edge_point(face):
     scorer = PoseScorer(frame, template)
     ys, thetas = np.array([y]), np.array([theta])
     assert reference_score(frame, template, scorer.p_floor, y, theta)[1] == 1
-    assert scorer._interior(ys, thetas).tolist() == [False, True, False]
+    assert scorer._interior(ys, thetas)[0].tolist() == [False, True, False]
     with recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
     assert calls == [(False, 1), (True, 2)]
@@ -1517,7 +1524,7 @@ def test_far_points_need_a_wider_slack_than_near_ones():
     # slack, 0.01 rad x 25 m = 0.25 m
     frame = interior_frame([(2.0, -4.9), (25.0, -4.9)], far=False)
     scorer = PoseScorer(frame, template)
-    assert scorer._interior(ys, thetas).tolist() == [True, False]
+    assert scorer._interior(ys, thetas)[0].tolist() == [True, False]
     kept = [reference_score(frame, template, scorer.p_floor, y, th)[1] for y, th in zip(ys, thetas)]
     assert kept == [1, 2, 2, 2, 1]  # the far point leaves the box at heading -0.01
     assert_scores_equal_reference(scorer, frame, ys, thetas)
@@ -1534,7 +1541,151 @@ def test_a_wide_heading_span_certifies_no_point():
     scorer = PoseScorer(frame, template)
     thetas = rng.uniform(-0.6, 0.6, 300)
     ys = rng.uniform(-0.3, 0.3, 300)
-    assert not scorer._interior(ys, thetas).any()
+    assert not scorer._interior(ys, thetas)[0].any()
     with recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
     assert {c for c in calls} == {(True, 31)}
+
+
+def band_template(res, no_info, low, high, rng, n_frames=10, range_=TEMPLATE_RANGE):
+    """A template whose first `low` and last `high` y slabs hold only the
+    no-info frequency, a float32 value so that their logs equal the no-info
+    slot's; the others random frame-count frequencies."""
+    cfg = TemplateConfig(resolution=res, template_range=range_, row_range=ROW_RANGE,
+                         no_info_frequency=no_info)
+    ny = cfg.dims[1]
+    freq = rng.integers(0, n_frames + 1, cfg.dims) / float(n_frames)
+    freq[rng.uniform(size=cfg.dims) < 0.4] = 0.0
+    freq[:, :low] = no_info
+    freq[:, ny - high :] = no_info
+    return Template(cfg, freq, n_frames)
+
+
+def band_edge_points(template, p_floor, y0, theta0, rng, n):
+    """Sensor-frame points about each inner band edge, as seen from the
+    pose (y0, theta0): on it, within 0.3 m of it, and, for the point on
+    it, one float32 step either side in sensor y."""
+    cfg = template.config
+    lo_y, res = cfg.template_range.min_corner[1], cfg.resolution
+    ny_lo, ny_hi = measurement._log_table(template, p_floor)[2]
+    edges = [e for e in (ny_lo, ny_hi) if 0 < e < cfg.dims[1]]
+    out = []
+    for e in edges:
+        y = lo_y + e * res + np.concatenate([[0.0], rng.uniform(-0.3, 0.3, n)])
+        xy = sensor_points(np.column_stack([rng.uniform(1.0, 2.8, n + 1), y]), y0, theta0)
+        on = xy[0].astype(F32)
+        steps = [np.nextafter(on[1], F32(-np.inf)), np.nextafter(on[1], F32(np.inf))]
+        out += [xy, on[None, :].astype(np.float64)]
+        out += [np.array([[on[0], s]], dtype=np.float64) for s in steps]
+    return np.vstack(out) if out else np.empty((0, 2))
+
+
+@st.composite
+def band_scenes(draw):
+    """A template with no-info y bands of random width (none, on one side,
+    on both, or the whole grid), a cloud about a pose (y0, theta0) with
+    points on and one float32 step either side of each band edge, points
+    anywhere in and past the box and outside the z range, and a particle
+    set or a theta-major grid whose y and heading spans carry points
+    across the edges."""
+    res = draw(st.sampled_from([0.1, 0.25, 0.3]))
+    no_info = float(F32(draw(st.floats(1e-3, 0.5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ny = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE).dims[1]
+    kind = draw(st.sampled_from(["none", "low", "high", "both", "all"]))
+    low = draw(st.integers(1, ny - 2)) if kind in ("low", "both") else ny * (kind == "all")
+    high = draw(st.integers(1, ny - 1 - low)) if kind in ("high", "both") else 0
+    template = band_template(res, no_info, low, high, rng)
+    p_floor = draw(st.sampled_from([1e-4, 1e-2]))
+
+    if draw(st.booleans()):
+        y0, theta0 = 0.0, 0.0  # the kernel's y is the sensor's, plus the proposal's
+    else:
+        y0, theta0 = rng.uniform(-0.3, 0.3), rng.uniform(-0.15, 0.15)
+    lo, hi = TEMPLATE_RANGE.min_corner, TEMPLATE_RANGE.max_corner
+    anywhere = sensor_points(rng.uniform([lo[0] - 1.0, lo[1] - 1.0], [hi[0] + 1.0, hi[1] + 1.0],
+                                         (draw(st.integers(0, 40)), 2)), y0, theta0)
+    xy = np.vstack([band_edge_points(template, p_floor, y0, theta0, rng,
+                                     draw(st.integers(0, 20))), anywhere])
+    z = rng.uniform(0.1, 1.9, len(xy))
+    z[rng.uniform(size=len(xy)) < 0.1] = -0.3
+    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
+
+    sigma_y = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    sigma_theta = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03]))
+    if draw(st.booleans()):
+        n = draw(st.one_of(st.integers(1, 40), st.integers(2 * _CHUNK, 3 * _CHUNK)))
+        ys = y0 + sigma_y * np.clip(rng.standard_normal(n), -3.0, 3.0)
+        thetas = theta0 + sigma_theta * np.clip(rng.standard_normal(n), -3.0, 3.0)
+    else:
+        tt, yy = np.meshgrid(theta0 + sigma_theta * np.linspace(-1.0, 1.0, 5),
+                             y0 + sigma_y * np.linspace(-1.0, 1.0, 3 * _MIN_RUN), indexing="ij")
+        ys, thetas = yy.ravel(), tt.ravel()
+    return frame, template, p_floor, ys, thetas, (low, ny - high) if kind != "all" else (ny, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(band_scenes(), st.sampled_from([1, 2]))
+def test_band_points_summed_as_one_constant_equal_reference(scene, workers):
+    """Points that every proposal places inside the box and in a no-info
+    y band add the no-info log once per point and count as scored; with
+    the others they score as the reference does, bit for bit, also where
+    a proposal carries a point across a band edge."""
+    frame, template, p_floor, ys, thetas, band = scene
+    scorer = PoseScorer(frame, template, p_floor)
+    assert scorer._band == band
+    event("band points" if scorer._interior(ys, thetas)[1].any() else "no band point")
+    with scoring_workers(workers):
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+def test_band_points_reach_no_kernel_call_yet_count_as_scored():
+    """A tight particle set about a pose: the points deep inside the low
+    band (1.2 m of y slabs) and the high band are certified, enter no
+    `_score_block` call, and count in every row's n_scored; a frame of
+    band points only is scored with no kernel call at all."""
+    rng = np.random.default_rng(31)
+    template = band_template(0.1, float(F32(0.02)), 12, 9, rng)
+    lo_y = TEMPLATE_RANGE.min_corner[1]
+    ny = template.config.dims[1]
+    band_xy = np.column_stack([rng.uniform(1.0, 2.8, 14),
+                               np.concatenate([rng.uniform(lo_y + 0.2, lo_y + 0.9, 7),
+                                               rng.uniform(lo_y + (ny - 6) * 0.1,
+                                                           lo_y + (ny - 3) * 0.1, 7)])])
+    middle_xy = rng.uniform([1.0, -0.5], [2.8, 0.5], (20, 2))
+    ys = 0.1 + 0.01 * rng.standard_normal(300)
+    thetas = 0.05 + 0.003 * rng.standard_normal(300)
+    for xy, n_kernel in ((np.vstack([band_xy, middle_xy]), 20), (band_xy, 0)):
+        frame = interior_frame(sensor_points(xy, 0.1, 0.05), far=False)
+        scorer = PoseScorer(frame, template)
+        _, band = scorer._interior(ys, thetas)
+        assert band.tolist() == [True] * 14 + [False] * (len(xy) - 14)
+        with recorded_passes() as calls:
+            ll, ns = scorer.score(ys, thetas)
+        # every kernel call holds the middle points, and only them
+        assert bool(calls) == (n_kernel > 0)
+        assert all(k == n_kernel for _, k in calls)
+        assert np.all(ns == len(xy))
+        if n_kernel == 0:
+            assert not calls
+            assert ll.tobytes() == np.full(300, len(xy) * scorer.log_no_info).tobytes()
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+
+
+def test_band_limits_are_computed_once_per_template_and_floor():
+    """The band limits are read from the log table when it is built, and
+    kept beside it on the template: a scorer of the same (template,
+    p_floor) reads them from there, another p_floor gets its own."""
+    rng = np.random.default_rng(32)
+    template = band_template(0.25, float(F32(0.01)), 3, 5, rng)
+    ny = template.config.dims[1]
+    frame = interior_frame([(2.0, 0.0)], far=False)
+    a = PoseScorer(frame, template)
+    assert a._band == (3, ny - 5)
+    table, log_floor, _ = template._log_tables[1e-4]
+    template._log_tables[1e-4] = table, log_floor, (7, 9)  # a marker, not a computed value
+    assert PoseScorer(frame, template)._band == (7, 9)
+    # at p_floor 1e-2 the empty voxels read log(p_floor), the no-info slot too,
+    # but no slab is wholly empty
+    assert PoseScorer(frame, template, p_floor=1e-2)._band == (3, ny - 5)
+    assert set(template._log_tables) == {1e-4, 1e-2}
