@@ -295,7 +295,7 @@ def localize_pf(
     # way the weights carry no information; restart from the prior.  Both
     # sides are exact sums of the scorer's rounded logs (measurement.py).
     no_points = not np.any(n_scored)
-    floor_ll = n_scored * scorer.log_floor + (scorer.n_points - n_scored) * scorer.log_no_info
+    floor_ll = n_scored * scorer.tables.log_floor + (scorer.n_points - n_scored) * scorer.log_no_info
     if no_points or np.all(logliks <= floor_ll):
         n = len(prev)
         reinit = init_particles(cfg, int(rng.integers(0, 2**32)), n)

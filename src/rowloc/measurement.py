@@ -33,14 +33,14 @@ the others, raising their errors; so no thread writes to a call's arrays
 after it returns.  Worker threads run only `_score_block`; `score`
 itself and the bound pass of `score_top_k` stay on the calling thread,
 and so do calls with fewer rows, such as the rounds of `score_top_k`.
-With one CPU, or one chunk, no thread is started.  The log of the
-template grid is computed once per (template, p_floor) and kept on the
-template, whose grid is read-only.
+With one CPU, or one chunk, no thread is started.  The log table of a
+(template, p_floor) and its max-pooled copies are one `LogTable`, built
+once and shared by every scorer of the pair (the grid is read-only).
 
 Exact sums by construction.  Every entry of the log table, the no-info
 slot included, is rounded to a multiple of 2**-q, with q the largest
 value for which every |log| * 2**q < 2**24, log(p_floor) included
-(`_log_table`; q = 20 at p_floor 1e-4).  Each entry is then an integer
+(`log_table`; q = 20 at p_floor 1e-4).  Each entry is then an integer
 below 2**24 times 2**-q, exact in float32, and every partial sum of up to
 _MAX_POINTS = 2**29 entries is an integer below 2**53 times 2**-q, exact
 in float64: a frame's float64 sums are exact in any order.  A frame with
@@ -50,9 +50,9 @@ the points outside the template's z range and those _FAR voxels or more
 off, which read the no-info slot; per `score` call, the band points
 (below).  The max-pooled tables of `score_top_k` hold only entries of
 the log table, so the sums of its bounds are exact too, and a computed
-bound is never below a computed score.  `PoseScorer.log_floor` and
-`log_no_info` are rounded alike, so a proposal that scores every point
-at the floor sums to exactly
+bound is never below a computed score.  `LogTable.log_floor` and
+`PoseScorer.log_no_info` are rounded alike, so a proposal that scores
+every point at the floor sums to exactly
 `n_scored * log_floor + (n_points - n_scored) * log_no_info`.
 
 Interior points.  A `score` call finds once, in float64, the kernel
@@ -61,15 +61,15 @@ points that every one of its proposals places inside the template's box
 at most r times half the heading span, plus half the ys' span in y, and
 the kernel's float32 coordinates lie within a rounding margin
 (`_margin`) of the exact ones.  The band points among them lie, by the
-same slack, in a no-info y band for every proposal: the leading or
-trailing y slabs of the log table that hold only the no-info log, as the
-template's voxels outside its row range do (`_log_table`).  They enter
-no kernel and count as scored.  The other certified points, the interior
-ones, are scored in a kernel with no box test, clamp or count, each row
-counting all of them; the rest, the edge points, in the masked kernel.
-A row's two partial sums and the constant are added once both passes
-are done, exact as every sum is.  A call with no certified point takes
-one masked pass.
+same slack, in a y band for every proposal: the leading or trailing y
+slabs of the log table whose entries all hold one log, the band log, as
+the template's voxels outside its row range do (`log_table`).  They
+enter no kernel, add the band log and count as scored.  The other
+certified points, the interior ones, are scored in a kernel with no
+box test, clamp or count, each row counting all of them; the rest, the
+edge points, in the masked kernel.  A row's two partial sums and the
+constant are added once both passes are done, exact as every sum is.  A
+call with no certified point takes one masked pass.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -92,7 +92,9 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,9 +147,8 @@ class PoseScorer:
             raise ValueError(f"a frame holds at most {_MAX_POINTS} points, got {self.n_points}")
         self.template = template
         self.p_floor = float(p_floor)
-        # the logs of p_floor and of the no-info frequency, as the table rounds them
-        self._table, self.log_floor, self._band = _log_table(template, self.p_floor)
-        self.log_no_info = float(self._table[0])
+        self.tables = log_table(template, self.p_floor)
+        self.log_no_info = float(self.tables.table[0])
 
         R_level = rotation_from_euler(frame.roll, frame.pitch, 0.0).rotation
         leveled = frame.cloud_V.points @ R_level.T
@@ -258,9 +259,9 @@ class PoseScorer:
         for _, _, ll, ns in passes[1:]:
             loglik += ll
             n_scored += ns
-        # the band points read the no-info log for every proposal, and count
+        # the band points read the band log for every proposal, and count
         n_band = np.count_nonzero(band)
-        constant = self._z_out_log + n_band * self.log_no_info
+        constant = self._z_out_log + n_band * self.tables.band_log
         if constant:
             loglik += constant
         n_scored += n_band
@@ -275,8 +276,8 @@ class PoseScorer:
         fy < ny - 1, so that the kernel keeps them and trunc(fx) <= nx - 1,
         trunc(fy) <= ny - 1 without a clamp.  The band points are those of
         them whose fy lies below ny_lo or above ny_hi for every proposal:
-        they read a no-info y slab (`_log_table`), and the interior ones
-        are the others.
+        they read a band slab (`log_table`), and the interior ones are the
+        others.
 
         About the middle heading, a point at range r moves at most
         r * (half the heading span), in x and in y, plus half the ys' span
@@ -303,7 +304,7 @@ class PoseScorer:
         fy = (s * qx + c * qy + (y_mid - lo[1])) / res
         inside = (fx > slack_x) & (fx + slack_x < min(float(self._fx_hi), nx - 1))
         inside &= (fy > slack_y) & (fy + slack_y < min(float(self._fy_hi), ny - 1))
-        ny_lo, ny_hi = self._band
+        ny_lo, ny_hi = self.tables.band
         band = inside & ((fy + slack_y < ny_lo) | (fy - slack_y > ny_hi))
         return inside & ~band, band
 
@@ -356,14 +357,14 @@ class PoseScorer:
         if not masked:
             lin *= np.int32(nz)
             lin += ix
-            return self._table.take(lin).sum(axis=1, dtype=np.float64), qx.size
+            return self.tables.table.take(lin).sum(axis=1, dtype=np.float64), qx.size
         keep = (fy >= 0) & (fy <= self._fy_hi)
         keep &= keep_x
         np.minimum(lin, np.int32(ny - 1), out=lin)
         lin *= np.int32(nz)
         lin += ix
         lin *= keep  # points outside template_range read the no-info slot 0
-        return self._table.take(lin).sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
+        return self.tables.table.take(lin).sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
 
     def score_top_k(
         self, ys: np.ndarray, thetas: np.ndarray, k: int
@@ -490,7 +491,7 @@ class PoseScorer:
         else:
             slack, x_window = 0.0, 1
         y_window = math.floor(y_bin + 2.0 * slack + margin) + 2
-        return slack, _pooled_table(self.template, self._table, self.p_floor, x_window, y_window)
+        return slack, _pooled_table(self.tables, self._dims, x_window, y_window)
 
     def _block_bounds(self, middle, y_lo, blocks, slack, pooled) -> np.ndarray:
         """Upper bounds on `score` over (heading x y) blocks: for each block
@@ -521,7 +522,7 @@ class PoseScorer:
         ix = fx.astype(np.int32)
         ix *= np.int32(ny * nz)
         ix += self._iz32
-        ix[off] = self._table.size  # the first slot of the no-info tail
+        ix[off] = self.tables.table.size  # the first slot of the no-info tail
         fy0 = sin_m * self._qx32 + cos_m * self._qy32
         y_lo32 = y_lo.astype(np.float32)[:, None]
         bounds = np.empty(blocks.size)
@@ -663,19 +664,32 @@ def _heading_runs(thetas: np.ndarray):
     return starts, lengths, lengths >= _MIN_RUN
 
 
-def _log_table(template: Template, p_floor: float) -> tuple[np.ndarray, float, tuple]:
-    """The flat float32 table of the no-info log, then log(max(grid,
-    p_floor)); log(p_floor); and the no-info y band (ny_lo, ny_hi).  Each
-    log is rounded to the nearest multiple of 2**-q, q the largest value
-    with every |log| * 2**q < 2**24 (module docstring).  Every (x, z) slab
-    of the table at a y index below ny_lo or from ny_hi up holds only the
-    no-info log; (ny, 0) when every slab does.
+@dataclass(frozen=True, eq=False)
+class LogTable:
+    """One (template, p_floor)'s scoring tables (`log_table`).  `table`: the
+    flat float32 no-info log, then log(max(grid, p_floor)); `log_floor`:
+    log(p_floor); each a multiple of 2**-q (module docstring).  The (x, z)
+    slabs below y index band[0] or from band[1] up hold only `band_log`;
+    (ny, 0) when all do.  `pooled`: `_pooled_table`'s.  No field holds the template."""
 
-    Built once per (template, p_floor) and kept on the template, whose
-    grid is read-only, so every scorer of that template reuses it.
-    """
-    cached = template._log_tables.get(p_floor)
-    if cached is None:
+    table: np.ndarray
+    log_floor: float
+    band: tuple[int, int]
+    band_log: float
+    pooled: dict
+
+
+_tables_by_template = weakref.WeakKeyDictionary()  # {p_floor: LogTable} per template
+
+
+def log_table(template: Template, p_floor: float) -> LogTable:
+    """The tables of (template, p_floor), built once while the template lives,
+    on a scorer's calling thread.  Raises ValueError unless 0 < p_floor <= 1."""
+    if not 0.0 < p_floor <= 1.0:
+        raise ValueError(f"p_floor must be in (0, 1], got {p_floor}")
+    by_floor = _tables_by_template.setdefault(template, {})
+    tables = by_floor.get(p_floor)
+    if tables is None:
         # the no-info frequency, the grid, then p_floor, logged in one pass
         logs = np.empty(template.grid.size + 2)
         logs[0] = template.no_info_frequency
@@ -690,21 +704,19 @@ def _log_table(template: Template, p_floor: float) -> tuple[np.ndarray, float, t
         logs *= 2.0**-q
         table = logs[:-1].astype(np.float32)
         table.flags.writeable = False
-        # a y slab holds only the no-info log when its least and largest
-        # entries do; reduced over x first, with no grid-sized temporary
+        # bands: the leading or trailing y slabs of one log, the same at both
+        # ends (float32 no-info may not log to slot 0); reduced over x first
         slabs = table[1:].reshape(template.config.dims)
         least, largest = slabs.min(axis=0).min(axis=1), slabs.max(axis=0).max(axis=1)
-        info = np.flatnonzero((least != table[0]) | (largest != table[0]))
+        band_log = least[0] if least[0] == largest[0] else least[-1]
+        info = np.flatnonzero((least != band_log) | (largest != band_log))
         band = (int(info[0]), int(info[-1]) + 1) if info.size else (slabs.shape[1], 0)
-        cached = table, float(logs[-1]), band
-        template._log_tables[p_floor] = cached
-    return cached
+        tables = by_floor[p_floor] = LogTable(table, float(logs[-1]), band, float(band_log), {})
+    return tables
 
 
-def _pooled_table(
-    template: Template, table: np.ndarray, p_floor: float, x_window: int, y_window: int
-) -> np.ndarray:
-    """The log table max-pooled over x and y windows.
+def _pooled_table(tables: LogTable, dims, x_window: int, y_window: int) -> np.ndarray:
+    """The log table of `tables` (grid `dims`) max-pooled over x and y windows.
 
     Voxel (ix, iy, iz) holds the max of the logs at ix .. ix + x_window - 1
     and iy .. iy + y_window - 1 (fewer at the grid's upper faces).  A
@@ -715,16 +727,15 @@ def _pooled_table(
     more than one x voxel at the x faces.  Slot 0 keeps the no-info log,
     and so do the (ny - 1) * nz + 1 slots after the grid, a tail that a
     point's x index sent to its first slot reads at any y index.
-    Built once per (template, p_floor, windows) and kept on the template.
     """
-    key = (p_floor, x_window, y_window)
-    cached = template._pooled_tables.get(key)
+    key = (x_window, y_window)
+    cached = tables.pooled.get(key)
     if cached is None:
-        nx, ny, nz = template.config.dims
-        logs = table[1:].reshape(template.config.dims)
-        no_info = table[0]
-        pooled = np.concatenate((table, np.full((ny - 1) * nz + 1, no_info)))
-        view = pooled[1 : table.size].reshape(logs.shape)
+        nx, ny, nz = dims
+        logs = tables.table[1:].reshape(dims)
+        no_info = tables.table[0]
+        pooled = np.concatenate((tables.table, np.full((ny - 1) * nz + 1, no_info)))
+        view = pooled[1 : tables.table.size].reshape(logs.shape)
         for s in range(1, min(y_window, ny)):
             np.maximum(view[:, :-s], logs[:, s:], out=view[:, :-s])
         if x_window > 1:
@@ -737,5 +748,5 @@ def _pooled_table(
         for face in faces:
             np.maximum(face, no_info, out=face)
         pooled.flags.writeable = False
-        cached = template._pooled_tables[key] = pooled
+        cached = tables.pooled[key] = pooled
     return cached

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,33 +124,32 @@ class GroundTruthPose:
     z: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Template:
-    """Built occupancy-frequency grid (x-major, then y, then z)."""
+    """Built occupancy-frequency grid (x-major, then y, then z), compared by identity."""
 
     config: TemplateConfig
     grid: np.ndarray  # (nx, ny, nz) float32, read-only
     n_frames: int
-    # per-p_floor log tables and per-(p_floor, x window, y window)
-    # max-pooled copies, filled by the sensor model (measurement.py)
-    _log_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pooled_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The grid is read-only so tables derived from it cannot go stale:
-        # a writeable (or non-float32, non-contiguous) array is copied, a
-        # read-only one such as a loaded file's buffer is taken as is.
-        grid = np.asarray(self.grid)
-        if grid.flags.writeable or grid.dtype != np.float32 or not grid.flags.c_contiguous:
+        # The grid is read-only, so derived tables cannot go stale: it is copied
+        # unless C-contiguous float32 that nothing can write (a loaded file's bytes)
+        grid = base = np.asarray(self.grid)
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        frozen = base is None or isinstance(base, bytes)
+        if not frozen or grid.dtype != np.float32 or not grid.flags.c_contiguous:
             grid = np.array(grid, dtype=np.float32, order="C")
             grid.flags.writeable = False
         if grid.shape != self.config.dims:
             raise ValueError(f"grid shape {grid.shape} != configured dims {self.config.dims}")
+        if self.config.no_info_frequency is None:
+            raise ValueError("a template needs a no_info_frequency; build_template derives one")
         object.__setattr__(self, "grid", grid)
 
     @property
     def no_info_frequency(self) -> float:
-        assert self.config.no_info_frequency is not None
         return self.config.no_info_frequency
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rowloc.geometry import Box3, PointCloud, PreprocessConfig, PreprocessedFrame, preprocess
-from rowloc.measurement import DEFAULT_P_FLOOR, PoseScorer
+from rowloc.measurement import DEFAULT_P_FLOOR, PoseScorer, log_table
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 from rowloc.synth import SensorSpec, render_frame, generate_scene, vineyard_preset
 from rowloc.geometry import Pose6D
@@ -60,6 +60,18 @@ def test_point_outside_template_range_pays_the_no_info_penalty():
     assert ll[0] == 2 * scorer.log_no_info
     assert scorer.log_no_info == pytest.approx(math.log(0.02), abs=2.0**-21)
     assert ns[0] == 0
+
+
+@pytest.mark.parametrize("p_floor", [math.nan, 0.0, -1.0, 2.0])
+def test_a_p_floor_outside_zero_to_one_is_refused(p_floor):
+    """As MclConfig refuses it, so a scorer built directly cannot return
+    NaN scores or a table of -inf."""
+    template = _template_with({})
+    with pytest.raises(ValueError, match=r"p_floor must be in \(0, 1\]"):
+        log_table(template, p_floor)
+    with pytest.raises(ValueError, match=r"p_floor must be in \(0, 1\]"):
+        PoseScorer(_frame([1.0, 0.0, 1.0]), template, p_floor)
+    assert log_table(template, 1.0).log_floor == 0.0
 
 
 def test_point_in_an_out_of_row_voxel_reads_the_grid():

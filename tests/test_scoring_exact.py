@@ -27,13 +27,15 @@ split; a wide heading span does not.  Points one float32 step either
 side of the certified slack, and points that an extreme particle or
 float32 rounding moves out of the box, must score as the reference does.
 
-Certified points that every proposal places in a no-info y band, the
-leading or trailing y slabs of the log table that hold only the no-info
-log, enter no kernel: each adds that log once per row and counts as
-scored.  Points on and one float32 step either side of a band edge, and
-spans that carry points across it, must score as the reference does.
+Certified points that every proposal places in a y band, the leading or
+trailing y slabs of the log table whose entries all hold one log, enter
+no kernel: each adds that log once per row and counts as scored.  Points
+on and one float32 step either side of a band edge, and spans that carry
+points across it, must score as the reference does, also where the
+band's float32 no-info frequency logs one step off the no-info slot.
 """
 
+import gc
 import math
 import multiprocessing
 import os
@@ -41,6 +43,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -83,10 +86,14 @@ from rowloc.measurement import (
     PoseScorer,
     _coarse_groups,
     _proposal_blocks,
+    log_table,
 )
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
 
 F32 = np.float32
+# grid-sweep's derived no-info frequency (seed 5): not float32-exact, and the
+# fixed-point log of its float32 value lies one 2**-20 step from its own
+GRID_SWEEP_NO_INFO = 0.024824024213813505
 
 
 def fixed_point(logs, template, p_floor):
@@ -309,7 +316,7 @@ def test_a_frequency_next_below_one_has_a_log_of_exactly_zero():
     frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
     scorer = PoseScorer(frame, template)
     assert math.log(NEAR_ONE) != 0.0
-    assert np.all(scorer._table[1:].reshape(cfg.dims)[grid == NEAR_ONE] == 0.0)
+    assert np.all(scorer.tables.table[1:].reshape(cfg.dims)[grid == NEAR_ONE] == 0.0)
     in_z = (pts[:, 2] >= 0.0) & (pts[:, 2] <= 2.0)
     assert scorer._qx32.size == np.count_nonzero(in_z) < 40
     thetas = np.repeat(rng.uniform(-0.5, 0.5, 6), [1, 20, 1, 1, 9, 3])
@@ -778,11 +785,32 @@ def test_scorers_of_one_template_share_its_log_table():
     a = PoseScorer(frame, template)
     b = PoseScorer(other, template)
     c = PoseScorer(frame, template, p_floor=1e-2)
-    assert a._table is b._table
-    assert a._table is not c._table
-    assert a._table.dtype == F32 and not a._table.flags.writeable
+    assert a.tables is b.tables is log_table(template, 1e-4)
+    assert c.tables is log_table(template, 1e-2) and c.tables is not a.tables
+    assert a.tables.table.dtype == F32 and not a.tables.table.flags.writeable
     assert not template.grid.flags.writeable
     assert np.all(template.grid == F32(0.5))
+    # templates compare by identity: an equal one has tables of its own
+    twin = Template(cfg, template.grid, 1)
+    assert log_table(twin, 1e-4) is not a.tables
+    assert log_table(twin, 1e-4).table.tobytes() == a.tables.table.tobytes()
+
+
+def test_a_templates_tables_die_with_it():
+    """The cache holds its templates weakly and a LogTable holds no
+    reference to its template: once the template and its scorers are gone,
+    so is its entry, while the tables kept by a caller still hold."""
+    template = band_template(0.25, GRID_SWEEP_NO_INFO, 3, 5, np.random.default_rng(33))
+    ny = template.config.dims[1]
+    tables = PoseScorer(interior_frame([(2.0, 0.0)], far=False), template).tables
+    alive = weakref.ref(template)
+    gc.collect()
+    n = len(measurement._tables_by_template)
+    del template
+    gc.collect()
+    assert alive() is None
+    assert len(measurement._tables_by_template) == n - 1
+    assert tables.band == (3, ny - 5)
 
 
 def exhaustive_estimate(frame, template, cfg, poses):
@@ -1549,8 +1577,8 @@ def test_a_wide_heading_span_certifies_no_point():
 
 def band_template(res, no_info, low, high, rng, n_frames=10, range_=TEMPLATE_RANGE):
     """A template whose first `low` and last `high` y slabs hold only the
-    no-info frequency, a float32 value so that their logs equal the no-info
-    slot's; the others random frame-count frequencies."""
+    no-info frequency, stored as float32 as `build_template` stores it; the
+    others random frame-count frequencies."""
     cfg = TemplateConfig(resolution=res, template_range=range_, row_range=ROW_RANGE,
                          no_info_frequency=no_info)
     ny = cfg.dims[1]
@@ -1567,7 +1595,7 @@ def band_edge_points(template, p_floor, y0, theta0, rng, n):
     it, one float32 step either side in sensor y."""
     cfg = template.config
     lo_y, res = cfg.template_range.min_corner[1], cfg.resolution
-    ny_lo, ny_hi = measurement._log_table(template, p_floor)[2]
+    ny_lo, ny_hi = log_table(template, p_floor).band
     edges = [e for e in (ny_lo, ny_hi) if 0 < e < cfg.dims[1]]
     out = []
     for e in edges:
@@ -1583,13 +1611,15 @@ def band_edge_points(template, p_floor, y0, theta0, rng, n):
 @st.composite
 def band_scenes(draw):
     """A template with no-info y bands of random width (none, on one side,
-    on both, or the whole grid), a cloud about a pose (y0, theta0) with
+    on both, or the whole grid) of a float32 or float64 no-info frequency,
+    grid-sweep's among them, a cloud about a pose (y0, theta0) with
     points on and one float32 step either side of each band edge, points
     anywhere in and past the box and outside the z range, and a particle
     set or a theta-major grid whose y and heading spans carry points
     across the edges."""
     res = draw(st.sampled_from([0.1, 0.25, 0.3]))
-    no_info = float(F32(draw(st.floats(1e-3, 0.5))))
+    no_info = draw(st.one_of(st.floats(1e-3, 0.5).map(lambda v: float(F32(v))),
+                             st.floats(1e-3, 0.5), st.just(GRID_SWEEP_NO_INFO)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ny = TemplateConfig(resolution=res, template_range=TEMPLATE_RANGE).dims[1]
     kind = draw(st.sampled_from(["none", "low", "high", "both", "all"]))
@@ -1627,13 +1657,13 @@ def band_scenes(draw):
 @settings(max_examples=80, deadline=None)
 @given(band_scenes(), st.sampled_from([1, 2]))
 def test_band_points_summed_as_one_constant_equal_reference(scene, workers):
-    """Points that every proposal places inside the box and in a no-info
-    y band add the no-info log once per point and count as scored; with
-    the others they score as the reference does, bit for bit, also where
-    a proposal carries a point across a band edge."""
+    """Points that every proposal places inside the box and in a y band
+    add the band's log once per point and count as scored; with the others
+    they score as the reference does, bit for bit, also where a proposal
+    carries a point across a band edge."""
     frame, template, p_floor, ys, thetas, band = scene
     scorer = PoseScorer(frame, template, p_floor)
-    assert scorer._band == band
+    assert scorer.tables.band == band
     event("band points" if scorer._interior(ys, thetas)[1].any() else "no band point")
     with scoring_workers(workers):
         assert_scores_equal_reference(scorer, frame, ys, thetas)
@@ -1643,49 +1673,55 @@ def test_band_points_reach_no_kernel_call_yet_count_as_scored():
     """A tight particle set about a pose: the points deep inside the low
     band (1.2 m of y slabs) and the high band are certified, enter no
     `_score_block` call, and count in every row's n_scored; a frame of
-    band points only is scored with no kernel call at all."""
-    rng = np.random.default_rng(31)
-    template = band_template(0.1, float(F32(0.02)), 12, 9, rng)
-    lo_y = TEMPLATE_RANGE.min_corner[1]
-    ny = template.config.dims[1]
-    band_xy = np.column_stack([rng.uniform(1.0, 2.8, 14),
-                               np.concatenate([rng.uniform(lo_y + 0.2, lo_y + 0.9, 7),
-                                               rng.uniform(lo_y + (ny - 6) * 0.1,
-                                                           lo_y + (ny - 3) * 0.1, 7)])])
-    middle_xy = rng.uniform([1.0, -0.5], [2.8, 0.5], (20, 2))
-    ys = 0.1 + 0.01 * rng.standard_normal(300)
-    thetas = 0.05 + 0.003 * rng.standard_normal(300)
-    for xy, n_kernel in ((np.vstack([band_xy, middle_xy]), 20), (band_xy, 0)):
-        frame = interior_frame(sensor_points(xy, 0.1, 0.05), far=False)
-        scorer = PoseScorer(frame, template)
-        _, band = scorer._interior(ys, thetas)
-        assert band.tolist() == [True] * 14 + [False] * (len(xy) - 14)
-        with recorded_passes() as calls:
-            ll, ns = scorer.score(ys, thetas)
-        # every kernel call holds the middle points, and only them
-        assert bool(calls) == (n_kernel > 0)
-        assert all(k == n_kernel for _, k in calls)
-        assert np.all(ns == len(xy))
-        if n_kernel == 0:
-            assert not calls
-            assert ll.tobytes() == np.full(300, len(xy) * scorer.log_no_info).tobytes()
-        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    band points only is scored with no kernel call at all, each point
+    adding the band's log, grid-sweep's one step off the no-info slot."""
+    for no_info in (float(F32(0.02)), GRID_SWEEP_NO_INFO):
+        rng = np.random.default_rng(31)
+        template = band_template(0.1, no_info, 12, 9, rng)
+        lo_y = TEMPLATE_RANGE.min_corner[1]
+        ny = template.config.dims[1]
+        band_xy = np.column_stack([rng.uniform(1.0, 2.8, 14),
+                                   np.concatenate([rng.uniform(lo_y + 0.2, lo_y + 0.9, 7),
+                                                   rng.uniform(lo_y + (ny - 6) * 0.1,
+                                                               lo_y + (ny - 3) * 0.1, 7)])])
+        middle_xy = rng.uniform([1.0, -0.5], [2.8, 0.5], (20, 2))
+        ys = 0.1 + 0.01 * rng.standard_normal(300)
+        thetas = 0.05 + 0.003 * rng.standard_normal(300)
+        for xy, n_kernel in ((np.vstack([band_xy, middle_xy]), 20), (band_xy, 0)):
+            frame = interior_frame(sensor_points(xy, 0.1, 0.05), far=False)
+            scorer = PoseScorer(frame, template)
+            off_slot_0 = scorer.tables.band_log != scorer.log_no_info
+            assert off_slot_0 == (no_info == GRID_SWEEP_NO_INFO)
+            _, band = scorer._interior(ys, thetas)
+            assert band.tolist() == [True] * 14 + [False] * (len(xy) - 14)
+            with recorded_passes() as calls:
+                ll, ns = scorer.score(ys, thetas)
+            # every kernel call holds the middle points, and only them
+            assert bool(calls) == (n_kernel > 0)
+            assert all(k == n_kernel for _, k in calls)
+            assert np.all(ns == len(xy))
+            if n_kernel == 0:
+                assert not calls
+                want = np.full(300, len(xy) * scorer.tables.band_log)
+                assert ll.tobytes() == want.tobytes()
+            assert_scores_equal_reference(scorer, frame, ys, thetas)
 
 
 def test_band_limits_are_computed_once_per_template_and_floor():
-    """The band limits are read from the log table when it is built, and
-    kept beside it on the template: a scorer of the same (template,
-    p_floor) reads them from there, another p_floor gets its own."""
+    """The band limits are read from the log table when it is built, one
+    LogTable per (template, p_floor): a scorer of the same pair takes that
+    value, another p_floor gets its own."""
     rng = np.random.default_rng(32)
     template = band_template(0.25, float(F32(0.01)), 3, 5, rng)
     ny = template.config.dims[1]
     frame = interior_frame([(2.0, 0.0)], far=False)
-    a = PoseScorer(frame, template)
-    assert a._band == (3, ny - 5)
-    table, log_floor, _ = template._log_tables[1e-4]
-    template._log_tables[1e-4] = table, log_floor, (7, 9)  # a marker, not a computed value
-    assert PoseScorer(frame, template)._band == (7, 9)
-    # at p_floor 1e-2 the empty voxels read log(p_floor), the no-info slot too,
-    # but no slab is wholly empty
-    assert PoseScorer(frame, template, p_floor=1e-2)._band == (3, ny - 5)
-    assert set(template._log_tables) == {1e-4, 1e-2}
+    with mock.patch.object(measurement, "LogTable", wraps=measurement.LogTable) as built:
+        a = PoseScorer(frame, template)
+        assert PoseScorer(interior_frame([(1.0, 0.5)], far=False), template).tables is a.tables
+        # at p_floor 1e-2 the empty voxels read log(p_floor), the no-info slot
+        # too, but no slab is wholly empty
+        c = PoseScorer(frame, template, p_floor=1e-2)
+        assert PoseScorer(frame, template, p_floor=1e-2).tables is c.tables
+    assert built.call_count == 2
+    assert a.tables.band == c.tables.band == (3, ny - 5)
+    assert a.tables.band_log == a.log_no_info and c.tables.band_log == c.tables.log_floor

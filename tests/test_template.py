@@ -7,11 +7,13 @@ from rowloc.geometry import (
     Box3,
     PointCloud,
     PreprocessConfig,
+    PreprocessedFrame,
     cutoff_filter,
     make_pose_transform,
     preprocess,
     transform_cloud,
 )
+from rowloc.measurement import PoseScorer, log_table
 from rowloc.template import (
     TEMPLATE_HEADER,
     TEMPLATE_MAGIC,
@@ -312,6 +314,52 @@ def test_load_rejects_inconsistent_dims(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(TemplateFormatError):
         load_template(path)
+
+
+def _read_only_view(base):
+    view = base[...]
+    view.flags.writeable = False
+    return view
+
+
+def _read_only_over_bytearray(base):
+    """Read-only arrays all down the chain, over a writeable buffer."""
+    flat = np.frombuffer(base.data, dtype=np.float32)
+    flat.flags.writeable = False
+    return flat.reshape(base.shape)
+
+
+@pytest.mark.parametrize("source", [_read_only_view, _read_only_over_bytearray])
+def test_a_grid_that_its_base_can_write_is_copied(source):
+    """A read-only view of memory that something else can write is not
+    taken as is: writing there must change neither the grid nor the scores
+    of the tables built from it."""
+    cfg = TemplateConfig(resolution=0.5, no_info_frequency=0.1)
+    base = np.full(cfg.dims, 0.5, dtype=np.float32)
+    if source is _read_only_over_bytearray:
+        base = np.frombuffer(bytearray(base.tobytes()), dtype=np.float32).reshape(cfg.dims)
+    template = Template(cfg, source(base), 1)
+    before = log_table(template, 1e-4).table.copy()
+    base[...] = 0.9
+    assert np.all(template.grid == np.float32(0.5))
+    assert not np.shares_memory(template.grid, base)
+    np.testing.assert_array_equal(log_table(template, 1e-4).table, before)
+    frame = PreprocessedFrame(PointCloud(np.array([[5.2, 0.1, 1.2]]), "V"), 0.0, 0.0, 0.0)
+    ll, _ = PoseScorer(frame, template).score(np.zeros(1), np.zeros(1))
+    assert ll[0] == pytest.approx(math.log(0.5), abs=2.0**-19)
+
+
+def test_a_loaded_grid_is_taken_without_a_copy(tmp_path):
+    cfg = TemplateConfig(resolution=0.5, no_info_frequency=0.1)
+    save_template(Template(cfg, np.full(cfg.dims, 0.5, dtype=np.float32), 1), tmp_path / "t")
+    grid = load_template(tmp_path / "t").grid
+    assert grid.base is not None and not grid.flags.writeable
+
+
+def test_a_template_needs_a_no_info_frequency():
+    cfg = TemplateConfig(resolution=0.5)
+    with pytest.raises(ValueError, match="no_info_frequency"):
+        Template(cfg, np.zeros(cfg.dims, dtype=np.float32), 1)
 
 
 def test_grid_shape_must_match_config():
