@@ -31,9 +31,10 @@ taking the next chunk left until none is.  When the calling thread finds
 none left, it cancels the pool tasks no thread has started and waits for
 the others, raising their errors; so no thread writes to a call's arrays
 after it returns.  Worker threads run only `_score_block`; `score`
-itself and the bound pass of `score_top_k` stay on the calling thread,
-and so do calls with fewer rows, such as the rounds of `score_top_k`.
-With one CPU, or one chunk, no thread is started.  The log table of a
+itself, its certification included, and the bound pass of `score_top_k`
+stay on the calling thread, and so do calls with fewer rows, such as the
+rounds of `score_top_k`.  With one CPU, or one chunk, no thread is
+started.  The log table of a
 (template, p_floor) and its max-pooled copies are one `LogTable`, built
 once and shared by every scorer of the pair (the grid is read-only).
 
@@ -55,21 +56,33 @@ bound is never below a computed score.  `LogTable.log_floor` and
 every point at the floor sums to exactly
 `n_scored * log_floor + (n_points - n_scored) * log_no_info`.
 
-Interior points.  A `score` call finds once, in float64, the kernel
-points that every one of its proposals places inside the template's box
-(`_interior`): about the call's middle heading a point at range r moves
-at most r times half the heading span, plus half the ys' span in y, and
-the kernel's float32 coordinates lie within a rounding margin
-(`_margin`) of the exact ones.  The band points among them lie, by the
-same slack, in a y band for every proposal: the leading or trailing y
-slabs of the log table whose entries all hold one log, the band log, as
-the template's voxels outside its row range do (`log_table`).  They
-enter no kernel, add the band log and count as scored.  The other
-certified points, the interior ones, are scored in a kernel with no
-box test, clamp or count, each row counting all of them; the rest, the
-edge points, in the masked kernel.  A row's two partial sums and the
-constant are added once both passes are done, exact as every sum is.  A
-call with no certified point takes one masked pass.
+Certified points.  `_certify` finds in float64, for a span of
+proposals, the kernel points that every proposal of the span places
+inside the template's box: about the span's middle heading a point at
+range r moves at most r times half the heading span, plus half the ys'
+span in y, and the kernel's float32 coordinates lie within a rounding
+margin (`_margin`) of the exact ones.  The band points among them lie,
+by the same slack, in a y band for every proposal: the leading or
+trailing y slabs of the log table whose entries all hold one log, the
+band log, as the template's voxels outside its row range do
+(`log_table`).  They enter no kernel, add the band log and count as
+scored.  The fast points are the others whose exact x lies, by the same
+slack, inside one x voxel k: the kernel's trunc(fx) is k for every
+proposal of the span, so their flat x part k * ny * nz + iz is taken
+once and the kernel computes only their y.  The other certified points,
+the interior ones, are scored in a kernel with no box test, clamp or
+count, each row counting all of them; the rest, the edge points, in the
+masked kernel.  A row's partial sums, one for each kind of pass, and
+the constant are added once every pass is done, exact as every sum is.
+
+A grid's shared-heading cells are certified together, over their span,
+and take no fast pass: their x index is already taken once per heading.
+The n distinct-heading proposals, the particle filter's, are sorted by
+heading and cut into n // _CERTIFIED_ROWS equal chunks (one at least),
+each certified over its own heading and y span, all chunks in one
+vectorised call.  A point at the edge of any chunk is scored in one
+masked pass over every distinct-heading proposal, and in no other pass.
+A call with no certified point takes that one masked pass.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -109,18 +122,26 @@ _MAX_POINTS = 2**29
 # outside the box without entering the kernel (`PoseScorer.__init__`)
 _FAR = 2**30
 
-# the size of every chunk of a `score` call, on any thread: _CHUNK rows
-# times the kernel's points, which bounds the (chunk x points)
-# temporaries.  A chunk of interior or edge points holds as many lookups,
-# in more rows.  The kernel's points are the frame's points inside the
-# template's z range; `_block_bounds` takes _CHUNK blocks at a time
+# the size of every kernel call of a `score` call, on any thread: _CHUNK
+# rows times the kernel's points, which bounds the (rows x points)
+# temporaries.  A call over fewer points holds as many lookups, in more
+# rows.  The kernel's points are the frame's points inside the template's
+# z range; `_block_bounds` takes _CHUNK blocks at a time
 _CHUNK = 128
+# the fewest rows a certified chunk of distinct headings holds: sorted by
+# heading, n such rows make n // _CERTIFIED_ROWS chunks, each certified over
+# its own span.  Narrower chunks certify more points fast or band, but each
+# takes its own point subsets and kernel calls, small numpy calls that hold
+# the interpreter lock while the other thread waits for it; on 2 CPUs the
+# particle filter's 4000 rows scored fastest in 10 chunks (compare-apricot,
+# of 192, 256, 384 and 512 rows)
+_CERTIFIED_ROWS = 384
 # fewest distinct-heading rows a `score` call shares with the pool.  The
 # rounds of top-k pruning stay below it (uniform sampling: two a frame,
 # at most about 400 rows and 1.5-5 ms each); on a shared host, waits for a
 # pool thread to get a CPU in such short calls made whole runs' frame
 # times differ.  The particle filter's 4000 rows, one call a frame, are
-# scored on every CPU, its interior and edge chunks from one queue.
+# scored on every CPU, its chunks and its edge pass from one queue.
 _MIN_THREADED_ROWS = 1024
 
 
@@ -181,9 +202,10 @@ class PoseScorer:
         self._qy32 = leveled[kept, 1].astype(np.float32)
         # +1: slot 0 of the log table holds the no-info log
         self._iz32 = iz[z_keep, 0].astype(np.int32) + np.int32(1)
-        self._points = self._qx32, self._qy32, self._iz32  # every kernel point
+        self._points = self._qx32, self._qy32, self._iz32, None  # every kernel point
+        self._q64 = self._qx32.astype(np.float64), self._qy32.astype(np.float64)
         # the kernel's points' float64 ranges, and the largest: the rotation
-        # slack of the bounds and of `_interior`
+        # slack of the bounds and of `_certify`
         self._ranges = np.hypot(self._qx32, self._qy32, dtype=np.float64)
         self._r_max = float(np.max(self._ranges, initial=0.0))
 
@@ -192,45 +214,99 @@ class PoseScorer:
         ys = np.asarray(ys, dtype=np.float64)
         thetas = np.asarray(thetas, dtype=np.float64)
         n = ys.shape[0]
+        if self.n_points == 0 or n == 0:
+            return np.zeros(n), np.zeros(n, dtype=np.int64)
         loglik = np.zeros(n)
         n_scored = np.zeros(n, dtype=np.int64)
-        if self.n_points == 0 or n == 0:
-            return loglik, n_scored
         cos_t = np.cos(thetas).astype(np.float32)[:, None]
         sin_t = np.sin(thetas).astype(np.float32)[:, None]
         starts, lengths, long = _heading_runs(thetas)
         in_run = np.repeat(long, lengths)
-        # a grid's shared-heading cells, the run of each and the runs' first cells
         shared = np.flatnonzero(in_run)
-        run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
-        heads = starts[long]
         distinct = np.flatnonzero(~in_run)
         threaded = _WORKERS > 1 and distinct.size >= _MIN_THREADED_ROWS
-        # passes as (points, masked, log-likelihoods, counts): an unmasked
-        # pass over the points `_interior` certifies, and a masked one over
-        # the edge points, the second into arrays of its own added below.
-        # The band points take neither
-        inside, band = self._interior(ys, thetas)
-        passes = []
-        for mask, masked in ((inside, False), (~(inside | band), True)):
-            if mask.any():
-                sums = (np.zeros(n), np.zeros(n, dtype=np.int64)) if passes else (loglik, n_scored)
-                points = self._points if mask.all() else self._subset(mask)
-                passes.append((points, masked, *sums))
-        # chunks of about _CHUNK x (kernel points) lookups, popped one at a
-        # time (deque.popleft is thread-safe) by the calling thread and the
-        # pool's, so a thread that starts late takes fewer.  A shared-heading
-        # chunk reads the heading rows of its runs
+        # work items, popped one at a time (deque.popleft is thread-safe) by
+        # the calling thread and the pool's, so a thread that starts late
+        # takes fewer
         todo = deque()
-        for points, masked, ll, ns in passes:
-            step = max(_CHUNK, _CHUNK * self._qx32.size // max(points[0].size, 1))
-            for lo in range(0, shared.size, step):
-                cells, run = shared[lo : lo + step], run_of[lo : lo + step]
-                hd = heads[run[0] : run[-1] + 1]
-                todo.append((cells, cos_t[hd], sin_t[hd], run - run[0], points, masked, ll, ns))
-            for lo in range(0, distinct.size, step):
-                cells = distinct[lo : lo + step]
-                todo.append((cells, cos_t[cells], sin_t[cells], None, points, masked, ll, ns))
+        # the sums of each kind of pass, the first kind's in the call's own
+        # arrays, the others' added below: the passes of one kind score
+        # disjoint cells.  So are the band points' constants, (cells, count)
+        # for each certified span
+        sums = {}
+        bands = []
+
+        def add_pass(kind, cells, points, run_of=None, heads=None):
+            """Score `points` for `cells` into the sums of `kind`, masked for
+            the edge points, in items of about _CHUNK x (kernel points)
+            lookups; a shared-heading item reads the heading rows of its
+            runs."""
+            masked = kind == "edge"
+            if not sums:
+                sums[kind] = loglik, n_scored
+            elif kind not in sums:
+                sums[kind] = np.zeros(n), np.zeros(n, dtype=np.int64)
+            step = max(_CHUNK, _CHUNK * self._qx32.size // points[0].size)
+            for lo in range(0, cells.size, step):
+                chunk = cells[lo : lo + step]
+                if heads is None:
+                    heading, row = chunk, None
+                else:
+                    run = run_of[lo : lo + step]
+                    heading, row = heads[run[0] : run[-1] + 1], run - run[0]
+                todo.append((chunk, cos_t[heading], sin_t[heading], row, points, masked,
+                             *sums[kind]))
+
+        if shared.size:
+            # a grid's shared-heading cells, certified together: an unmasked
+            # pass over their certified points and a masked one over the
+            # edge points; the band points take neither
+            inside, band = self._interior(ys[shared], thetas[shared])
+            bands.append((shared, np.count_nonzero(band)))
+            run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
+            for mask, kind in ((inside, "interior"), (~(inside | band), "edge")):
+                if mask.any():
+                    points = self._points if mask.all() else self._subset(mask)
+                    add_pass(kind, shared, points, run_of, starts[long])
+        if distinct.size:
+            # the other cells in heading order, in equal chunks of
+            # _CERTIFIED_ROWS or more rows (or one chunk), each certified over
+            # its own heading and y span
+            n_chunks = distinct.size // _CERTIFIED_ROWS
+            if n_chunks > 1:
+                order = distinct[np.argsort(thetas[distinct])]
+                first = np.arange(n_chunks) * distinct.size // n_chunks
+                chunks = np.split(order, first[1:])
+                spans = [f.reduceat(v[order], first)[:, None]
+                         for v in (thetas, ys) for f in (np.minimum, np.maximum)]
+            else:
+                # one chunk, as a round of top-k pruning is: no sort and
+                # scalar spans, which save about 2% of such a call
+                order, chunks = distinct, [distinct]
+                th, y = thetas[distinct], ys[distinct]
+                spans = float(th.min()), float(th.max()), float(y.min()), float(y.max())
+            inside, band, fast, k = (a.reshape(len(chunks), -1) for a in self._certify(*spans))
+            # the points at the edge of any chunk are scored in one masked
+            # pass over every cell, and take no other pass
+            edge = ~(inside | band).all(axis=0)
+            if len(chunks) > 1 and edge.any():
+                inside[:, edge] = band[:, edge] = fast[:, edge] = False
+            _, ny, nz = self._dims
+            for cells, inside_c, band_c, fast_c, k_c in zip(chunks, inside, band, fast, k):
+                bands.append((cells, np.count_nonzero(band_c)))
+                if fast_c.any():
+                    # the flat x part k * ny * nz + iz, of the fast points
+                    # only: k lies in [0, nx - 1] for them alone
+                    x_part = k_c[fast_c].astype(np.int32)
+                    x_part *= np.int32(ny * nz)
+                    x_part += self._iz32[fast_c]
+                    points = self._qx32[fast_c], self._qy32[fast_c], None, x_part
+                    add_pass("fast", cells, points)
+                    inside_c = inside_c & ~fast_c
+                if inside_c.any():
+                    add_pass("interior", cells, self._subset(inside_c))
+            if edge.any():
+                add_pass("edge", order, self._points if edge.all() else self._subset(edge))
 
         def work():
             while True:
@@ -256,94 +332,112 @@ class PoseScorer:
                 f.exception()  # waits for every one before any error is raised
             for f in started:
                 f.result()
-        for _, _, ll, ns in passes[1:]:
+        for ll, ns in list(sums.values())[1:]:
             loglik += ll
             n_scored += ns
-        # the band points read the band log for every proposal, and count
-        n_band = np.count_nonzero(band)
-        constant = self._z_out_log + n_band * self.tables.band_log
-        if constant:
-            loglik += constant
-        n_scored += n_band
+        for cells, n_band in bands:
+            if n_band:
+                loglik[cells] += n_band * self.tables.band_log
+                n_scored[cells] += n_band
+        if self._qx32.size < self.n_points:
+            loglik += self._z_out_log
         return loglik, n_scored
 
     def _subset(self, mask):
-        return self._qx32[mask], self._qy32[mask], self._iz32[mask]
+        return self._qx32[mask], self._qy32[mask], self._iz32[mask], None
 
     def _interior(self, ys, thetas):
-        """Masks (interior, band) of the kernel's points that every proposal
-        (ys, thetas) places strictly inside the box with fx < nx - 1 and
-        fy < ny - 1, so that the kernel keeps them and trunc(fx) <= nx - 1,
-        trunc(fy) <= ny - 1 without a clamp.  The band points are those of
-        them whose fy lies below ny_lo or above ny_hi for every proposal:
-        they read a band slab (`log_table`), and the interior ones are the
-        others.
+        """`_certify`'s masks (interior, band) for the one span of the
+        proposals (ys, thetas)."""
+        spans = float(thetas.min()), float(thetas.max()), float(ys.min()), float(ys.max())
+        return self._certify(*spans)[:2]
+
+    def _certify(self, t_lo, t_hi, y_lo, y_hi):
+        """Masks (interior, band, fast) of the kernel's points, and their
+        x voxels k at the low end of their slack, for the proposals of
+        headings t_lo .. t_hi and ys y_lo .. y_hi: floats, or (K, 1) columns
+        of K spans, for (K, points) arrays.
+
+        The interior points are those that every proposal places strictly
+        inside the box with fx < nx - 1 and fy < ny - 1, so that the kernel
+        keeps them and trunc(fx) <= nx - 1, trunc(fy) <= ny - 1 without a
+        clamp.  The band points are the points of the box whose fy lies
+        below ny_lo or above ny_hi for every proposal: they read a band slab
+        (`log_table`), and are not interior.  The fast points are the
+        interior points whose trunc(fx) is k for every proposal.
 
         About the middle heading, a point at range r moves at most
         r * (half the heading span), in x and in y, plus half the ys' span
         in y; the kernel's float32 coordinates lie within `_margin` voxels
         of the exact ones.  A point is certified when its exact coordinates
-        at the middle heading and y lie more than that slack inside.  Its
-        rows' interior and edge sums add up exactly (module docstring).
+        at the middle heading and y lie more than that slack inside the
+        box, or, for k, inside one x voxel.  Its rows' partial sums add up
+        exactly (module docstring).
         """
         cfg = self.template.config
         res = cfg.resolution
         lo = cfg.template_range.min_corner
         nx, ny, _ = self._dims
-        t_lo, t_hi = float(thetas.min()), float(thetas.max())
         t_mid = 0.5 * (t_lo + t_hi)
-        y_lo, y_hi = float(ys.min()), float(ys.max())
         y_mid = 0.5 * (y_lo + y_hi)
-        margin = self._margin(ys)
-        slack_x = self._ranges * (max(t_hi - t_mid, t_mid - t_lo) / res) + margin
-        slack_y = slack_x + max(y_hi - y_mid, y_mid - y_lo) / res
+        slack_x = self._ranges * (np.maximum(t_hi - t_mid, t_mid - t_lo) / res)
+        slack_x += self._margin(np.maximum(-y_lo, y_hi))
+        slack_y = slack_x + np.maximum(y_hi - y_mid, y_mid - y_lo) / res
         c, s = np.cos(t_mid), np.sin(t_mid)
-        qx = self._qx32.astype(np.float64)
-        qy = self._qy32.astype(np.float64)
+        qx, qy = self._q64
         fx = (c * qx - s * qy - lo[0]) / res
         fy = (s * qx + c * qy + (y_mid - lo[1])) / res
-        inside = (fx > slack_x) & (fx + slack_x < min(float(self._fx_hi), nx - 1))
-        inside &= (fy > slack_y) & (fy + slack_y < min(float(self._fy_hi), ny - 1))
+        fx_lo, fx_hi = fx - slack_x, fx + slack_x
+        fy_lo, fy_hi = fy - slack_y, fy + slack_y
+        inside = (fx_lo > 0) & (fx_hi < min(float(self._fx_hi), nx - 1))
+        inside &= (fy_lo > 0) & (fy_hi < min(float(self._fy_hi), ny - 1))
         ny_lo, ny_hi = self.tables.band
-        band = inside & ((fy + slack_y < ny_lo) | (fy - slack_y > ny_hi))
-        return inside & ~band, band
+        band = inside & ((fy_hi < ny_lo) | (fy_lo > ny_hi))
+        inside ^= band
+        # fx_lo and fx_hi in one x voxel k = floor(fx_lo)
+        k = np.floor(fx_lo)
+        fast = inside & (fx_hi - k < 1.0)
+        return inside, band, fast, k
 
-    def _margin(self, ys) -> float:
-        """The float32 rounding the kernel's coordinates can gain for the
-        proposals at `ys`, in voxels: _SPAN_ULPS float32 roundings of the
-        largest |value| that enters them.  Far above the float64 rounding
-        of the bins' edges and centres and of `_interior`'s coordinates."""
+    def _margin(self, y_abs):
+        """The float32 rounding the kernel's coordinates can gain for
+        proposals whose ys lie within y_abs of 0, in voxels: _SPAN_ULPS
+        float32 roundings of the largest |value| that enters them.  Far
+        above the float64 rounding of the bins' edges and centres and of
+        `_certify`'s coordinates."""
         cfg = self.template.config
         lo = cfg.template_range.min_corner
         nx, ny, _ = self._dims
-        big = abs(lo[0]) + abs(lo[1]) + self._r_max + float(np.max(np.abs(ys)))
+        big = abs(lo[0]) + abs(lo[1]) + self._r_max + y_abs
         return _SPAN_ULPS * float(np.finfo(np.float32).eps) * (max(nx, ny) + big / cfg.resolution)
 
     def _score_block(self, cos_t, sin_t, ys, row, points, masked):
         """Score ys against (h, 1) heading rows: ys[i] against heading row
         row[i], or against heading row i when `row` is None, over `points`
-        (`_points`' form).
+        (`_points`' form: x, y, z index, and the flat x parts or None).
 
         Heading-only terms (rotated x and y, x index, x/z masks) are
         computed once per heading row and gathered for each y offset.
         Unmasked, every point is taken to lie inside the box for every
-        row (`_interior`): no mask, clamp or count, and each row scores
-        every point.
+        row (`_certify`): no mask, clamp or count, and each row scores
+        every point.  Points given with their flat x parts, the fast
+        ones, take no fx; `row` is then None.
         """
-        qx, qy, iz = points
-        # work directly in grid coordinates (voxels from the grid origin)
-        fx = cos_t * qx - sin_t * qy
-        fx -= self._lo_x
-        fx *= self._inv_res
+        qx, qy, iz, ix = points
         nx, ny, nz = self._dims
-        ix = fx.astype(np.int32)
-        if masked:
-            keep_x = (fx >= 0) & (fx <= self._fx_hi)
-            # truncation equals floor on kept points; the rest are sent to
-            # slot 0 below, so only the upper faces need a clamp
-            np.minimum(ix, np.int32(nx - 1), out=ix)
-        ix *= np.int32(ny * nz)
-        ix += iz
+        if ix is None:
+            # work directly in grid coordinates (voxels from the grid origin)
+            fx = cos_t * qx - sin_t * qy
+            fx -= self._lo_x
+            fx *= self._inv_res
+            ix = fx.astype(np.int32)
+            if masked:
+                keep_x = (fx >= 0) & (fx <= self._fx_hi)
+                # truncation equals floor on kept points; the rest are sent to
+                # slot 0 below, so only the upper faces need a clamp
+                np.minimum(ix, np.int32(nx - 1), out=ix)
+            ix *= np.int32(ny * nz)
+            ix += iz
         fy = sin_t * qx + cos_t * qy
         if row is not None:
             fy, ix = fy[row], ix[row]
@@ -404,7 +498,7 @@ class PoseScorer:
         if middle.size * n_y >= n:
             # a block's bound costs about as much as one proposal's score
             return self.score(ys, thetas)
-        margin = self._margin(ys)
+        margin = self._margin(float(np.max(np.abs(ys))))
 
         # coarse block c * n_cy + j is coarse y-bin j of heading group c
         group, centres = _coarse_groups(middle, n_shared, width)

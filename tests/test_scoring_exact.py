@@ -19,13 +19,18 @@ sums of a frame's logs are exact in any order: the scorer adds the logs
 of points outside the z range as one constant, and no block bound falls
 below a score of its block.  The reference rounds its logs on its own.
 
-A call's points that every one of its proposals keeps inside the box are
-scored without the box test, and the other (edge) points with it; each
-row adds its two partial sums.  A concentrated particle set and a narrow
-grid, whose runs of one heading read their heading's row, take this
-split; a wide heading span does not.  Points one float32 step either
-side of the certified slack, and points that an extreme particle or
-float32 rounding moves out of the box, must score as the reference does.
+Points that every proposal of a span keeps inside the box are scored
+without the box test, and the other (edge) points with it; each row adds
+its partial sums.  A grid's runs of one heading, which read their
+heading's row, are certified together; distinct headings, sorted by
+heading, in chunks certified each over its own span, where a point whose
+x voxel no proposal of the chunk changes is fast: it reaches the kernel
+with its x index, and no x is computed for it.  A concentrated particle
+set and a narrow grid take this split; a wide heading span does not.
+Points one float32 step either side of the certified slack, points
+within a rounding margin of an x voxel face, and points that an extreme
+particle or float32 rounding moves out of the box, must score as the
+reference does.
 
 Certified points that every proposal places in a y band, the leading or
 trailing y slabs of the log table whose entries all hold one log, enter
@@ -356,9 +361,9 @@ def test_a_point_too_far_for_an_int32_index_scores_as_outside_the_box(far):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
     """A grid call's shared-heading runs (past _CHUNK, and of just
-    _MIN_RUN) fill kernel calls of each pass's chunk across runs, beside
-    distinct-heading chunks: each shared cell is scored once a pass, and
-    scores as the reference does."""
+    _MIN_RUN), certified together over their own span, fill kernel calls
+    of each pass's chunk across runs, beside distinct-heading chunks: each
+    shared cell is scored once a pass, and scores as the reference does."""
     cfg = TemplateConfig(resolution=0.1, template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=0.05)
     rng = np.random.default_rng(11)
@@ -385,7 +390,7 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     scorer = PoseScorer(frame, template)
-    inside, band = scorer._interior(ys, thetas)
+    inside, band = scorer._interior(ys[in_run], thetas[in_run])
     assert not band.any()
     kernel = scorer._qx32.size
     passes = [(True, kernel)] if not inside.any() else [
@@ -525,18 +530,20 @@ def test_particle_filter_does_not_depend_on_the_worker_count(wall_run):
 def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
     """More threads than CPUs, switching every microsecond: each chunk is
     taken by one thread only, so no row is lost or scored twice, in each
-    pass over the points (all of them, or the interior and edge ones)."""
+    pass over the points: the fast, interior and edge ones."""
     template, clouds, cfg = wall_run
     scorer = mcl._scorer_for(clouds[0], template, cfg)
     poses = mcl.sample_uniform(cfg.prior, 40 * _CHUNK + 5, seed=7)
+    assert np.unique(poses[:, 0]).size == len(poses)  # a row is known by its y
     want = [a.tobytes() for a in scorer.score(poses[:, 0], poses[:, 1])]
-    rows = {}  # rows scored in each pass, keyed by whether its points are masked
+    rows = {}  # the ys scored in each pass, keyed by its kind
     score_block = PoseScorer._score_block
-    lock = threading.Lock()  # the count itself must not lose an update
+    lock = threading.Lock()  # the record itself must not lose an update
 
     def counted(self, cos_t, sin_t, ys, row, points, masked):
+        kind = "edge" if masked else "interior" if points[3] is None else "fast"
         with lock:
-            rows[masked] = rows.get(masked, 0) + len(ys)
+            rows.setdefault(kind, []).append(ys)
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     interval = sys.getswitchinterval()
@@ -546,8 +553,14 @@ def test_each_chunk_is_scored_once_under_frequent_thread_switches(wall_run):
             for _ in range(5):
                 rows.clear()
                 got = scorer.score(poses[:, 0], poses[:, 1])
-                # the wall scene's near points are interior for every pose of the prior
-                assert rows == {False: len(poses), True: len(poses)}
+                scored = {kind: np.concatenate(ys) for kind, ys in rows.items()}
+                for ys in scored.values():
+                    assert np.unique(ys).size == ys.size, "a row was scored twice in a pass"
+                # the wall scene's near points are certified in every chunk,
+                # its far ones at the edge
+                assert np.sort(scored["edge"]).tobytes() == np.sort(poses[:, 0]).tobytes()
+                unmasked = np.concatenate([scored.get(k, []) for k in ("fast", "interior")])
+                assert np.unique(unmasked).tobytes() == np.sort(poses[:, 0]).tobytes()
                 assert [a.tobytes() for a in got] == want
     finally:
         sys.setswitchinterval(interval)
@@ -971,7 +984,7 @@ def every_block_bound(scorer, ys, thetas):
     group, centres = _coarse_groups(middle, n_shared, width)
     cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, _COARSE_Y))
     coarse_of = group[block_of // n_y] * cy_lo.size + block_of % n_y // _COARSE_Y
-    margin = scorer._margin(ys)
+    margin = scorer._margin(np.max(np.abs(ys)))
     levels = [(middle, y_lo, block_of, _ROT_SLACK if n_shared < middle.size else 0.0, _Y_BIN),
               (centres, cy_lo, coarse_of, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN)]
     out = []
@@ -1273,7 +1286,7 @@ def assert_hot_block_is_found(template, point, block, width, y0):
 @contextmanager
 def recorded_passes():
     """Record (masked, points) of each `_score_block` call: an unmasked
-    one scores interior points only."""
+    one scores certified (fast or interior) points only."""
     calls = []
     score_block = PoseScorer._score_block
 
@@ -1439,7 +1452,8 @@ def test_points_one_float32_step_either_side_of_the_certified_slack(face):
     lo = cfg.template_range.min_corner
     at = ((c * qx - s * qy - lo[0]) if axis == 0 else (s * qx + c * qy + y_mid - lo[1]))
     scorer = PoseScorer(interior_frame([inner]), template)
-    slack = math.hypot(qx, qy) * 0.03 / cfg.resolution + scorer._margin(SPREAD_YS)
+    margin = scorer._margin(np.max(np.abs(SPREAD_YS)))
+    slack = math.hypot(qx, qy) * 0.03 / cfg.resolution + margin
     if axis == 1:
         slack += 0.1 / cfg.resolution
     assert abs(abs(at / cfg.resolution - limit) - slack) < 1e-5
@@ -1674,8 +1688,9 @@ def test_band_points_reach_no_kernel_call_yet_count_as_scored():
     band (1.2 m of y slabs) and the high band are certified, enter no
     `_score_block` call, and count in every row's n_scored; a frame of
     band points only is scored with no kernel call at all, each point
-    adding the band's log, grid-sweep's one step off the no-info slot."""
-    for no_info in (float(F32(0.02)), GRID_SWEEP_NO_INFO):
+    adding the band's log: grid-sweep's, one step off the no-info slot,
+    and NEAR_ONE's, -0.0, whose rows sum to +0.0 as numpy's sums do."""
+    for no_info in (float(F32(0.02)), GRID_SWEEP_NO_INFO, float(NEAR_ONE)):
         rng = np.random.default_rng(31)
         template = band_template(0.1, no_info, 12, 9, rng)
         lo_y = TEMPLATE_RANGE.min_corner[1]
@@ -1694,15 +1709,20 @@ def test_band_points_reach_no_kernel_call_yet_count_as_scored():
             assert off_slot_0 == (no_info == GRID_SWEEP_NO_INFO)
             _, band = scorer._interior(ys, thetas)
             assert band.tolist() == [True] * 14 + [False] * (len(xy) - 14)
-            with recorded_passes() as calls:
+            with recorded_calls() as calls:
                 ll, ns = scorer.score(ys, thetas)
-            # every kernel call holds the middle points, and only them
+            # the kernel calls, all unmasked, hold the middle points and only
+            # them, each row reading each once
             assert bool(calls) == (n_kernel > 0)
-            assert all(k == n_kernel for _, k in calls)
+            assert not any(masked for *_, masked in calls)
+            qx = [points[0] for _, _, _, points, _ in calls]
+            assert set(np.concatenate(qx + [[]])) <= set(scorer._qx32[14:])
+            lookups = sum(rows * points[0].size for _, _, rows, points, _ in calls)
+            assert lookups == n_kernel * len(ys)
             assert np.all(ns == len(xy))
             if n_kernel == 0:
                 assert not calls
-                want = np.full(300, len(xy) * scorer.tables.band_log)
+                want = np.zeros(300) + len(xy) * scorer.tables.band_log
                 assert ll.tobytes() == want.tobytes()
             assert_scores_equal_reference(scorer, frame, ys, thetas)
 
@@ -1725,3 +1745,179 @@ def test_band_limits_are_computed_once_per_template_and_floor():
     assert built.call_count == 2
     assert a.tables.band == c.tables.band == (3, ny - 5)
     assert a.tables.band_log == a.log_no_info and c.tables.band_log == c.tables.log_floor
+
+
+@contextmanager
+def certified_rows(rows):
+    """Chunks of distinct headings of `rows` rows or more."""
+    with mock.patch.object(measurement, "_CERTIFIED_ROWS", rows):
+        yield
+
+
+@contextmanager
+def recorded_calls():
+    """Record (cos_t, sin_t, row count, points, masked) of each `_score_block`
+    call, on any thread."""
+    calls = []
+    score_block = PoseScorer._score_block
+
+    def recorded(self, cos_t, sin_t, ys, row, points, masked):
+        calls.append((cos_t, sin_t, len(ys), points, masked))
+        return score_block(self, cos_t, sin_t, ys, row, points, masked)
+
+    with mock.patch.object(PoseScorer, "_score_block", recorded):
+        yield calls
+
+
+def fast_calls(calls):
+    return [c for c in calls if c[3][3] is not None]
+
+
+@st.composite
+def chunked_particle_scenes(draw):
+    """A frame about a pose (y0, theta0), a template with y bands of 0 to 3
+    slabs, and proposals of distinct headings scored in chunks of `rows`
+    rows or more: a tight particle set, a wide one, two clusters 0.2 rad
+    and 0.4 m apart, or a set so tight that only the rounding margin keeps
+    a point's x voxel from changing within it.  The cloud holds points deep
+    inside the box, near its x and y faces, past it and outside the z
+    range, and points whose x at the pose lies within a few rounding
+    margins of an x voxel face."""
+    res = draw(st.sampled_from([0.1, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    template = band_template(res, draw(st.floats(1e-3, 0.5)), draw(st.integers(0, 3)),
+                             draw(st.integers(0, 3)), rng)
+    cfg = template.config
+    lo, hi = TEMPLATE_RANGE.min_corner, TEMPLATE_RANGE.max_corner
+    y0, theta0 = rng.uniform(-0.3, 0.3), rng.uniform(-0.15, 0.15)
+    n_deep, n_face, n_voxel_face = (draw(st.integers(1, 30)), draw(st.integers(0, 5)),
+                                    draw(st.integers(0, 30)))
+    deep = rng.uniform([1.0, -0.8], [2.8, 0.8], (n_deep, 2))
+    face = rng.uniform([lo[0], lo[1]], [hi[0], hi[1]], (4 * n_face, 2))
+    near = rng.uniform(-0.4, 0.4, 4 * n_face)
+    for k, (axis, at) in enumerate([(0, lo[0]), (0, hi[0]), (1, lo[1]), (1, hi[1])]):
+        face[k * n_face : (k + 1) * n_face, axis] = at + near[k * n_face : (k + 1) * n_face]
+    # 1e-7 to 1e-3 voxels either side of an x voxel face: the margin is a few
+    # 1e-3 voxels, the kernel's float32 rounding of x up to about 1e-5
+    off = rng.choice([-1.0, 1.0], n_voxel_face) * 10.0 ** rng.uniform(-7, -3, n_voxel_face)
+    k = rng.integers(2, cfg.dims[0] - 2, n_voxel_face)
+    voxel_face = np.column_stack([lo[0] + (k + off) * res, rng.uniform(-0.8, 0.8, n_voxel_face)])
+    far = np.column_stack([rng.uniform(6.0, 30.0, 2), rng.uniform(-10.0, 10.0, 2)])
+    xy = sensor_points(np.vstack([deep, face, voxel_face, far]), y0, theta0)
+    z = rng.uniform(0.1, 1.9, len(xy))
+    z[rng.uniform(size=len(xy)) < 0.1] = 2.3
+    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
+
+    kind = draw(st.sampled_from(["tight", "wide", "two clusters", "margin"]))
+    n = draw(st.integers(1, 160))
+    noise = np.clip(rng.standard_normal((2, n)), -3.0, 3.0)
+    if kind == "tight":
+        ys, thetas = y0 + 0.02 * noise[0], theta0 + 0.005 * noise[1]
+    elif kind == "wide":
+        ys, thetas = rng.uniform(-1.0, 1.0, n), rng.uniform(-0.6, 0.6, n)
+    elif kind == "two clusters":
+        second = rng.uniform(size=n) < 0.5
+        ys = y0 + 0.4 * second + 0.01 * noise[0]
+        thetas = theta0 + 0.2 * second + 0.002 * noise[1]
+    else:
+        ys, thetas = y0 + 1e-9 * noise[0], theta0 + 1e-9 * noise[1]
+    rows = draw(st.sampled_from([4, 24, measurement._CERTIFIED_ROWS]))
+    return frame, template, draw(st.sampled_from([1e-4, 1e-2])), ys, thetas, rows, kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(chunked_particle_scenes(), st.sampled_from([1, 2]))
+def test_chunks_of_distinct_headings_equal_per_proposal_reference(scene, workers):
+    """Each chunk of distinct headings is certified over its own span, in
+    heading order: its band, fast, interior and edge points score, bit for
+    bit, as the reference does, also where a point lies within a rounding
+    margin of an x voxel face."""
+    frame, template, p_floor, ys, thetas, rows, kind = scene
+    scorer = PoseScorer(frame, template, p_floor)
+    with scoring_workers(workers), certified_rows(rows), recorded_calls() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    event(kind)
+    event("fast points" if fast_calls(calls) else "no fast point")
+
+
+def test_fast_points_reach_the_kernel_with_their_x_index_and_no_fx():
+    """A tight particle set about a pose, and points in the middle of their
+    x voxels at that pose: every point is fast in every chunk.  Each kernel
+    call gets the points' flat x parts k * ny * nz + iz, k the kernel's
+    trunc(fx) for every row of the call, and no z index; the kernel
+    computes no fx, so a scorer whose x origin is NaN scores the same bits
+    and casts no NaN."""
+    template = interior_template()
+    cfg = template.config
+    nx, ny, nz = cfg.dims
+    lo = cfg.template_range.min_corner
+    rng = np.random.default_rng(41)
+    txy = np.column_stack([lo[0] + (rng.integers(5, 30, 40) + 0.5) * cfg.resolution,
+                           rng.uniform(-0.8, 0.8, 40)])
+    frame = interior_frame(sensor_points(txy, 0.1, 0.2), far=False)
+    ys = 0.1 + 0.002 * rng.standard_normal(600)
+    thetas = 0.2 + 0.0005 * rng.standard_normal(600)
+    scorer = PoseScorer(frame, template)
+    iz = scorer._iz32[0]
+    assert np.all(scorer._iz32 == iz)  # every point at z 1
+    with certified_rows(100), recorded_calls() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+        want = [a.tobytes() for a in scorer.score(ys, thetas)]
+    assert calls == fast_calls(calls) and not any(masked for *_, masked in calls)
+    assert sum(rows * points[0].size for _, _, rows, points, _ in calls) == 2 * 40 * ys.size
+    inv_res = F32(1.0 / cfg.resolution)
+    for cos_t, sin_t, _, (qx, qy, no_iz, x_part), _ in calls:
+        assert no_iz is None
+        fx = (cos_t * qx - sin_t * qy - F32(lo[0])) * inv_res
+        k = fx.astype(np.int32)
+        assert np.all(k == k[0])
+        np.testing.assert_array_equal(x_part, k[0] * ny * nz + iz)
+    scorer._lo_x = F32(np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert [a.tobytes() for a in scorer.score(ys, thetas)] == want
+
+
+def test_each_chunk_is_certified_over_its_own_span():
+    """Two tight clusters of particles 0.3 rad and 0.3 m apart: over the
+    call's span no point is fast, but in heading order each chunk holds
+    one cluster, certified over its own span, and every row reads its deep
+    points through the fast kernel."""
+    template = interior_template()
+    rng = np.random.default_rng(42)
+    frame = interior_frame(sensor_points(rng.uniform([1.0, -0.5], [2.8, 0.5], (30, 2)),
+                                         0.1, 0.05))
+    n = 2 * measurement._CERTIFIED_ROWS
+    second = np.arange(n) % 2 == 1  # the clusters interleaved, as resampling leaves them
+    ys = 0.1 + 0.3 * second + 0.002 * rng.standard_normal(n)
+    thetas = 0.05 + 0.3 * second + 0.0005 * rng.standard_normal(n)
+    scorer = PoseScorer(frame, template)
+    _, _, fast, _ = scorer._certify(thetas.min(), thetas.max(), ys.min(), ys.max())
+    assert not fast.any()
+    with recorded_calls() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    assert sum(rows for _, _, rows, _, _ in fast_calls(calls)) == n
+
+
+@pytest.mark.parametrize("far", [6e7, -1e8])
+def test_a_far_kernel_point_casts_no_x_index(far):
+    """A point about 2**29 or more voxels off on an axis, but under _FAR,
+    stays in the kernel, where its k * ny * nz would overflow int32; its
+    range widens the rounding margin past an x voxel, so no point is fast.
+    Scored in chunks on two threads, as the particle filter's proposals
+    are, it is an edge point of every row, no x part is taken, no
+    RuntimeWarning is raised and every score is the reference's."""
+    template = interior_template()
+    frame = interior_frame([(2.0, 0.0), (1.5, 0.3), (far, 0.2), (0.4, far)], far=False)
+    scorer = PoseScorer(frame, template)
+    assert scorer._qx32.size == 4
+    rng = np.random.default_rng(43)
+    ys, thetas = 0.01 * rng.standard_normal(300), 0.005 * rng.standard_normal(300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with scoring_workers(2), certified_rows(32), recorded_calls() as calls:
+            assert_scores_equal_reference(scorer, frame, ys, thetas)
+    assert not fast_calls(calls)
+    edge_rows = [rows for _, _, rows, points, masked in calls
+                 if masked and np.any(np.abs(points[0]) > 1e7) | np.any(np.abs(points[1]) > 1e7)]
+    assert sum(edge_rows) == ys.size
