@@ -61,11 +61,11 @@ proposals, the kernel points that every proposal of the span places
 inside the template's box: about the span's middle heading a point at
 range r moves at most r times half the heading span, plus half the ys'
 span in y, and the kernel's float32 coordinates lie within a rounding
-margin (`_margin`) of the exact ones.  The band points among them lie,
-by the same slack, in a y band for every proposal: the leading or
-trailing y slabs of the log table whose entries all hold one log, the
-band log, as the template's voxels outside its row range do
-(`log_table`).  They enter no kernel, add the band log and count as
+margin of the exact ones that grows with the point's range (`_margin`).
+The band points among them lie, by the same slack, in a y band for every
+proposal: the leading or trailing y slabs of the log table whose entries
+all hold one log, the band log, as the template's voxels outside its row
+range do (`log_table`).  They enter no kernel, add the band log and count as
 scored.  The fast points are the others whose exact x lies, by the same
 slack, inside one x voxel k: the kernel's trunc(fx) is k for every
 proposal of the span, so their flat x part k * ny * nz + iz is taken
@@ -91,8 +91,13 @@ best proposals, their order, ties broken by index, and whether any
 proposal scores a point all match scoring every proposal.  Bounds come
 at two levels, as in the multi-resolution search of Olson (ICRA 2009)
 and Hess et al. (ICRA 2016): coarse blocks of _COARSE_HEADINGS heading
-bins x _COARSE_Y y-bins are bounded first, and fine (heading bin x
-y-bin) blocks only inside the coarse blocks that are not pruned.  The
+bins x _COARSE_Y * _Y_BIN voxels in y are bounded first, and fine
+(heading bin x y-bin) blocks only inside the coarse blocks that are not
+pruned.  A fine block's y-bin and its heading bin's rotation slack
+either side span _Y_BIN voxels (`_y_bins`): y-bins 1.4 voxels wide for
+uniform sampling's wide heading bins, 2.9 for a grid's bins of one
+heading, so every fine block reads a pooled y window of 4 voxels, and
+uniform sampling's narrower blocks leave fewer proposals to score.  The
 k-th best is taken over the proposals scored so far, the others holding
 -inf.  A proposal set with at least as many fine blocks as proposals is
 scored whole, with no bound computed.  Uniform sampling and grid search
@@ -137,11 +142,13 @@ _CHUNK = 128
 # of 192, 256, 384 and 512 rows)
 _CERTIFIED_ROWS = 384
 # fewest distinct-heading rows a `score` call shares with the pool.  The
-# rounds of top-k pruning stay below it (uniform sampling: two a frame,
-# at most about 400 rows and 1.5-5 ms each); on a shared host, waits for a
+# rounds of top-k pruning stay below it (uniform sampling: about two a
+# frame, a median 164 rows, 1-2 ms each); on a shared host, waits for a
 # pool thread to get a CPU in such short calls made whole runs' frame
-# times differ.  The particle filter's 4000 rows, one call a frame, are
-# scored on every CPU, its chunks and its edge pass from one queue.
+# times differ, and sharing them at 64 rows made uniform-track only 2.7%
+# faster on 2 CPUs, in 4 of 6 pairs.  The particle filter's 4000 rows, one
+# call a frame, are scored on every CPU, its chunks and its edge pass from
+# one queue.
 _MIN_THREADED_ROWS = 1024
 
 
@@ -369,10 +376,10 @@ class PoseScorer:
         About the middle heading, a point at range r moves at most
         r * (half the heading span), in x and in y, plus half the ys' span
         in y; the kernel's float32 coordinates lie within `_margin` voxels
-        of the exact ones.  A point is certified when its exact coordinates
-        at the middle heading and y lie more than that slack inside the
-        box, or, for k, inside one x voxel.  Its rows' partial sums add up
-        exactly (module docstring).
+        of the exact ones, a margin that grows with r.  A point is
+        certified when its exact coordinates at the middle heading and y
+        lie more than that slack inside the box, or, for k, inside one x
+        voxel.  Its rows' partial sums add up exactly (module docstring).
         """
         cfg = self.template.config
         res = cfg.resolution
@@ -381,7 +388,7 @@ class PoseScorer:
         t_mid = 0.5 * (t_lo + t_hi)
         y_mid = 0.5 * (y_lo + y_hi)
         slack_x = self._ranges * (np.maximum(t_hi - t_mid, t_mid - t_lo) / res)
-        slack_x += self._margin(np.maximum(-y_lo, y_hi))
+        slack_x += self._margin(np.maximum(-y_lo, y_hi), self._ranges)
         slack_y = slack_x + np.maximum(y_hi - y_mid, y_mid - y_lo) / res
         c, s = np.cos(t_mid), np.sin(t_mid)
         qx, qy = self._q64
@@ -399,16 +406,17 @@ class PoseScorer:
         fast = inside & (fx_hi - k < 1.0)
         return inside, band, fast, k
 
-    def _margin(self, y_abs):
-        """The float32 rounding the kernel's coordinates can gain for
-        proposals whose ys lie within y_abs of 0, in voxels: _SPAN_ULPS
-        float32 roundings of the largest |value| that enters them.  Far
-        above the float64 rounding of the bins' edges and centres and of
-        `_certify`'s coordinates."""
+    def _margin(self, y_abs, r):
+        """The float32 rounding the kernel's coordinates of a point at range
+        r can gain for proposals whose ys lie within y_abs of 0, in voxels:
+        _SPAN_ULPS float32 roundings of the largest |value| that enters
+        them.  Far above the float64 rounding of the bins' edges and centres
+        and of `_certify`'s coordinates.  `_certify` takes each point's own
+        range, the bound tables the largest."""
         cfg = self.template.config
         lo = cfg.template_range.min_corner
         nx, ny, _ = self._dims
-        big = abs(lo[0]) + abs(lo[1]) + self._r_max + y_abs
+        big = abs(lo[0]) + abs(lo[1]) + r + y_abs
         return _SPAN_ULPS * float(np.finfo(np.float32).eps) * (max(nx, ny) + big / cfg.resolution)
 
     def _score_block(self, cos_t, sin_t, ys, row, points, masked):
@@ -470,8 +478,9 @@ class PoseScorer:
         breaking ties) may hold -inf and 0 points scored.  The proposals
         are grouped into fine (heading-bin x y-bin) blocks
         (`_proposal_blocks`), and those into coarse blocks of
-        `_coarse_groups` heading groups x _COARSE_Y y-bins; a set with at
-        least as many fine blocks as proposals is scored whole.
+        `_coarse_groups` heading groups x the fine y-bins that _COARSE_Y *
+        _Y_BIN voxels hold (`_y_bins`); a set with at least as many fine
+        blocks as proposals is scored whole.
 
         Every coarse block that holds proposals is bounded first
         (`_block_bounds`).  The fine blocks of the best ones, holding
@@ -493,33 +502,32 @@ class PoseScorer:
             return self.score(ys, thetas)
         res = self.template.config.resolution
         width = 2.0 * _ROT_SLACK * res / max(self._r_max, res)
-        block_of, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+        block_of, y_lo, middle, n_shared, rot_slack = _proposal_blocks(ys, thetas, width, res)
         n_y = y_lo.size
         if middle.size * n_y >= n:
             # a block's bound costs about as much as one proposal's score
             return self.score(ys, thetas)
-        margin = self._margin(float(np.max(np.abs(ys))))
+        margin = self._margin(float(np.max(np.abs(ys))), self._r_max)
+        y_bin, per_coarse = _y_bins(rot_slack)
 
         # coarse block c * n_cy + j is coarse y-bin j of heading group c
         group, centres = _coarse_groups(middle, n_shared, width)
-        cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, _COARSE_Y))
+        cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, per_coarse))
         n_cy = cy_lo.size
         # the fine blocks that hold proposals, and the coarse block of each
         fine = np.flatnonzero(np.bincount(block_of, minlength=middle.size * n_y))
-        fine_coarse = group[fine // n_y] * n_cy + fine % n_y // _COARSE_Y
+        fine_coarse = group[fine // n_y] * n_cy + fine % n_y // per_coarse
         fine_in = np.bincount(fine_coarse, minlength=centres.size * n_cy)
         # the coarse blocks that hold proposals, highest bound first
         rest = np.flatnonzero(fine_in)
         slack, pooled = self._bound_table(
-            margin, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN
+            margin, _COARSE_HEADINGS * _ROT_SLACK, per_coarse * y_bin
         )
         coarse = np.full(fine_in.size, -np.inf)
         coarse[rest] = self._block_bounds(centres, cy_lo, rest, slack, pooled)
         rest = rest[np.argsort(-coarse[rest], kind="stable")]
 
-        slack, pooled = self._bound_table(
-            margin, _ROT_SLACK if n_shared < middle.size else 0.0, _Y_BIN
-        )
+        slack, pooled = self._bound_table(margin, rot_slack, y_bin)
         bounds = np.full(middle.size * n_y, -np.inf)
 
         def split(coarse_blocks):
@@ -639,34 +647,46 @@ class PoseScorer:
         return bounds
 
 
-def _proposal_blocks(ys, thetas, heading_width: float, y_width: float):
+def _proposal_blocks(ys, thetas, heading_width: float, res: float):
     """Group proposals into (heading-bin x y-bin) blocks.
 
     A run of _MIN_RUN or more consecutive proposals with one heading, as
     each heading of a theta-major grid is, is a heading bin of its own,
     whose middle is that heading.  The other proposals fall into bins
     `heading_width` wide from their lowest heading, whose middle is the
-    bin's centre; these wide bins follow the runs' bins.  y-bins are
-    `y_width` wide from the lowest y.  Block b * n + j is y-bin j of
-    heading bin b, for n y-bins.  Returns each proposal's block, the
-    lowest y in each y-bin, each heading bin's middle, and the number of
-    runs' bins.
+    bin's centre; these wide bins follow the runs' bins.  The heading
+    bins' rotation slack is _ROT_SLACK voxels if any bin is wide, else 0,
+    and y-bins are `_y_bins`' width for it, in voxels of `res`, from the
+    lowest y.  Block b * n + j is y-bin j of heading bin b, for n y-bins.
+    Returns each proposal's block, the lowest y in each y-bin, each
+    heading bin's middle, the number of runs' bins and the rotation slack.
     """
     starts, run_len, shared = _heading_runs(thetas)
     hbin = np.repeat(np.cumsum(shared) - 1, run_len)
     middle = thetas[starts[shared]]
     n_shared = middle.size
-    if not shared.all():
+    rot_slack = 0.0 if shared.all() else _ROT_SLACK
+    if rot_slack:
         in_wide = ~np.repeat(shared, run_len)
         lowest = thetas[in_wide].min()
         wbin = np.floor((thetas[in_wide] - lowest) / heading_width).astype(np.int64)
         hbin[in_wide] = n_shared + wbin
         centres = lowest + (np.arange(wbin.max() + 1) + 0.5) * heading_width
         middle = np.concatenate((middle, centres))
-    ybin = np.floor((ys - ys.min()) / y_width).astype(np.int64)
+    ybin = np.floor((ys - ys.min()) / (_y_bins(rot_slack)[0] * res)).astype(np.int64)
     y_lo = np.full(ybin.max() + 1, np.inf)
     np.minimum.at(y_lo, ybin, ys)
-    return hbin * y_lo.size + ybin, y_lo, middle, n_shared
+    return hbin * y_lo.size + ybin, y_lo, middle, n_shared, rot_slack
+
+
+def _y_bins(rot_slack: float) -> tuple[float, int]:
+    """(width, count): the width in voxels of the y-bins of fine blocks
+    whose heading bins have rot_slack voxels of rotation slack, _Y_BIN -
+    2 * rot_slack, so that every fine block reads one pooled y window
+    (`_bound_table`); and the fine y-bins in a coarse y-bin, as many as
+    _COARSE_Y * _Y_BIN voxels hold."""
+    width = _Y_BIN - 2.0 * rot_slack
+    return width, int(_COARSE_Y * _Y_BIN // width)
 
 
 def _coarse_groups(middle, n_shared: int, heading_width: float):
@@ -693,15 +713,18 @@ def _coarse_groups(middle, n_shared: int, heading_width: float):
 # the rotation slack of a heading bin, in voxels at the frame's largest
 # point range: wider bins cost fewer bounds but read a wider pooled window
 _ROT_SLACK = 0.75
-# the width of a y-bin, in voxels; it and its sum with 2 * _ROT_SLACK are
-# kept off whole numbers, so the pooled windows do not hang on rounding
+# the y extent of a fine block, in voxels: its y-bin plus twice its
+# rotation slack (`_y_bins`), so every fine block reads a 4-voxel pooled y
+# window.  It and the wide bins' y-bin, 1.4, are kept off whole numbers,
+# so the pooled windows do not hang on rounding
 _Y_BIN = 2.9
 # float32 roundings a coordinate can gain, in units of eps * |value|
 _SPAN_ULPS = 64
 # fine blocks scored per round before the k-th best is updated
 _ROUND = 32
 # a coarse block: heading groups _COARSE_HEADINGS heading bins wide, so
-# _COARSE_HEADINGS * _ROT_SLACK voxels of rotation slack, x _COARSE_Y y-bins
+# _COARSE_HEADINGS * _ROT_SLACK voxels of rotation slack, x the fine y-bins
+# that _COARSE_Y * _Y_BIN voxels hold (`_y_bins`)
 _COARSE_HEADINGS = 2
 _COARSE_Y = 2
 # the best coarse blocks, holding this many rounds' fine blocks, are split

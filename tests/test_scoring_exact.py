@@ -82,15 +82,14 @@ from rowloc.mcl import (
 from rowloc.measurement import (
     _CHUNK,
     _COARSE_HEADINGS,
-    _COARSE_Y,
     _FIRST_SPLIT,
     _MIN_RUN,
     _ROT_SLACK,
     _ROUND,
-    _Y_BIN,
     PoseScorer,
     _coarse_groups,
     _proposal_blocks,
+    _y_bins,
     log_table,
 )
 from rowloc.template import GroundTruthPose, Template, TemplateConfig, build_template
@@ -292,15 +291,17 @@ def test_block_bounds_are_the_scores_on_a_constant_grid():
     res = cfg.resolution
     r_max = float(np.hypot(scorer._qx32, scorer._qy32, dtype=np.float64).max())
     width = 2.0 * _ROT_SLACK * res / max(r_max, res)
-    _, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+    _, y_lo, middle, n_shared, rot_slack = _proposal_blocks(ys, thetas, width, res)
+    assert rot_slack == _ROT_SLACK  # distinct headings: wide heading bins
+    y_bin, per_coarse = _y_bins(rot_slack)
     group, centres = _coarse_groups(middle, n_shared, width)
-    coarse_y_lo = np.minimum.reduceat(y_lo, np.arange(0, y_lo.size, _COARSE_Y))
+    coarse_y_lo = np.minimum.reduceat(y_lo, np.arange(0, y_lo.size, per_coarse))
     # fine blocks, then coarse ones; a margin of 0.01 voxels
-    for heads, lows, rot_slack, y_bin in (
-        (middle, y_lo, _ROT_SLACK, _Y_BIN),
-        (centres, coarse_y_lo, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN),
+    for heads, lows, rot, y_extent in (
+        (middle, y_lo, rot_slack, y_bin),
+        (centres, coarse_y_lo, _COARSE_HEADINGS * _ROT_SLACK, per_coarse * y_bin),
     ):
-        slack, pooled = scorer._bound_table(0.01, rot_slack, y_bin)
+        slack, pooled = scorer._bound_table(0.01, rot, y_extent)
         bounds = scorer._block_bounds(heads, lows, np.arange(heads.size * lows.size), slack,
                                       pooled)
         assert bounds.tobytes() == np.full(bounds.size, ll[0]).tobytes()
@@ -883,7 +884,7 @@ def uniform_proposals(draw, rng, frame, template, cfg, big=False):
         edge = rng.uniform(size=n) < 0.5
         thetas[edge] = thetas.min() + rng.integers(0, 8, edge.sum()) * width
         edge = rng.uniform(size=n) < 0.5
-        ys[edge] = ys.min() + rng.integers(0, 8, edge.sum()) * (_Y_BIN * res)
+        ys[edge] = ys.min() + rng.integers(0, 8, edge.sum()) * (_y_bins(_ROT_SLACK)[0] * res)
     return np.column_stack([ys, thetas])
 
 
@@ -973,24 +974,43 @@ def test_pruned_search_equals_exhaustive_when_pruning_starts_after_one_block(sce
         assert_pruned_search_equals_exhaustive(scene)
 
 
+@settings(max_examples=40, deadline=None)
+@given(search_scenes())
+def test_score_top_k_does_not_depend_on_the_worker_count(scene):
+    """With every call threaded, each round of a top-k search returns the
+    bits one thread does, so the search prunes the same blocks and returns
+    the same bits on 1, 2, 3 and 4 threads."""
+    frame, template, cfg, search = scene
+    poses = grid_poses(cfg, *search) if isinstance(search, tuple) else search
+    k = mcl._top_count(len(poses), mcl.TOP_FRACTION)
+    got = []
+    for n in (1, 2, 3, 4):
+        with scoring_workers(n):
+            ll, ns = PoseScorer(frame, template, cfg.p_floor).score_top_k(poses[:, 0],
+                                                                         poses[:, 1], k)
+        got.append((ll.tobytes(), ns.tobytes()))
+    assert got[1:] == got[:1] * 3
+
+
 def every_block_bound(scorer, ys, thetas):
     """(fine, coarse): the bound of the block that holds each proposal,
     its fine block and its coarse one, each block grouped and bounded as
     `score_top_k` does, none pruned."""
     res = scorer.template.config.resolution
     width = 2.0 * _ROT_SLACK * res / max(scorer._r_max, res)
-    block_of, y_lo, middle, n_shared = _proposal_blocks(ys, thetas, width, _Y_BIN * res)
+    block_of, y_lo, middle, n_shared, rot_slack = _proposal_blocks(ys, thetas, width, res)
+    y_bin, per_coarse = _y_bins(rot_slack)
     n_y = y_lo.size
     group, centres = _coarse_groups(middle, n_shared, width)
-    cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, _COARSE_Y))
-    coarse_of = group[block_of // n_y] * cy_lo.size + block_of % n_y // _COARSE_Y
-    margin = scorer._margin(np.max(np.abs(ys)))
-    levels = [(middle, y_lo, block_of, _ROT_SLACK if n_shared < middle.size else 0.0, _Y_BIN),
-              (centres, cy_lo, coarse_of, _COARSE_HEADINGS * _ROT_SLACK, _COARSE_Y * _Y_BIN)]
+    cy_lo = np.minimum.reduceat(y_lo, np.arange(0, n_y, per_coarse))
+    coarse_of = group[block_of // n_y] * cy_lo.size + block_of % n_y // per_coarse
+    margin = scorer._margin(np.max(np.abs(ys)), scorer._r_max)
+    levels = [(middle, y_lo, block_of, rot_slack, y_bin),
+              (centres, cy_lo, coarse_of, _COARSE_HEADINGS * _ROT_SLACK, per_coarse * y_bin)]
     out = []
-    for heads, lows, blocks, rot_slack, y_bin in levels:
+    for heads, lows, blocks, rot, y_extent in levels:
         used, of = np.unique(blocks, return_inverse=True)
-        slack, pooled = scorer._bound_table(margin, rot_slack, y_bin)
+        slack, pooled = scorer._bound_table(margin, rot, y_extent)
         out.append(scorer._block_bounds(heads, lows, used, slack, pooled)[of.reshape(-1)])
     return out
 
@@ -1050,7 +1070,7 @@ def test_pruned_search_prunes_coarse_blocks_of_a_one_wall_scene(scene):
     (scorer, ys, thetas), = searches
     res = scorer.template.config.resolution
     width = 2.0 * _ROT_SLACK * res / max(scorer._r_max, res)
-    block_of = _proposal_blocks(ys, thetas, width, _Y_BIN * res)[0]
+    block_of = _proposal_blocks(ys, thetas, width, res)[0]
     # the first pass bounds the coarse blocks; a pruned one's fine blocks are never bounded
     if bounded and sum(bounded[1:]) < np.unique(block_of).size:
         event("a coarse block was pruned")
@@ -1151,7 +1171,8 @@ SLACK_BOX = Box3.from_ranges((-2.0, 4.0), (-3.0, 3.0), (0.0, 2.0))
 @pytest.mark.parametrize("corner", ["low", "high"])
 def test_rotation_slack_covers_a_far_point_at_a_heading_bin_edge(axis, corner):
     """One point at the frame's largest range; one block's two proposals sit
-    at the edges of its heading bin (and, for y, at the ends of its y-bin).
+    at the edges of its heading bin (and, for y, at the ends of its y-bin,
+    1.4 voxels wide beside 0.75 voxels of rotation slack either side).
     At the bin's middle heading the point lies in a cold voxel; rotated to
     one edge heading it crosses voxel faces into the first or the last
     voxel that proposals of the block reach, the first or the last of its
@@ -1165,25 +1186,40 @@ def test_rotation_slack_covers_a_far_point_at_a_heading_bin_edge(axis, corner):
 @pytest.mark.parametrize("corner", ["low", "high"])
 def test_coarse_rotation_slack_covers_a_far_point_at_a_heading_group_edge(axis, corner):
     """As above for a coarse block, of _COARSE_HEADINGS heading bins and
-    _COARSE_Y y-bins: its proposals sit at the edges of its heading group
-    (and, for y, at the ends of its coarse y-bin)."""
+    the fine y-bins a coarse y-bin holds: its proposals sit at the edges of
+    its heading group (and, for y, at the ends of its coarse y-bin)."""
     assert_far_point_at_a_block_edge_is_found("coarse", axis, corner)
 
 
-def assert_far_point_at_a_block_edge_is_found(level, axis, corner):
+@pytest.mark.parametrize("level", ["fine", "coarse"])
+@pytest.mark.parametrize("corner", ["low", "high"])
+def test_a_grid_blocks_y_window_covers_a_point_at_its_y_edge(level, corner):
+    """As the y tests above, for proposals in runs of one heading, as a
+    grid's are: a fine block is one heading, with no rotation slack, and its
+    y-bin is 2.9 voxels wide, not 1.4; a coarse block holds two such
+    y-bins and two heading bins' rotation slack.  The block's two ends
+    reach the first and the last voxel of its pooled y window."""
+    assert_far_point_at_a_block_edge_is_found(level, "y", corner, runs=True)
+
+
+def assert_far_point_at_a_block_edge_is_found(level, axis, corner, runs=False):
+    """`runs`: every proposal in a run of one heading, so that fine blocks
+    have no rotation slack (`_proposal_blocks`)."""
     res = 0.1
     cfg = TemplateConfig(resolution=res, template_range=SLACK_BOX, no_info_frequency=0.5)
     lo = cfg.template_range.min_corner
     r = 3.0
     width = 2.0 * _ROT_SLACK * res / r  # the heading bins of a frame whose largest range is r
-    # the fine bins the block spans in heading and in y
-    n_th, n_y = (1, 1) if level == "fine" else (_COARSE_HEADINGS, _COARSE_Y)
+    y_bin, per_coarse = _y_bins(0.0 if runs else _ROT_SLACK)
+    # the heading bins' widths and the fine y-bins the block spans: a run's
+    # bin is one heading
+    n_th, n_y = (int(not runs), 1) if level == "fine" else (_COARSE_HEADINGS, per_coarse)
     slack = n_th * _ROT_SLACK
     th_lo, th_hi = 0.0, 0.998 * n_th * width
     th_mid = 0.5 * (th_lo + th_hi)
     if axis == "y":
         # the point on the x axis: its y moves by r per radian at heading 0
-        total = n_y * _Y_BIN + 2.0 * slack  # the y indices a full block can reach
+        total = n_y * y_bin + 2.0 * slack  # the y indices a full block can reach
         k_lo = 15
     else:
         # the point on the y axis, nearly: its x moves by r per radian
@@ -1194,7 +1230,7 @@ def assert_far_point_at_a_block_edge_is_found(level, axis, corner):
     frac = 1.0 - 0.5 * (math.ceil(total) - total) if total % 1.0 else 0.5
     if axis == "y":
         y0 = (k_lo + frac + slack) * res + lo[1] - r * math.sin(th_mid)
-        block = [(y0, th_lo), (y0 + 0.997 * n_y * _Y_BIN * res, th_hi)]
+        block = [(y0, th_lo), (y0 + 0.997 * n_y * y_bin * res, th_hi)]
         point = (r, 0.0)
     else:
         a = ((k_lo + frac + slack) * res + lo[0] + r * math.sin(th_mid)) / math.cos(th_mid)
@@ -1220,7 +1256,7 @@ def assert_far_point_at_a_block_edge_is_found(level, axis, corner):
     hot = [slice(None)] * 3
     hot[ax] = index[0] if corner == "low" else index[1]
     grid[tuple(hot)] = 0.9
-    assert_hot_block_is_found(Template(cfg, grid, 10), point, block, width, y0)
+    assert_hot_block_is_found(Template(cfg, grid, 10), point, block, width, y0, runs)
 
 
 @pytest.mark.parametrize("crossing", ["leaves", "enters"])
@@ -1256,23 +1292,34 @@ def test_rotation_slack_covers_a_point_crossing_the_x_face(crossing):
                               width, y0)
 
 
-def assert_hot_block_is_found(template, point, block, width, y0):
+def assert_hot_block_is_found(template, point, block, width, y0, runs=False):
     """Pruned and exhaustive search agree on `block` and warm filler blocks.
 
     The fillers, three proposals each in more fine blocks than the first
     coarse blocks split hold, all read warm logs; one of `block`'s
-    proposals reads the hot log 0.9 and is the best.  There are fewer
-    fine blocks than proposals, so the search bounds blocks.
+    proposals reads the hot log 0.9 and is the best.  They lie 1.2 y-bins
+    apart, y-bins as wide as the search cuts them (`_y_bins`), so there
+    are fewer fine blocks than proposals, and the search bounds blocks.
+    With `runs`, every heading, the block's two included, is a run of
+    _MIN_RUN or more proposals.
     """
     frame = PreprocessedFrame(PointCloud(np.array([[*point, 1.0]]), "V"), 0.0, 0.0, 0.0)
     res = template.config.resolution
+    y_bin = _y_bins(0.0 if runs else _ROT_SLACK)[0] * res
     n_fill = _FIRST_SPLIT * _ROUND + 14
     fill_th = 0.3 + 1.2 * width * np.arange(10)
-    fill_y = y0 + 1.2 * _Y_BIN * res * np.arange(math.ceil(n_fill / 10))
-    tt, yy = np.meshgrid(fill_th, fill_y)  # no run of one heading
-    fill = np.column_stack([yy.ravel(), tt.ravel()])
-    copies = [fill + j * np.array([0.05 * _Y_BIN * res, 0.05 * width]) for j in range(3)]
-    poses = np.vstack([np.array(block), *copies])
+    fill_y = y0 + 1.2 * y_bin * np.arange(math.ceil(n_fill / 10))
+    if runs:
+        # theta-major: each heading's three copies of its ys are one run
+        ys = np.concatenate([fill_y + 0.05 * j * y_bin for j in range(3)])
+        tt, yy = np.meshgrid(fill_th, ys, indexing="ij")
+        poses = np.vstack([np.repeat(block, _MIN_RUN, axis=0),
+                           np.column_stack([yy.ravel(), tt.ravel()])])
+    else:
+        tt, yy = np.meshgrid(fill_th, fill_y)  # no run of one heading
+        fill = np.column_stack([yy.ravel(), tt.ravel()])
+        copies = [fill + j * np.array([0.05 * y_bin, 0.05 * width]) for j in range(3)]
+        poses = np.vstack([np.array(block), *copies])
     mcl_cfg = MclConfig()
     want = exhaustive_estimate(frame, template, mcl_cfg, poses)
     assert want.loglik == pytest.approx(math.log(0.9), abs=2.0**-21)
@@ -1370,8 +1417,8 @@ def test_interior_and_edge_passes_equal_per_proposal_reference(scene, workers):
 
 
 def interior_frame(points_xy, far=True):
-    """A level frame of points at z = 1, and one far point past the box
-    that fixes the largest range, so the rounding margin does not move."""
+    """A level frame of points at z = 1, and one far point past the box,
+    an edge point of every call, that fixes the largest range."""
     pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
     if far:
         pts = np.vstack([pts, [30.0, 0.0]])
@@ -1452,7 +1499,7 @@ def test_points_one_float32_step_either_side_of_the_certified_slack(face):
     lo = cfg.template_range.min_corner
     at = ((c * qx - s * qy - lo[0]) if axis == 0 else (s * qx + c * qy + y_mid - lo[1]))
     scorer = PoseScorer(interior_frame([inner]), template)
-    margin = scorer._margin(np.max(np.abs(SPREAD_YS)))
+    margin = scorer._margin(np.max(np.abs(SPREAD_YS)), math.hypot(qx, qy))  # its own range
     slack = math.hypot(qx, qy) * 0.03 / cfg.resolution + margin
     if axis == 1:
         slack += 0.1 / cfg.resolution
@@ -1902,11 +1949,12 @@ def test_each_chunk_is_certified_over_its_own_span():
 @pytest.mark.parametrize("far", [6e7, -1e8])
 def test_a_far_kernel_point_casts_no_x_index(far):
     """A point about 2**29 or more voxels off on an axis, but under _FAR,
-    stays in the kernel, where its k * ny * nz would overflow int32; its
-    range widens the rounding margin past an x voxel, so no point is fast.
+    stays in the kernel, where its k * ny * nz would overflow int32.  Its
+    own rounding margin, which grows with its range, keeps it from being
+    fast; the near points' margins do not grow with it, and they are fast.
     Scored in chunks on two threads, as the particle filter's proposals
-    are, it is an edge point of every row, no x part is taken, no
-    RuntimeWarning is raised and every score is the reference's."""
+    are, the far point is an edge point of every row, no fast call holds
+    it, no RuntimeWarning is raised and every score is the reference's."""
     template = interior_template()
     frame = interior_frame([(2.0, 0.0), (1.5, 0.3), (far, 0.2), (0.4, far)], far=False)
     scorer = PoseScorer(frame, template)
@@ -1917,7 +1965,36 @@ def test_a_far_kernel_point_casts_no_x_index(far):
         warnings.simplefilter("error", RuntimeWarning)
         with scoring_workers(2), certified_rows(32), recorded_calls() as calls:
             assert_scores_equal_reference(scorer, frame, ys, thetas)
-    assert not fast_calls(calls)
+    fast = fast_calls(calls)
+    assert all(np.all(np.abs(points[0]) < 10.0) and np.all(np.abs(points[1]) < 10.0)
+               for *_, points, _ in fast)
+    # the two near points, through the fast kernel in every row
+    assert sum(rows * points[0].size for _, _, rows, points, _ in fast) == 2 * ys.size
     edge_rows = [rows for _, _, rows, points, masked in calls
                  if masked and np.any(np.abs(points[0]) > 1e7) | np.any(np.abs(points[1]) > 1e7)]
     assert sum(edge_rows) == ys.size
+
+
+def test_a_point_1_km_off_leaves_the_near_points_certification_unchanged():
+    """Each point's rounding margin follows its own range: adding one
+    point 1 km off leaves the near points' interior, fast and band masks
+    as they were, chunk by chunk, and every score is the reference's."""
+    template = band_template(0.1, GRID_SWEEP_NO_INFO, 3, 5, np.random.default_rng(44))
+    rng = np.random.default_rng(45)
+    near = sensor_points(rng.uniform([0.3, -1.9], [3.8, 1.9], (60, 2)), 0.05, 0.1)
+    ys = 0.05 + 0.01 * rng.standard_normal(800)
+    thetas = 0.1 + 0.004 * rng.standard_normal(800)
+    order = np.argsort(thetas)
+    first = np.arange(8) * 800 // 8  # eight chunks in heading order
+    spans = [f.reduceat(v[order], first)[:, None]
+             for v in (thetas, ys) for f in (np.minimum, np.maximum)]
+    masks = []
+    for pts in (near, np.vstack([near, [1000.0, 3.0]])):
+        frame = interior_frame(pts, far=False)
+        scorer = PoseScorer(frame, template)
+        masks.append([m[:, :60].tobytes() for m in scorer._certify(*spans)[:3]])
+        with certified_rows(100), recorded_calls() as calls:
+            assert_scores_equal_reference(scorer, frame, ys, thetas)
+        assert fast_calls(calls)
+    assert scorer._qx32.size == 61  # the far point is a kernel point
+    assert masks[1] == masks[0]
