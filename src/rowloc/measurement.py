@@ -34,8 +34,12 @@ after it returns.  Worker threads run only `_score_block`; `score`
 itself, its certification included, and the bound pass of `score_top_k`
 stay on the calling thread, and so do calls with fewer rows, such as the
 rounds of `score_top_k`.  With one CPU, or one chunk, no thread is
-started.  The log table of a
-(template, p_floor) and its max-pooled copies are one `LogTable`, built
+started.  `score`, `score_top_k` and each pool task run under a ufunc
+buffer of _BUFSIZE elements, the thread's own size restored on exit: it
+makes numpy 2.4's broadcast operations over (rows x points) arrays about
+four times faster, and changes only how numpy chunks them, which no
+elementwise operation or exact sum (below) depends on.  The log table of
+a (template, p_floor) and its max-pooled copies are one `LogTable`, built
 once and shared by every scorer of the pair (the grid is read-only).
 
 Exact sums by construction.  Every entry of the log table, the no-info
@@ -107,6 +111,7 @@ scored exhaustively.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -135,21 +140,37 @@ _FAR = 2**30
 _CHUNK = 128
 # the fewest rows a certified chunk of distinct headings holds: sorted by
 # heading, n such rows make n // _CERTIFIED_ROWS chunks, each certified over
-# its own span.  Narrower chunks certify more points fast or band, but each
-# takes its own point subsets and kernel calls, small numpy calls that hold
-# the interpreter lock while the other thread waits for it; on 2 CPUs the
-# particle filter's 4000 rows scored fastest in 10 chunks (compare-apricot,
-# of 192, 256, 384 and 512 rows)
+# its own span.  Narrower chunks certify more points fast or band, but take
+# more small numpy calls, which hold the interpreter lock while the other
+# scoring thread waits; on 2 CPUs, under the small buffer below, 192 rows
+# made compare-apricot's frames 2.7% slower than 384 (README)
 _CERTIFIED_ROWS = 384
-# fewest distinct-heading rows a `score` call shares with the pool.  The
-# rounds of top-k pruning stay below it (uniform sampling: about two a
-# frame, a median 164 rows, 1-2 ms each); on a shared host, waits for a
-# pool thread to get a CPU in such short calls made whole runs' frame
-# times differ, and sharing them at 64 rows made uniform-track only 2.7%
-# faster on 2 CPUs, in 4 of 6 pairs.  The particle filter's 4000 rows, one
-# call a frame, are scored on every CPU, its chunks and its edge pass from
-# one queue.
+# fewest distinct-heading rows a `score` call shares with the pool: the
+# particle filter's 4000, one call a frame, its chunks and its edge pass
+# from one queue.  The rounds of top-k pruning (a median 164 rows, two a
+# frame) stay on the calling thread: sharing them gained nothing (README)
 _MIN_THREADED_ROWS = 1024
+# numpy's ufunc buffer, in elements, while a scorer scores (`_small_buffer`).
+# numpy 2.4.6 runs a broadcast operation over float32 (rows x points)
+# arrays, as `cos_t * qx` and `fy += ys[:, None]` are, in chunks of the
+# buffer: 0.50-0.55 ns an element at the default 8192, 0.12-0.14 ns at 2048
+# or less, as an operation of one shape costs.  The float32 -> float64 row
+# sums, a buffered reduction, pay per chunk and slow down below about 256.
+# No result depends on it: every operation is elementwise or an exact sum
+_BUFSIZE = 512
+
+
+def _small_buffer(fn):
+    """`fn`, run under a ufunc buffer of _BUFSIZE elements; the caller's size
+    is restored when it returns or raises.  Each thread has its own size."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        old = np.setbufsize(_BUFSIZE)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
+    return run
 
 
 class PoseScorer:
@@ -215,7 +236,9 @@ class PoseScorer:
         # slack of the bounds and of `_certify`
         self._ranges = np.hypot(self._qx32, self._qy32, dtype=np.float64)
         self._r_max = float(np.max(self._ranges, initial=0.0))
+        self._margins = self._margin(0.0, self._ranges)  # each point's, at y 0
 
+    @_small_buffer
     def score(self, ys: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log-likelihoods, points-scored) for parallel arrays of proposals."""
         ys = np.asarray(ys, dtype=np.float64)
@@ -326,7 +349,7 @@ class PoseScorer:
                 )
 
         helpers = min(_WORKERS, len(todo)) - 1 if threaded else 0
-        futures = [_scoring_pool().submit(work) for _ in range(helpers)]
+        futures = [_scoring_pool().submit(_small_buffer(work)) for _ in range(helpers)]
         try:
             work()
         finally:
@@ -388,7 +411,8 @@ class PoseScorer:
         t_mid = 0.5 * (t_lo + t_hi)
         y_mid = 0.5 * (y_lo + y_hi)
         slack_x = self._ranges * (np.maximum(t_hi - t_mid, t_mid - t_lo) / res)
-        slack_x += self._margin(np.maximum(-y_lo, y_hi), self._ranges)
+        slack_x += self._margins
+        slack_x += self._margin(np.maximum(-y_lo, y_hi), None)
         slack_y = slack_x + np.maximum(y_hi - y_mid, y_mid - y_lo) / res
         c, s = np.cos(t_mid), np.sin(t_mid)
         qx, qy = self._q64
@@ -410,14 +434,17 @@ class PoseScorer:
         """The float32 rounding the kernel's coordinates of a point at range
         r can gain for proposals whose ys lie within y_abs of 0, in voxels:
         _SPAN_ULPS float32 roundings of the largest |value| that enters
-        them.  Far above the float64 rounding of the bins' edges and centres
-        and of `_certify`'s coordinates.  `_certify` takes each point's own
-        range, the bound tables the largest."""
+        them, a part of r plus a part of y_abs (alone for r None).  Far above
+        the float64 rounding of the bins' edges and centres and of
+        `_certify`'s coordinates.  `_certify` takes each point's own range,
+        its part once (`_margins`); the bound tables take the largest."""
         cfg = self.template.config
         lo = cfg.template_range.min_corner
-        nx, ny, _ = self._dims
-        big = abs(lo[0]) + abs(lo[1]) + r + y_abs
-        return _SPAN_ULPS * float(np.finfo(np.float32).eps) * (max(nx, ny) + big / cfg.resolution)
+        ulps = _SPAN_ULPS * float(np.finfo(np.float32).eps) / cfg.resolution
+        if r is None:
+            return ulps * y_abs
+        big = max(self._dims[:2]) * cfg.resolution + abs(lo[0]) + abs(lo[1]) + r
+        return ulps * big + ulps * y_abs
 
     def _score_block(self, cos_t, sin_t, ys, row, points, masked):
         """Score ys against (h, 1) heading rows: ys[i] against heading row
@@ -468,6 +495,7 @@ class PoseScorer:
         lin *= keep  # points outside template_range read the no-info slot 0
         return self.tables.table.take(lin).sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
 
+    @_small_buffer
     def score_top_k(
         self, ys: np.ndarray, thetas: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:

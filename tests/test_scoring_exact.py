@@ -7,7 +7,9 @@ a time with the scorer's float32 arithmetic written out step by step.
 
 Chunks of distinct headings are scored on as many threads as the
 process has CPUs; neither the scores nor the particle filter's estimates
-and particles may depend on the number of threads.
+and particles may depend on the number of threads.  Scoring runs under a
+small ufunc buffer on every thread, the caller's size restored after:
+no result may depend on the size a caller set.
 
 Grid search and uniform sampling score only the blocks of proposals
 whose upper bound reaches the k-th best score, bounding fine blocks only
@@ -682,6 +684,112 @@ def test_score_returns_after_every_chunk_a_pool_thread_took(wall_run):
     assert at_return == events, "a pool thread scored after score returned"
     assert at_return.count(("start", True)) == at_return.count(("end", True))
     assert [a.tobytes() for a in got] == want
+
+
+# a caller's ufunc buffer size: numpy's default (None: left as it is), and
+# two that it may have set
+CALLER_BUFSIZES = [None, 16, 2**20]
+
+
+@contextmanager
+def caller_bufsize(size):
+    """Run with the calling thread's ufunc buffer at `size`, and check that
+    it holds that size after."""
+    old = np.getbufsize()
+    want = old if size is None else size
+    np.setbufsize(want)
+    try:
+        yield
+        assert np.getbufsize() == want, "the caller's buffer size was not restored"
+    finally:
+        np.setbufsize(old)
+
+
+def scoring_bits(template, clouds, cfg):
+    """The bits of `score` and `score_top_k` on uniform proposals, of
+    `score_top_k` on a grid's, and of one particle-filter step."""
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    uniform = mcl.sample_uniform(cfg.prior, 2000, seed=12)
+    grid = grid_poses(cfg, mcl.GRID_Y_STEP, mcl.GRID_THETA_STEP)
+    calls = [scorer.score(uniform[:, 0], uniform[:, 1]),
+             scorer.score_top_k(uniform[:, 0], uniform[:, 1], 5),
+             scorer.score_top_k(grid[:, 0], grid[:, 1], 5)]
+    for ll, _ in calls[1:]:
+        assert np.isneginf(ll).any(), "the search pruned nothing"
+    u = OdometryDelta(np.array([0.2, 0.0, 0.0]), np.diag([0.02**2, 0.02**2, 0.01**2]))
+    est, particles = localize_pf(clouds[1], init_particles(cfg, seed=3), u, template, cfg,
+                                 seed=13)
+    return ([[a.tobytes() for a in call] for call in calls], estimate_bits(est),
+            particles.poses.tobytes(), particles.weights.tobytes())
+
+
+@pytest.mark.parametrize("bufsize", CALLER_BUFSIZES)
+def test_scoring_does_not_depend_on_the_callers_buffer_size(wall_run, bufsize):
+    """Scores, top-k searches and a particle-filter step are the same bits
+    on 1 and 2 threads whatever ufunc buffer size the caller set, and the
+    caller's size is the same after each call."""
+    with scoring_workers(1):
+        want = scoring_bits(*wall_run)
+    for n in (1, 2):
+        with scoring_workers(n), caller_bufsize(bufsize):
+            assert scoring_bits(*wall_run) == want
+
+
+@pytest.mark.parametrize("bufsize", CALLER_BUFSIZES)
+def test_the_callers_buffer_size_is_restored_when_scoring_raises(wall_run, bufsize):
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    poses = mcl.sample_uniform(cfg.prior, 2000, seed=14)
+
+    class KernelError(Exception):
+        pass
+
+    def failing(self, *args):
+        raise KernelError
+
+    for call in (scorer.score, lambda ys, thetas: scorer.score_top_k(ys, thetas, 5)):
+        with caller_bufsize(bufsize), mock.patch.object(PoseScorer, "_score_block", failing):
+            with pytest.raises(KernelError):
+                call(poses[:, 0], poses[:, 1])
+
+
+def test_every_scoring_thread_scores_under_the_small_buffer_and_restores_its_own(wall_run):
+    """The kernel, on the calling thread and a pool thread, the bound pass
+    and the certification run under a ufunc buffer of _BUFSIZE elements;
+    the pool thread's own size is the same after its task as before."""
+    template, clouds, cfg = wall_run
+    scorer = mcl._scorer_for(clouds[0], template, cfg)
+    poses = mcl.sample_uniform(cfg.prior, 2000, seed=15)
+    seen = set()  # (method, on a pool thread, buffer size)
+    pool_took_one = threading.Event()
+
+    def recorded(name):
+        fn = getattr(PoseScorer, name)
+
+        def run(self, *args):
+            on_pool = threading.current_thread() is not threading.main_thread()
+            seen.add((name, on_pool, np.getbufsize()))
+            if name == "_score_block":
+                # the calling thread waits until a pool thread takes a chunk
+                if on_pool:
+                    pool_took_one.set()
+                else:
+                    pool_took_one.wait(10.0)
+            return fn(self, *args)
+
+        return mock.patch.object(PoseScorer, name, run)
+
+    with scoring_workers(2), recorded("_score_block"), recorded("_block_bounds"), \
+            recorded("_certify"):
+        before = measurement._scoring_pool().submit(np.getbufsize).result()
+        scorer.score(poses[:, 0], poses[:, 1])
+        scorer.score_top_k(poses[:, 0], poses[:, 1], 5)
+        after = measurement._scoring_pool().submit(np.getbufsize).result()
+    small = measurement._BUFSIZE
+    assert small != before
+    assert seen == {("_score_block", True, small), ("_score_block", False, small),
+                    ("_block_bounds", False, small), ("_certify", False, small)}
+    assert after == before, "the pool thread kept the scoring buffer size"
 
 
 def wide_prior(cfg):
@@ -1499,7 +1607,9 @@ def test_points_one_float32_step_either_side_of_the_certified_slack(face):
     lo = cfg.template_range.min_corner
     at = ((c * qx - s * qy - lo[0]) if axis == 0 else (s * qx + c * qy + y_mid - lo[1]))
     scorer = PoseScorer(interior_frame([inner]), template)
-    margin = scorer._margin(np.max(np.abs(SPREAD_YS)), math.hypot(qx, qy))  # its own range
+    # its own range's part of the margin, taken once per scorer, and the ys' part
+    assert scorer._margins[0] == scorer._margin(0.0, math.hypot(qx, qy))
+    margin = scorer._margins[0] + scorer._margin(np.max(np.abs(SPREAD_YS)), None)
     slack = math.hypot(qx, qy) * 0.03 / cfg.resolution + margin
     if axis == 1:
         slack += 0.1 / cfg.resolution
