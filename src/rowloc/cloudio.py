@@ -37,4 +37,4 @@ def load_cloud_binary(path) -> PointCloud:
     if len(raw) != expected:
         raise CloudFormatError(f"{path}: expected {expected} bytes for {count} points, got {len(raw)}")
     pts = np.frombuffer(raw, dtype="<f4", offset=8).reshape(count, 3)
-    return PointCloud(pts.astype(np.float64), "C")
+    return PointCloud(pts.astype(np.float64))

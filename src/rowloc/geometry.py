@@ -7,6 +7,9 @@ Frames:
         vehicle's along-row station, z = 0 on the ground
     {R} row frame: like {T} but anchored at the row start
 
+A `PointCloud` carries no frame: the suffix of the name it is bound to
+says which (`cloud_C`, `cloud_V`, `cloud_T`).
+
 Euler convention is Z*Y*X (yaw about z, then pitch about y, then roll
 about x), shared by every module.
 """
@@ -14,7 +17,7 @@ about x), shared by every module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +44,9 @@ class LowConfidenceFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A set of 3D points (meters) tagged with a coordinate frame."""
+    """A set of 3D points (meters), in the frame its name's suffix says."""
 
     points: np.ndarray  # (N, 3) float64
-    frame: str = "C"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -56,9 +58,6 @@ class PointCloud:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def with_frame(self, frame: str) -> "PointCloud":
-        return replace(self, frame=frame)
 
 
 @dataclass(frozen=True)
@@ -182,9 +181,10 @@ def make_pose_transform(
     return RigidTransform(R, np.array([0.0, y, z]))
 
 
-def transform_cloud(T: RigidTransform, cloud: PointCloud, frame: str | None = None) -> PointCloud:
-    """Map every point p -> R p + t, preserving order."""
-    return PointCloud(T.apply(cloud.points), frame if frame is not None else cloud.frame)
+def transform_cloud(T: RigidTransform, cloud: PointCloud) -> PointCloud:
+    """Map every point p -> R p + t, preserving order: the cloud in T's
+    target frame, which the caller's name for the result says."""
+    return PointCloud(T.apply(cloud.points))
 
 
 def invert(T: RigidTransform) -> RigidTransform:
@@ -196,7 +196,7 @@ def cutoff_filter(cloud: PointCloud, box: Box3) -> PointCloud:
     """Keep exactly the points with min <= p <= max per axis."""
     if len(cloud) == 0:
         return cloud
-    return PointCloud(cloud.points[box.contains(cloud.points)], cloud.frame)
+    return PointCloud(cloud.points[box.contains(cloud.points)])
 
 
 def _packed_key(rows: np.ndarray) -> np.ndarray | None:
@@ -227,26 +227,17 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (inverse, first): inverse[i] is the group of row i, with groups
     in the lexicographic order np.unique(rows, axis=0) gives them, and
-    first[g] is the index of a row of group g.
+    first[g] is the index of the first row of group g.
 
-    The rows are packed into one int64 key each (`_packed_key`) and sorted
-    once, stably, so the order is np.lexsort's; rows whose key would not
-    fit in int64 are lexsorted column by column.
+    np.unique groups the rows' packed int64 keys (`_packed_key`), which
+    order as the rows do; rows too wide to pack are grouped whole.
     """
     key = _packed_key(rows)
-    if key is None:  # too wide to pack: sort on the columns, compare whole rows
-        order = np.lexsort(rows.T[::-1])  # stable, first column most significant
-        ordered = rows[order]
-        differs = np.any(ordered[1:] != ordered[:-1], axis=1)
-    else:
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        differs = ordered[1:] != ordered[:-1]
-    starts = np.ones(rows.shape[0], dtype=bool)
-    starts[1:] = differs
-    inverse = np.empty(rows.shape[0], dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return inverse, order[starts]
+    if key is None:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        return inverse.reshape(-1), first
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return inverse, first
 
 
 def _check_leaf(leaf: float) -> None:
@@ -269,7 +260,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     sums = np.column_stack(
         [np.bincount(inverse, weights=pts[:, c], minlength=n_cells) for c in range(3)]
     )
-    return PointCloud(sums / np.bincount(inverse)[:, None], cloud.frame)
+    return PointCloud(sums / np.bincount(inverse)[:, None])
 
 
 def _plane_from_points(p0, p1, p2) -> Plane | None:
@@ -428,7 +419,7 @@ def voxelizable_points(cloud: PointCloud, leaf: float) -> PointCloud:
     # the common case, tested without a temporary; a NaN fails both tests
     if pts.size == 0 or (-bound < pts.min() and pts.max() < bound):
         return cloud
-    return PointCloud(pts[np.all(np.abs(pts) < bound, axis=1)], cloud.frame)
+    return PointCloud(pts[np.all(np.abs(pts) < bound, axis=1)])
 
 
 # preprocess's last successful call: ((cfg, points bytes), frame).  The points
@@ -438,7 +429,7 @@ _last_call = None
 
 def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) -> PreprocessedFrame:
     """Drop the points no voxel grid can index (`voxelizable_points`),
-    downsample, tag the cloud {V} (it coincides with {C}), and estimate
+    downsample into {V} (it coincides with {C}), and estimate
     (roll, pitch, height).
 
     The last successful call is remembered: a call with an equal config and
@@ -456,7 +447,7 @@ def preprocess(cloud_C: PointCloud, cfg: PreprocessConfig = PreprocessConfig()) 
     if last is not None and last[0] == key:
         return last[1]
     kept = voxelizable_points(cloud_C, cfg.leaf_size)
-    cloud_V = voxel_downsample(kept, cfg.leaf_size).with_frame("V")
+    cloud_V = voxel_downsample(kept, cfg.leaf_size)
     _, roll, pitch, height = ransac_ground_plane(cloud_V)
     cloud_V.points.flags.writeable = False  # a fresh array: voxel_downsample built it
     frame = PreprocessedFrame(cloud_V, roll, pitch, height)

@@ -203,9 +203,9 @@ def _true_template_transform(ds: Dataset, i: int):
 def degrade_in_template_frame(ds: Dataset, i: int, fn) -> PointCloud:
     """Apply a {T}-frame degradation operator to frame i's cloud."""
     T = _true_template_transform(ds, i)
-    cloud_T = transform_cloud(T, ds.clouds[i], frame="T")
+    cloud_T = transform_cloud(T, ds.clouds[i])
     cloud_T = fn(cloud_T)
-    return transform_cloud(invert(T), cloud_T, frame="C")
+    return transform_cloud(invert(T), cloud_T)
 
 
 def _from_estimate(est) -> tuple:
@@ -580,7 +580,7 @@ def run_rowend_sweep(
         template = template_from_dataset(ds, cfg)
         eval_ds = _eval_subset(ds, cfg)
         for d in d_values:
-            yield d, template, _frames(cfg, eval_ds, (42, int(d * 100)),
+            yield d, template, _frames(cfg, eval_ds, (42, round(d * 100)),
                                        lambda c, d=d: truncate_row_end(c, d))
 
     results = _sweep(cfg, cases())
@@ -633,7 +633,7 @@ def run_voxel_sweep(cfg: ExperimentConfig, sizes=(0.02, 0.05, 0.1, 0.2, 0.5, 1.0
         for size in sizes:
             tpl_cfg = replace(cfg.template_cfg, resolution=size)
             template = template_from_dataset(ds, replace(cfg, template_cfg=tpl_cfg))
-            yield size, template, _frames(cfg, eval_ds, (62, int(size * 1000)))
+            yield size, template, _frames(cfg, eval_ds, (62, round(size * 1000)))
 
     out = {}
     for size, res in _sweep(cfg, cases()).items():
@@ -733,25 +733,20 @@ def run_compare(cfg: ExperimentConfig, out_dir=None) -> dict:
     return {"results": all_results, "tables": tables}
 
 
-def closed_loop_sim(
-    cfg: ExperimentConfig,
-    y0: float = 0.3,
-    template: Template | None = None,
-    out_dir=None,
-) -> dict:
+def closed_loop_sim(cfg: ExperimentConfig, y0: float = 0.3, out_dir=None) -> dict:
     """Proportional line following driven by per-frame template localization.
 
-    Unicycle plant at the trajectory speed, starting at lateral offset y0
-    with heading 0; the steering rate is
+    The template is built from a run through the scene seeded 90,
+    rendered with seed 91.  Unicycle plant at the trajectory speed,
+    starting at lateral offset y0 with heading 0; the steering rate is
     -k_y * y_est - k_theta * theta_est, saturated.  Each frame is localized
     on its own with cfg.method, which must be one of SWEEP_METHODS (no
     particle filter, no baseline).
     """
     check_sweep_method(cfg.method)
     scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 90))
-    if template is None:
-        build_ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 91))
-        template = template_from_dataset(build_ds, cfg)
+    build_ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 91))
+    template = template_from_dataset(build_ds, cfg)
 
     dt = 1.0 / cfg.trajectory.frame_rate
     v = cfg.trajectory.speed

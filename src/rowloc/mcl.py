@@ -63,6 +63,8 @@ class OdometryDelta:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64).reshape(3)
         s = np.asarray(self.sigma, dtype=np.float64).reshape(3, 3)
+        if not (np.isfinite(u).all() and np.isfinite(s).all()):
+            raise ValueError("odometry increment and covariance must be finite")
         if not np.allclose(s, s.T, atol=1e-12):
             raise ValueError("odometry covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(s)) < -1e-12:

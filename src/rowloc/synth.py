@@ -266,12 +266,12 @@ def render_frame(
     local = local[keep]
     d = d[keep]
     if local.shape[0] == 0:
-        return PointCloud(np.zeros((0, 3)), "C")
+        return PointCloud(np.zeros((0, 3)))
     rng = np.random.default_rng(seed)
     sigma = sensor.sigma(d)
     radial = rng.normal(0.0, 1.0, local.shape[0]) * sigma
     scale = 1.0 + radial / d
-    return PointCloud(local * scale[:, None], "C")
+    return PointCloud(local * scale[:, None])
 
 
 def sinusoidal_trajectory(
@@ -336,7 +336,7 @@ def remove_unit_trees(cloud: PointCloud, n: int, seed: int) -> PointCloud:
     removed = rng.choice(total, size=n, replace=False)
     ids = unit_tree_membership(cloud.points)
     keep = ~np.isin(ids, removed)
-    return PointCloud(cloud.points[keep], cloud.frame)
+    return PointCloud(cloud.points[keep])
 
 
 def truncate_row_end(cloud: PointCloud, d: float) -> PointCloud:
@@ -346,7 +346,7 @@ def truncate_row_end(cloud: PointCloud, d: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     keep = cloud.points[:, 0] <= d
-    return PointCloud(cloud.points[keep], cloud.frame)
+    return PointCloud(cloud.points[keep])
 
 
 def _bend_points(points: np.ndarray, radius: float) -> np.ndarray:

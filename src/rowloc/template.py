@@ -115,13 +115,11 @@ class TemplateConfig:
 
 @dataclass(frozen=True)
 class GroundTruthPose:
-    """Known centerline offsets for a template-building frame."""
+    """Known centerline offsets (y, theta) of a template-building frame; its
+    roll, pitch and height come from the frame's ground fit."""
 
     y: float
     theta: float
-    roll: float | None = None
-    pitch: float | None = None
-    z: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +160,8 @@ def build_template(
     """Accumulate per-frame voxel occupancy into a frequency grid.
 
     Per frame: preprocess, place the cloud in {T} using (roll, pitch,
-    height) from the ground-plane fit and (y, theta) from ground truth,
+    height) from the ground-plane fit, the only source of a teaching
+    frame's attitude, and (y, theta) from its GroundTruthPose,
     cut to the in-row region, and mark each occupied voxel once per frame.
     The final grid is the count divided by the number of frames, with the
     out-of-row region filled with no_info_frequency.  A frame with no
@@ -182,11 +181,8 @@ def build_template(
         except DegenerateInputError:
             continue
         n += 1
-        roll = truth.roll if truth.roll is not None else frame.roll
-        pitch = truth.pitch if truth.pitch is not None else frame.pitch
-        z = truth.z if truth.z is not None else frame.height
-        T = make_pose_transform(truth.y, truth.theta, roll, pitch, z)
-        cloud_T = transform_cloud(T, frame.cloud_V, frame="T")
+        T = make_pose_transform(truth.y, truth.theta, frame.roll, frame.pitch, frame.height)
+        cloud_T = transform_cloud(T, frame.cloud_V)
         cloud_T = cutoff_filter(cloud_T, cfg.row_range)
         if len(cloud_T) == 0:
             continue

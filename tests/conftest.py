@@ -38,13 +38,14 @@ def make_wall_cloud_T(
     gy = np.arange(-ground_half_width, ground_half_width + 1e-9, ground_step)
     gxx, gyy = np.meshgrid(gx, gy, indexing="ij")
     ground = np.column_stack([gxx.ravel(), gyy.ravel(), np.zeros(gxx.size)])
-    return PointCloud(np.vstack([left, right, ground]), "T")
+    return PointCloud(np.vstack([left, right, ground]))
 
 
-def camera_cloud_at(cloud_T: PointCloud, y: float, theta: float, z: float = 1.0):
-    """The {C} (= {V}) view of a {T} cloud from vehicle pose (y, theta, z)."""
-    T = make_pose_transform(y, theta, 0.0, 0.0, z)
-    return transform_cloud(invert(T), cloud_T, frame="C")
+def camera_cloud_at(cloud_T: PointCloud, y: float, theta: float, z: float = 1.0,
+                    roll: float = 0.0, pitch: float = 0.0):
+    """The {C} (= {V}) view of a {T} cloud from vehicle pose (y, theta, z, roll, pitch)."""
+    T = make_pose_transform(y, theta, roll, pitch, z)
+    return transform_cloud(invert(T), cloud_T)
 
 
 def grid_poses(cfg, y_step, theta_step):

@@ -325,7 +325,7 @@ def test_criterion_9_property_suites(vineyard_run, tmp_path):
         y, th, a, b, z = rng.uniform(-0.5, 0.5, 5)
         T = make_pose_transform(y, th, a, b, z)
         pts = rng.uniform(-5, 5, (200, 3))
-        back = transform_cloud(invert(T), transform_cloud(T, PointCloud(pts, "V"), "T"), "V")
+        back = transform_cloud(invert(T), transform_cloud(T, PointCloud(pts)))
         worst = max(worst, float(np.abs(back.points - pts).max()))
     checks.append(("round-trip", worst < 1e-9, f"max {worst:.2e}"))
 
@@ -348,7 +348,7 @@ def test_criterion_9_property_suites(vineyard_run, tmp_path):
     poses = sample_uniform(cfg.mcl_cfg.prior, 64, 3)
     ll1, _ = scorer.score(poses[:, 0], poses[:, 1])
     perm = rng.permutation(len(eval_ds.clouds[0].points))
-    scorer2 = _scorer_for(PointCloud(eval_ds.clouds[0].points[perm], "C"), template, cfg.mcl_cfg)
+    scorer2 = _scorer_for(PointCloud(eval_ds.clouds[0].points[perm]), template, cfg.mcl_cfg)
     ll2, _ = scorer2.score(poses[:, 0], poses[:, 1])
     perm_ok = bool(np.all(np.isfinite(ll1)) and np.allclose(ll1, ll2, atol=1e-6))
     checks.append(("likelihood permutation", perm_ok, f"max diff {np.abs(ll1-ll2).max():.2e}"))

@@ -86,7 +86,7 @@ def test_missing_side_raises():
     ground = np.column_stack(
         [rng.uniform(1, 10, 400), rng.uniform(-2, 2, 400), np.zeros(400)]
     )
-    cloud_T = PointCloud(np.vstack([left, ground]), "T")
+    cloud_T = PointCloud(np.vstack([left, ground]))
     cloud_C = camera_cloud_at(cloud_T, 0.0, 0.0)
     with pytest.raises(SideMissingError):
         baseline1(cloud_C, PARAMS, seed=0)
@@ -137,7 +137,7 @@ def test_refine_snaps_to_dense_trunk_plane():
     ground = np.column_stack(
         [rng.uniform(1, 12, n_ground), rng.uniform(-2, 2, n_ground), np.zeros(n_ground)]
     )
-    cloud_T = PointCloud(np.vstack(pts + [ground]), "T")
+    cloud_T = PointCloud(np.vstack(pts + [ground]))
     true_y = 0.12
     cloud_C = camera_cloud_at(cloud_T, true_y, 0.0)
     y2, _, pair = baseline2(cloud_C, PARAMS, seed=1)
@@ -153,22 +153,29 @@ def _jittered_wall(seed):
     pts = wall.points.copy()
     canopy = pts[:, 2] > 0.05
     pts[canopy, 1] += rng.normal(0.0, 0.05, np.count_nonzero(canopy))
-    return PointCloud(pts, "T")
+    return PointCloud(pts)
 
 
 def test_three_way_agreement_on_noiseless_wall_scene():
+    # level, then two tilts: teaching and evaluation frames share the
+    # attitude, which the template learns from the ground fit alone
+    for roll, pitch, z in [(0.0, 0.0, 1.0), (0.04, -0.03, 1.1), (-0.06, 0.05, 0.9)]:
+        _check_three_way_agreement(roll, pitch, z)
+
+
+def _check_three_way_agreement(roll, pitch, z):
     pre = PreprocessConfig(leaf_size=0.05)
     params = BaselineParams(pre_cfg=pre)
     build_frames, truths = [], []
     for k in range(20):
         y = 0.02 * (k - 9.5)
         th = 0.008 * (k - 9.5)
-        build_frames.append(camera_cloud_at(_jittered_wall(400 + k), y, th))
+        build_frames.append(camera_cloud_at(_jittered_wall(400 + k), y, th, z, roll, pitch))
         truths.append(GroundTruthPose(y=y, theta=th))
     template = build_template(build_frames, truths, TemplateConfig(), pre)
 
     true_y, true_th = 0.12, 0.04
-    cloud_C = camera_cloud_at(_jittered_wall(499), true_y, true_th)
+    cloud_C = camera_cloud_at(_jittered_wall(499), true_y, true_th, z, roll, pitch)
     y1, t1 = baseline1(cloud_C, params, seed=0)
     y2, t2, _ = baseline2(cloud_C, params, seed=0)
     est = localize_uniform(cloud_C, template, MclConfig(pre_cfg=pre, n_particles=8000), seed=1)

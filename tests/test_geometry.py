@@ -76,11 +76,10 @@ def test_make_pose_transform_places_vehicle_origin():
     np.testing.assert_allclose(fwd, [math.cos(0.3), math.sin(0.3), 0.0], atol=1e-12)
 
 
-def test_transform_cloud_preserves_order_and_sets_frame():
+def test_transform_cloud_preserves_order():
     pts = np.arange(12, dtype=float).reshape(4, 3)
     T = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
-    out = transform_cloud(T, PointCloud(pts, "C"), frame="T")
-    assert out.frame == "T"
+    out = transform_cloud(T, PointCloud(pts))
     np.testing.assert_allclose(out.points[:, 0], pts[:, 0] + 1.0)
 
 
@@ -190,7 +189,7 @@ def _tilted_ground_scene(rng, roll, pitch, height, n_ground=400, n_outlier=120):
     out_T = np.column_stack([ox, oy, oz])
     pts_T = np.vstack([ground_T, out_T])
     pts_V = (pts_T - np.array([0.0, 0.0, height])) @ R  # inverse of leveling
-    return PointCloud(pts_V, "V")
+    return PointCloud(pts_V)
 
 
 def test_ransac_ground_plane_monte_carlo_success_rate():
@@ -218,7 +217,6 @@ def test_preprocess_pipeline_on_synthetic_frame():
     rng = np.random.default_rng(11)
     cloud = _tilted_ground_scene(rng, 0.05, -0.03, 1.0)
     frame = preprocess(cloud, PreprocessConfig(leaf_size=0.05))
-    assert frame.cloud_V.frame == "V"
     assert len(frame.cloud_V) <= len(cloud)
     assert frame.roll == pytest.approx(0.05, abs=0.01)
     assert frame.pitch == pytest.approx(-0.03, abs=0.01)
@@ -263,7 +261,7 @@ def test_preprocess_repeat_call_is_a_hit(ransac_calls):
     cloud = _scene()
     first = preprocess(cloud)
     assert preprocess(cloud) is first
-    assert preprocess(PointCloud(cloud.points.copy(), "C")) is first  # equal bytes, new array
+    assert preprocess(PointCloud(cloud.points.copy())) is first  # equal bytes, new array
     assert len(ransac_calls) == 1
 
 

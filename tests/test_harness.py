@@ -80,7 +80,6 @@ def test_degrade_in_template_frame_identity_round_trip(cfg):
     ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 11))
     i = (len(ds.clouds) - 1) // 2  # a frame mid-row
     out = degrade_in_template_frame(ds, i, lambda c: c)
-    assert out.frame == ds.clouds[i].frame
     np.testing.assert_allclose(out.points, ds.clouds[i].points, atol=1e-9)
 
 
@@ -225,6 +224,21 @@ def test_run_template_size_sweep_smoke(cfg, tmp_path):
     assert (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("runner, values, keys", [
+    (run_rowend_sweep, (0.28, 0.29), [(42, 28), (42, 29)]),  # int(0.29 * 100) == 28
+    (run_voxel_sweep, (1.0, 1.001), [(62, 1000), (62, 1001)]),  # int(1.001 * 1000) == 1000
+])
+def test_sweep_seed_keys_round_the_swept_value(cfg, monkeypatch, runner, values, keys):
+    seen = []
+    monkeypatch.setattr(harness, "render_run", lambda *a: None)
+    monkeypatch.setattr(harness, "template_from_dataset", lambda *a: None)
+    monkeypatch.setattr(harness, "_eval_subset", lambda *a: None)
+    monkeypatch.setattr(harness, "_frames", lambda cfg, ds, key, *a: seen.append(key))
+    monkeypatch.setattr(harness, "_sweep", lambda cfg, cases: ([*cases], {})[1])  # draw every case
+    runner(cfg, values)
+    assert seen == keys
+
+
 @pytest.mark.parametrize("runner", [run_gap_sweep, run_rowend_sweep, run_curvature_sweep,
                                     run_voxel_sweep, run_template_size_sweep])
 @pytest.mark.parametrize("method", ["baseline1", "template-pf"])
@@ -253,10 +267,7 @@ def test_run_cross_template_matrix(cfg, tmp_path):
 
 
 def test_closed_loop_converges_to_centerline(cfg, tmp_path):
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 90))
-    build_ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 91))
-    template = template_from_dataset(build_ds, cfg)
-    out = closed_loop_sim(cfg, y0=0.3, template=template, out_dir=tmp_path)
+    out = closed_loop_sim(cfg, y0=0.3, out_dir=tmp_path)
     log = out["log"]
     assert len(log) > 0
     assert log[-1][1] >= cfg.scene.row_length - cfg.trajectory.speed / cfg.trajectory.frame_rate
@@ -268,14 +279,11 @@ def test_closed_loop_converges_to_centerline(cfg, tmp_path):
 
 
 def test_closed_loop_runs_the_method_it_reports(cfg, tmp_path, monkeypatch):
-    scene = generate_scene(cfg.scene, derive_seed(cfg.seed, 90))
-    build_ds = make_dataset(scene, cfg.trajectory, cfg.sensor, derive_seed(cfg.seed, 91))
-    template = template_from_dataset(build_ds, cfg)
     calls = []
     original = harness.localize_grid
     monkeypatch.setattr(harness, "localize_grid", lambda *a: calls.append(1) or original(*a))
     monkeypatch.setattr(harness, "localize_uniform", None)  # calling it fails the test
-    out = closed_loop_sim(replace(cfg, method="template-grid"), template=template, out_dir=tmp_path)
+    out = closed_loop_sim(replace(cfg, method="template-grid"), out_dir=tmp_path)
     assert len(calls) == len(out["log"]) > 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["method"] == "template-grid"

@@ -117,6 +117,14 @@ def test_odometry_delta_validation():
         OdometryDelta(np.zeros(3), np.diag([-1.0, 1, 1]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_odometry_delta_rejects_a_non_finite_increment_or_covariance(bad):
+    with pytest.raises(ValueError, match="finite"):
+        OdometryDelta(np.array([bad, 0.0, 0.0]), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        OdometryDelta(np.zeros(3), np.diag([0.01, bad, 0.01]))
+
+
 def test_particle_set_validation():
     with pytest.raises(ValueError):
         ParticleSet(np.zeros((0, 2)), np.zeros(0))
@@ -340,7 +348,7 @@ def test_particle_filter_restarts_when_every_particle_scores_at_the_floor(monkey
     template = Template(tcfg, np.zeros(tcfg.dims, dtype=np.float32), 10)
     rng = np.random.default_rng(3)
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], (200, 3))
-    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(pts), 0.0, 0.0, 0.0)
     monkeypatch.setattr(mcl, "preprocess", lambda cloud, pre_cfg: frame)
     cfg = MclConfig(p_floor=p_floor, n_particles=50)
     prev = ParticleSet(np.zeros((50, 2)), np.full(50, 1.0 / 50))

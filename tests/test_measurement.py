@@ -26,7 +26,7 @@ def _template_with(values: dict) -> Template:
 
 
 def _frame(points) -> PreprocessedFrame:
-    return PreprocessedFrame(PointCloud(np.atleast_2d(points), "V"), 0.0, 0.0, 0.0)
+    return PreprocessedFrame(PointCloud(np.atleast_2d(points)), 0.0, 0.0, 0.0)
 
 
 def _voxel_of(p):

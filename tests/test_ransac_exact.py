@@ -532,8 +532,7 @@ def test_voxel_downsample_matches_unique_reference(n, seed, scale, leaf, dup):
     pts = rng.normal(0.0, scale, (n, 3)) - rng.uniform(0, scale)
     if dup:
         pts = pts[rng.integers(0, n, 3 * n)]
-    got = voxel_downsample(PointCloud(pts, "C"), leaf)
-    assert got.frame == "C"
+    got = voxel_downsample(PointCloud(pts), leaf)
     assert got.points.tobytes() == reference_voxel_downsample(pts, leaf).tobytes()
 
 

@@ -1,6 +1,6 @@
-"""tools/row_digest.py, which compares two checkouts' outputs bit for bit,
-runs on every benchmark workload and prints the same digests in two
-processes."""
+"""tools/row_digest.py, which compares two checkouts' outputs and template
+bytes bit for bit, runs on every benchmark workload and prints the same
+digests in two processes."""
 
 import functools
 import os
@@ -32,9 +32,10 @@ first_run = functools.cache(run_digest)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_row_digest_prints_one_digest_per_method_and_one_over_all(workload):
     lines = first_run(workload)
-    assert [line.split()[0] for line in lines] == [*METHODS, "all"]
-    assert all(re.fullmatch(r".* 2 (rows|frames) +[0-9a-f]{64}", line) for line in lines)
+    assert [line.split()[0] for line in lines] == [*METHODS, "all", "template"]
+    assert all(re.fullmatch(r".* 2 (rows|frames) +[0-9a-f]{64}", line) for line in lines[:-1])
+    assert re.fullmatch(r"template +\d+ taught [0-9a-f]{64}", lines[-1])
 
 
 def test_row_digest_repeats_in_another_process():
-    assert run_digest("grid-sweep")[-1] == first_run("grid-sweep")[-1]
+    assert run_digest("grid-sweep") == first_run("grid-sweep")

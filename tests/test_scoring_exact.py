@@ -194,7 +194,7 @@ def scenes(draw):
         snap = rng.uniform(size=pts.shape) < 0.3
         pts[snap] = np.round(pts[snap] / res) * res
     tilt = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.03, -0.02, 0.9)]))
-    frame = PreprocessedFrame(PointCloud(pts, "V"), *tilt)
+    frame = PreprocessedFrame(PointCloud(pts), *tilt)
 
     thetas = heading_runs(draw)
     ys = rng.uniform(-1.0, 1.0, thetas.size)
@@ -253,7 +253,7 @@ def frequency_scenes(draw):
     tilt = (0.0, 0.0, 0.0)  # level at height 0: the scorer's z is the point's own
     if kind == "mixed":
         tilt = draw(st.sampled_from([tilt, (0.03, -0.02, 0.9)]))
-    frame = PreprocessedFrame(PointCloud(pts, "V"), *tilt)
+    frame = PreprocessedFrame(PointCloud(pts), *tilt)
 
     thetas = heading_runs(draw)
     ys = rng.uniform(-1.0, 1.0, thetas.size)
@@ -284,7 +284,7 @@ def test_block_bounds_are_the_scores_on_a_constant_grid():
     template = Template(cfg, np.full(cfg.dims, 0.5, dtype=F32), 10)
     rng = np.random.default_rng(2)
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(50, 3))
-    scorer = PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template)
+    scorer = PoseScorer(PreprocessedFrame(PointCloud(pts), 0.0, 0.0, 0.0), template)
     assert scorer._qx32.size < 50
     poses = mcl.sample_uniform(MclConfig().prior, 400, seed=1)
     ys, thetas = poses[:, 0], poses[:, 1]
@@ -321,7 +321,7 @@ def test_a_frequency_next_below_one_has_a_log_of_exactly_zero():
     template = Template(cfg, grid, 10)
     pts = rng.uniform([-0.5, -2.5, -0.5], [4.5, 2.5, 2.5], size=(40, 3))
     pts[:5, 2] = [0.0, 2.0, -0.1, 2.1, 2.5]
-    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(pts), 0.0, 0.0, 0.0)
     scorer = PoseScorer(frame, template)
     assert math.log(NEAR_ONE) != 0.0
     assert np.all(scorer.tables.table[1:].reshape(cfg.dims)[grid == NEAR_ONE] == 0.0)
@@ -339,10 +339,10 @@ def test_a_frame_past_the_point_limit_is_refused(monkeypatch):
                          no_info_frequency=0.02)
     template = Template(cfg, np.full(cfg.dims, 0.5, dtype=F32), 10)
     pts = np.tile([[1.0, 0.0, 1.0]], (11, 1))
-    assert PoseScorer(PreprocessedFrame(PointCloud(pts[:10], "V"), 0.0, 0.0, 0.0),
+    assert PoseScorer(PreprocessedFrame(PointCloud(pts[:10]), 0.0, 0.0, 0.0),
                       template).n_points == 10
     with pytest.raises(ValueError, match="at most 10 points, got 11"):
-        PoseScorer(PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0), template)
+        PoseScorer(PreprocessedFrame(PointCloud(pts), 0.0, 0.0, 0.0), template)
 
 
 @pytest.mark.parametrize("far", [3e8, -1e15])
@@ -373,7 +373,7 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
     counts = rng.integers(0, 11, cfg.dims)
     template = Template(cfg, counts / 10.0, 10)
     pts = rng.uniform([-0.5, -2.5, -0.5], [4.5, 2.5, 2.5], size=(120, 3))
-    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.02, 0.01, 0.3)
+    frame = PreprocessedFrame(PointCloud(pts), 0.02, 0.01, 0.3)
     # (cells, shared): runs of one heading, or as many distinct headings
     segments = [(_CHUNK + 45, True), (_MIN_RUN, True), (2, False), (_MIN_RUN, True),
                 (2 * _CHUNK + 3, True), (2 * _CHUNK + 5, False), (_MIN_RUN, True),
@@ -902,8 +902,8 @@ def test_scorers_of_one_template_share_its_log_table():
     grid = np.full(cfg.dims, 0.5, dtype=F32)
     template = Template(cfg, grid, 1)
     grid[:] = 1.0  # the template holds its own copy
-    frame = PreprocessedFrame(PointCloud(np.array([[1.0, 0.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
-    other = PreprocessedFrame(PointCloud(np.array([[2.0, 0.5, 0.3]]), "V"), 0.01, 0.0, 0.2)
+    frame = PreprocessedFrame(PointCloud(np.array([[1.0, 0.0, 1.0]])), 0.0, 0.0, 0.0)
+    other = PreprocessedFrame(PointCloud(np.array([[2.0, 0.5, 0.3]])), 0.01, 0.0, 0.2)
     a = PoseScorer(frame, template)
     b = PoseScorer(other, template)
     c = PoseScorer(frame, template, p_floor=1e-2)
@@ -1035,7 +1035,7 @@ def search_scenes(draw, kinds=("random", "peaked", "constant", "walls")):
         # near the box's y faces, so blocks straddle them
         pts[:, 1] = rng.choice([-2.07, 2.0], n) + rng.uniform(-0.9, 0.9, n)
     tilt = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.03, -0.02, 0.9)]))
-    frame = PreprocessedFrame(PointCloud(pts, "V"), *tilt)
+    frame = PreprocessedFrame(PointCloud(pts), *tilt)
 
     # one wall, seen over 1.5 m of ys either side: no coarse y window
     # (about 1 m) far from the pose reaches it
@@ -1141,11 +1141,11 @@ def test_every_block_bound_is_at_least_each_of_its_proposals_scores(scene, lat_x
     z_lo, z_hi = TEMPLATE_RANGE.min_corner[2], TEMPLATE_RANGE.max_corner[2]
     in_z = np.flatnonzero((leveled[:, 2] + frame.height >= z_lo) &
                           (leveled[:, 2] + frame.height <= z_hi))
-    frames = [frame, PreprocessedFrame(PointCloud(np.array([[lat_x, lat_y, 1.0]]), "V"),
+    frames = [frame, PreprocessedFrame(PointCloud(np.array([[lat_x, lat_y, 1.0]])),
                                        0.0, 0.0, 0.0)]
     if in_z.size > 1:
         far = in_z[np.argmax(np.hypot(leveled[in_z, 0], leveled[in_z, 1]))]
-        frames.append(replace(frame, cloud_V=PointCloud(pts[far : far + 1], "V")))
+        frames.append(replace(frame, cloud_V=PointCloud(pts[far : far + 1])))
     for f in frames:
         scorer = PoseScorer(f, template, cfg.p_floor)
         ll, _ = scorer.score(ys, thetas)
@@ -1191,7 +1191,7 @@ def test_grid_search_scores_every_cell_when_its_top_cells_score_no_point():
     cfg = TemplateConfig(template_range=TEMPLATE_RANGE, row_range=ROW_RANGE,
                          no_info_frequency=0.5)
     template = Template(cfg, np.zeros(cfg.dims, dtype=F32), 10)
-    frame = PreprocessedFrame(PointCloud(np.array([[3.9, -1.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.array([[3.9, -1.0, 1.0]])), 0.0, 0.0, 0.0)
     mcl_cfg = MclConfig(prior=UniformPrior(-0.5, 0.5, 0.0, 0.6))
     want = exhaustive_estimate(frame, template, mcl_cfg, grid_poses(mcl_cfg, 0.02, 0.01))
     assert want.n_points == 0 and FLAG_EMPTY_MEASUREMENT not in want.flags
@@ -1208,7 +1208,7 @@ def test_grid_search_skips_cells_on_a_peaked_frame(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.uniform(0.2, 3.8, 200)
     pts = np.column_stack([x, np.where(x > 2.0, 1.0, -1.0) + 0.05, rng.uniform(0.1, 1.9, 200)])
-    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(pts), 0.0, 0.0, 0.0)
     scored = []
     score = PoseScorer.score
     monkeypatch.setattr(PoseScorer, "score", lambda s, ys, th: scored.append(len(ys)) or score(s, ys, th))
@@ -1239,7 +1239,7 @@ def test_no_block_is_pruned_when_every_bound_ties_the_kth_best():
     template = Template(cfg, np.ones(cfg.dims, dtype=F32), 10)
     rng = np.random.default_rng(4)
     pts = rng.uniform([-1.0, -3.0, -0.5], [5.0, 3.0, 2.5], size=(40, 3))
-    frame = PreprocessedFrame(PointCloud(pts, "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(pts), 0.0, 0.0, 0.0)
     mcl_cfg = MclConfig()
     poses = mcl.sample_uniform(mcl_cfg.prior, 2500, seed=12)
     ll, ns = PoseScorer(frame, template).score_top_k(poses[:, 0], poses[:, 1], 25)
@@ -1264,7 +1264,7 @@ def test_a_block_below_the_best_score_of_the_rounds_before_it_is_skipped(monkeyp
     grid = np.full(cfg.dims, 0.5, dtype=F32)
     grid[:, 20, :] = 0.9  # y from -0.07 to 0.03
     template = Template(cfg, grid, 10)
-    frame = PreprocessedFrame(PointCloud(np.array([[2.0, 0.0, 1.0]]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.array([[2.0, 0.0, 1.0]])), 0.0, 0.0, 0.0)
     # one heading, a bin of its own; y-bins 0 and 4
     ys = np.concatenate([np.linspace(-0.06, 0.02, 20), np.linspace(1.14, 1.2, 20)])
     ll, ns = PoseScorer(frame, template).score_top_k(ys, np.zeros(40), 1)
@@ -1411,7 +1411,7 @@ def assert_hot_block_is_found(template, point, block, width, y0, runs=False):
     With `runs`, every heading, the block's two included, is a run of
     _MIN_RUN or more proposals.
     """
-    frame = PreprocessedFrame(PointCloud(np.array([[*point, 1.0]]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.array([[*point, 1.0]])), 0.0, 0.0, 0.0)
     res = template.config.resolution
     y_bin = _y_bins(0.0 if runs else _ROT_SLACK)[0] * res
     n_fill = _FIRST_SPLIT * _ROUND + 14
@@ -1495,7 +1495,7 @@ def particle_scenes(draw):
     z[rng.uniform(size=len(xy)) < 0.15] = rng.choice([-0.3, 2.3])
     z[: n_deep] = rng.uniform(0.1, 1.9, n_deep)
     z[-n_far:] = rng.uniform(0.1, 1.9, n_far)  # in the z range: edge points of the kernel
-    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z])), 0.0, 0.0, 0.0)
 
     n = draw(st.one_of(st.integers(1, 40), st.integers(2 * _CHUNK, 5 * _CHUNK)))
     sigma_y = draw(st.sampled_from([0.0, 0.005, 0.02, 0.05]))
@@ -1530,7 +1530,7 @@ def interior_frame(points_xy, far=True):
     pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
     if far:
         pts = np.vstack([pts, [30.0, 0.0]])
-    return PreprocessedFrame(PointCloud(np.column_stack([pts, np.ones(len(pts))]), "V"),
+    return PreprocessedFrame(PointCloud(np.column_stack([pts, np.ones(len(pts))])),
                              0.0, 0.0, 0.0)
 
 
@@ -1810,7 +1810,7 @@ def band_scenes(draw):
                                      draw(st.integers(0, 20))), anywhere])
     z = rng.uniform(0.1, 1.9, len(xy))
     z[rng.uniform(size=len(xy)) < 0.1] = -0.3
-    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z])), 0.0, 0.0, 0.0)
 
     sigma_y = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))
     sigma_theta = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03]))
@@ -1963,7 +1963,7 @@ def chunked_particle_scenes(draw):
     xy = sensor_points(np.vstack([deep, face, voxel_face, far]), y0, theta0)
     z = rng.uniform(0.1, 1.9, len(xy))
     z[rng.uniform(size=len(xy)) < 0.1] = 2.3
-    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.column_stack([xy, z])), 0.0, 0.0, 0.0)
 
     kind = draw(st.sampled_from(["tight", "wide", "two clusters", "margin"]))
     n = draw(st.integers(1, 160))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import rowloc
 
-TOTAL = 108
+TOTAL = 102
 
 
 def _public(name: str) -> bool:

@@ -306,7 +306,7 @@ def _template_frame_cloud():
     ground = np.column_stack(
         [rng.uniform(0, 20, 800), rng.uniform(-2, 2, 800), np.zeros(800)]
     )
-    return PointCloud(np.vstack([canopy, ground]), "T")
+    return PointCloud(np.vstack([canopy, ground]))
 
 
 def test_remove_zero_units_is_identity():

@@ -46,10 +46,10 @@ def _ground_patch():
 def _frame_with(*points_T):
     """Camera cloud for a centered, level vehicle seeing ground + extras."""
     pts = np.vstack([_ground_patch()] + [np.atleast_2d(p) for p in points_T])
-    return camera_cloud_at(PointCloud(pts, "T"), 0.0, 0.0, z=1.0)
+    return camera_cloud_at(PointCloud(pts), 0.0, 0.0, z=1.0)
 
 
-TRUTH = GroundTruthPose(y=0.0, theta=0.0, roll=0.0, pitch=0.0, z=1.0)
+TRUTH = GroundTruthPose(y=0.0, theta=0.0)
 
 
 def _lookup(template, points):
@@ -119,7 +119,7 @@ def test_frames_without_usable_ground_are_left_out():
     target = np.array([5.03, 0.52, 1.57])
     clouds = [_frame_with(target), _frame_with()]
     want = build_template(clouds, [TRUTH, TRUTH], TemplateConfig(), PRE)
-    empty = PointCloud(np.empty((0, 3)), "C")
+    empty = PointCloud(np.empty((0, 3)))
     got = build_template(clouds[:1] + [empty] + clouds[1:], [TRUTH] * 3, TemplateConfig(), PRE)
     assert got.n_frames == want.n_frames == 2
     assert got.no_info_frequency == want.no_info_frequency
@@ -344,7 +344,7 @@ def test_a_grid_that_its_base_can_write_is_copied(source):
     assert np.all(template.grid == np.float32(0.5))
     assert not np.shares_memory(template.grid, base)
     np.testing.assert_array_equal(log_table(template, 1e-4).table, before)
-    frame = PreprocessedFrame(PointCloud(np.array([[5.2, 0.1, 1.2]]), "V"), 0.0, 0.0, 0.0)
+    frame = PreprocessedFrame(PointCloud(np.array([[5.2, 0.1, 1.2]])), 0.0, 0.0, 0.0)
     ll, _ = PoseScorer(frame, template).score(np.zeros(1), np.zeros(1))
     assert ll[0] == pytest.approx(math.log(0.5), abs=2.0**-19)
 

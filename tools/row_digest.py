@@ -2,9 +2,11 @@
 
 Builds a workload's inputs with `perfbench/workloads.py`'s `make_inputs`, a
 template from its teaching frames, and prints one digest per method and one
-over all six: the SHA-256 of the `repr` of the rows.  Two checkouts whose
-digests match localize those frames identically, bit for bit.  Workloads
-without odometry run the particle filter with zero odometry deltas.
+over all six: the SHA-256 of the `repr` of the rows.  A last line gives the
+SHA-256 of the bytes `save_template` writes for the template.  Two
+checkouts whose digests match build the same template file and localize
+those frames identically, bit for bit.  Workloads without odometry run the
+particle filter with zero odometry deltas.
 
     python3 tools/row_digest.py compare-apricot --seed 10 --frames 200
     python3 tools/row_digest.py uniform-track --seed 3 --root ../other-checkout
@@ -13,6 +15,7 @@ without odometry run the particle filter with zero odometry deltas.
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -31,7 +34,7 @@ def main(argv=None) -> None:
 
     from rowloc.harness import METHODS, evaluate_frames
     from rowloc.mcl import OdometryDelta
-    from rowloc.template import build_template
+    from rowloc.template import build_template, save_template
 
     inp = WORKLOADS[args.workload].make_inputs(args.seed, args.frames)
     cfg = inp.cfg
@@ -47,6 +50,11 @@ def main(argv=None) -> None:
         total.update(text)
         print(f"{method:20s} {len(rows):4d} rows  {hashlib.sha256(text).hexdigest()}")
     print(f"{'all':20s} {len(inp.clouds):4d} frames {total.hexdigest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "template.rstp")
+        save_template(template, path)
+        saved = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(f"{'template':20s} {template.n_frames:4d} taught {saved}")
 
 
 if __name__ == "__main__":
