@@ -254,7 +254,13 @@ def _pair_hypothesis(left_pts, right_pts, it: int, i: int, j: int, k: int, tol: 
 def _pair_screen(left_pts, right_pts, draws: np.ndarray, tol: float, floor: float,
                  margin: float):
     """Screened score of every pair hypothesis (inf: rejected), and a mask of
-    the hypotheses the screen cannot decide."""
+    the hypotheses the screen cannot decide.
+
+    A side is scored only for the hypotheses not yet rejected: none whose
+    direction may be degenerate, and on the right side none the left side
+    rejects.  Such a hypothesis scores inf whatever its unscored sides
+    hold: its exact result is inf where the screen's count was exact, and
+    it is marked undecided, to be re-decided whole, where it was not."""
     n_left = left_pts.shape[0]
     both = np.concatenate([left_pts, right_pts])
     sides = [(left_pts.shape[0], hyp.homogeneous(left_pts)),
@@ -277,13 +283,14 @@ def _pair_screen(left_pts, right_pts, draws: np.ndarray, tol: float, floor: floa
         total = np.zeros(b - a)
         anchors = (np.where(even[:, None], p_i, p_k), np.where(even[:, None], p_k, p_i))
         for (n_side, side_h), anchor in zip(sides, anchors):
-            offset = np.einsum("ij,ij->i", normal, anchor)
-            dist = np.column_stack([normal, -offset]) @ side_h.T
+            rows = np.flatnonzero(ok)  # the hypotheses no side has rejected
+            offset = np.einsum("ij,ij->i", normal[rows], anchor[rows])
+            dist = np.column_stack([normal[rows], -offset]) @ side_h.T
             lo, hi = hyp.count_bounds(dist, tol, margin)  # dist is now |dist|
-            undecided |= lo != hi
-            ok &= (lo >= floor * n_side) & (lo > 0)
+            undecided[rows] |= lo != hi
+            ok[rows] = (lo >= floor * n_side) & (lo > 0)
             dist *= dist <= tol
-            total += np.einsum("ij,ij->i", dist, dist) / np.maximum(lo, 1)
+            total[rows] += np.einsum("ij,ij->i", dist, dist) / np.maximum(lo, 1)
         scores[a:b] = np.where(ok, total, math.inf)
         unsure[a:b] = undecided
     return scores, unsure

@@ -52,10 +52,10 @@ in float64: a frame's float64 sums are exact in any order.  A frame with
 more points is refused.  So a point whose log is the same for every
 proposal leaves the kernel, its log added as one constant: per frame,
 the points outside the template's z range and those _FAR voxels or more
-off, which read the no-info slot; per `score` call, the band points
-(below).  The max-pooled tables of `score_top_k` hold only entries of
-the log table, so the sums of its bounds are exact too, and a computed
-bound is never below a computed score.  `LogTable.log_floor` and
+off, which read the no-info slot; per certified span, the band and out
+points (below).  The max-pooled tables of `score_top_k` hold only
+entries of the log table, so the sums of its bounds are exact too, and a
+computed bound is never below a computed score.  `LogTable.log_floor` and
 `PoseScorer.log_no_info` are rounded alike, so a proposal that scores
 every point at the floor sums to exactly
 `n_scored * log_floor + (n_points - n_scored) * log_no_info`.
@@ -70,23 +70,37 @@ The band points among them lie, by the same slack, in a y band for every
 proposal: the leading or trailing y slabs of the log table whose entries
 all hold one log, the band log, as the template's voxels outside its row
 range do (`log_table`).  They enter no kernel, add the band log and count as
-scored.  The fast points are the others whose exact x lies, by the same
-slack, inside one x voxel k: the kernel's trunc(fx) is k for every
-proposal of the span, so their flat x part k * ny * nz + iz is taken
-once and the kernel computes only their y.  The other certified points,
-the interior ones, are scored in a kernel with no box test, clamp or
-count, each row counting all of them; the rest, the edge points, in the
-masked kernel.  A row's partial sums, one for each kind of pass, and
-the constant are added once every pass is done, exact as every sum is.
+scored.  The out points mirror the certified ones: by the same slack,
+every proposal of the span places them outside the box (fx < 0 or past
+its far x face, or the same in y), where the masked kernel reads the
+no-info slot.  They enter no kernel, add `log_no_info` and are not
+scored.  The fast points are the certified points outside the bands
+whose exact x lies, by the same slack, inside one x voxel k: the kernel's
+trunc(fx) is k for every proposal of the span, so their flat x part
+k * ny * nz + iz is taken once and the kernel computes only their y.
+The other certified points, the interior ones, are scored in a kernel
+with no box test, clamp or count, each row counting all of them; the
+rest, the edge points, in the masked kernel.  A row's partial sums, one
+for each kind of pass, and the constants are added once every pass is
+done, exact as every sum is.
+
+A kernel call of distinct headings over fewer points than rows, as the
+particle filter's edge pass is, runs on (points x rows) arrays, rows on
+the inner axis, and sums over axis 0: numpy pays its per-row cost once
+a point, not once a row.  Each element's float32 arithmetic is the same
+either way, and every sum is exact, so no row changes by a bit.
 
 A grid's shared-heading cells are certified together, over their span,
 and take no fast pass: their x index is already taken once per heading.
 The n distinct-heading proposals, the particle filter's, are sorted by
 heading and cut into n // _CERTIFIED_ROWS equal chunks (one at least),
 each certified over its own heading and y span, all chunks in one
-vectorised call.  A point at the edge of any chunk is scored in one
-masked pass over every distinct-heading proposal, and in no other pass.
-A call with no certified point takes that one masked pass.
+vectorised call.  A point that is interior, band or out in every chunk
+takes each chunk's own class: out in one chunk and interior in another,
+it enters only the second chunk's kernel.  A point at the edge of any
+chunk is scored in one masked pass over every distinct-heading proposal,
+and in no other pass.  A call with no certified point takes that one
+masked pass.
 
 `PoseScorer.score_top_k` extends the contract to top-k pruning.  The
 proposals it scores hold exactly what `score` returns for them, and
@@ -261,10 +275,10 @@ class PoseScorer:
         todo = deque()
         # the sums of each kind of pass, the first kind's in the call's own
         # arrays, the others' added below: the passes of one kind score
-        # disjoint cells.  So are the band points' constants, (cells, count)
-        # for each certified span
+        # disjoint cells.  So are the constants of the points no kernel
+        # reads, (cells, band points, out points) for each certified span
         sums = {}
-        bands = []
+        consts = []
 
         def add_pass(kind, cells, points, run_of=None, heads=None):
             """Score `points` for `cells` into the sums of `kind`, masked for
@@ -290,11 +304,11 @@ class PoseScorer:
         if shared.size:
             # a grid's shared-heading cells, certified together: an unmasked
             # pass over their certified points and a masked one over the
-            # edge points; the band points take neither
-            inside, band = self._interior(ys[shared], thetas[shared])
-            bands.append((shared, np.count_nonzero(band)))
+            # edge points; the band and out points take neither
+            inside, band, out = self._interior(ys[shared], thetas[shared])
+            consts.append((shared, np.count_nonzero(band), np.count_nonzero(out)))
             run_of = np.repeat(np.arange(np.count_nonzero(long)), lengths[long])
-            for mask, kind in ((inside, "interior"), (~(inside | band), "edge")):
+            for mask, kind in ((inside, "interior"), (~(inside | band | out), "edge")):
                 if mask.any():
                     points = self._points if mask.all() else self._subset(mask)
                     add_pass(kind, shared, points, run_of, starts[long])
@@ -315,15 +329,18 @@ class PoseScorer:
                 order, chunks = distinct, [distinct]
                 th, y = thetas[distinct], ys[distinct]
                 spans = float(th.min()), float(th.max()), float(y.min()), float(y.max())
-            inside, band, fast, k = (a.reshape(len(chunks), -1) for a in self._certify(*spans))
+            inside, band, fast, k, out = (a.reshape(len(chunks), -1)
+                                          for a in self._certify(*spans))
             # the points at the edge of any chunk are scored in one masked
-            # pass over every cell, and take no other pass
-            edge = ~(inside | band).all(axis=0)
+            # pass over every cell, and take no other pass; a point that is
+            # inside, band or out in each chunk is taken chunk by chunk
+            edge = ~(inside | band | out).all(axis=0)
             if len(chunks) > 1 and edge.any():
-                inside[:, edge] = band[:, edge] = fast[:, edge] = False
+                inside[:, edge] = band[:, edge] = fast[:, edge] = out[:, edge] = False
             _, ny, nz = self._dims
-            for cells, inside_c, band_c, fast_c, k_c in zip(chunks, inside, band, fast, k):
-                bands.append((cells, np.count_nonzero(band_c)))
+            for cells, inside_c, band_c, fast_c, k_c, out_c in zip(chunks, inside, band, fast,
+                                                                   k, out):
+                consts.append((cells, np.count_nonzero(band_c), np.count_nonzero(out_c)))
                 if fast_c.any():
                     # the flat x part k * ny * nz + iz, of the fast points
                     # only: k lies in [0, nx - 1] for them alone
@@ -365,9 +382,9 @@ class PoseScorer:
         for ll, ns in list(sums.values())[1:]:
             loglik += ll
             n_scored += ns
-        for cells, n_band in bands:
-            if n_band:
-                loglik[cells] += n_band * self.tables.band_log
+        for cells, n_band, n_out in consts:
+            if n_band or n_out:
+                loglik[cells] += n_band * self.tables.band_log + n_out * self.log_no_info
                 n_scored[cells] += n_band
         if self._qx32.size < self.n_points:
             loglik += self._z_out_log
@@ -377,16 +394,17 @@ class PoseScorer:
         return self._qx32[mask], self._qy32[mask], self._iz32[mask], None
 
     def _interior(self, ys, thetas):
-        """`_certify`'s masks (interior, band) for the one span of the
+        """`_certify`'s masks (interior, band, out) for the one span of the
         proposals (ys, thetas)."""
         spans = float(thetas.min()), float(thetas.max()), float(ys.min()), float(ys.max())
-        return self._certify(*spans)[:2]
+        inside, band, _, _, out = self._certify(*spans)
+        return inside, band, out
 
     def _certify(self, t_lo, t_hi, y_lo, y_hi):
-        """Masks (interior, band, fast) of the kernel's points, and their
-        x voxels k at the low end of their slack, for the proposals of
-        headings t_lo .. t_hi and ys y_lo .. y_hi: floats, or (K, 1) columns
-        of K spans, for (K, points) arrays.
+        """Masks (interior, band, fast) of the kernel's points, their x
+        voxels k at the low end of their slack, and the out mask, for the
+        proposals of headings t_lo .. t_hi and ys y_lo .. y_hi: floats, or
+        (K, 1) columns of K spans, for (K, points) arrays.
 
         The interior points are those that every proposal places strictly
         inside the box with fx < nx - 1 and fy < ny - 1, so that the kernel
@@ -394,7 +412,14 @@ class PoseScorer:
         clamp.  The band points are the points of the box whose fy lies
         below ny_lo or above ny_hi for every proposal: they read a band slab
         (`log_table`), and are not interior.  The fast points are the
-        interior points whose trunc(fx) is k for every proposal.
+        interior points whose trunc(fx) is k for every proposal.  The out
+        points are those that every proposal places outside the box: fx
+        below 0 or above its far face _fx_hi, or fy below 0 or above
+        _fy_hi, the masked kernel's own tests mirrored.  They read the
+        no-info slot and are not scored; no point is both out and interior
+        or band.  The distinct-heading passes these masks feed run with
+        rows on the inner axis when they hold fewer points than rows
+        (`_score_block`).
 
         About the middle heading, a point at range r moves at most
         r * (half the heading span), in x and in y, plus half the ys' span
@@ -402,7 +427,8 @@ class PoseScorer:
         of the exact ones, a margin that grows with r.  A point is
         certified when its exact coordinates at the middle heading and y
         lie more than that slack inside the box, or, for k, inside one x
-        voxel.  Its rows' partial sums add up exactly (module docstring).
+        voxel, or, for out, more than that slack past one of its faces.
+        Its rows' partial sums add up exactly (module docstring).
         """
         cfg = self.template.config
         res = cfg.resolution
@@ -428,7 +454,9 @@ class PoseScorer:
         # fx_lo and fx_hi in one x voxel k = floor(fx_lo)
         k = np.floor(fx_lo)
         fast = inside & (fx_hi - k < 1.0)
-        return inside, band, fast, k
+        out = (fx_hi < 0) | (fx_lo > float(self._fx_hi))
+        out |= (fy_hi < 0) | (fy_lo > float(self._fy_hi))
+        return inside, band, fast, k, out
 
     def _margin(self, y_abs, r):
         """The float32 rounding the kernel's coordinates of a point at range
@@ -456,10 +484,18 @@ class PoseScorer:
         Unmasked, every point is taken to lie inside the box for every
         row (`_certify`): no mask, clamp or count, and each row scores
         every point.  Points given with their flat x parts, the fast
-        ones, take no fx; `row` is then None.
+        ones, take no fx; `row` is then None.  With `row` None and fewer
+        points than rows, the arrays are (points x rows), rows on the
+        inner axis (module docstring).
         """
         qx, qy, iz, ix = points
         nx, ny, nz = self._dims
+        y32 = ys.astype(np.float32)[:, None]
+        axis = 1
+        if row is None and qx.size < ys.size:
+            # rows on the inner axis: (points x rows) arrays
+            cos_t, sin_t, y32, axis = cos_t.T, sin_t.T, y32.T, 0
+            qx, qy, iz, ix = (None if a is None else a[:, None] for a in points)
         if ix is None:
             # work directly in grid coordinates (voxels from the grid origin)
             fx = cos_t * qx - sin_t * qy
@@ -478,7 +514,7 @@ class PoseScorer:
             fy, ix = fy[row], ix[row]
             if masked:
                 keep_x = keep_x[row]
-        fy += ys.astype(np.float32)[:, None]
+        fy += y32
         fy -= self._lo_y
         fy *= self._inv_res
 
@@ -486,14 +522,15 @@ class PoseScorer:
         if not masked:
             lin *= np.int32(nz)
             lin += ix
-            return self.tables.table.take(lin).sum(axis=1, dtype=np.float64), qx.size
+            return self.tables.table.take(lin).sum(axis=axis, dtype=np.float64), qx.size
         keep = (fy >= 0) & (fy <= self._fy_hi)
         keep &= keep_x
         np.minimum(lin, np.int32(ny - 1), out=lin)
         lin *= np.int32(nz)
         lin += ix
         lin *= keep  # points outside template_range read the no-info slot 0
-        return self.tables.table.take(lin).sum(axis=1, dtype=np.float64), np.count_nonzero(keep, axis=1)
+        return (self.tables.table.take(lin).sum(axis=axis, dtype=np.float64),
+                np.count_nonzero(keep, axis=axis))
 
     @_small_buffer
     def score_top_k(

@@ -446,6 +446,43 @@ def test_pair_search_points_at_the_tolerance_are_rechecked(monkeypatch):
     assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
 
 
+def test_a_pair_hypothesis_the_left_side_rejects_reaches_no_right_side_distance(monkeypatch):
+    """A scattered left row and a tight right one: most hypotheses fail the
+    inlier floor on the left side.  Their right side's distances are never
+    taken, each admitted hypothesis takes them once, and the pair found is
+    the per-hypothesis loop's."""
+    rng = np.random.default_rng(31)
+    left = np.column_stack([rng.uniform(0.0, 8.0, 90), 1.5 + 0.3 * rng.standard_normal(90)])
+    right = np.column_stack([rng.uniform(0.0, 8.0, 70), -1.5 + 0.05 * rng.standard_normal(70)])
+    n_hyp, tol, floor = 3 * hyp.BLOCK + 5, 0.1, 0.3
+    draws = baselines._pair_draws(np.random.default_rng(4), 90, 70, n_hyp)
+    rows = {90: 0, 70: 0}  # rows of distances taken, by the side's point count
+    original = hyp.count_bounds
+
+    def counted(dist, *args):
+        rows[dist.shape[1]] += dist.shape[0]
+        return original(dist, *args)
+
+    monkeypatch.setattr(hyp, "count_bounds", counted)
+    got = baselines._best_pair_hypothesis(left, right, draws, tol, floor)
+    monkeypatch.undo()
+    drawn = admitted = 0  # the non-degenerate hypotheses, and those the left side admits
+    for it, (i, j, k) in enumerate(draws):
+        src, other = (left, right) if it % 2 == 0 else (right, left)
+        if i == j:
+            continue
+        drawn += 1
+        line = Line2(src[i] if it % 2 == 0 else other[k], src[j] - src[i])
+        dist = np.abs(line.distance(left))
+        # far from the tolerance: the screen's count is exact
+        assert np.all(np.abs(dist - tol) > 1e-6)
+        admitted += np.count_nonzero(dist <= tol) >= max(floor * 90, 1)
+    assert rows[90] == drawn > n_hyp - 10
+    assert 0 < rows[70] == admitted < drawn // 2
+    want = reference_pair_search(left, right, n_hyp, tol, floor, np.random.default_rng(4))
+    assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
+
+
 def test_baseline2_matches_reference_on_wall_scenes():
     params = BaselineParams()
     wall = make_wall_cloud_T(step=0.2)

@@ -32,7 +32,11 @@ set and a narrow grid take this split; a wide heading span does not.
 Points one float32 step either side of the certified slack, points
 within a rounding margin of an x voxel face, and points that an extreme
 particle or float32 rounding moves out of the box, must score as the
-reference does.
+reference does.  Points that every proposal of a span places past the
+box, the out points, enter no kernel and are not scored, whatever their
+class in other chunks; points one float32 step either side of the out
+slack must score as the reference does.  A pass of distinct headings
+over fewer points than rows reads (points x rows) arrays.
 
 Certified points that every proposal places in a y band, the leading or
 trailing y slabs of the log table whose entries all hold one log, enter
@@ -393,12 +397,11 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     scorer = PoseScorer(frame, template)
-    inside, band = scorer._interior(ys[in_run], thetas[in_run])
+    inside, band, out = scorer._interior(ys[in_run], thetas[in_run])
     assert not band.any()
     kernel = scorer._qx32.size
-    passes = [(True, kernel)] if not inside.any() else [
-        (masked, k) for masked, k in ((False, inside.sum()), (True, (~inside).sum())) if k
-    ]
+    edge = ~(inside | out)
+    passes = [(masked, k) for masked, k in ((False, inside.sum()), (True, edge.sum())) if k]
     with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
         assert_scores_equal_reference(scorer, frame, ys, thetas)
         assert (measurement._pool is not None) == (workers > 1)
@@ -416,8 +419,9 @@ def test_shared_heading_cells_are_scored_chunk_at_a_time(workers):
 def test_a_grid_call_scores_its_certified_points_unmasked(workers, far):
     """A theta-major grid about (y 0.1, heading 0.2), narrow enough that
     every point but the far one is certified, scores its shared-heading
-    cells in an unmasked pass over the interior points, and (with the
-    far point) a masked pass over the edge point, as the reference does."""
+    cells in an unmasked pass over the interior points, as the reference
+    does.  The far point, past the box for every cell, is out: it takes
+    no pass."""
     template = interior_template()
     rng = np.random.default_rng(24)
     frame = interior_frame(sensor_points(rng.uniform([1.0, -0.8], [2.8, 0.8], (60, 2)),
@@ -434,12 +438,13 @@ def test_a_grid_call_scores_its_certified_points_unmasked(workers, far):
         return score_block(self, cos_t, sin_t, ys, row, points, masked)
 
     scorer = PoseScorer(frame, template)
-    assert scorer._interior(ys, thetas)[0].tolist() == [True] * 60 + [False] * far
+    inside, _, out = scorer._interior(ys, thetas)
+    assert inside.tolist() == [True] * 60 + [False] * far
+    assert out.tolist() == [False] * 60 + [True] * far
     with scoring_workers(workers), mock.patch.object(PoseScorer, "_score_block", recorded):
         assert_scores_equal_reference(scorer, frame, ys, thetas)
-    # 287 cells: three chunks of the interior pass, one of the edge pass
-    want = [(True, False, 60)] * 3 + [(True, True, 1)] * far
-    assert sorted(calls) == sorted(want)
+    # 287 cells: three chunks of the interior pass
+    assert sorted(calls) == [(True, False, 60)] * 3
 
 
 @contextmanager
@@ -1512,16 +1517,21 @@ def particle_scenes(draw):
 @settings(max_examples=80, deadline=None)
 @given(particle_scenes(), st.sampled_from([1, 2]))
 def test_interior_and_edge_passes_equal_per_proposal_reference(scene, workers):
-    """A concentrated particle set certifies the deep points and leaves the
-    far ones at the edge, so every call takes the split, its runs of one
-    heading too: an interior pass and an edge pass, summed per row."""
+    """A concentrated particle set certifies the deep points and places the
+    far ones out of the box, so every call takes the split, its runs of
+    one heading too: an interior pass, an edge pass over the points near
+    a face, if any, and one constant for the out points, summed per row.
+    No kernel call holds a far point."""
     frame, template, p_floor, ys, thetas = scene
     scorer = PoseScorer(frame, template, p_floor)
-    with scoring_workers(workers), recorded_passes() as calls:
+    with scoring_workers(workers), recorded_calls() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
-    assert {masked for masked, _ in calls} == {False, True}
+    assert not all(masked for *_, masked in calls)
+    # the far points lie 6 m or more off, the others less than 5.2 m
+    assert all(np.all(np.hypot(points[0], points[1]) < 6.0) for *_, points, _ in calls)
     starts, lengths, long = measurement._heading_runs(thetas)
     event("runs of one heading" if long.any() else "distinct headings only")
+    event("an edge pass" if any(masked for *_, masked in calls) else "no edge pass")
 
 
 def interior_frame(points_xy, far=True):
@@ -1565,9 +1575,11 @@ def f32_of(k):
     return np.array([k if k >= 0 else 2**31 - k], dtype=np.uint32).view(F32)[0]
 
 
-def certified_flip(template, face, ys, thetas):
+def certified_flip(template, face, ys, thetas, mask=0):
     """The two sensor-frame points, one float32 step apart on the face's
-    axis, between which `_interior` stops certifying: (edge, interior)."""
+    axis, between which `_interior`'s mask `mask` changes: the interior
+    mask (0), which certifies the inner point, or the out mask (2), which
+    certifies the outer one.  Returns (outer, inner)."""
     axis, other, (out, inside) = FACE_SEARCH[face]
 
     def point(v):
@@ -1575,16 +1587,17 @@ def certified_flip(template, face, ys, thetas):
 
     def certified(v):
         scorer = PoseScorer(interior_frame([point(v)]), template)
-        return bool(scorer._interior(ys, thetas)[0][0])
+        return bool(scorer._interior(ys, thetas)[mask][0])
 
     a, b = f32_key(out), f32_key(inside)
-    assert not certified(f32_of(a)) and certified(f32_of(b))
+    outer = certified(f32_of(a))
+    assert outer == (mask == 2) and certified(f32_of(b)) != outer
     while abs(b - a) > 1:
         mid = (a + b) // 2
-        if certified(f32_of(mid)):
-            b = mid
-        else:
+        if certified(f32_of(mid)) == outer:
             a = mid
+        else:
+            b = mid
     return point(float(f32_of(a))), point(float(f32_of(b)))
 
 
@@ -1620,7 +1633,39 @@ def test_points_one_float32_step_either_side_of_the_certified_slack(face):
         assert scorer._interior(SPREAD_YS, SPREAD_THETAS)[0].tolist() == [certified, False]
         with recorded_passes() as calls:
             assert_scores_equal_reference(scorer, frame, SPREAD_YS, SPREAD_THETAS)
-        assert calls == ([(True, 2)] if not certified else [(False, 1), (True, 1)])
+        # the far point is out: it takes no pass
+        assert calls == [(not certified, 1)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("face", list(FACE_SEARCH))
+def test_points_one_float32_step_either_side_of_the_out_slack(face, workers):
+    """Past each face the out region starts where `_interior`'s slack says,
+    one float32 step from an edge point, at the box's own faces: 0, and
+    the template range's far faces, which lie past nx - 1 and ny - 1.  The
+    out point, like the far point, takes no pass and is not scored; both
+    points score as the reference does."""
+    template = interior_template()
+    cfg = template.config
+    outer, edge = certified_flip(template, face, SPREAD_YS, SPREAD_THETAS, mask=2)
+    axis = FACE_SEARCH[face][0]
+    lo, hi = cfg.template_range.min_corner, cfg.template_range.max_corner
+    limit = {"low-x": 0.0, "high-x": hi[0] - lo[0], "low-y": 0.0, "high-y": hi[1] - lo[1]}[face]
+    qx, qy = (float(F32(v)) for v in outer)
+    c, s = math.cos(0.2), math.sin(0.2)
+    at = (c * qx - s * qy - lo[0]) if axis == 0 else (s * qx + c * qy + 0.1 - lo[1])
+    scorer = PoseScorer(interior_frame([outer]), template)
+    margin = scorer._margins[0] + scorer._margin(np.max(np.abs(SPREAD_YS)), None)
+    slack = math.hypot(qx, qy) * 0.03 / cfg.resolution + margin + (axis == 1) * 0.1 / cfg.resolution
+    assert abs(abs((at - limit) / cfg.resolution) - slack) < 1e-5
+    for pt, out in ((outer, True), (edge, False)):
+        frame = interior_frame([pt])
+        scorer = PoseScorer(frame, template)
+        inside, band, out_mask = scorer._interior(SPREAD_YS, SPREAD_THETAS)
+        assert out_mask.tolist() == [out, True] and not (inside | band).any()
+        with scoring_workers(workers), recorded_passes() as calls:
+            assert_scores_equal_reference(scorer, frame, SPREAD_YS, SPREAD_THETAS)
+        assert calls == ([] if out else [(True, 1)])
 
 
 # a box whose upper x and y faces lie 0.001 m past the last voxels' lower
@@ -1703,10 +1748,11 @@ def test_a_point_float32_rounding_moves_out_of_the_box_is_an_edge_point(face):
     scorer = PoseScorer(frame, template)
     ys, thetas = np.array([y]), np.array([theta])
     assert reference_score(frame, template, scorer.p_floor, y, theta)[1] == 1
-    assert scorer._interior(ys, thetas)[0].tolist() == [False, True, False]
+    inside, _, out = scorer._interior(ys, thetas)
+    assert inside.tolist() == [False, True, False] and out.tolist() == [False, False, True]
     with recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
-    assert calls == [(False, 1), (True, 2)]
+    assert calls == [(False, 1), (True, 1)]
 
 
 def test_far_points_need_a_wider_slack_than_near_ones():
@@ -1732,18 +1778,20 @@ def test_far_points_need_a_wider_slack_than_near_ones():
 def test_a_wide_heading_span_certifies_no_point():
     """Particles spread over +-0.6 rad: a point 2.5 m or more off moves
     1.5 m or more, past the box's far x face from any point 2.5 m to
-    3.5 m along it, so nothing is certified and the call keeps the one
-    masked pass."""
+    3.5 m along it, so no point is certified inside the box and the call
+    keeps one masked pass, over every point but the far one, which every
+    particle places past the box."""
     template = interior_template()
     rng = np.random.default_rng(23)
     frame = interior_frame(rng.uniform([2.5, -0.8], [3.5, 0.8], (30, 2)))
     scorer = PoseScorer(frame, template)
     thetas = rng.uniform(-0.6, 0.6, 300)
     ys = rng.uniform(-0.3, 0.3, 300)
-    assert not scorer._interior(ys, thetas)[0].any()
+    inside, _, out = scorer._interior(ys, thetas)
+    assert not inside.any() and out.tolist() == [False] * 30 + [True]
     with recorded_passes() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
-    assert {c for c in calls} == {(True, 31)}
+    assert {c for c in calls} == {(True, 30)}
 
 
 def band_template(res, no_info, low, high, rng, n_frames=10, range_=TEMPLATE_RANGE):
@@ -1864,7 +1912,7 @@ def test_band_points_reach_no_kernel_call_yet_count_as_scored():
             scorer = PoseScorer(frame, template)
             off_slot_0 = scorer.tables.band_log != scorer.log_no_info
             assert off_slot_0 == (no_info == GRID_SWEEP_NO_INFO)
-            _, band = scorer._interior(ys, thetas)
+            band = scorer._interior(ys, thetas)[1]
             assert band.tolist() == [True] * 14 + [False] * (len(xy) - 14)
             with recorded_calls() as calls:
                 ll, ns = scorer.score(ys, thetas)
@@ -2049,7 +2097,7 @@ def test_each_chunk_is_certified_over_its_own_span():
     ys = 0.1 + 0.3 * second + 0.002 * rng.standard_normal(n)
     thetas = 0.05 + 0.3 * second + 0.0005 * rng.standard_normal(n)
     scorer = PoseScorer(frame, template)
-    _, _, fast, _ = scorer._certify(thetas.min(), thetas.max(), ys.min(), ys.max())
+    fast = scorer._certify(thetas.min(), thetas.max(), ys.min(), ys.max())[2]
     assert not fast.any()
     with recorded_calls() as calls:
         assert_scores_equal_reference(scorer, frame, ys, thetas)
@@ -2062,27 +2110,112 @@ def test_a_far_kernel_point_casts_no_x_index(far):
     stays in the kernel, where its k * ny * nz would overflow int32.  Its
     own rounding margin, which grows with its range, keeps it from being
     fast; the near points' margins do not grow with it, and they are fast.
-    Scored in chunks on two threads, as the particle filter's proposals
-    are, the far point is an edge point of every row, no fast call holds
-    it, no RuntimeWarning is raised and every score is the reference's."""
+    Scored in chunks, as the particle filter's proposals are, the far
+    points are out in every chunk and reach no kernel call.  Over headings
+    +-1.5 rad, in one chunk, no proposal's slack keeps them out: they are
+    edge points of every row.  No RuntimeWarning is raised and every score
+    is the reference's."""
     template = interior_template()
     frame = interior_frame([(2.0, 0.0), (1.5, 0.3), (far, 0.2), (0.4, far)], far=False)
     scorer = PoseScorer(frame, template)
     assert scorer._qx32.size == 4
     rng = np.random.default_rng(43)
-    ys, thetas = 0.01 * rng.standard_normal(300), 0.005 * rng.standard_normal(300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with scoring_workers(2), certified_rows(32), recorded_calls() as calls:
-            assert_scores_equal_reference(scorer, frame, ys, thetas)
-    fast = fast_calls(calls)
-    assert all(np.all(np.abs(points[0]) < 10.0) and np.all(np.abs(points[1]) < 10.0)
-               for *_, points, _ in fast)
-    # the two near points, through the fast kernel in every row
-    assert sum(rows * points[0].size for _, _, rows, points, _ in fast) == 2 * ys.size
-    edge_rows = [rows for _, _, rows, points, masked in calls
-                 if masked and np.any(np.abs(points[0]) > 1e7) | np.any(np.abs(points[1]) > 1e7)]
-    assert sum(edge_rows) == ys.size
+    ys, tight = 0.01 * rng.standard_normal(300), 0.005 * rng.standard_normal(300)
+    wide = rng.uniform(-1.5, 1.5, 300)
+    inside, _, out = scorer._interior(ys, wide)
+    assert not (inside | out)[2:].any()
+    for workers in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with scoring_workers(workers), certified_rows(32), recorded_calls() as calls:
+                assert_scores_equal_reference(scorer, frame, ys, tight)
+            with scoring_workers(workers), recorded_calls() as wide_calls:
+                assert_scores_equal_reference(scorer, frame, ys, wide)
+        # the two near points, through the fast kernel in every row, and no other call
+        assert calls == fast_calls(calls)
+        assert all(np.all(np.abs(points[0]) < 10.0) and np.all(np.abs(points[1]) < 10.0)
+                   for *_, points, _ in calls)
+        assert sum(rows * points[0].size for _, _, rows, points, _ in calls) == 2 * ys.size
+        edge_rows = [rows for _, _, rows, points, masked in wide_calls if masked and
+                     np.any(np.abs(points[0]) > 1e7) | np.any(np.abs(points[1]) > 1e7)]
+        assert sum(edge_rows) == ys.size
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_lost_particle_sets_out_points_reach_no_kernel_call(wall_run, workers):
+    """A lost particle filter, as on compare-apricot seed 10's frame 0: its
+    particles lie near +0.56 rad while the frame is seen from the mirror
+    heading, -0.56 rad.  Turned that far, two thirds of the rows' points
+    lie past the template's box for every particle, over the whole call
+    and so in each heading-sorted chunk.  Those out points reach no
+    kernel call and count in no row's points scored; every score is the
+    reference's."""
+    template, _, cfg = wall_run
+    frame = geometry.preprocess(camera_cloud_at(make_wall_cloud_T(), 0.0, -0.56), cfg.pre_cfg)
+    rng = np.random.default_rng(51)
+    n = measurement._MIN_THREADED_ROWS + 200
+    ys, thetas = rng.uniform(-0.3, 0.3, n), 0.56 + 0.02 * rng.standard_normal(n)
+    scorer = PoseScorer(frame, template)
+    out = scorer._interior(ys, thetas)[2]
+    assert out.sum() > 0.6 * out.size
+    with scoring_workers(workers, measurement._MIN_THREADED_ROWS), recorded_calls() as calls:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+        _, n_scored = scorer.score(ys, thetas)
+    out_xy = set(zip(scorer._qx32[out].tolist(), scorer._qy32[out].tolist()))
+    for *_, (qx, qy, _, _), _ in calls:
+        assert out_xy.isdisjoint(zip(qx.tolist(), qy.tolist()))
+    assert n_scored.max() <= out.size - out.sum()
+
+
+@contextmanager
+def recorded_lookups(scorer):
+    """Record the shape of each array of table indices `scorer`'s kernel
+    reads, on any thread."""
+    shapes = []
+
+    class RecordedTable(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            shapes.append(indices.shape)
+            return super().take(indices, *args, **kwargs)
+
+    tables = scorer.tables
+    scorer.tables = replace(tables, table=tables.table.view(RecordedTable))
+    try:
+        yield shapes
+    finally:
+        scorer.tables = tables
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_edge", [1, 2, 3, 5])
+def test_a_narrow_pass_runs_with_rows_on_the_inner_axis(n_edge, workers):
+    """1200 particles and 1 to 5 points on the box's low y face, which
+    some particles of every chunk place inside the box and some outside:
+    the edge pass over every row is narrow.  It, and every other pass of
+    distinct headings over fewer points than rows, reads its table
+    indices as a (points x rows) array, rows on the inner axis; a pass
+    over more points reads (rows x points).  Every score is the
+    reference's."""
+    template = interior_template()
+    rng = np.random.default_rng(52)
+    lo_y = TEMPLATE_RANGE.min_corner[1]
+    face = np.column_stack([rng.uniform(1.0, 3.0, n_edge), np.full(n_edge, lo_y)])
+    deep = rng.uniform([1.0, -0.8], [2.8, 0.8], (20, 2))
+    frame = interior_frame(sensor_points(np.vstack([face, deep]), 0.1, 0.2))
+    n = 1200
+    ys, thetas = rng.uniform(0.0, 0.2, n), 0.2 + 0.01 * rng.standard_normal(n)
+    scorer = PoseScorer(frame, template)
+    inside, band, out = (m.tolist() for m in scorer._interior(ys, thetas))
+    assert inside == [False] * n_edge + [True] * 20 + [False] and out[-1]
+    with scoring_workers(workers), recorded_calls() as calls, \
+            recorded_lookups(scorer) as shapes:
+        assert_scores_equal_reference(scorer, frame, ys, thetas)
+    # (points, rows) of each kernel call, and of the edge pass's
+    passes = [(points[0].size, rows) for _, _, rows, points, _ in calls]
+    edge = [(p, rows) for (p, rows), call in zip(passes, calls) if call[-1]]
+    assert {p for p, _ in edge} == {n_edge} and sum(rows for _, rows in edge) == n
+    assert all(p < rows for p, rows in edge)
+    assert sorted(shapes) == sorted((p, rows) if p < rows else (rows, p) for p, rows in passes)
 
 
 def test_a_point_1_km_off_leaves_the_near_points_certification_unchanged():

@@ -1,13 +1,17 @@
-"""Bounds computed and proposals scored by top-k search on a benchmark workload.
+"""Top-k search work and kernel lookups by pass on a benchmark workload.
 
 Builds a workload's inputs with `perfbench/workloads.py`'s `make_inputs` and a
 template from its teaching frames, then runs the workload's own estimator
 call on each frame, counting what `PoseScorer.score_top_k` does: the block
 bounds it computes (`_block_bounds`) and the proposals it scores (`score`).
+Over every `score` call, top-k or not, it also counts the kernel lookups
+(row x point pairs) of each pass, fast, interior and edge, and the pairs
+that reach no kernel, as band points (scored) or out points (not scored).
 Prints the count of top-k searches and, per frame, the mean and median of
 each count.  compare-apricot's particle filter runs no top-k search.
 
     python3 tools/topk_counts.py uniform-track --seed 5 --frames 40
+    python3 tools/topk_counts.py compare-apricot --seed 29 --frames 35
     python3 tools/topk_counts.py grid-sweep --seed 5 --root ../other-checkout
 """
 
@@ -15,6 +19,8 @@ import argparse
 import statistics
 import sys
 from pathlib import Path
+
+COUNTS = ("bounds", "proposals", "fast", "interior", "edge", "band", "out")
 
 
 def main(argv=None) -> None:
@@ -41,8 +47,12 @@ def main(argv=None) -> None:
 
     count = {"searches": 0, "bounds": 0, "proposals": 0}
     depth = [0]  # top-k searches under way: only their bounds and scores count
-    score_top_k, block_bounds, score = (PoseScorer.score_top_k, PoseScorer._block_bounds,
-                                        PoseScorer.score)
+    # (name, count) records of every score call and kernel call, appended on
+    # any scoring thread (list.append is atomic)
+    records = []
+    score_top_k, block_bounds, score, score_block = (
+        PoseScorer.score_top_k, PoseScorer._block_bounds, PoseScorer.score,
+        PoseScorer._score_block)
 
     def counted_search(self, ys, thetas, k):
         count["searches"] += 1
@@ -58,23 +68,44 @@ def main(argv=None) -> None:
 
     def counted_score(self, ys, thetas):
         count["proposals"] += len(ys) if depth[0] else 0
-        return score(self, ys, thetas)
+        loglik, n_scored = score(self, ys, thetas)
+        records.append(("pairs", len(ys) * self._qx32.size))
+        records.append(("scored", int(n_scored.sum())))
+        return loglik, n_scored
+
+    def counted_block(self, cos_t, sin_t, ys, row, points, masked):
+        sums, n_scored = score_block(self, cos_t, sin_t, ys, row, points, masked)
+        lookups = len(ys) * points[0].size
+        records.append(("edge" if masked else "interior" if points[3] is None else "fast",
+                        lookups))
+        # an unmasked call scores every lookup; n_scored is then one row's count
+        records.append(("kernel_scored", int(n_scored.sum()) if masked else lookups))
+        return sums, n_scored
 
     PoseScorer.score_top_k = counted_search
     PoseScorer._block_bounds = counted_bounds
     PoseScorer.score = counted_score
-    per_frame = {"bounds": [], "proposals": []}
+    PoseScorer._score_block = counted_block
+    per_frame = {key: [] for key in COUNTS}
     searches = 0
     for k in range(len(inp.clouds)):
         count.update(searches=0, bounds=0, proposals=0)
+        records.clear()
         run.step(k)
         searches += count["searches"]
+        got = dict(count, pairs=0, scored=0, kernel_scored=0, fast=0, interior=0, edge=0)
+        for name, n in records:
+            got[name] += n
+        # every (row, point) pair of a score call is in one pass or none, and
+        # the band points are the scored pairs no kernel counted
+        got["band"] = got["scored"] - got["kernel_scored"]
+        got["out"] = got["pairs"] - got["fast"] - got["interior"] - got["edge"] - got["band"]
         for key, values in per_frame.items():
-            values.append(count[key])
+            values.append(got[key])
     print(f"{args.workload} seed {args.seed}: {len(inp.clouds)} frames, {searches} top-k searches")
     for key, values in per_frame.items():
-        print(f"{key:10s} per frame  mean {statistics.fmean(values):8.1f}  "
-              f"median {statistics.median(values):8.1f}")
+        print(f"{key:10s} per frame  mean {statistics.fmean(values):10.1f}  "
+              f"median {statistics.median(values):10.1f}")
 
 
 if __name__ == "__main__":
